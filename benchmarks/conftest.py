@@ -7,8 +7,11 @@ pass ``--repro-scale=paper`` to run at the published collection sizes and
 ``--repro-scale=small``/``medium`` for the intermediate presets.
 
 The resulting tables are printed to the terminal (run pytest with ``-s`` to
-see them) and also written to ``benchmarks/results/<experiment id>.txt`` so
-EXPERIMENTS.md can reference them.
+see them) and written twice: the deterministic columns (counts, work and
+byte ratios — identical on every run and every machine) go to the tracked
+``benchmarks/results/<experiment id>.txt``, so a test run leaves the work
+tree clean; the full table including the wall-clock ``*_ms`` columns goes to
+``benchmarks/results/timings/``, which git ignores.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import pathlib
 
 import pytest
 
-from repro.experiments.base import ExperimentScale, resolve_scale
+from repro.experiments.base import ExperimentReport, ExperimentScale, resolve_scale
 
 #: Default benchmark scale: small enough for CI, large enough to show the shapes.
 BENCH_SCALE = ExperimentScale(
@@ -25,6 +28,18 @@ BENCH_SCALE = ExperimentScale(
 )
 
 RESULTS_DIRECTORY = pathlib.Path(__file__).parent / "results"
+#: Full tables, wall-clock columns included; differs run to run, never committed.
+TIMINGS_DIRECTORY = RESULTS_DIRECTORY / "timings"
+
+
+def without_wall_clock(report: ExperimentReport) -> ExperimentReport:
+    """The report minus its wall-clock columns (the experiments name every
+    one of them ``*_ms``); what is left repeats exactly for a scale."""
+    rows = [
+        {column: value for column, value in row.items() if not column.endswith("_ms")}
+        for row in report.rows
+    ]
+    return ExperimentReport(report.experiment_id, report.title, rows, list(report.notes))
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -47,12 +62,14 @@ def experiment_scale(request: pytest.FixtureRequest) -> ExperimentScale:
 
 @pytest.fixture(scope="session")
 def record_report():
-    """Persist a report to benchmarks/results/ and echo it to the terminal."""
-    RESULTS_DIRECTORY.mkdir(exist_ok=True)
+    """Persist a report (see the module docstring) and echo it to the terminal."""
+    TIMINGS_DIRECTORY.mkdir(parents=True, exist_ok=True)
 
     def _record(report) -> None:
         text = report.format_table()
         print("\n" + text)
-        (RESULTS_DIRECTORY / f"{report.experiment_id}.txt").write_text(text + "\n")
+        name = f"{report.experiment_id}.txt"
+        (TIMINGS_DIRECTORY / name).write_text(text + "\n")
+        (RESULTS_DIRECTORY / name).write_text(without_wall_clock(report).format_table() + "\n")
 
     return _record

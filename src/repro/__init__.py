@@ -54,6 +54,7 @@ from repro.core import (
     FixedPeriodSchedule,
     GeometricSchedule,
     IncreasingQueryOrdering,
+    MassAwareSchedule,
     MultiFeatureBondSearcher,
     PartialAbandonScan,
     RandomOrdering,
@@ -182,6 +183,7 @@ __all__ = [
     "make_corel_like",
     "make_skewed_weights",
     "make_subspace_weights",
+    "MassAwareSchedule",
     "MultiFeatureBondSearcher",
     "OverlapAdmission",
     "PartialAbandonScan",

@@ -633,6 +633,24 @@ class Index:
         """Buffered update operations awaiting the next :meth:`reorganize`."""
         return len(self._current_epoch().delta)
 
+    def planning_state(self) -> tuple[int, int, int, int]:
+        """``(generation, cardinality, tail_rows, deleted_count)`` of the epoch
+        this thread reads, from one epoch lookup.
+
+        Together with a query's shape this is everything a planning decision
+        depends on, so the planner keys its plan cache by it: every
+        ``insert`` / ``delete`` / ``reorganize`` changes the tuple, and a
+        reader pinned to an older epoch keeps getting that epoch's plans.
+        """
+        epoch = self._current_epoch()
+        tail = epoch.tail
+        return (
+            epoch.generation,
+            epoch.base_cardinality,
+            tail.tail_rows,
+            tail.deleted_base_count,
+        )
+
     def insert(self, vectors: np.ndarray) -> np.ndarray:
         """Insert one or more vectors; returns their assigned OIDs.
 

@@ -15,6 +15,13 @@ overlay — the live tail is scanned and scored on top of whichever backend
 answers, so the extra work is backend-independent and the ranking between
 backends is unchanged; the surcharge keeps the absolute estimates honest
 and is called out in the ``explain()`` transcript.
+
+Plans are a function of the workload *shape*, not of the query vector, so
+:meth:`QueryPlanner.plan` decides once per shape (metric specification, mode,
+k, batch size, hints) and index state (generation, cardinality, live tail)
+and serves every later query of that shape from a small cache — a serving
+index answering thousands of look-alike requests pays for one walk of the
+registry, not one per request.  ``explain()`` always re-plans.
 """
 
 from __future__ import annotations
@@ -131,9 +138,15 @@ class QueryPlanner:
         registry holding the built-in backends.
     """
 
+    #: Cached plans kept before the cache starts over.  Per-request metric
+    #: specifications (relevance-feedback weights) would otherwise grow it
+    #: without bound.
+    PLAN_CACHE_SIZE = 64
+
     def __init__(self, index: "Index", *, registry: BackendRegistry | None = None) -> None:
         self._index = index
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
+        self._plans: dict[tuple, Plan] = {}
 
     @property
     def registry(self) -> BackendRegistry:
@@ -142,6 +155,11 @@ class QueryPlanner:
 
     def plan(self, query: Query) -> Plan:
         """Resolve the metric, score every capable backend, pick the cheapest.
+
+        The decision is cached per workload shape and index state (see the
+        module docstring); a cached plan is returned re-bound to ``query``
+        and is field-for-field what planning from scratch would produce.
+        Failed plans are never cached.
 
         Raises
         ------
@@ -152,6 +170,43 @@ class QueryPlanner:
             every backend's rejection reason), or if a ``query.backend`` hint
             names a backend that cannot serve it.
         """
+        key = self._plan_key(query)
+        cached = self._plans.get(key)
+        if cached is not None:
+            return Plan(
+                query=query,
+                metric=cached.metric,
+                backend=cached.backend,
+                estimate=cached.estimate,
+                candidates=cached.candidates,
+            )
+        plan = self._plan_uncached(query)
+        if len(self._plans) >= self.PLAN_CACHE_SIZE:
+            self._plans.clear()
+        self._plans[key] = plan
+        return plan
+
+    def _plan_key(self, query: Query) -> tuple:
+        """Everything a planning decision reads, as one hashable key.
+
+        The index state is part of the key rather than an invalidation hook:
+        an entry can only be hit by a query that would plan identically, so
+        ``insert`` / ``delete`` / ``reorganize`` (and a reader still pinned
+        to the previous epoch) need no coordination with the cache.
+        """
+        return (
+            query.metric_spec_key(),
+            query.mode,
+            query.k,
+            query.vectors.shape,
+            query.backend,
+            query.approx_params,
+            self._index.planning_state(),
+            len(self._registry),
+        )
+
+    def _plan_uncached(self, query: Query) -> Plan:
+        """Walk the registry and decide (the body of :meth:`plan`)."""
         if query.dimensionality != self._index.dimensionality:
             raise QueryError(
                 f"query has {query.dimensionality} dimensions, "
@@ -236,4 +291,4 @@ class QueryPlanner:
 
     def explain(self, query: Query) -> str:
         """The planning transcript for ``query`` (see :meth:`Plan.describe`)."""
-        return self.plan(query).describe()
+        return self._plan_uncached(query).describe()

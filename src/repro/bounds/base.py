@@ -92,6 +92,18 @@ class OrderStatistics:
         return self._cached("query_mass", lambda: _suffix_sums(self._ordered_query))
 
     @property
+    def prefix_query_mass(self) -> np.ndarray:
+        """``out[m] = T(q⁻)`` after m processed dimensions (length N + 1).
+
+        Derived from the suffix masses exactly as
+        :attr:`PartialState.processed_query_mass` derives it, so a schedule
+        sizing a block by processed mass and a bound testing
+        ``pruning_worthwhile`` at the end of that block read the same floats.
+        """
+        suffix = self.suffix_query_mass
+        return self._cached("prefix_query_mass", lambda: suffix[0] - suffix)
+
+    @property
     def suffix_query_square_mass(self) -> np.ndarray:
         """``out[m] = sum q_i²`` over the remaining dimensions."""
         return self._cached(
@@ -350,24 +362,23 @@ class RemainingBounds:
         upper = np.broadcast_to(np.asarray(self.upper, dtype=np.float64), (num_candidates,))
         return np.array(lower), np.array(upper)
 
+    @property
+    def is_ordered_scalar(self) -> bool:
+        """Whether both bounds are scalars with ``lower <= upper``.
 
-class PruningBound(abc.ABC):
-    """Base class of all pruning criteria."""
+        Such bounds shift every partial score by the same two constants, so
+        the totals are monotone in the partial score — which is what lets
+        :meth:`totals` skip its clamp and the searcher select and prune from
+        the partial scores directly.
+        """
+        lower, upper = self.lower, self.upper
+        if isinstance(lower, np.ndarray) or isinstance(upper, np.ndarray):
+            return False
+        return bool(lower <= upper)
 
-    #: Short name used in experiment reports ("Hq", "Hh", "Eq", "Ev", "Ew").
-    name: str = "bound"
-    #: Whether the bound needs ``T(x⁻)`` maintained per candidate.
-    needs_partial_value_sums: bool = False
-    #: Whether the bound needs ``T(x⁺)`` maintained per candidate.
-    needs_remaining_value_sums: bool = False
-
-    @abc.abstractmethod
-    def remaining_bounds(self, state: PartialState) -> RemainingBounds:
-        """Bounds on the remaining contribution for every candidate."""
-
-    def total_bounds(
+    def totals(
         self,
-        state: PartialState,
+        partial_scores: np.ndarray,
         out: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Bounds ``(S_min, S_max)`` on the complete aggregate per candidate.
@@ -386,20 +397,52 @@ class PruningBound(abc.ABC):
         bounds into (the searcher reuses per-search scratch so a pruning
         attempt allocates nothing); the values are identical either way.
         """
-        state.validate()
-        remaining = self.remaining_bounds(state)
         # Scalar bounds (Hq, Eq) broadcast for free in the additions below;
         # materialising them into per-candidate arrays first would cost two
-        # collection-sized copies per pruning attempt.
+        # collection-sized copies per pruning attempt.  Ordered scalars need
+        # no clamp either: rounding is monotone, so lower <= upper implies
+        # fl(s + lower) <= fl(s + upper) for every partial score s and the
+        # maximum would rewrite the upper bounds with themselves.
         if out is None:
-            total_lower = state.partial_scores + remaining.lower
-            total_upper = np.maximum(state.partial_scores + remaining.upper, total_lower)
-            return total_lower, total_upper
-        total_lower, total_upper = out
-        np.add(state.partial_scores, remaining.lower, out=total_lower)
-        np.add(state.partial_scores, remaining.upper, out=total_upper)
-        np.maximum(total_upper, total_lower, out=total_upper)
+            total_lower = partial_scores + self.lower
+            total_upper = partial_scores + self.upper
+        else:
+            total_lower, total_upper = out
+            np.add(partial_scores, self.lower, out=total_lower)
+            np.add(partial_scores, self.upper, out=total_upper)
+        if not self.is_ordered_scalar:
+            np.maximum(total_upper, total_lower, out=total_upper)
         return total_lower, total_upper
+
+
+class PruningBound(abc.ABC):
+    """Base class of all pruning criteria."""
+
+    #: Short name used in experiment reports ("Hq", "Hh", "Eq", "Ev", "Ew").
+    name: str = "bound"
+    #: Whether the bound needs ``T(x⁻)`` maintained per candidate.
+    needs_partial_value_sums: bool = False
+    #: Whether the bound needs ``T(x⁺)`` maintained per candidate.
+    needs_remaining_value_sums: bool = False
+    #: Whether the bound's pruning power is a function of the processed query
+    #: mass ``T(q⁻)`` (the histogram criteria); mass-aware schedules size the
+    #: first block from it and fall back to a fixed period otherwise.
+    mass_driven: bool = False
+
+    @abc.abstractmethod
+    def remaining_bounds(self, state: PartialState) -> RemainingBounds:
+        """Bounds on the remaining contribution for every candidate."""
+
+    def total_bounds(
+        self,
+        state: PartialState,
+        out: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds ``(S_min, S_max)`` on the complete aggregate per candidate:
+        the validated state's remaining bounds added to its partial scores
+        (see :meth:`RemainingBounds.totals` for the clamp and ``out``)."""
+        state.validate()
+        return self.remaining_bounds(state).totals(state.partial_scores, out)
 
     def pruning_worthwhile(self, state: PartialState) -> bool:
         """Whether attempting to prune in this state can discard anything.

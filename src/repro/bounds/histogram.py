@@ -29,6 +29,7 @@ class HqBound(PruningBound):
     """Query-only bounds for histogram intersection (criterion Hq)."""
 
     name = "Hq"
+    mass_driven = True
 
     def remaining_bounds(self, state: PartialState) -> RemainingBounds:
         """``[0, T(q⁺)]`` for every candidate."""
@@ -50,6 +51,7 @@ class HhBound(PruningBound):
 
     name = "Hh"
     needs_partial_value_sums = True
+    mass_driven = True
 
     def remaining_bounds(self, state: PartialState) -> RemainingBounds:
         """Per-candidate bounds from Equations 7 and 8."""

@@ -32,6 +32,7 @@ from repro.core.ordering import (
 from repro.core.planner import (
     FixedPeriodSchedule,
     GeometricSchedule,
+    MassAwareSchedule,
     PruningSchedule,
     recommend_period,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "FeatureComponent",
     "FixedPeriodSchedule",
     "GeometricSchedule",
+    "MassAwareSchedule",
     "IncreasingQueryOrdering",
     "MultiFeatureBondSearcher",
     "OriginalOrdering",

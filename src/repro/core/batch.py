@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.bounds.base import OrderStatistics
+from repro.bounds.base import PartialState
 from repro.core.candidates import CandidateMode, CandidateSet
 from repro.core.planner import PruningSchedule
 from repro.core.result import PruningTrace, SearchResult
@@ -52,11 +52,10 @@ class QueryRun:
     query: np.ndarray
     k: int
     order: np.ndarray
-    full_order: np.ndarray
-    statistics: OrderStatistics
+    #: The bound-facing state of this query, advanced at every checkpoint.
+    state: PartialState
     schedule: PruningSchedule
     candidates: CandidateSet
-    weights: np.ndarray | None
     schedule_length: int
     trace: PruningTrace = field(default_factory=PruningTrace)
     processed: int = 0
@@ -102,7 +101,7 @@ class BatchQueryEngine:
         """Validate one query and set up its independent run state."""
         searcher = self._searcher
         query, k, weights, order, schedule_length = searcher._prepare(query, k)
-        full_order = searcher._full_order(order, query.shape[0])
+        state = searcher._initial_state(query, order, weights)
         # Adaptive schedules carry per-search state, so every query gets its
         # own copy (the single-query path resets the shared one per search).
         # Schedules hold only scalar configuration, so a shallow copy suffices.
@@ -112,15 +111,13 @@ class BatchQueryEngine:
             query=query,
             k=k,
             order=order,
-            full_order=full_order,
-            statistics=OrderStatistics(query, full_order, weights),
+            state=state,
             schedule=schedule,
             candidates=searcher.make_candidates(),
-            weights=weights,
             schedule_length=schedule_length,
         )
         run.trace.record(0, len(run.candidates))
-        run.next_attempt = schedule.first_batch(schedule_length)
+        run.next_attempt = searcher._first_block(schedule, schedule_length, state)
         return run
 
     # -- driving ---------------------------------------------------------------
@@ -192,13 +189,10 @@ class BatchQueryEngine:
 
         if run.processed >= run.next_attempt or run.processed == run.total_dimensions:
             run.next_attempt = run.processed + searcher._prune_and_plan(
-                run.query,
-                run.full_order,
-                run.statistics,
+                run.state,
                 run.processed,
                 run.candidates,
                 run.k,
-                run.weights,
                 run.trace,
                 run.schedule,
                 run.schedule_length,

@@ -31,6 +31,21 @@ The searcher offers two engines with bit-for-bit identical results:
 * ``"loop"`` is the seed per-dimension path, kept as the reference
   implementation and benchmark baseline.
 
+The adaptive plan
+-----------------
+Where the pruning periods begin and end is the schedule's decision, and the
+default (:class:`~repro.core.planner.MassAwareSchedule`) makes a query cost
+one short full-height scan, one big prune and a few geometrically growing
+blocks over the survivors: the first block ends as soon as the processed
+query mass ``T(q⁻)`` reaches a fixed share of ``T(q)`` (Section 5.2: Hq
+cannot prune below one half, and prunes almost everything soon after), and
+once the candidate set is positional the block size doubles.  Because every
+candidate's score is folded one dimension at a time in the query's own order
+*wherever the block boundaries fall*, a schedule can change the counters,
+the trace and the time of a search — never its answer: results are bitwise
+identical to ``schedule=FixedPeriodSchedule(8)``, the paper's m = 8, under
+every engine, batch shape and shard layout.
+
 For multi-query workloads, :meth:`BondSearcher.search_batch` executes a whole
 batch of queries concurrently, sharing each fragment read across every live
 query (see :mod:`repro.core.batch`).
@@ -50,7 +65,7 @@ from repro.bounds.weighted import WeightedEuclideanBound
 from repro.core.batch import BatchQueryEngine
 from repro.core.candidates import CandidateMode, CandidateSet
 from repro.core.ordering import DecreasingQueryOrdering, DimensionOrdering
-from repro.core.planner import FixedPeriodSchedule, PruningSchedule
+from repro.core.planner import MassAwareSchedule, PruningSchedule
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
 from repro.errors import QueryError
 from repro.kernels import BlockKernel, accumulate_columns, kernel_for
@@ -79,6 +94,11 @@ def default_bound_for(metric: Metric) -> PruningBound:
     )
 
 
+#: ``PartialState.partial_scores`` before the first pruning checkpoint binds
+#: the candidates' live view.
+_NO_CANDIDATES = np.empty(0, dtype=np.float64)
+
+
 class BondSearcher:
     """k-NN search by branch-and-bound over a vertically decomposed store.
 
@@ -96,7 +116,10 @@ class BondSearcher:
     ordering:
         Dimension-ordering strategy (default: decreasing query value).
     schedule:
-        Pruning-period schedule (default: every 8 dimensions, the paper's m).
+        Pruning-period schedule.  Default: the mass-aware two-phase plan of
+        :class:`~repro.core.planner.MassAwareSchedule`; pass
+        ``FixedPeriodSchedule(8)`` for the paper's fixed m = 8 (same answers,
+        bit for bit — only cost and time differ).
     candidate_mode:
         ``"auto"`` (bitmap first, positional after the switch-over),
         ``"bitmap"`` or ``"positional"``.
@@ -115,9 +138,10 @@ class BondSearcher:
     positional shape ``BondSearcher(store, metric, bound)`` still works but
     emits a :class:`DeprecationWarning`.
 
-    A searcher owns reusable scratch buffers (kernel workspace, pruning
-    bounds), so one instance must not run concurrent searches from multiple
-    threads; create one searcher per thread (they can share the store).
+    A searcher owns reusable scratch (kernel workspace, pruning bounds, the
+    candidate set of :meth:`search`), so one instance must not run concurrent
+    searches from multiple threads; create one searcher per thread (they can
+    share the store).
     """
 
     def __init__(
@@ -144,15 +168,18 @@ class BondSearcher:
         self._metric = metric if metric is not None else HistogramIntersection()
         self._bound = bound if bound is not None else default_bound_for(self._metric)
         self._ordering = ordering if ordering is not None else DecreasingQueryOrdering()
-        self._schedule = schedule if schedule is not None else FixedPeriodSchedule(8)
+        self._schedule = schedule if schedule is not None else MassAwareSchedule()
         self._candidate_mode = candidate_mode
         self._switch_selectivity = switch_selectivity
         self._engine = engine
         self._kernel = kernel_for(self._metric)
         # Reusable per-search scratch (lazily sized to the collection): the
-        # full-scan workspace for the kernels and the bound/keep buffers of
-        # the pruning attempts, so the hot path allocates nothing.
+        # full-scan workspace for the kernels, the bound/keep buffers of the
+        # pruning attempts and the candidate set of :meth:`search` (reset, not
+        # rebuilt, per query), so the hot path allocates nothing
+        # collection-sized.
         self._scan_workspace = np.empty(0, dtype=np.float64)
+        self._search_candidates: CandidateSet | None = None
         self._prune_lower = np.empty(0, dtype=np.float64)
         self._prune_upper = np.empty(0, dtype=np.float64)
         self._prune_keep = np.empty(0, dtype=bool)
@@ -201,26 +228,20 @@ class BondSearcher:
         """
         started = time.perf_counter()
         query, k, weights, dimension_order, schedule_length = self._prepare(query, k)
-        full_order = self._full_order(dimension_order, query.shape[0])
-        statistics = OrderStatistics(query, full_order, weights)
+        state = self._initial_state(query, dimension_order, weights)
 
-        candidates = self.make_candidates()
+        if self._search_candidates is None:
+            self._search_candidates = self.make_candidates()
+        else:
+            self._search_candidates.reset()
+        candidates = self._search_candidates
         trace = trace if trace is not None else PruningTrace()
         trace.record(0, len(candidates))
 
         cost_checkpoint = self._store.cost.checkpoint()
         run = self._run_loop if self._engine == "loop" else self._run_fused
         processed, full_scan_dimensions = run(
-            query,
-            dimension_order,
-            full_order,
-            statistics,
-            candidates,
-            k,
-            weights,
-            trace,
-            self._schedule,
-            schedule_length,
+            state, dimension_order, candidates, k, trace, self._schedule, schedule_length
         )
 
         final_scores = self._finish_scores(query, dimension_order, processed, candidates)
@@ -312,26 +333,60 @@ class BondSearcher:
             switch_selectivity=self._switch_selectivity,
         )
 
+    def _initial_state(
+        self, query: np.ndarray, dimension_order: np.ndarray, weights: np.ndarray | None
+    ) -> PartialState:
+        """The bound-facing view of one search: built and validated once.
+
+        Every pruning checkpoint advances this one object (processed count
+        and the candidate-aligned arrays, see :meth:`_attempt_prune`) instead
+        of building and re-validating a snapshot per round; the query-side
+        suffix statistics hang off it and are computed at most once each.
+        """
+        full_order = self._full_order(dimension_order, query.shape[0])
+        state = PartialState(
+            query=query,
+            order=full_order,
+            num_processed=0,
+            partial_scores=_NO_CANDIDATES,
+            weights=weights,
+            order_statistics=OrderStatistics(query, full_order, weights),
+        )
+        state.validate()
+        return state
+
+    def _first_block(
+        self, schedule: PruningSchedule, schedule_length: int, state: PartialState
+    ) -> int:
+        """How many dimensions to process before the first pruning attempt.
+
+        The single place the engines consult ``schedule.first_batch`` — like
+        :meth:`_prune_and_plan` for every later block — so the loop, fused,
+        batch and shard engines all follow the same plan.
+        """
+        prefix_mass = (
+            state.order_statistics.prefix_query_mass if self._bound.mass_driven else None
+        )
+        return schedule.first_batch(schedule_length, prefix_mass)
+
     # -- execution engines -------------------------------------------------------
 
     def _run_loop(
         self,
-        query: np.ndarray,
+        state: PartialState,
         dimension_order: np.ndarray,
-        full_order: np.ndarray,
-        statistics: OrderStatistics,
         candidates: CandidateSet,
         k: int,
-        weights: np.ndarray | None,
         trace: PruningTrace,
         schedule: PruningSchedule,
         schedule_length: int,
     ) -> tuple[int, int]:
         """The seed per-dimension reference engine."""
+        query = state.query
         total_dimensions = int(dimension_order.shape[0])
         processed = 0
         full_scan_dimensions = 0
-        next_attempt = processed + schedule.first_batch(schedule_length)
+        next_attempt = self._first_block(schedule, schedule_length, state)
 
         while processed < total_dimensions and len(candidates) > k:
             dimension = int(dimension_order[processed])
@@ -345,20 +400,16 @@ class BondSearcher:
 
             if processed >= next_attempt or processed == total_dimensions:
                 next_attempt = processed + self._prune_and_plan(
-                    query, full_order, statistics, processed, candidates, k, weights,
-                    trace, schedule, schedule_length,
+                    state, processed, candidates, k, trace, schedule, schedule_length
                 )
         return processed, full_scan_dimensions
 
     def _run_fused(
         self,
-        query: np.ndarray,
+        state: PartialState,
         dimension_order: np.ndarray,
-        full_order: np.ndarray,
-        statistics: OrderStatistics,
         candidates: CandidateSet,
         k: int,
-        weights: np.ndarray | None,
         trace: PruningTrace,
         schedule: PruningSchedule,
         schedule_length: int,
@@ -371,10 +422,11 @@ class BondSearcher:
         only difference is that each pruning period costs one storage gather
         and one kernel call instead of m per-dimension round trips.
         """
+        query = state.query
         total_dimensions = int(dimension_order.shape[0])
         processed = 0
         full_scan_dimensions = 0
-        next_attempt = schedule.first_batch(schedule_length)
+        next_attempt = self._first_block(schedule, schedule_length, state)
 
         while processed < total_dimensions and len(candidates) > k:
             block_end = min(max(next_attempt, processed + 1), total_dimensions)
@@ -386,8 +438,7 @@ class BondSearcher:
 
             if processed >= next_attempt or processed == total_dimensions:
                 next_attempt = processed + self._prune_and_plan(
-                    query, full_order, statistics, processed, candidates, k, weights,
-                    trace, schedule, schedule_length,
+                    state, processed, candidates, k, trace, schedule, schedule_length
                 )
         return processed, full_scan_dimensions
 
@@ -395,13 +446,10 @@ class BondSearcher:
 
     def _prune_and_plan(
         self,
-        query: np.ndarray,
-        full_order: np.ndarray,
-        statistics: OrderStatistics,
+        state: PartialState,
         processed: int,
         candidates: CandidateSet,
         k: int,
-        weights: np.ndarray | None,
         trace: PruningTrace,
         schedule: PruningSchedule,
         schedule_length: int,
@@ -414,13 +462,14 @@ class BondSearcher:
         guarantee between them rests on all three calling exactly this.
         """
         before = len(candidates)
-        self._attempt_prune(query, full_order, statistics, processed, candidates, k, weights)
+        self._attempt_prune(state, processed, candidates, k)
         trace.record(processed, len(candidates))
         return schedule.next_batch(
             dimensionality=schedule_length,
             dimensions_processed=processed,
             candidates_before=before,
             candidates_after=len(candidates),
+            positional=candidates.mode is CandidateMode.POSITIONAL,
         )
 
     def _scan_block(
@@ -470,28 +519,17 @@ class BondSearcher:
         candidates.accumulate_block(contribution_block, values)
 
     def _attempt_prune(
-        self,
-        query: np.ndarray,
-        full_order: np.ndarray,
-        statistics: OrderStatistics,
-        processed: int,
-        candidates: CandidateSet,
-        k: int,
-        weights: np.ndarray | None,
+        self, state: PartialState, processed: int, candidates: CandidateSet, k: int
     ) -> None:
         """One pruning attempt: bound every candidate and drop the hopeless ones."""
         if len(candidates) <= k:
             return
-        state = PartialState(
-            query=query,
-            order=full_order,
-            num_processed=processed,
-            partial_scores=candidates.partial_scores,
-            partial_value_sums=candidates.partial_value_sums,
-            remaining_value_sums=candidates.remaining_value_sums,
-            weights=weights,
-            order_statistics=statistics,
-        )
+        # Advance the search's one state object; the candidate-aligned views
+        # are aligned by construction, so it is not re-validated.
+        state.num_processed = processed
+        state.partial_scores = candidates.partial_scores
+        state.partial_value_sums = candidates.partial_value_sums
+        state.remaining_value_sums = candidates.remaining_value_sums
         if not self._bound.pruning_worthwhile(state):
             return
         count = len(candidates)
@@ -499,8 +537,9 @@ class BondSearcher:
             self._prune_lower = np.empty(count, dtype=np.float64)
             self._prune_upper = np.empty(count, dtype=np.float64)
             self._prune_keep = np.empty(count, dtype=bool)
-        lower, upper = self._bound.total_bounds(
-            state, out=(self._prune_lower[:count], self._prune_upper[:count])
+        lower, upper = self._bound.remaining_bounds(state).totals(
+            candidates.partial_scores,
+            out=(self._prune_lower[:count], self._prune_upper[:count]),
         )
         cost = self._store.cost
         cost.charge_arithmetic(2 * count)

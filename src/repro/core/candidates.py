@@ -14,7 +14,10 @@ the cost accounting of fragment access in both modes.  Its per-vector arrays
 live in a preallocated *survivor workspace*: pruning compacts the live prefix
 of each buffer in place instead of allocating fresh arrays on every prune, so
 the score/mass state never reallocates over the lifetime of a search and the
-accessors hand out zero-copy views of the live prefix.
+accessors hand out zero-copy views of the live prefix.  The workspace also
+outlives the search: :meth:`CandidateSet.reset` starts the next one in the
+same buffers, which is how a long-lived searcher answers query after query
+without touching fresh collection-sized memory.
 """
 
 from __future__ import annotations
@@ -72,29 +75,56 @@ class CandidateSet:
         self._store = store
         self._mode_policy = mode
         self._switch_selectivity = switch_selectivity
+        self._track_partial_sums = track_partial_sums
+        self._track_remaining_sums = track_remaining_sums
+        self._scores_buffer = np.empty(0, dtype=np.float64)
+        self._partial_sums_buffer: np.ndarray | None = None
+        self._remaining_sums_buffer: np.ndarray | None = None
+        self.reset()
 
+    def reset(self) -> None:
+        """Start over with every live vector as a candidate.
+
+        The survivor workspace — every per-vector array, allocated once at
+        full size, ``_count`` tracking the live prefix that pruning compacts
+        in place — is reused when it is still large enough, so a searcher
+        that keeps one candidate set and resets it per search touches no
+        fresh collection-sized memory.
+        """
+        store = self._store
         if len(store.deleted) == 0:
-            # Virtual dense OIDs: without deletions the live set is 0..n-1.
-            initial_oids = np.arange(store.cardinality, dtype=np.int64)
+            # Virtual dense OIDs: without deletions the live set is 0..n-1,
+            # so nothing is materialised until the first prune (whose
+            # survivor positions *are* the surviving OIDs).
+            self._oids_buffer: np.ndarray | None = None
+            count = store.cardinality
         else:
-            initial_oids = store.full_candidates().oids()
+            self._oids_buffer = np.ascontiguousarray(
+                store.full_candidates().oids(), dtype=np.int64
+            )
+            count = int(self._oids_buffer.shape[0])
+        self._count = count
         self._current_mode = (
-            CandidateMode.POSITIONAL if mode == "positional" else CandidateMode.BITMAP
+            CandidateMode.POSITIONAL
+            if self._mode_policy == "positional"
+            else CandidateMode.BITMAP
         )
-
-        # Survivor workspace: every per-vector array is allocated once at full
-        # size; `_count` tracks the live prefix and pruning compacts in place.
-        self._count = int(initial_oids.shape[0])
-        self._oids_buffer = np.ascontiguousarray(initial_oids, dtype=np.int64)
-        self._scores_buffer = np.zeros(self._count, dtype=np.float64)
-        self._partial_sums_buffer = (
-            np.zeros(self._count, dtype=np.float64) if track_partial_sums else None
-        )
-        if track_remaining_sums:
-            row_sums = store.row_sums().tail
-            self._remaining_sums_buffer = row_sums[self._oids_buffer].astype(np.float64)
+        if self._scores_buffer.shape[0] < count:
+            self._scores_buffer = np.zeros(count, dtype=np.float64)
+            if self._track_partial_sums:
+                self._partial_sums_buffer = np.zeros(count, dtype=np.float64)
+            if self._track_remaining_sums:
+                self._remaining_sums_buffer = np.empty(count, dtype=np.float64)
         else:
-            self._remaining_sums_buffer = None
+            self._scores_buffer[:count] = 0.0
+            if self._partial_sums_buffer is not None:
+                self._partial_sums_buffer[:count] = 0.0
+        if self._remaining_sums_buffer is not None:
+            row_sums = store.row_sums().tail
+            if self._oids_buffer is None:
+                self._remaining_sums_buffer[:count] = row_sums
+            else:
+                np.take(row_sums, self._oids_buffer, out=self._remaining_sums_buffer[:count])
 
     # -- basic accessors -------------------------------------------------------
 
@@ -104,6 +134,8 @@ class CandidateSet:
     @property
     def oids(self) -> np.ndarray:
         """OIDs of the surviving candidates (ascending; view of the workspace)."""
+        if self._oids_buffer is None:
+            self._oids_buffer = np.arange(self._count, dtype=np.int64)
         return self._oids_buffer[: self._count]
 
     @property
@@ -205,7 +237,9 @@ class CandidateSet:
         """Fold a whole block of dimensions into the per-vector state.
 
         Columns are folded left to right so the accumulated floats are
-        bitwise identical to m successive :meth:`accumulate` calls.
+        bitwise identical to m successive :meth:`accumulate` calls.  Blocks
+        from :meth:`block_values` (and the kernels' outputs over them) are
+        column-contiguous, so every fold streams.
         """
         if contribution_block.shape[0] != self._count:
             raise QueryError("the contribution block must be aligned with the candidate list")
@@ -266,7 +300,10 @@ class CandidateSet:
         pruned = self._count - survivors
         if pruned:
             count = self._count
-            self._oids_buffer[:survivors] = self._oids_buffer[:count][survivor_positions]
+            if self._oids_buffer is None:
+                self._oids_buffer = survivor_positions
+            else:
+                self._oids_buffer[:survivors] = self._oids_buffer[:count][survivor_positions]
             self._scores_buffer[:survivors] = self._scores_buffer[:count][survivor_positions]
             if self._partial_sums_buffer is not None:
                 self._partial_sums_buffer[:survivors] = self._partial_sums_buffer[:count][

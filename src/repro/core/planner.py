@@ -6,13 +6,24 @@ and only attempts to prune every ``m`` of them.  Small ``m`` prunes sooner but
 pays the overhead more often; large ``m`` wastes fragment reads on vectors
 that could already have been discarded.  The paper uses a fixed ``m`` (8 in
 the main experiments) and mentions, as an unstudied variant, adapting ``m`` to
-the observed pruning effect; :class:`GeometricSchedule` implements a simple
-version of that idea and the `abl-m` benchmark compares the options.
+the *expected* pruning effect.  :class:`MassAwareSchedule` — the exact
+engine's default — does that from the one quantity Section 5.2 says governs
+the effect, the processed query mass ``T(q⁻)``; :class:`GeometricSchedule`
+reacts to the *observed* effect instead, and the `abl-m` benchmark compares
+the options against the paper's fixed periods.
+
+Schedules only move block boundaries.  Every candidate's score is folded
+dimension by dimension in the query's own order wherever the boundaries
+fall, so the answers of two schedules are bitwise identical; what differs is
+how many bytes are read for vectors a prune would already have discarded and
+how many pruning attempts are paid for.
 """
 
 from __future__ import annotations
 
 import abc
+
+import numpy as np
 
 from repro.errors import QueryError
 
@@ -24,8 +35,15 @@ class PruningSchedule(abc.ABC):
     name: str = "schedule"
 
     @abc.abstractmethod
-    def first_batch(self, dimensionality: int) -> int:
-        """Number of dimensions to process before the first pruning attempt."""
+    def first_batch(self, dimensionality: int, prefix_mass: np.ndarray | None = None) -> int:
+        """Number of dimensions to process before the first pruning attempt.
+
+        ``prefix_mass[m]`` is the query mass ``T(q⁻)`` processed after the
+        first m dimensions of the query's own order
+        (:attr:`repro.bounds.base.OrderStatistics.prefix_query_mass`); the
+        searcher passes it when its bound is mass-driven and ``None``
+        otherwise.  Fixed schedules ignore it.
+        """
 
     @abc.abstractmethod
     def next_batch(
@@ -35,11 +53,14 @@ class PruningSchedule(abc.ABC):
         dimensions_processed: int,
         candidates_before: int,
         candidates_after: int,
+        positional: bool = False,
     ) -> int:
         """Number of dimensions to process before the next attempt.
 
         Called right after a pruning attempt with the candidate counts before
-        and after it, so adaptive schedules can react to the observed effect.
+        and after it, so adaptive schedules can react to the observed effect;
+        ``positional`` says whether the candidate set is materialised (so a
+        further block costs survivors x dimensions, not full columns).
         """
 
 
@@ -58,7 +79,7 @@ class FixedPeriodSchedule(PruningSchedule):
         """The fixed number of dimensions between pruning attempts."""
         return self._period
 
-    def first_batch(self, dimensionality: int) -> int:
+    def first_batch(self, dimensionality: int, prefix_mass: np.ndarray | None = None) -> int:
         return min(self._period, dimensionality)
 
     def next_batch(
@@ -68,9 +89,72 @@ class FixedPeriodSchedule(PruningSchedule):
         dimensions_processed: int,
         candidates_before: int,
         candidates_after: int,
+        positional: bool = False,
     ) -> int:
         remaining = dimensionality - dimensions_processed
         return min(self._period, remaining)
+
+
+class MassAwareSchedule(PruningSchedule):
+    """Two-phase plan: a mass-sized full-height block, then doubling blocks.
+
+    Section 5.2 observes that criterion Hq cannot prune a single vector
+    before ``T(q⁻) > 0.5`` — and that once it can, almost everything goes at
+    once.  So the first block is the shortest prefix of the query-ordered
+    dimensions whose processed mass reaches :attr:`MASS_SHARE` of ``T(q)``:
+    long enough that the first prune is the big one, and no longer, because
+    every further full-height column is read for rows that prune would have
+    discarded.  After a prune that leaves the candidate set positional, a
+    block costs survivors x dimensions, the survivors shrink slowly, and the
+    per-attempt overhead dominates; the block size then doubles from
+    :attr:`TAIL_PERIOD` to the end, so the tail takes O(log N) attempts.
+    Until then (no mass given, a bitmap-only candidate set, a first prune
+    that did not collapse the set) the plan is the paper's fixed m = 8.
+
+    The thresholds are constants, not options: the answers cannot depend on
+    them (see the module docstring), only the counters and the time do.
+    """
+
+    name = "mass-aware"
+
+    #: Share of ``T(q)`` the first block must have processed.  Must exceed
+    #: the 0.5 below which ``HqBound.pruning_worthwhile`` refuses; 0.7 leaves
+    #: the upper bound ``S(x⁻) + 0.3 T(q)`` tight enough that ~98 % of a
+    #: Corel-like collection falls below the k-th best partial score.
+    MASS_SHARE = 0.7
+    #: The first block never leaves ``[2, 8]``: one dimension never prunes
+    #: usefully, and past the paper's m = 8 a prune is overdue regardless.
+    MIN_FIRST_BLOCK = 2
+    #: Also the block size whenever the plan falls back to a fixed period.
+    TAIL_PERIOD = 8
+
+    def __init__(self) -> None:
+        self._tail_block = self.TAIL_PERIOD
+
+    def first_batch(self, dimensionality: int, prefix_mass: np.ndarray | None = None) -> int:
+        self._tail_block = self.TAIL_PERIOD
+        first = self.TAIL_PERIOD
+        if prefix_mass is not None:
+            reached = int(
+                np.searchsorted(prefix_mass, self.MASS_SHARE * float(prefix_mass[-1]), side="left")
+            )
+            first = min(max(reached, self.MIN_FIRST_BLOCK), self.TAIL_PERIOD)
+        return min(first, dimensionality)
+
+    def next_batch(
+        self,
+        *,
+        dimensionality: int,
+        dimensions_processed: int,
+        candidates_before: int,
+        candidates_after: int,
+        positional: bool = False,
+    ) -> int:
+        block = self.TAIL_PERIOD
+        if positional:
+            block = self._tail_block
+            self._tail_block *= 2
+        return min(block, dimensionality - dimensions_processed)
 
 
 class GeometricSchedule(PruningSchedule):
@@ -110,7 +194,7 @@ class GeometricSchedule(PruningSchedule):
         self._maximum_period = maximum_period
         self._current_period = initial_period
 
-    def first_batch(self, dimensionality: int) -> int:
+    def first_batch(self, dimensionality: int, prefix_mass: np.ndarray | None = None) -> int:
         self._current_period = self._initial_period
         return min(self._initial_period, dimensionality)
 
@@ -121,6 +205,7 @@ class GeometricSchedule(PruningSchedule):
         dimensions_processed: int,
         candidates_before: int,
         candidates_after: int,
+        positional: bool = False,
     ) -> int:
         if candidates_before > 0:
             pruned_fraction = (candidates_before - candidates_after) / candidates_before

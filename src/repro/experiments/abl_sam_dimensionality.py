@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.baselines.rtree import RTreeIndex
 from repro.bounds.euclidean import EvBound
 from repro.core.bond import BondSearcher
+from repro.core.planner import FixedPeriodSchedule
 from repro.core.sequential import SequentialScan
 from repro.datasets.clustered import ClusteredConfig, make_clustered
 from repro.experiments.base import ExperimentReport, ExperimentScale, geometric_mean, resolve_scale
@@ -45,7 +46,10 @@ def run(
         rtree = RTreeIndex(collection)
         store = DecomposedStore(collection)
         row_store = RowStore(collection)
-        bond = BondSearcher(store, metric=metric, bound=EvBound())
+        # The paper's fixed m = 8, not the engine's adaptive default.
+        bond = BondSearcher(
+            store, metric=metric, bound=EvBound(), schedule=FixedPeriodSchedule(8)
+        )
         scan = SequentialScan(row_store, metric=metric)
 
         rtree_bytes, scan_bytes, bond_bytes = [], [], []

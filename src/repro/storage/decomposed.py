@@ -94,32 +94,30 @@ class DecomposedStore:
         # decomposition is a physical layout, and a strided view into the
         # row-major matrix would silently read with row-store locality —
         # every fragment scan would drag the neighbouring dimensions through
-        # the cache, defeating the paper's point.
+        # the cache, defeating the paper's point.  Narrow formats quantise
+        # here, once; all later arithmetic runs over the float64-widened
+        # values of exactly these coefficients.
+        fragment_array = _decompose(matrix, fragment_format.np_dtype)
+        tails = list(fragment_array)
+        row_sum_tail = None
         if fragment_format.is_identity:
-            tails = [
-                np.ascontiguousarray(matrix[:, dim]) for dim in range(self._dimensionality)
-            ]
-            row_sum_tail = matrix.sum(axis=1) if precompute_row_sums else None
+            if precompute_row_sums:
+                row_sum_tail = matrix.sum(axis=1)
             # The seed-identical fast path keeps the row-major matrix for
-            # small positional gathers (unless it is about to be mapped out).
+            # whole-row access (unless it is about to be mapped out).
             retained_matrix = matrix if not fragment_format.is_mapped else None
         else:
-            # Quantise once, per contiguous column; all later arithmetic runs
-            # over the float64-widened values of exactly these coefficients.
-            tails = [
-                np.ascontiguousarray(matrix[:, dim]).astype(fragment_format.np_dtype)
-                for dim in range(self._dimensionality)
-            ]
             retained_matrix = None
-            row_sum_tail = None
             if precompute_row_sums:
                 # T(v) over the *widened* quantised values (C-order, same
                 # per-row reduction a later lazy widening would produce), so
                 # the Ev bound sees the collection the fragments actually hold.
                 row_sum_tail = self._widened_from(tails).sum(axis=1)
         mmap_dir = None
+        flat = (fragment_array.reshape(-1), self._cardinality, 0)
         if fragment_format.is_mapped:
             mmap_dir, tails = _spill_to_mmap(tails, name)
+            flat = None
         self._assemble(
             tails,
             fragment_format=fragment_format,
@@ -127,6 +125,7 @@ class DecomposedStore:
             matrix=retained_matrix,
             mmap_dir=mmap_dir,
             mmap_owner=None,
+            flat=flat,
         )
 
     # -- alternate constructors ----------------------------------------------
@@ -222,6 +221,9 @@ class DecomposedStore:
         row_sum_tail = (
             parent._row_sums.tail[start:stop] if parent._row_sums is not None else None
         )
+        flat = parent._flat
+        if flat is not None:
+            flat = (flat[0], flat[1], flat[2] + start)
         shard._assemble(
             [tail[start:stop] for tail in parent._tails],
             fragment_format=parent._format,
@@ -229,6 +231,7 @@ class DecomposedStore:
             matrix=parent._matrix[start:stop] if parent._matrix is not None else None,
             mmap_dir=None,
             mmap_owner=parent,
+            flat=flat,
         )
         return shard
 
@@ -241,9 +244,20 @@ class DecomposedStore:
         matrix: np.ndarray | None,
         mmap_dir,
         mmap_owner,
+        flat: tuple[np.ndarray, int, int] | None = None,
     ) -> None:
-        """Shared tail-of-construction: wrap tails in BATs and init bookkeeping."""
+        """Shared tail-of-construction: wrap tails in BATs and init bookkeeping.
+
+        ``flat`` is ``(array, stride, offset)`` when every tail is a row
+        range of one contiguous fragment array (the ingest path and its row
+        slices): coefficient ``(dimension, oid)`` then sits at
+        ``array[dimension * stride + offset + oid]``, which lets
+        :meth:`gather_block` fetch a restricted block with a single ``take``.
+        Stores assembled from independent tails (loaded, mapped or
+        shared-memory fragments) pass ``None``.
+        """
         self._format = fragment_format
+        self._flat = flat
         self._coefficient_bytes = fragment_format.coefficient_bytes
         self._alignment_token = id(self)
         self._matrix = matrix
@@ -369,8 +383,10 @@ class DecomposedStore:
 
         This is the storage primitive behind the fused block-scan kernels: one
         pruning period of m fragments comes back as a single ``(rows, m)``
-        float64 array instead of m per-dimension round trips (widening narrow
-        coefficients during the column fills — an exact cast).
+        float64 array instead of m per-dimension round trips (narrow
+        coefficients are widened — an exact cast).  The block is
+        column-contiguous, whatever the row count and however the store was
+        assembled.
 
         Parameters
         ----------
@@ -398,33 +414,22 @@ class DecomposedStore:
             self._cost.charge_block_scan(rows, int(dims.size), self._coefficient_bytes)
         elif charge is not None:
             raise StorageError(f"unknown block charge mode {charge!r}")
-        tails = self._tails
-        if oids is None:
-            # Column-major output: each column of the block is one contiguous
-            # fragment, so assembling the block is m straight memcpys and the
-            # kernels consume cache-friendly columns.
-            block = np.empty((rows, dims.size), dtype=np.float64, order="F")
-            for position, dimension in enumerate(dims):
-                block[:, position] = tails[dimension]
-            return block
-        oid_array = np.asarray(oids, dtype=np.int64)
-        if rows >= 1024:
-            # Large restricted gathers (bitmap mode with deletions or a slow
-            # first prune) stay on the contiguous fragments: gathering from
-            # the row-major matrix would drag every OID's full row through
-            # the cache — exactly the locality the decomposed layout avoids.
-            block = np.empty((rows, dims.size), dtype=np.float64, order="F")
-            for position, dimension in enumerate(dims):
-                block[:, position] = tails[dimension][oid_array]
-            return block
-        # Small gathers (post switch-over candidate lists): one fancy 2-D
-        # index beats m per-column round trips.
-        if self._matrix is not None:
-            return self._matrix[np.ix_(oid_array, dims)]
-        block = np.empty((rows, dims.size), dtype=np.float64)
+        # Column-major output: the block is built as m contiguous rows and
+        # handed out transposed, so each column of the result is contiguous
+        # and the kernels (and the left-to-right column folds) stream it.
+        oid_array = None if oids is None else np.asarray(oids, dtype=np.int64)
+        if oid_array is not None and self._flat is not None:
+            # One take over the single fragment array — no per-column round
+            # trips, and never a row of the row-major matrix dragged through
+            # the cache for the sake of m of its coefficients.
+            array, stride, offset = self._flat
+            block = array.take((dims * stride + offset)[:, None] + oid_array)
+            return np.asarray(block, dtype=np.float64).T
+        block = np.empty((dims.size, rows), dtype=np.float64)
         for position, dimension in enumerate(dims):
-            block[:, position] = tails[dimension][oid_array]
-        return block
+            tail = self._tails[dimension]
+            block[position] = tail if oid_array is None else tail[oid_array]
+        return block.T
 
     def fragment_columns(
         self, dimensions: np.ndarray | Sequence[int], *, charge: bool = True
@@ -632,6 +637,28 @@ class DecomposedStore:
             f"<DecomposedStore {self.name!r} |{self.cardinality}| x {self.dimensionality}"
             f" [{self._format.spec}]>"
         )
+
+
+#: Row-block height of the ingest transposition: 1,024 rows x 166 float64
+#: dimensions is ~1.3 MB, so both the row-major source block and the strided
+#: destination stay cache-resident while the block is turned.
+_DECOMPOSE_BLOCK_ROWS = 1024
+
+
+def _decompose(matrix: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The ``(dimensionality, cardinality)`` fragment array of ``matrix``.
+
+    Row ``d`` is the contiguous fragment of dimension ``d`` in ``dtype`` (the
+    assignment casts exactly like ``astype``).  Turning the matrix in row
+    blocks reads and writes every cache line once; one strided column copy
+    per dimension re-reads the whole matrix ``dimensionality / 8`` times.
+    """
+    cardinality, dimensionality = matrix.shape
+    fragments = np.empty((dimensionality, cardinality), dtype=dtype)
+    for start in range(0, cardinality, _DECOMPOSE_BLOCK_ROWS):
+        stop = min(start + _DECOMPOSE_BLOCK_ROWS, cardinality)
+        fragments[:, start:stop] = matrix[start:stop].T
+    return fragments
 
 
 def _is_mapped(array: np.ndarray) -> bool:

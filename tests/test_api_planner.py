@@ -285,3 +285,112 @@ class TestCapabilitiesCombinations:
         batch = index.plan(Query(small_vectors[:8], k=5))
         assert batch.estimate.bytes_read < 8 * single.estimate.bytes_read
         assert batch.estimate.arithmetic_ops == 8 * single.estimate.arithmetic_ops
+
+
+class CountingBackend(FakeBackend):
+    """A fake backend that counts how often the planner asks for an estimate."""
+
+    estimates = 0
+
+    def estimate(self, index, query, metric) -> CostEstimate:
+        self.estimates += 1
+        return super().estimate(index, query, metric)
+
+
+class TestPlanCache:
+    """The planner decides once per workload shape and index state."""
+
+    @staticmethod
+    def assert_same_decision(cached, fresh) -> None:
+        assert cached.metric is fresh.metric
+        assert cached.backend is fresh.backend
+        assert cached.estimate == fresh.estimate
+        assert cached.candidates == fresh.candidates
+        assert cached.failover_chain() == fresh.failover_chain()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {},
+            {"mode": "compressed"},
+            {"backend": "sequential_scan"},
+            {"metric": "euclidean", "weights": np.linspace(0.0, 2.0, 16)},
+            {"mode": "approx", "metric": "euclidean", "approx_params": {"nprobe": 2}},
+        ],
+    )
+    def test_cached_plan_equals_fresh_plan_field_by_field(self, small_vectors, extra):
+        index = Index.build(small_vectors)
+        first = Query(small_vectors[0], k=5, **extra)
+        second = Query(small_vectors[1], k=5, **extra)
+        index.plan(first)
+        cached = index.plan(second)
+        fresh = index.planner._plan_uncached(second)
+        assert cached.query is second  # re-bound, not the query that filled the cache
+        self.assert_same_decision(cached, fresh)
+        assert cached.describe() == fresh.describe()
+
+    def test_same_shape_plans_once_other_shapes_plan_again(self, small_vectors):
+        backend = CountingBackend("counted", 1.0, batched=True)
+        index = make_index(small_vectors, backend)
+        for row in range(5):
+            index.plan(Query(small_vectors[row], k=5))
+        assert backend.estimates == 1
+        index.plan(Query(small_vectors[0], k=6))
+        index.plan(Query(small_vectors[:4], k=5))
+        index.plan(Query(small_vectors[:8], k=5))
+        assert backend.estimates == 4
+
+    def test_explain_always_replans(self, small_vectors):
+        backend = CountingBackend("counted", 1.0)
+        index = make_index(small_vectors, backend)
+        index.plan(Query(small_vectors[0], k=5))
+        index.explain(Query(small_vectors[1], k=5))
+        index.explain(Query(small_vectors[2], k=5))
+        assert backend.estimates == 3
+
+    def test_updates_and_reorganize_invalidate(self, small_vectors):
+        index = Index.build(small_vectors)
+        query = Query(small_vectors[0], k=5)
+        clean = index.plan(query)
+        assert "live tail" not in clean.estimate.detail
+
+        index.insert(small_vectors[:3])
+        with_tail = index.plan(query)
+        self.assert_same_decision(with_tail, index.planner._plan_uncached(query))
+        assert "3 rows, 0 deletes" in with_tail.estimate.detail
+
+        index.delete([7])
+        with_delete = index.plan(query)
+        self.assert_same_decision(with_delete, index.planner._plan_uncached(query))
+        assert "3 rows, 1 deletes" in with_delete.estimate.detail
+
+        index.reorganize()
+        merged = index.plan(query)
+        self.assert_same_decision(merged, index.planner._plan_uncached(query))
+        assert "live tail" not in merged.estimate.detail
+        assert merged.estimate != clean.estimate  # 202 rows now, not 200
+
+    def test_failed_plans_are_not_cached(self, small_vectors):
+        index = Index.build(small_vectors)
+        for _ in range(2):
+            with pytest.raises(PlanError):
+                index.plan(Query(small_vectors[0], k=5, backend="quantum"))
+            with pytest.raises(PlanError):
+                index.plan(Query(small_vectors[0], k=5, metric="histogram", backend="rtree"))
+            with pytest.raises(QueryError):
+                index.plan(Query(np.ones(small_vectors.shape[1] + 1), k=5))
+        # ... and a good plan of the same shape is unaffected by them.
+        assert index.plan(Query(small_vectors[0], k=5)).backend_name == "bond"
+
+    def test_late_registration_is_seen(self, small_vectors):
+        index = make_index(small_vectors, FakeBackend("first", 10.0))
+        assert index.plan(Query(small_vectors[0], k=5)).backend_name == "first"
+        index.planner.registry.register(FakeBackend("cheaper", 1.0))
+        assert index.plan(Query(small_vectors[1], k=5)).backend_name == "cheaper"
+
+    def test_cache_is_bounded(self, small_vectors):
+        index = Index.build(small_vectors)
+        planner = index.planner
+        for k in range(1, 3 * planner.PLAN_CACHE_SIZE):
+            index.plan(Query(small_vectors[0], k=k))
+        assert len(planner._plans) <= planner.PLAN_CACHE_SIZE

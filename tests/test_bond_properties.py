@@ -140,3 +140,102 @@ def test_vafile_equals_brute_force(rows, columns, seed, k):
     result = searcher.search(query, k)
     reference = exact_top_k(data, query, k, SquaredEuclidean())
     assert result_scores_match(result, reference)
+
+
+# -- the adaptive default plan changes block boundaries, never answers ----------
+
+
+def _histogram_rows(rng, rows, columns, duplicates):
+    data = rng.random((rows, columns)) ** 3 + 1e-9
+    data = data / data.sum(axis=1, keepdims=True)
+    if duplicates:
+        # Rows drawn from a small pool: exact duplicates, hence exact score
+        # ties — including at the k-th position.
+        data = data[rng.integers(0, max(2, rows // 4), size=rows)]
+    return data
+
+
+def _dominant(columns, position):
+    """One dimension holding 0.9 of the mass: it alone exceeds the schedule's
+    mass share, so the first block is clamped from below."""
+    if columns == 1:
+        return np.ones(1)
+    query = np.full(columns, 0.1 / (columns - 1))
+    query[position % columns] = 0.9
+    return query
+
+
+def _plan_setup(bound_name, rng, rows, columns, duplicates):
+    """(data, metric, bound factory, three queries) for one bound family."""
+    if bound_name in ("Hq", "Hh"):
+        data = _histogram_rows(rng, rows, columns, duplicates)
+        metric = HistogramIntersection(require_normalized=False)
+        bound_factory = HqBound if bound_name == "Hq" else HhBound
+        queries = np.stack(
+            [data[int(rng.integers(rows))], _dominant(columns, int(rng.integers(columns))), np.zeros(columns)]
+        )
+        return data, metric, bound_factory, queries
+    data = rng.random((rows, columns))
+    if duplicates:
+        data = data[rng.integers(0, max(2, rows // 4), size=rows)]
+    queries = np.stack(
+        [data[int(rng.integers(rows))], _dominant(columns, int(rng.integers(columns))), rng.random(columns)]
+    )
+    if bound_name == "Ev":
+        return data, SquaredEuclidean(), EvBound, queries
+    weights = rng.uniform(0.1, 5.0, size=columns)
+    weights[rng.random(columns) < 0.3] = 0.0
+    if not weights.any():
+        weights[0] = 1.0
+    return data, WeightedSquaredEuclidean(weights), WeightedEuclideanBound, queries
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.integers(2, 300),
+    columns=st.integers(1, 40),
+    seed=st.integers(0, 10_000),
+    # Small k lets the candidate set collapse to positional (where the block
+    # sizes start doubling); large k covers k >= n.
+    k=st.one_of(st.integers(1, 4), st.integers(1, 350)),
+    duplicates=st.booleans(),
+    deletions=st.booleans(),
+)
+@pytest.mark.parametrize("bound_name", ["Hq", "Hh", "Ev", "weighted"])
+def test_default_plan_is_bitwise_the_fixed_period_plan(
+    bound_name, rows, columns, seed, k, duplicates, deletions
+):
+    """Every exact path under the default (mass-aware) schedule returns the
+    OIDs and scores of ``FixedPeriodSchedule(8)``, bit for bit: per-row scores
+    are folded in the query's own dimension order wherever the block
+    boundaries fall."""
+    from repro.core.parallel import ShardedBondSearcher, TiledBatchQueryEngine
+
+    rng = np.random.default_rng(seed)
+    data, metric, bound_factory, queries = _plan_setup(bound_name, rng, rows, columns, duplicates)
+    store = DecomposedStore(data)
+    if deletions and rows > 2:
+        store.delete(rng.choice(rows, size=max(1, rows // 5), replace=False))
+
+    fixed = BondSearcher(
+        store, metric=metric, bound=bound_factory(), schedule=FixedPeriodSchedule(8)
+    )
+    references = [fixed.search(query, k) for query in queries]
+
+    def check(results):
+        for result, reference in zip(results, references):
+            assert np.array_equal(result.oids, reference.oids)
+            assert np.array_equal(result.scores, reference.scores)
+
+    for engine in ("loop", "fused"):
+        searcher = BondSearcher(store, metric=metric, bound=bound_factory(), engine=engine)
+        check([searcher.search(query, k) for query in queries])
+        check(searcher.search_batch(queries, k).results)
+        check(TiledBatchQueryEngine(searcher, queries, k, tile_rows=7).run())
+    if not len(store.deleted):  # row slices need a settled store
+        with ShardedBondSearcher(
+            store, metric=metric, bound=bound_factory(), shards=2, executor="thread"
+        ) as sharded:
+            check([sharded.search(query, k) for query in queries])
+            check(sharded.search_batch(queries, k).results)
+

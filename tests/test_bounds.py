@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bounds.base import PartialState, RemainingBounds
+from repro.bounds.base import PartialState, PruningBound, RemainingBounds
 from repro.bounds.euclidean import EqBound, EvBound, lemma1_upper_bound, lemma2_lower_bound
 from repro.bounds.histogram import HhBound, HqBound
 from repro.bounds.weighted import WeightedEuclideanBound
@@ -299,3 +299,55 @@ class TestWeightedBound:
         bound = WeightedEuclideanBound.paper_equation14(query, weights, np.array([0.5]))
         expected = lemma1_upper_bound(query, np.array([0.5]))
         assert bound[0] == pytest.approx(expected[0])
+
+
+class TestTotalBoundsScalarShortcut:
+    """Ordered scalar remaining bounds skip the clamp pass; the arrays must be
+    bitwise what the clamped computation produces."""
+
+    class Scripted(PruningBound):
+        def __init__(self, lower, upper):
+            self._bounds = RemainingBounds(lower=lower, upper=upper)
+
+        def remaining_bounds(self, state):
+            return self._bounds
+
+    @staticmethod
+    def state(scores) -> PartialState:
+        return PartialState(
+            query=np.full(4, 0.25),
+            order=np.arange(4),
+            num_processed=2,
+            partial_scores=np.asarray(scores, dtype=np.float64),
+        )
+
+    @pytest.mark.parametrize(
+        "lower,upper",
+        [(0.0, 0.3), (0.0, 0.0), (0.1, 0.1 + 1e-17), (0.3, 0.1), (0.0, float("nan"))],
+    )
+    def test_equals_the_clamped_reference(self, lower, upper):
+        rng = np.random.default_rng(3)
+        scores = np.concatenate([rng.random(500), [0.0, 1.0, 1e-300, 0.7 - 1e-16]])
+        bound = self.Scripted(lower, upper)
+        expected_lower = scores + lower
+        expected_upper = np.maximum(scores + upper, expected_lower)
+        for out in (None, (np.empty_like(scores), np.empty_like(scores))):
+            got_lower, got_upper = bound.total_bounds(self.state(scores), out=out)
+            assert np.array_equal(got_lower, expected_lower, equal_nan=True)
+            assert np.array_equal(got_upper, expected_upper, equal_nan=True)
+
+    def test_array_bounds_still_clamp(self):
+        scores = np.array([0.2, 0.4])
+        bound = self.Scripted(np.array([0.1, 0.3]), np.array([0.3, 0.1]))
+        _, upper = bound.total_bounds(self.state(scores))
+        assert np.array_equal(upper, [0.5, 0.7])
+
+    def test_total_bounds_validates_and_delegates_to_totals(self):
+        state = self.state([0.1, 0.2])
+        bound = self.Scripted(0.0, 0.1)
+        lower, upper = bound.total_bounds(state)
+        direct_lower, direct_upper = bound.remaining_bounds(state).totals(state.partial_scores)
+        assert np.array_equal(lower, direct_lower) and np.array_equal(upper, direct_upper)
+        state.num_processed = 99  # inconsistent on purpose
+        with pytest.raises(BoundError):
+            bound.total_bounds(state)

@@ -114,3 +114,64 @@ class TestAccumulateAndPrune:
             positional_store.cost.since(positional_checkpoint).bytes_read
             < bitmap_store.cost.since(bitmap_checkpoint).bytes_read
         )
+
+
+class TestReset:
+    def test_reset_restores_the_full_set_in_the_same_buffers(self, corel_store):
+        candidates = CandidateSet(corel_store, track_partial_sums=True, track_remaining_sums=True)
+        fresh = CandidateSet(corel_store, track_partial_sums=True, track_remaining_sums=True)
+        buffers = (
+            candidates.partial_scores.base,
+            candidates.partial_value_sums.base,
+            candidates.remaining_value_sums.base,
+        )
+        column = candidates.column_values(2)
+        candidates.accumulate(column + 1.0, column)
+        keep = np.zeros(len(candidates), dtype=bool)
+        keep[5:40] = True
+        candidates.prune(keep)
+        assert candidates.mode is CandidateMode.POSITIONAL
+
+        candidates.reset()
+        assert len(candidates) == corel_store.cardinality
+        assert candidates.mode is CandidateMode.BITMAP
+        assert candidates.is_full()
+        assert np.array_equal(candidates.oids, fresh.oids)
+        assert np.array_equal(candidates.partial_scores, fresh.partial_scores)
+        assert np.array_equal(candidates.partial_value_sums, fresh.partial_value_sums)
+        assert np.array_equal(candidates.remaining_value_sums, fresh.remaining_value_sums)
+        assert candidates.partial_scores.base is buffers[0]
+        assert candidates.partial_value_sums.base is buffers[1]
+        assert candidates.remaining_value_sums.base is buffers[2]
+
+    def test_reset_sees_deletions_made_since(self, corel_histograms):
+        store = DecomposedStore(corel_histograms[:100])
+        candidates = CandidateSet(store, track_remaining_sums=True)
+        store.delete([4, 50])
+        candidates.reset()
+        assert len(candidates) == 98
+        assert not candidates.is_full()
+        expected = np.setdiff1d(np.arange(100), [4, 50])
+        assert np.array_equal(candidates.oids, expected)
+        assert np.array_equal(
+            candidates.remaining_value_sums, store.matrix.sum(axis=1)[expected]
+        )
+
+    def test_reset_grows_with_the_store(self, corel_histograms):
+        store = DecomposedStore(corel_histograms[:100])
+        candidates = CandidateSet(store, track_partial_sums=True)
+        store.append(corel_histograms[100:130])
+        store.reorganize()
+        candidates.reset()
+        assert len(candidates) == 130
+        assert candidates.partial_value_sums.shape == (130,)
+
+    def test_first_prune_of_dense_oids_keeps_the_survivor_positions(self, corel_store):
+        candidates = CandidateSet(corel_store)
+        keep = np.zeros(len(candidates), dtype=bool)
+        keep[[3, 8, 21]] = True
+        candidates.prune(keep)
+        assert candidates.oids.dtype == np.int64
+        assert np.array_equal(candidates.oids, [3, 8, 21])
+        candidates.prune(np.array([True, False, True]))
+        assert np.array_equal(candidates.oids, [3, 21])

@@ -112,3 +112,78 @@ class TestStorageAccounting:
 
     def test_full_candidates_covers_collection(self, corel_store):
         assert len(corel_store.full_candidates()) == corel_store.cardinality
+
+
+class TestGatherBlockSinglePath:
+    """Restricted gathers take one path whatever the row count or the store's
+    origin: same values, column-contiguous, charged like m restricted scans."""
+
+    ROWS, COLUMNS = 1500, 12
+
+    @pytest.fixture(scope="class")
+    def collection(self) -> np.ndarray:
+        rng = np.random.default_rng(5)
+        data = rng.random((self.ROWS, self.COLUMNS))
+        return data / data.sum(axis=1, keepdims=True)
+
+    @pytest.fixture(
+        params=["float64/ram", "float32/mmap", "from_fragments", "row_slice"]
+    )
+    def store(self, request, collection) -> DecomposedStore:
+        if request.param == "from_fragments":
+            source = DecomposedStore(collection)
+            tails = [np.array(source.fragment_tail(d)) for d in range(self.COLUMNS)]
+            return DecomposedStore.from_fragments(tails)
+        if request.param == "row_slice":
+            # A shard view: its fragments start mid-way into the parent's.
+            padded = np.vstack([collection[:37][::-1], collection, collection[:11]])
+            return DecomposedStore.row_slice(DecomposedStore(padded), 37, 37 + self.ROWS)
+        return DecomposedStore(collection, format=request.param)
+
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, ROWS])
+    def test_values_layout_and_charge(self, store, rows):
+        rng = np.random.default_rng(rows)
+        oids = np.sort(rng.choice(self.ROWS, size=rows, replace=False))
+        dims = np.array([7, 0, 11, 3], dtype=np.int64)
+        expected = store.matrix[oids][:, dims]  # uncharged; read before the checkpoint
+        checkpoint = store.cost.checkpoint()
+        block = store.gather_block(dims, oids=oids, charge="candidates")
+        assert block.dtype == np.float64
+        assert np.array_equal(block, expected)
+        assert all(block[:, position].flags.c_contiguous for position in range(dims.size))
+        charged = store.cost.since(checkpoint)
+        assert charged.bytes_read == rows * dims.size * store.coefficient_bytes
+        assert charged.tuples_scanned == rows * dims.size
+        assert charged.sequential_accesses == dims.size
+
+    def test_bitmap_mode_charges_full_columns_and_none_charges_nothing(self, store):
+        oids = np.array([3, 700, 1499], dtype=np.int64)
+        dims = np.array([1, 2], dtype=np.int64)
+        checkpoint = store.cost.checkpoint()
+        store.gather_block(dims, oids=oids, charge="full")
+        assert store.cost.since(checkpoint).bytes_read == (
+            self.ROWS * dims.size * store.coefficient_bytes
+        )
+        checkpoint = store.cost.checkpoint()
+        store.gather_block(dims, oids=oids, charge=None)
+        assert store.cost.since(checkpoint).bytes_read == 0
+
+    def test_no_rows_and_no_dimensions(self, store):
+        empty = np.empty(0, dtype=np.int64)
+        assert store.gather_block(np.array([2, 5]), oids=empty, charge=None).shape == (0, 2)
+        assert store.gather_block(empty, oids=np.array([4, 9]), charge=None).shape == (2, 0)
+
+
+class TestBlockedIngest:
+    def test_fragments_are_the_contiguous_columns(self, corel_histograms):
+        store = DecomposedStore(corel_histograms)
+        for dimension in (0, 17, corel_histograms.shape[1] - 1):
+            tail = store.fragment_tail(dimension)
+            assert tail.flags.c_contiguous
+            assert np.array_equal(tail, corel_histograms[:, dimension])
+
+    def test_cardinality_not_a_multiple_of_the_block(self):
+        rng = np.random.default_rng(9)
+        data = rng.random((2 * 1024 + 5, 3))
+        store = DecomposedStore(data, format="float32/ram")
+        assert np.array_equal(store.matrix, data.astype(np.float32).astype(np.float64))

@@ -12,7 +12,12 @@ from repro.core.ordering import (
     OriginalOrdering,
     RandomOrdering,
 )
-from repro.core.planner import FixedPeriodSchedule, GeometricSchedule, recommend_period
+from repro.core.planner import (
+    FixedPeriodSchedule,
+    GeometricSchedule,
+    MassAwareSchedule,
+    recommend_period,
+)
 from repro.errors import QueryError
 
 
@@ -92,6 +97,67 @@ class TestFixedSchedule:
 
     def test_period_property(self):
         assert FixedPeriodSchedule(16).period == 16
+
+
+class TestMassAwareSchedule:
+    @staticmethod
+    def prefix_mass(query) -> np.ndarray:
+        return np.concatenate([[0.0], np.cumsum(np.sort(np.asarray(query, dtype=float))[::-1])])
+
+    @staticmethod
+    def after_prune(schedule, processed, positional, dimensionality=166) -> int:
+        return schedule.next_batch(
+            dimensionality=dimensionality,
+            dimensions_processed=processed,
+            candidates_before=1000,
+            candidates_after=10,
+            positional=positional,
+        )
+
+    def test_first_block_is_the_shortest_prefix_reaching_the_share(self):
+        schedule = MassAwareSchedule()
+        query = [0.3, 0.25, 0.2, 0.1, 0.05, 0.05, 0.05]  # 0.75 after three, 0.55 after two
+        assert schedule.first_batch(7, self.prefix_mass(query)) == 3
+        # The share is of T(q), whatever T(q) is.
+        assert schedule.first_batch(7, 5.0 * self.prefix_mass(query)) == 3
+
+    def test_share_exceeds_the_hq_pruning_threshold(self):
+        assert MassAwareSchedule.MASS_SHARE > 0.5
+
+    def test_first_block_is_clamped_to_two_and_eight(self):
+        schedule = MassAwareSchedule()
+        dominant = [0.9] + [0.01] * 10
+        assert schedule.first_batch(11, self.prefix_mass(dominant)) == 2
+        flat = [1.0 / 100] * 100
+        assert schedule.first_batch(100, self.prefix_mass(flat)) == 8
+        assert schedule.first_batch(100, self.prefix_mass([0.0] * 100)) == 2  # all-zero query
+
+    def test_first_block_never_exceeds_the_dimensionality(self):
+        schedule = MassAwareSchedule()
+        assert schedule.first_batch(1, self.prefix_mass([1.0])) == 1
+        assert schedule.first_batch(5) == 5
+
+    def test_without_mass_the_first_block_is_the_papers_eight(self):
+        assert MassAwareSchedule().first_batch(166) == 8
+
+    def test_blocks_double_once_the_candidates_are_positional(self):
+        schedule = MassAwareSchedule()
+        schedule.first_batch(166)
+        assert self.after_prune(schedule, 8, positional=False) == 8
+        assert self.after_prune(schedule, 16, positional=False) == 8
+        assert [
+            self.after_prune(schedule, processed, positional=True)
+            for processed in (24, 32, 48, 80)
+        ] == [8, 16, 32, 64]
+        assert self.after_prune(schedule, 144, positional=True) == 22  # clamped to the end
+
+    def test_first_batch_resets_the_doubling(self):
+        schedule = MassAwareSchedule()
+        schedule.first_batch(166)
+        for processed in (8, 16, 32):
+            self.after_prune(schedule, processed, positional=True)
+        schedule.first_batch(166)
+        assert self.after_prune(schedule, 8, positional=True) == 8
 
 
 class TestGeometricSchedule:
