@@ -19,13 +19,16 @@ Times k-NN search over the default Corel-like synthetic dataset (the paper's
 
 The ``sharded`` axis measures the parallel shard layer of
 :mod:`repro.core.parallel`: for each worker count (shards == workers), the
-collection is cut into contiguous row shards, every shard runs the fused
-batch engine with cache-aware tile rounds on a thread pool, and the per-query
-top-k heaps are merged deterministically.  Reported against both the seed and
-the single-thread ``batched`` axis; every worker count's top-k must be
-bitwise identical to the seed before numbers are written.  A
-``sharded_compressed`` row does the same over the 8-bit filter-and-refine
-engine.
+collection is cut into contiguous row shards, every shard's own searcher runs
+``search_batch`` on a thread pool, and the per-query top-k heaps are merged
+deterministically.  Reported against both the seed and the single-thread
+``batched`` axis; every worker count's top-k must be bitwise identical to the
+seed before numbers are written.  A ``sharded_compressed`` row does the same
+over the 8-bit filter-and-refine engine.  Rounds inside a shard are not
+row-tiled: at 59,619 x 166, k = 10, batches of 32, tiled rounds measured 49.2
+vs 48.4 ms exact and 150.1 vs 142.5 ms compressed unsharded (tiled vs plain).
+Over 2 shards they were 1.00-1.15x slower on the process and 1.22-1.37x slower
+on the thread executor, so they were deleted.
 
 The ``multicore`` axis runs the same shard plans on the **process pool** of
 :mod:`repro.cluster` (fragments published once into shared memory, worker
@@ -308,8 +311,8 @@ def run_sharded_benchmark(
     compressed_batched_seconds: float,
     workers_axis: tuple[int, ...],
 ) -> dict:
-    """The sharded parallel engine axis (shards == workers, tile rounds)."""
-    print("\nsharded parallel engine (shards == workers, cache-aware tile rounds):")
+    """The sharded parallel engine axis (shards == workers)."""
+    print("\nsharded parallel engine (shards == workers):")
     rows = {}
     log = IdentityLog()
     for workers in workers_axis:
@@ -362,7 +365,7 @@ def run_sharded_benchmark(
     )
     best = max(rows.values(), key=lambda row: row["speedup_vs_batched"])
     return {
-        "config": {"workers_axis": list(workers_axis), "tile_rows": "default"},
+        "config": {"workers_axis": list(workers_axis)},
         "workers": rows,
         "compressed": {
             "workers": max_workers,

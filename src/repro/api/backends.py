@@ -350,7 +350,7 @@ class ShardedBondBackend(Backend):
 
     capabilities = Capabilities(
         backend="sharded_bond",
-        description="row-sharded parallel BOND (tile rounds per shard, merged top-k)",
+        description="row-sharded parallel BOND (one searcher per shard, merged top-k)",
         metrics=frozenset(
             {"histogram_intersection", "squared_euclidean", "weighted_squared_euclidean"}
         ),

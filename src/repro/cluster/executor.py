@@ -1,11 +1,11 @@
-"""The process-pool shard executor: fused engines in worker processes.
+"""The process-pool shard executor: shard searchers in worker processes.
 
 This is the multi-core back end of the sharded engines in
 :mod:`repro.core.parallel`.  The thread pool there already parallelises the
 NumPy block operations (which release the GIL), but every Python-level byte
 of the scan loop still serialises on one interpreter; this executor moves
 each shard's whole search into a **worker process** running the identical
-fused engine over the identical bytes:
+searcher over the identical bytes:
 
 * the parent publishes the store's fragment columns once into shared memory
   (:mod:`repro.cluster.shm`) — workers attach zero-copy;
@@ -77,7 +77,6 @@ class EngineSpec:
         schedule=None,
         candidate_mode: str = "auto",
         switch_selectivity: float = 0.05,
-        tile_rows: int = 8192,
     ) -> None:
         if kind not in ("exact", "compressed"):
             raise QueryError(f"engine kind must be 'exact' or 'compressed', got {kind!r}")
@@ -88,7 +87,6 @@ class EngineSpec:
         self.schedule = schedule
         self.candidate_mode = candidate_mode
         self.switch_selectivity = switch_selectivity
-        self.tile_rows = int(tile_rows)
 
     def build_searcher(self, store):
         """One shard's searcher over its (attached) shard store."""
@@ -116,12 +114,8 @@ def _shard_worker_main(conn, store_spec: StoreSpec, engine_spec: EngineSpec, pla
     Replies ``("ok", (payload, cost_wire))`` or ``("error", exception)``;
     exits on a ``None`` sentinel or a closed pipe.  The per-task cost delta
     is checkpointed exactly like the thread path: searcher construction
-    happens *before* the checkpoint, the engine run inside it.
+    happens *before* the checkpoint, the search inside it.
     """
-    # The tiled engines live in repro.core.parallel, which imports this
-    # package lazily — import here (not at module top) to keep the cycle open.
-    from repro.core.parallel import TiledBatchQueryEngine, TiledCompressedBatchEngine
-
     attached = attach_store(store_spec)
     shards: dict[int, tuple] = {}
 
@@ -162,15 +156,7 @@ def _shard_worker_main(conn, store_spec: StoreSpec, engine_spec: EngineSpec, pla
                 if kind == "search":
                     result = searcher.search(payload, k)
                 elif kind == "batch":
-                    if engine_spec.kind == "compressed":
-                        engine = TiledCompressedBatchEngine(
-                            searcher, payload, k, tile_rows=engine_spec.tile_rows
-                        )
-                    else:
-                        engine = TiledBatchQueryEngine(
-                            searcher, payload, k, tile_rows=engine_spec.tile_rows
-                        )
-                    result = engine.run()
+                    result = searcher.search_batch(payload, k).results
                 else:
                     raise QueryError(f"unknown shard task {kind!r}")
                 wire = store.cost.since(checkpoint).to_wire()

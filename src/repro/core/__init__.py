@@ -15,9 +15,12 @@
   stream-merging baseline it is compared against (Section 8.2);
 * :mod:`~repro.core.mil` — BOND expressed as the Section 6.1 MIL program over
   the engine algebra, for demonstrating the relational implementation;
-* :mod:`~repro.core.parallel` — sharded parallel execution with cache-aware
-  tile rounds (:class:`~repro.core.parallel.ShardedBondSearcher` and the
-  compressed variant), bitwise identical to the single-shard engines.
+* :mod:`~repro.core.batch` — the one round driver behind every fused
+  ``search`` / ``search_batch`` (a single query is a batch of one);
+* :mod:`~repro.core.parallel` — sharded parallel execution
+  (:class:`~repro.core.parallel.ShardedBondSearcher` and the compressed
+  variant): each shard's own searcher on a thread or process pool, merged
+  bitwise identical to the unsharded searchers.
 """
 
 from repro.core.result import BatchSearchResult, SearchResult
@@ -39,12 +42,7 @@ from repro.core.planner import (
 from repro.core.bond import BondSearcher
 from repro.core.sequential import PartialAbandonScan, SequentialScan
 from repro.core.compressed import CompressedBondSearcher
-from repro.core.parallel import (
-    ShardedBondSearcher,
-    ShardedCompressedBondSearcher,
-    TiledBatchQueryEngine,
-    TiledCompressedBatchEngine,
-)
+from repro.core.parallel import ShardedBondSearcher, ShardedCompressedBondSearcher
 from repro.core.weighted import weighted_search
 from repro.core.subspace import subspace_search
 from repro.core.multifeature import (
@@ -75,8 +73,6 @@ __all__ = [
     "ShardedBondSearcher",
     "ShardedCompressedBondSearcher",
     "StreamMergingSearcher",
-    "TiledBatchQueryEngine",
-    "TiledCompressedBatchEngine",
     "subspace_search",
     "recommend_period",
     "weighted_search",

@@ -46,23 +46,24 @@ the trace and the time of a search — never its answer: results are bitwise
 identical to ``schedule=FixedPeriodSchedule(8)``, the paper's m = 8, under
 every engine, batch shape and shard layout.
 
-For multi-query workloads, :meth:`BondSearcher.search_batch` executes a whole
-batch of queries concurrently, sharing each fragment read across every live
-query (see :mod:`repro.core.batch`).
+Both fused entry points run through the one round driver of
+:mod:`repro.core.batch`: :meth:`BondSearcher.search` drives a single run,
+:meth:`BondSearcher.search_batch` a whole batch of them, sharing each
+fragment read across every live query.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 
 import numpy as np
 
-from repro._compat import apply_legacy_positionals
 from repro.bounds.base import OrderStatistics, PartialState, PruningBound
 from repro.bounds.euclidean import EvBound
 from repro.bounds.histogram import HqBound
 from repro.bounds.weighted import WeightedEuclideanBound
-from repro.core.batch import BatchQueryEngine
+from repro.core.batch import QueryRun, drive
 from repro.core.candidates import CandidateMode, CandidateSet
 from repro.core.ordering import DecreasingQueryOrdering, DimensionOrdering
 from repro.core.planner import MassAwareSchedule, PruningSchedule
@@ -134,12 +135,10 @@ class BondSearcher:
     Notes
     -----
     All configuration parameters are keyword-only (the uniform
-    :class:`repro.api.Searcher` construction surface); the historical
-    positional shape ``BondSearcher(store, metric, bound)`` still works but
-    emits a :class:`DeprecationWarning`.
+    :class:`repro.api.Searcher` construction surface).
 
     A searcher owns reusable scratch (kernel workspace, pruning bounds, the
-    candidate set of :meth:`search`), so one instance must not run concurrent
+    candidate set of each call's first query), so one instance must not run concurrent
     searches from multiple threads; create one searcher per thread (they can
     share the store).
     """
@@ -147,7 +146,7 @@ class BondSearcher:
     def __init__(
         self,
         store: DecomposedStore,
-        *legacy,
+        *,
         metric: Metric | None = None,
         bound: PruningBound | None = None,
         ordering: DimensionOrdering | None = None,
@@ -156,12 +155,6 @@ class BondSearcher:
         switch_selectivity: float = 0.05,
         engine: str = "fused",
     ) -> None:
-        metric, bound = apply_legacy_positionals(
-            "BondSearcher(store, *, metric=..., bound=...)",
-            legacy,
-            ("metric", "bound"),
-            (metric, bound),
-        )
         if engine not in ("fused", "loop"):
             raise QueryError("engine must be 'fused' or 'loop'")
         self._store = store
@@ -175,9 +168,9 @@ class BondSearcher:
         self._kernel = kernel_for(self._metric)
         # Reusable per-search scratch (lazily sized to the collection): the
         # full-scan workspace for the kernels, the bound/keep buffers of the
-        # pruning attempts and the candidate set of :meth:`search` (reset, not
-        # rebuilt, per query), so the hot path allocates nothing
-        # collection-sized.
+        # pruning attempts and the candidate set of each call's first query
+        # (reset, not rebuilt), so a single query — alone or as a batch of
+        # one — allocates nothing collection-sized.
         self._scan_workspace = np.empty(0, dtype=np.float64)
         self._search_candidates: CandidateSet | None = None
         self._prune_lower = np.empty(0, dtype=np.float64)
@@ -227,36 +220,18 @@ class BondSearcher:
             pruning curve into (also attached to the returned result).
         """
         started = time.perf_counter()
-        query, k, weights, dimension_order, schedule_length = self._prepare(query, k)
-        state = self._initial_state(query, dimension_order, weights)
-
-        if self._search_candidates is None:
-            self._search_candidates = self.make_candidates()
-        else:
-            self._search_candidates.reset()
-        candidates = self._search_candidates
-        trace = trace if trace is not None else PruningTrace()
-        trace.record(0, len(candidates))
-
-        cost_checkpoint = self._store.cost.checkpoint()
-        run = self._run_loop if self._engine == "loop" else self._run_fused
-        processed, full_scan_dimensions = run(
-            state, dimension_order, candidates, k, trace, self._schedule, schedule_length
-        )
-
-        final_scores = self._finish_scores(query, dimension_order, processed, candidates)
-        oids, scores = self._rank(candidates.oids, final_scores, k)
-        elapsed = time.perf_counter() - started
-
-        return SearchResult(
-            oids=oids,
-            scores=scores,
-            dimensions_processed=processed,
-            full_scan_dimensions=full_scan_dimensions,
-            candidate_trace=trace,
-            cost=self._store.cost.since(cost_checkpoint),
-            elapsed_seconds=elapsed,
-        )
+        run = self._plan(query, k, trace)
+        # The account opens after planning: initialising the candidate state
+        # (an Ev-style bound starts from the T(x) column) is set-up, not scan.
+        cost = self._store.cost
+        checkpoint = cost.checkpoint()
+        if self._engine == "loop":
+            self._run_loop(run)  # leaves the run finished: the driver only completes it
+        drive(self, [run])
+        result = run.result
+        result.cost = cost.since(checkpoint)
+        result.elapsed_seconds = time.perf_counter() - started
+        return result
 
     def search_batch(self, queries: np.ndarray, k: int) -> BatchSearchResult:
         """Answer a whole batch of queries, sharing fragment reads.
@@ -264,11 +239,11 @@ class BondSearcher:
         Every query runs the exact single-query algorithm — its own dimension
         order, pruning schedule and candidate set — so each returned
         :class:`~repro.core.result.SearchResult` is bitwise identical to what
-        :meth:`search` would return for that query.  The batch engine differs
-        only in *how storage is touched*: per execution round, the union of
-        all live queries' next fragment blocks is gathered once and served to
-        every query, so one sequential pass over a column answers the whole
-        batch (see :mod:`repro.core.batch`).
+        :meth:`search` would return for that query.  A batch differs only in
+        *how storage is touched*: per execution round, the union of all live
+        queries' next fragment blocks is charged once and served to every
+        query, so one sequential pass over a column answers the whole batch
+        (see :mod:`repro.core.batch`).  Batches always run the fused engine.
 
         Parameters
         ----------
@@ -288,21 +263,35 @@ class BondSearcher:
         query_matrix = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if query_matrix.ndim != 2:
             raise QueryError(f"queries must form a 2-D matrix, got shape {query_matrix.shape}")
-        cost_checkpoint = self._store.cost.checkpoint()
-        engine = BatchQueryEngine(self, query_matrix, k)
-        results = engine.run()
+        runs = [
+            self._plan(query, k, reuse_scratch=index == 0)
+            for index, query in enumerate(query_matrix)
+        ]
+        cost = self._store.cost
+        checkpoint = cost.checkpoint()
+        drive(self, runs)
         return BatchSearchResult(
-            results=results,
-            cost=self._store.cost.since(cost_checkpoint),
+            results=[run.result for run in runs],
+            cost=cost.since(checkpoint),
             elapsed_seconds=time.perf_counter() - started,
         )
 
-    # -- shared per-query plumbing (also used by the batch engine) ---------------
+    # -- per-query planning --------------------------------------------------------
 
-    def _prepare(
-        self, query: np.ndarray, k: int
-    ) -> tuple[np.ndarray, int, np.ndarray | None, np.ndarray, int]:
-        """Validate one query and plan its dimension order."""
+    def _plan(
+        self,
+        query: np.ndarray,
+        k: int,
+        trace: PruningTrace | None = None,
+        *,
+        reuse_scratch: bool = True,
+    ) -> QueryRun:
+        """Validate one query and set up its independent run state.
+
+        The first query of a call runs in the searcher's own candidate set
+        and schedule (``reuse_scratch``), so a single query allocates nothing
+        collection-sized; the others of a batch get fresh ones.
+        """
         query = self._metric.validate_query(query)
         if query.shape[0] != self._store.dimensionality:
             raise QueryError(
@@ -321,7 +310,30 @@ class BondSearcher:
         schedule_length = (
             self._store.dimensionality if weights is None else int(dimension_order.shape[0])
         )
-        return query, k, weights, dimension_order, schedule_length
+        state = self._initial_state(query, dimension_order, weights)
+        if reuse_scratch:
+            candidates, schedule = self._scratch_candidates(), self._schedule
+        else:
+            # Adaptive schedules carry per-search state, so concurrent runs
+            # need their own (shallow — schedules hold only scalar
+            # configuration) copy.
+            candidates, schedule = self.make_candidates(), copy.copy(self._schedule)
+        run = QueryRun(
+            query=query,
+            k=k,
+            order=dimension_order,
+            state=state,
+            schedule=schedule,
+            candidates=candidates,
+            schedule_length=schedule_length,
+            trace=trace if trace is not None else PruningTrace(),
+        )
+        run.trace.record(0, run.alive)
+        prefix_mass = (
+            state.order_statistics.prefix_query_mass if self._bound.mass_driven else None
+        )
+        run.next_attempt = schedule.first_batch(schedule_length, prefix_mass)
+        return run
 
     def make_candidates(self) -> CandidateSet:
         """A fresh candidate set with the bookkeeping this searcher's bound needs."""
@@ -332,6 +344,14 @@ class BondSearcher:
             mode=self._candidate_mode,
             switch_selectivity=self._switch_selectivity,
         )
+
+    def _scratch_candidates(self) -> CandidateSet:
+        """The searcher's own candidate set, reset for a new search."""
+        if self._search_candidates is None:
+            self._search_candidates = self.make_candidates()
+        else:
+            self._search_candidates.reset()
+        return self._search_candidates
 
     def _initial_state(
         self, query: np.ndarray, dimension_order: np.ndarray, weights: np.ndarray | None
@@ -355,130 +375,65 @@ class BondSearcher:
         state.validate()
         return state
 
-    def _first_block(
-        self, schedule: PruningSchedule, schedule_length: int, state: PartialState
-    ) -> int:
-        """How many dimensions to process before the first pruning attempt.
+    # -- the run protocol of :func:`repro.core.batch.drive` ---------------------------
 
-        The single place the engines consult ``schedule.first_batch`` — like
-        :meth:`_prune_and_plan` for every later block — so the loop, fused,
-        batch and shard engines all follow the same plan.
+    def _run_loop(self, run: QueryRun) -> None:
+        """The seed per-dimension reference engine.
+
+        Processes the same dimensions, attempts the same prunes with the same
+        bounds and folds contributions in the same order as the round driver,
+        so the results (and the accounted cost) are bitwise identical — the
+        driver just spends one storage gather and one kernel call per pruning
+        period instead of m per-dimension round trips.
         """
-        prefix_mass = (
-            state.order_statistics.prefix_query_mass if self._bound.mass_driven else None
-        )
-        return schedule.first_batch(schedule_length, prefix_mass)
+        query = run.query
+        candidates = run.candidates
+        total_dimensions = int(run.order.shape[0])
 
-    # -- execution engines -------------------------------------------------------
-
-    def _run_loop(
-        self,
-        state: PartialState,
-        dimension_order: np.ndarray,
-        candidates: CandidateSet,
-        k: int,
-        trace: PruningTrace,
-        schedule: PruningSchedule,
-        schedule_length: int,
-    ) -> tuple[int, int]:
-        """The seed per-dimension reference engine."""
-        query = state.query
-        total_dimensions = int(dimension_order.shape[0])
-        processed = 0
-        full_scan_dimensions = 0
-        next_attempt = self._first_block(schedule, schedule_length, state)
-
-        while processed < total_dimensions and len(candidates) > k:
-            dimension = int(dimension_order[processed])
+        while run.processed < total_dimensions and run.alive > run.k:
+            dimension = int(run.order[run.processed])
             column = candidates.column_values(dimension)
             contributions = self._metric.contributions(column, query[dimension], dimension=dimension)
             self._store.cost.charge_arithmetic(len(column) * self._metric.arithmetic_ops_per_value())
             candidates.accumulate(contributions, column)
             if candidates.mode is CandidateMode.BITMAP:
-                full_scan_dimensions += 1
-            processed += 1
+                run.full_scan_dimensions += 1
+            run.processed += 1
 
-            if processed >= next_attempt or processed == total_dimensions:
-                next_attempt = processed + self._prune_and_plan(
-                    state, processed, candidates, k, trace, schedule, schedule_length
-                )
-        return processed, full_scan_dimensions
+            if run.processed >= run.next_attempt or run.processed == total_dimensions:
+                self._checkpoint(run)
 
-    def _run_fused(
-        self,
-        state: PartialState,
-        dimension_order: np.ndarray,
-        candidates: CandidateSet,
-        k: int,
-        trace: PruningTrace,
-        schedule: PruningSchedule,
-        schedule_length: int,
-    ) -> tuple[int, int]:
-        """The fused block-scan engine: one kernel call per pruning period.
+    def _streamed_dimensions(
+        self, run: QueryRun, block_dimensions: np.ndarray
+    ) -> np.ndarray | None:
+        """The block's fragments pass in full while the run filters through a
+        bitmap; a materialised candidate list fetches only its own values."""
+        if run.candidates.mode is CandidateMode.BITMAP:
+            return block_dimensions
+        return None
 
-        Processes the same dimensions, attempts the same prunes with the same
-        bounds and folds contributions in the same order as :meth:`_run_loop`,
-        so the results (and the accounted cost) are bitwise identical — the
-        only difference is that each pruning period costs one storage gather
-        and one kernel call instead of m per-dimension round trips.
-        """
-        query = state.query
-        total_dimensions = int(dimension_order.shape[0])
-        processed = 0
-        full_scan_dimensions = 0
-        next_attempt = self._first_block(schedule, schedule_length, state)
-
-        while processed < total_dimensions and len(candidates) > k:
-            block_end = min(max(next_attempt, processed + 1), total_dimensions)
-            block_dimensions = dimension_order[processed:block_end]
-            self._scan_block(candidates, query, block_dimensions)
-            if candidates.mode is CandidateMode.BITMAP:
-                full_scan_dimensions += int(block_dimensions.shape[0])
-            processed = block_end
-
-            if processed >= next_attempt or processed == total_dimensions:
-                next_attempt = processed + self._prune_and_plan(
-                    state, processed, candidates, k, trace, schedule, schedule_length
-                )
-        return processed, full_scan_dimensions
-
-    # -- internals -----------------------------------------------------------------
-
-    def _prune_and_plan(
-        self,
-        state: PartialState,
-        processed: int,
-        candidates: CandidateSet,
-        k: int,
-        trace: PruningTrace,
-        schedule: PruningSchedule,
-        schedule_length: int,
-    ) -> int:
+    def _checkpoint(self, run: QueryRun) -> None:
         """One pruning checkpoint: attempt the prune, record the trace point
-        and return how many dimensions to process before the next attempt.
+        and plan how many dimensions to process before the next attempt.
 
         This is the single copy of the checkpoint logic shared by the loop
-        engine, the fused engine and the batch engine — the bitwise-identity
-        guarantee between them rests on all three calling exactly this.
+        engine and the round driver — the bitwise-identity guarantee between
+        them rests on both calling exactly this.
         """
+        candidates = run.candidates
         before = len(candidates)
-        self._attempt_prune(state, processed, candidates, k)
-        trace.record(processed, len(candidates))
-        return schedule.next_batch(
-            dimensionality=schedule_length,
-            dimensions_processed=processed,
+        self._attempt_prune(run.state, run.processed, candidates, run.k)
+        run.trace.record(run.processed, len(candidates))
+        run.next_attempt = run.processed + run.schedule.next_batch(
+            dimensionality=run.schedule_length,
+            dimensions_processed=run.processed,
             candidates_before=before,
             candidates_after=len(candidates),
             positional=candidates.mode is CandidateMode.POSITIONAL,
         )
 
     def _scan_block(
-        self,
-        candidates: CandidateSet,
-        query: np.ndarray,
-        block_dimensions: np.ndarray,
-        *,
-        charge_storage: bool = True,
+        self, run: QueryRun, block_dimensions: np.ndarray, *, charge_storage: bool
     ) -> None:
         """Fold one pruning period into the candidate state with one kernel call.
 
@@ -486,10 +441,12 @@ class BondSearcher:
         all the bytes of a query are moved) the fragments are streamed in
         place: no gather, no fresh allocations, per-column temporaries in the
         reused workspace.  Afterwards the block arrives as one restricted
-        gather.  ``charge_storage=False`` lets the batch engine charge one
-        shared read for a whole round instead.
+        gather.  ``charge_storage`` is False while the driver charges the
+        round's shared read for the run instead.
         """
         cost = self._store.cost
+        candidates = run.candidates
+        query = run.query
         if candidates.mode is CandidateMode.BITMAP and candidates.is_full():
             columns = self._store.fragment_columns(block_dimensions, charge=charge_storage)
             if self._scan_workspace.shape[0] < len(candidates):
@@ -517,6 +474,30 @@ class BondSearcher:
         )
         cost.charge_arithmetic(values.size * self._metric.arithmetic_ops_per_value())
         candidates.accumulate_block(contribution_block, values)
+
+    def _finish(self, run: QueryRun) -> tuple[np.ndarray, np.ndarray]:
+        """Complete the survivors' exact scores on the unprocessed dimensions
+        and rank them: best k (OIDs, scores), best first, with deterministic
+        tie-breaks."""
+        candidates = run.candidates
+        scores = candidates.partial_scores.copy()
+        remaining = run.order[run.processed:]
+        if remaining.shape[0] and len(candidates):
+            values = self._store.gather_matrix(candidates.oids, remaining)
+            self._store.cost.charge_arithmetic(
+                values.size * self._metric.arithmetic_ops_per_value()
+            )
+            contribution_block = self._kernel.contribution_block(
+                values, run.query[remaining], remaining
+            )
+            accumulate_columns(scores, contribution_block)
+        if scores.shape[0] == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        self._store.cost.charge_heap(scores.shape[0])
+        top = self._metric.best_first(scores)[: run.k]
+        return candidates.oids[top], scores[top]
+
+    # -- internals -----------------------------------------------------------------
 
     def _attempt_prune(
         self, state: PartialState, processed: int, candidates: CandidateSet, k: int
@@ -574,30 +555,3 @@ class BondSearcher:
             return order
         missing = np.setdiff1d(np.arange(dimensionality, dtype=np.int64), order, assume_unique=True)
         return np.concatenate([order, missing])
-
-    def _finish_scores(
-        self,
-        query: np.ndarray,
-        order: np.ndarray,
-        processed: int,
-        candidates: CandidateSet,
-    ) -> np.ndarray:
-        """Complete the survivors' exact scores on the unprocessed dimensions."""
-        scores = candidates.partial_scores.copy()
-        remaining = order[processed:]
-        if remaining.shape[0] == 0 or len(candidates) == 0:
-            return scores
-        values = self._store.gather_matrix(candidates.oids, remaining)
-        self._store.cost.charge_arithmetic(values.size * self._metric.arithmetic_ops_per_value())
-        contribution_block = self._kernel.contribution_block(values, query[remaining], remaining)
-        accumulate_columns(scores, contribution_block)
-        return scores
-
-    def _rank(self, oids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Best k (OIDs, scores), best first, with deterministic tie-breaks."""
-        if scores.shape[0] == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        self._store.cost.charge_heap(scores.shape[0])
-        order = self._metric.best_first(scores)
-        top = order[:k]
-        return oids[top], scores[top]

@@ -255,30 +255,19 @@ class CandidateSet:
             for position in range(value_block.shape[1]):
                 remaining_sums -= value_block[:, position]
 
-    def accumulate_value_columns(
-        self, columns: list[np.ndarray], rows: slice | None = None
-    ) -> None:
+    def accumulate_value_columns(self, columns: list[np.ndarray]) -> None:
         """Update the bookkeeping sums for whole columns (full-bitmap path).
 
         The score accumulation itself is done by the kernel's
         ``accumulate_scan``; this folds the same columns into ``T(x⁻)`` /
         ``T(x⁺)`` in the same left-to-right order as :meth:`accumulate_block`.
-
-        ``rows`` restricts the update to one row tile of the live prefix: the
-        cache-aware tile rounds pass the tile's column slices together with
-        the matching ``rows`` slice, and because the folds are elementwise per
-        row, tiling them changes nothing about the accumulated floats.
         """
         if self._partial_sums_buffer is not None:
             partial_sums = self.partial_value_sums
-            if rows is not None:
-                partial_sums = partial_sums[rows]
             for column in columns:
                 partial_sums += column
         if self._remaining_sums_buffer is not None:
             remaining_sums = self.remaining_value_sums
-            if rows is not None:
-                remaining_sums = remaining_sums[rows]
             for column in columns:
                 remaining_sums -= column
 

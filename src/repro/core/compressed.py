@@ -28,10 +28,10 @@ two engines with bit-for-bit identical results:
 * ``"loop"`` is the seed per-dimension path, kept as the reference
   implementation and benchmark baseline.
 
-For multi-query workloads, :meth:`CompressedBondSearcher.search_batch`
-executes a whole batch of queries concurrently, sharing each compressed
-fragment read across every live query (see
-:class:`~repro.core.batch.CompressedBatchEngine`).
+Both fused entry points run through the one round driver of
+:mod:`repro.core.batch`: :meth:`CompressedBondSearcher.search` drives a single
+run, :meth:`CompressedBondSearcher.search_batch` a whole batch of them,
+sharing each compressed fragment read across every live query.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ import time
 
 import numpy as np
 
-from repro._compat import apply_legacy_positionals
-from repro.core.batch import CompressedBatchEngine, CompressedQueryRun
+from repro.core.batch import CompressedQueryRun, drive
 from repro.core.ordering import DecreasingQueryOrdering, DimensionOrdering
 from repro.core.planner import FixedPeriodSchedule, PruningSchedule
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
@@ -116,15 +115,12 @@ class CompressedBondSearcher:
     def __init__(
         self,
         store: CompressedStore,
-        *legacy,
+        *,
         metric: Metric | None = None,
         ordering: DimensionOrdering | None = None,
         schedule: PruningSchedule | None = None,
         engine: str = "fused",
     ) -> None:
-        (metric,) = apply_legacy_positionals(
-            "CompressedBondSearcher(store, *, metric=...)", legacy, ("metric",), (metric,)
-        )
         if engine not in ("fused", "loop"):
             raise QueryError("engine must be 'fused' or 'loop'")
         self._store = store
@@ -161,26 +157,16 @@ class CompressedBondSearcher:
     def search(self, query: np.ndarray, k: int, *, trace: PruningTrace | None = None) -> SearchResult:
         """Return the exact k nearest neighbours via filter-and-refine."""
         started = time.perf_counter()
-        run = self._plan(0, query, k, trace=trace)
+        run = self._plan(query, k, trace)
         cost = self._store.cost
         checkpoint = cost.checkpoint()
-
         if self._engine == "loop":
-            self._run_loop(run)
-        else:
-            while not run.finished:
-                self._advance(run, run.next_block(), charge_storage=True)
-
-        oids, scores = self._refine(run.query, run.oids, run.order, run.k)
-        return SearchResult(
-            oids=oids,
-            scores=scores,
-            dimensions_processed=run.processed,
-            full_scan_dimensions=run.full_scan_dimensions,
-            candidate_trace=run.trace,
-            cost=cost.since(checkpoint),
-            elapsed_seconds=time.perf_counter() - started,
-        )
+            self._run_loop(run)  # leaves the run finished: the driver only completes it
+        drive(self, [run])
+        result = run.result
+        result.cost = cost.since(checkpoint)
+        result.elapsed_seconds = time.perf_counter() - started
+        return result
 
     def search_batch(self, queries: np.ndarray, k: int) -> BatchSearchResult:
         """Answer a whole batch of queries, sharing compressed fragment reads.
@@ -195,7 +181,7 @@ class CompressedBondSearcher:
         round, the union of all full-scanning queries' next fragment blocks is
         read (and charged) once for the whole batch; queries that have shrunk
         below the positional threshold fetch only their own candidates' codes
-        (see :class:`~repro.core.batch.CompressedBatchEngine`).
+        (see :mod:`repro.core.batch`).
 
         Parameters
         ----------
@@ -215,20 +201,20 @@ class CompressedBondSearcher:
         query_matrix = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if query_matrix.ndim != 2:
             raise QueryError(f"queries must form a 2-D matrix, got shape {query_matrix.shape}")
+        runs = [self._plan(query, k) for query in query_matrix]
         cost = self._store.cost
         checkpoint = cost.checkpoint()
-        engine = CompressedBatchEngine(self, query_matrix, k)
-        results = engine.run()
+        drive(self, runs)
         return BatchSearchResult(
-            results=results,
+            results=[run.result for run in runs],
             cost=cost.since(checkpoint),
             elapsed_seconds=time.perf_counter() - started,
         )
 
-    # -- shared per-query plumbing (also used by the batch engine) ---------------
+    # -- per-query planning --------------------------------------------------------
 
     def _plan(
-        self, index: int, query: np.ndarray, k: int, *, trace: PruningTrace | None = None
+        self, query: np.ndarray, k: int, trace: PruningTrace | None = None
     ) -> CompressedQueryRun:
         """Validate one query and set up its independent filter state."""
         query = self._metric.validate_query(query)
@@ -257,7 +243,6 @@ class CompressedBondSearcher:
         # own (shallow — schedules hold only scalar configuration) copy.
         schedule = copy.copy(self._schedule)
         run = CompressedQueryRun(
-            index=index,
             query=query,
             k=k,
             order=order,
@@ -269,13 +254,15 @@ class CompressedBondSearcher:
             zero_dimensions=zero_mask if bool(zero_mask.any()) else None,
             trace=trace if trace is not None else PruningTrace(),
         )
-        run.trace.record(0, len(run.oids))
-        run.next_attempt = schedule.first_batch(run.total_dimensions)
+        run.trace.record(0, run.alive)
+        run.next_attempt = schedule.first_batch(int(order.shape[0]))
         return run
+
+    # -- the run protocol of :func:`repro.core.batch.drive` ---------------------------
 
     def _is_positional(self, run: CompressedQueryRun) -> bool:
         """Whether a run fetches candidate codes instead of whole fragments."""
-        return run.oids.shape[0] <= self._positional_threshold
+        return run.alive <= self._positional_threshold
 
     def _active_block(
         self, run: CompressedQueryRun, block_dimensions: np.ndarray
@@ -292,7 +279,21 @@ class CompressedBondSearcher:
             return block_dimensions
         return block_dimensions[~run.zero_dimensions[block_dimensions]]
 
-    def _advance(
+    def _streamed_dimensions(
+        self, run: CompressedQueryRun, block_dimensions: np.ndarray
+    ) -> np.ndarray | None:
+        """The code columns the run streams in full this round.
+
+        Only the dimensions the run actually consumes count: the query-side
+        early-out removes provably-zero dimensions from its block before they
+        reach a kernel, so they cost nothing in the round's shared read
+        either.
+        """
+        if self._is_positional(run):
+            return None
+        return self._active_block(run, block_dimensions)
+
+    def _scan_block(
         self,
         run: CompressedQueryRun,
         block_dimensions: np.ndarray,
@@ -300,36 +301,42 @@ class CompressedBondSearcher:
         charge_storage: bool,
     ) -> None:
         """Fold one pruning period into a run's interval scores with one
-        kernel call, then attempt its prune.
+        kernel call.
 
-        Processes the same dimensions, accumulates the same (lower, upper)
-        contributions in the same left-to-right order and prunes with the same
-        bounds as the per-dimension reference loop, so results and accounted
-        cost are bitwise identical — each period just costs one storage call
-        and one kernel call instead of m Python-level round trips.
-        ``charge_storage=False`` lets the batch engine charge one shared read
-        for a whole round instead.
+        Processes the same dimensions and accumulates the same (lower, upper)
+        contributions in the same left-to-right order as the per-dimension
+        reference loop, so results and accounted cost are bitwise identical —
+        each period just costs one storage call and one kernel call instead
+        of m Python-level round trips.  ``charge_storage`` is True for a
+        positional run, which pays for its own candidates' codes; the driver
+        charges the round's shared read for the others.
         """
         store = self._store
-        count = run.oids.shape[0]
+        count = run.alive
         active = self._active_block(run, block_dimensions)
-        positional = self._is_positional(run)
+        if not active.size:
+            return
         if count == store.cardinality:
-            if active.size:
-                # Full-collection phase: stream the whole code columns in
-                # place, no gather needed.
-                code_columns = store.code_columns(active, charge=charge_storage)
-                self._fold_full_columns(run, active, code_columns, 0, count)
-        elif active.size:
+            # Full-collection phase: stream the whole code columns in place,
+            # no gather needed.
+            self._interval_kernel.accumulate_block(
+                store.code_columns(active, charge=charge_storage),
+                store.minimums[active],
+                store.cell_widths[active],
+                run.query[active],
+                active,
+                run.score_lower,
+                run.score_upper,
+                self._workspace,
+            )
+        else:
             # Restricted phase: gather the candidates' codes (1 byte each —
             # bitwise identical to the loop's slice-after-dequantise but 8x
             # lighter per value) into one row block and process the whole
             # pruning period with a few broadcast expressions.
-            if charge_storage:
-                charge = "positional" if positional else "full"
-            else:
-                charge = None
-            code_rows = store.code_row_block(active, run.oids, charge=charge)
+            code_rows = store.code_row_block(
+                active, run.oids, charge="positional" if charge_storage else None
+            )
             self._interval_kernel.accumulate_row_block(
                 code_rows,
                 store.minimums[active],
@@ -340,86 +347,56 @@ class CompressedBondSearcher:
                 run.score_upper,
                 self._workspace,
             )
-        self._finish_block(run, block_dimensions, active, positional=positional)
-
-    def _fold_full_columns(
-        self,
-        run: CompressedQueryRun,
-        active: np.ndarray,
-        code_columns: list[np.ndarray],
-        start: int,
-        stop: int,
-    ) -> None:
-        """One full-phase kernel call over the row range ``[start, stop)``.
-
-        The tile-round engine calls this once per row tile (the interval
-        kernels are elementwise per row, so tiling the rows changes nothing
-        about the accumulated floats); the single-query path calls it once
-        for the whole collection.
-        """
-        self._interval_kernel.accumulate_block(
-            [column[start:stop] for column in code_columns],
-            self._store.minimums[active],
-            self._store.cell_widths[active],
-            run.query[active],
-            active,
-            run.score_lower[start:stop],
-            run.score_upper[start:stop],
-            self._workspace,
-        )
-
-    def _finish_block(
-        self,
-        run: CompressedQueryRun,
-        block_dimensions: np.ndarray,
-        active: np.ndarray,
-        *,
-        positional: bool,
-    ) -> None:
-        """Post-scan bookkeeping of one pruning period: charges, counters and
-        the prune attempt.  Shared by :meth:`_advance` and the tile-round
-        engine, so both account and prune identically."""
-        store = self._store
-        if not positional:
-            run.full_scan_dimensions += int(active.shape[0])
         store.cost.charge_arithmetic(
-            2 * run.oids.shape[0] * int(active.shape[0]) * self._metric.arithmetic_ops_per_value()
+            2 * count * int(active.shape[0]) * self._metric.arithmetic_ops_per_value()
         )
-        run.processed += int(block_dimensions.shape[0])
 
-        if run.processed >= run.next_attempt or run.processed == run.total_dimensions:
-            self._prune(run)
-
-    def _finalize(self, run: CompressedQueryRun) -> bool:
-        """Complete a finished run's refinement step and build its result."""
-        if run.result is not None:
-            return True
-        if not run.finished:
-            return False
-        oids, scores = self._refine(run.query, run.oids, run.order, run.k)
-        run.result = SearchResult(
-            oids=oids,
-            scores=scores,
+    def _checkpoint(self, run: CompressedQueryRun) -> None:
+        """One pruning checkpoint: drop hopeless candidates, record the trace
+        point and plan the next attempt."""
+        before = run.alive
+        keep = self._prune_mask(
+            run.query, run.order, run.processed, run.score_lower, run.score_upper, run.k, run.weights
+        )
+        run.oids = run.oids[keep]
+        run.score_lower = run.score_lower[keep]
+        run.score_upper = run.score_upper[keep]
+        run.trace.record(run.processed, run.alive)
+        run.next_attempt = run.processed + run.schedule.next_batch(
+            dimensionality=int(run.order.shape[0]),
             dimensions_processed=run.processed,
-            full_scan_dimensions=run.full_scan_dimensions,
-            candidate_trace=run.trace,
+            candidates_before=before,
+            candidates_after=run.alive,
         )
-        return True
 
-    # -- execution engines -------------------------------------------------------
+    def _finish(self, run: CompressedQueryRun) -> tuple[np.ndarray, np.ndarray]:
+        """The refinement step: exact scores of the filter survivors from the
+        exact store, best k first."""
+        oids = run.oids
+        if oids.shape[0] == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        exact = self._store.exact
+        vectors = exact.gather_matrix(oids)
+        scores = self._metric.score(vectors, run.query)
+        exact.cost.charge_arithmetic(vectors.size * self._metric.arithmetic_ops_per_value())
+        best = self._metric.best_first(scores)[: run.k]
+        return oids[best], scores[best]
+
+    # -- the reference engine ------------------------------------------------------
 
     def _run_loop(self, run: CompressedQueryRun) -> None:
         """The seed per-dimension reference engine."""
         cost = self._store.cost
-        while run.processed < run.total_dimensions and len(run.oids) > run.k:
+        total_dimensions = int(run.order.shape[0])
+        while run.processed < total_dimensions and run.alive > run.k:
             dimension = int(run.order[run.processed])
             if run.zero_dimensions is not None and run.zero_dimensions[dimension]:
                 # Query-side early-out: the contribution is provably 0.0 for
                 # every candidate — consume the dimension without touching it
                 # (same skip, same accounting as the fused engine).
                 run.processed += 1
-                if run.processed >= run.next_attempt or run.processed == run.total_dimensions:
-                    self._prune(run)
+                if run.processed >= run.next_attempt or run.processed == total_dimensions:
+                    self._checkpoint(run)
                 continue
             if self._is_positional(run):
                 value_lower, value_upper = self._store.bounded_fragment_for(dimension, run.oids)
@@ -435,28 +412,10 @@ class CompressedBondSearcher:
             run.score_upper += contribution_upper
             run.processed += 1
 
-            if run.processed >= run.next_attempt or run.processed == run.total_dimensions:
-                self._prune(run)
+            if run.processed >= run.next_attempt or run.processed == total_dimensions:
+                self._checkpoint(run)
 
     # -- internals --------------------------------------------------------------
-
-    def _prune(self, run: CompressedQueryRun) -> None:
-        """One pruning checkpoint: drop hopeless candidates, record the trace
-        point and plan the next attempt."""
-        before = run.oids.shape[0]
-        keep = self._prune_mask(
-            run.query, run.order, run.processed, run.score_lower, run.score_upper, run.k, run.weights
-        )
-        run.oids = run.oids[keep]
-        run.score_lower = run.score_lower[keep]
-        run.score_upper = run.score_upper[keep]
-        run.trace.record(run.processed, len(run.oids))
-        run.next_attempt = run.processed + run.schedule.next_batch(
-            dimensionality=run.total_dimensions,
-            dimensions_processed=run.processed,
-            candidates_before=before,
-            candidates_after=len(run.oids),
-        )
 
     def _prune_mask(
         self,
@@ -503,20 +462,3 @@ class CompressedBondSearcher:
         optimistic = score_lower                         # best case: remaining contributes 0
         kappa = float(np.partition(guaranteed, k - 1)[k - 1])
         return optimistic <= kappa
-
-    def _refine(
-        self,
-        query: np.ndarray,
-        oids: np.ndarray,
-        order: np.ndarray,
-        k: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact scores of the filter survivors from the exact store."""
-        if oids.shape[0] == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        exact = self._store.exact
-        vectors = exact.gather_matrix(oids)
-        scores = self._metric.score(vectors, query)
-        exact.cost.charge_arithmetic(vectors.size * self._metric.arithmetic_ops_per_value())
-        best = self._metric.best_first(scores)[:k]
-        return oids[best], scores[best]

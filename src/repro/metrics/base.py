@@ -90,6 +90,11 @@ class Metric(abc.ABC):
         query = np.asarray(query, dtype=np.float64)
         if query.ndim != 1:
             raise MetricError(f"query must be a 1-D vector, got shape {query.shape}")
+        if not np.isfinite(query).all():
+            # NaN comparisons are all False, so a non-finite coefficient would
+            # slip through every range check below and through pruning, and
+            # surface as a confidently wrong ranking.
+            raise MetricError("query coefficients must be finite (found NaN or inf)")
         return query
 
     def best_first(self, scores: np.ndarray) -> np.ndarray:

@@ -411,6 +411,13 @@ class CompressedStore:
         return block
 
     @property
+    def coefficient_bytes(self) -> int:
+        """Bytes one stored (quantised) coefficient streams through the cost
+        model — the compressed counterpart of
+        :attr:`DecomposedStore.coefficient_bytes`."""
+        return COMPRESSED_BYTES
+
+    @property
     def code_dtype(self) -> np.dtype:
         """Dtype of the stored quantisation codes (uint8 up to 8 bits)."""
         return self._code_tails[0].dtype

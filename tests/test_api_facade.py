@@ -1,10 +1,8 @@
 """Facade equivalence: ``Index.answer(Query(...))`` must be bitwise identical
 to the corresponding direct searcher call for every registered backend and
-mode, plus Query validation and the deprecation shims of the retrofit."""
+mode, plus Query validation and the keyword-only construction surface."""
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -339,39 +337,7 @@ class TestQueryValidation:
 
 
 class TestDeprecationShims:
-    def test_positional_metric_warns_but_works(self, corel_histograms):
-        store = DecomposedStore(corel_histograms[:300])
-        with pytest.warns(DeprecationWarning):
-            legacy = BondSearcher(store, HistogramIntersection())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            modern = BondSearcher(store, metric=HistogramIntersection())
-        query = corel_histograms[0]
-        assert results_identical(legacy.search(query, 5), modern.search(query, 5))
-
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda store: SequentialScan(store, HistogramIntersection()),
-            lambda store: PartialAbandonScan(store, HistogramIntersection()),
-        ],
-    )
-    def test_row_scans_warn_on_positional_metric(self, corel_histograms, factory):
-        with pytest.warns(DeprecationWarning):
-            factory(RowStore(corel_histograms[:100]))
-
-    def test_compressed_searchers_warn_on_positional_metric(self, corel_histograms):
-        store = CompressedStore(DecomposedStore(corel_histograms[:100]))
-        with pytest.warns(DeprecationWarning):
-            CompressedBondSearcher(store, HistogramIntersection())
-        with pytest.warns(DeprecationWarning):
-            VAFile(store, HistogramIntersection())
-
-    def test_duplicate_metric_is_an_error(self, corel_histograms):
-        store = DecomposedStore(corel_histograms[:100])
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                BondSearcher(store, HistogramIntersection(), metric=HistogramIntersection())
+    """The positional shims are gone: searcher configuration is keyword-only."""
 
     def test_too_many_positionals_is_an_error(self, corel_histograms):
         store = CompressedStore(DecomposedStore(corel_histograms[:100]))

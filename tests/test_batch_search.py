@@ -70,10 +70,10 @@ def test_fused_and_batched_match_loop_exactly(
     store = DecomposedStore(data)
     schedule = FixedPeriodSchedule(period)
     loop = BondSearcher(
-        store, metric, schedule=schedule, candidate_mode=candidate_mode, engine="loop"
+        store, metric=metric, schedule=schedule, candidate_mode=candidate_mode, engine="loop"
     )
     fused = BondSearcher(
-        store, metric, schedule=schedule, candidate_mode=candidate_mode, engine="fused"
+        store, metric=metric, schedule=schedule, candidate_mode=candidate_mode, engine="fused"
     )
 
     references = [loop.search(query, k) for query in queries]
@@ -206,7 +206,7 @@ def test_weighted_bound_ulp_regression():
     weights = rng.uniform(0.1, 5.0, size=9)
     metric = WeightedSquaredEuclidean(weights)
     store = DecomposedStore(data)
-    searcher = BondSearcher(store, metric)
+    searcher = BondSearcher(store, metric=metric)
     result = searcher.search(data[1], 1)
     assert result.k == 1
     assert result.oids[0] == 1

@@ -18,10 +18,12 @@ from repro.bounds.euclidean import EqBound, EvBound
 from repro.bounds.histogram import HhBound, HqBound
 from repro.bounds.weighted import WeightedEuclideanBound
 from repro.core.bond import BondSearcher
-from repro.core.planner import FixedPeriodSchedule
+from repro.core.compressed import CompressedBondSearcher
+from repro.core.planner import FixedPeriodSchedule, MassAwareSchedule
 from repro.metrics.euclidean import SquaredEuclidean
 from repro.metrics.histogram import HistogramIntersection
 from repro.metrics.weighted import WeightedSquaredEuclidean
+from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.workload.ground_truth import exact_top_k, result_scores_match
 
@@ -42,7 +44,10 @@ def test_bond_equals_brute_force_histogram(bound_class, rows, columns, seed, k, 
     query = data[seed % rows]
     store = DecomposedStore(data)
     searcher = BondSearcher(
-        store, HistogramIntersection(), bound_class(), schedule=FixedPeriodSchedule(period)
+        store,
+        metric=HistogramIntersection(),
+        bound=bound_class(),
+        schedule=FixedPeriodSchedule(period),
     )
     result = searcher.search(query, k)
     reference = exact_top_k(data, query, k, HistogramIntersection())
@@ -64,7 +69,10 @@ def test_bond_equals_brute_force_euclidean(bound_factory, rows, columns, seed, k
     query = data[seed % rows]
     store = DecomposedStore(data)
     searcher = BondSearcher(
-        store, SquaredEuclidean(), bound_factory(), schedule=FixedPeriodSchedule(period)
+        store,
+        metric=SquaredEuclidean(),
+        bound=bound_factory(),
+        schedule=FixedPeriodSchedule(period),
     )
     result = searcher.search(query, k)
     reference = exact_top_k(data, query, k, SquaredEuclidean())
@@ -90,7 +98,7 @@ def test_weighted_bond_equals_brute_force(rows, columns, seed, k, zero_fraction)
     metric = WeightedSquaredEuclidean(weights)
     query = data[seed % rows]
     store = DecomposedStore(data)
-    searcher = BondSearcher(store, metric, WeightedEuclideanBound())
+    searcher = BondSearcher(store, metric=metric, bound=WeightedEuclideanBound())
     result = searcher.search(query, k)
     reference = exact_top_k(data, query, k, metric)
     assert result_scores_match(result, reference)
@@ -114,7 +122,7 @@ def test_compressed_bond_equals_brute_force(rows, columns, seed, k, bits):
     data = data / data.sum(axis=1, keepdims=True)
     query = data[seed % rows]
     compressed = CompressedStore(DecomposedStore(data), bits=bits)
-    searcher = CompressedBondSearcher(compressed, HistogramIntersection())
+    searcher = CompressedBondSearcher(compressed, metric=HistogramIntersection())
     result = searcher.search(query, k)
     reference = exact_top_k(data, query, k, HistogramIntersection())
     assert result_scores_match(result, reference)
@@ -136,7 +144,7 @@ def test_vafile_equals_brute_force(rows, columns, seed, k):
     data = rng.random((rows, columns))
     query = data[seed % rows]
     compressed = CompressedStore(DecomposedStore(data), bits=8)
-    searcher = VAFile(compressed, SquaredEuclidean())
+    searcher = VAFile(compressed, metric=SquaredEuclidean())
     result = searcher.search(query, k)
     reference = exact_top_k(data, query, k, SquaredEuclidean())
     assert result_scores_match(result, reference)
@@ -208,8 +216,10 @@ def test_default_plan_is_bitwise_the_fixed_period_plan(
     """Every exact path under the default (mass-aware) schedule returns the
     OIDs and scores of ``FixedPeriodSchedule(8)``, bit for bit: per-row scores
     are folded in the query's own dimension order wherever the block
-    boundaries fall."""
-    from repro.core.parallel import ShardedBondSearcher, TiledBatchQueryEngine
+    boundaries fall.  And under either schedule a single query *is* a batch
+    of one — same answer, same trace, same accounted cost — for the exact and
+    the compressed searcher alike."""
+    from repro.core.parallel import ShardedBondSearcher
 
     rng = np.random.default_rng(seed)
     data, metric, bound_factory, queries = _plan_setup(bound_name, rng, rows, columns, duplicates)
@@ -231,11 +241,43 @@ def test_default_plan_is_bitwise_the_fixed_period_plan(
         searcher = BondSearcher(store, metric=metric, bound=bound_factory(), engine=engine)
         check([searcher.search(query, k) for query in queries])
         check(searcher.search_batch(queries, k).results)
-        check(TiledBatchQueryEngine(searcher, queries, k, tile_rows=7).run())
     if not len(store.deleted):  # row slices need a settled store
         with ShardedBondSearcher(
             store, metric=metric, bound=bound_factory(), shards=2, executor="thread"
         ) as sharded:
             check([sharded.search(query, k) for query in queries])
             check(sharded.search_batch(queries, k).results)
+
+    def assert_single_is_batch_of_one(searcher):
+        answers = []
+        for query in queries:
+            single = searcher.search(query, k)
+            batch = searcher.search_batch(query[None], k)
+            assert np.array_equal(single.oids, batch[0].oids)
+            assert np.array_equal(single.scores, batch[0].scores)
+            assert single.candidate_trace == batch[0].candidate_trace
+            assert single.dimensions_processed == batch[0].dimensions_processed
+            assert single.full_scan_dimensions == batch[0].full_scan_dimensions
+            assert single.cost.as_dict() == batch.cost.as_dict()
+            answers.append(single)
+        return answers
+
+    compressed_answers = []
+    for schedule in (MassAwareSchedule(), FixedPeriodSchedule(8)):
+        check(
+            assert_single_is_batch_of_one(
+                BondSearcher(store, metric=metric, bound=bound_factory(), schedule=schedule)
+            )
+        )
+        if not len(store.deleted):  # the compressed filter starts from every row
+            compressed_answers.append(
+                assert_single_is_batch_of_one(
+                    CompressedBondSearcher(
+                        CompressedStore(store), metric=metric, schedule=schedule
+                    )
+                )
+            )
+    for mass_aware, fixed_period in zip(*compressed_answers):
+        assert np.array_equal(mass_aware.oids, fixed_period.oids)
+        assert np.array_equal(mass_aware.scores, fixed_period.scores)
 

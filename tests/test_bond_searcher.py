@@ -8,13 +8,16 @@ import pytest
 from repro.bounds.euclidean import EqBound, EvBound
 from repro.bounds.histogram import HhBound, HqBound
 from repro.core.bond import BondSearcher, default_bound_for
+from repro.core.compressed import CompressedBondSearcher
 from repro.core.ordering import IncreasingQueryOrdering, RandomOrdering
+from repro.core.parallel import ShardedBondSearcher
 from repro.core.planner import FixedPeriodSchedule, GeometricSchedule
 from repro.core.sequential import SequentialScan
-from repro.errors import QueryError
+from repro.errors import MetricError, QueryError
 from repro.metrics.euclidean import EuclideanSimilarity, SquaredEuclidean
 from repro.metrics.histogram import HistogramIntersection
 from repro.metrics.weighted import WeightedSquaredEuclidean
+from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.rowstore import RowStore
 from repro.workload.ground_truth import exact_top_k, result_scores_match
@@ -57,13 +60,38 @@ class TestValidation:
         result = searcher.search(corel_histograms[0], corel_store.cardinality + 50)
         assert result.k == corel_store.cardinality
 
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda data: BondSearcher(DecomposedStore(data)),
+            lambda data: CompressedBondSearcher(CompressedStore(DecomposedStore(data))),
+            lambda data: ShardedBondSearcher(DecomposedStore(data), shards=2, workers=1),
+            lambda data: SequentialScan(RowStore(data)),
+        ],
+        ids=["bond", "compressed", "sharded", "scan"],
+    )
+    def test_non_finite_query_rejected_on_the_direct_path(
+        self, corel_histograms, build, bad_value
+    ):
+        """NaN compares False with everything, so it used to pass the
+        histogram normalisation check and come back as a confident wrong
+        answer (the highest OIDs, or nothing at all)."""
+        searcher = build(corel_histograms[:200])
+        bad_query = corel_histograms[3].copy()
+        bad_query[7] = bad_value
+        with pytest.raises(MetricError):
+            searcher.search(bad_query, 5)
+        with pytest.raises(MetricError):
+            searcher.search_batch(np.stack([corel_histograms[4], bad_query]), 5)
+
 
 class TestCorrectness:
     @pytest.mark.parametrize("bound_class", [HqBound, HhBound])
     def test_matches_sequential_scan_histogram(self, corel_histograms, bound_class):
         store = DecomposedStore(corel_histograms)
-        searcher = BondSearcher(store, HistogramIntersection(), bound_class())
-        scan = SequentialScan(RowStore(corel_histograms), HistogramIntersection())
+        searcher = BondSearcher(store, metric=HistogramIntersection(), bound=bound_class())
+        scan = SequentialScan(RowStore(corel_histograms), metric=HistogramIntersection())
         for query_index in (0, 17, 333):
             bond_result = searcher.search(corel_histograms[query_index], 10)
             scan_result = scan.search(corel_histograms[query_index], 10)
@@ -72,8 +100,8 @@ class TestCorrectness:
     @pytest.mark.parametrize("bound_factory", [EqBound, EvBound])
     def test_matches_sequential_scan_euclidean(self, clustered_vectors, bound_factory):
         store = DecomposedStore(clustered_vectors)
-        searcher = BondSearcher(store, SquaredEuclidean(), bound_factory())
-        scan = SequentialScan(RowStore(clustered_vectors), SquaredEuclidean())
+        searcher = BondSearcher(store, metric=SquaredEuclidean(), bound=bound_factory())
+        scan = SequentialScan(RowStore(clustered_vectors), metric=SquaredEuclidean())
         for query_index in (3, 42, 999):
             bond_result = searcher.search(clustered_vectors[query_index], 10)
             scan_result = scan.search(clustered_vectors[query_index], 10)
@@ -97,13 +125,18 @@ class TestCorrectness:
         store = DecomposedStore(corel_histograms)
         reference = exact_top_k(corel_histograms, corel_histograms[9], 10, HistogramIntersection())
         for ordering in (RandomOrdering(seed=1), IncreasingQueryOrdering()):
-            searcher = BondSearcher(store, HistogramIntersection(), HqBound(), ordering=ordering)
+            searcher = BondSearcher(
+                store, metric=HistogramIntersection(), bound=HqBound(), ordering=ordering
+            )
             assert result_scores_match(searcher.search(corel_histograms[9], 10), reference)
 
     def test_correct_for_adaptive_schedule(self, corel_histograms):
         store = DecomposedStore(corel_histograms)
         searcher = BondSearcher(
-            store, HistogramIntersection(), HqBound(), schedule=GeometricSchedule(initial_period=4)
+            store,
+            metric=HistogramIntersection(),
+            bound=HqBound(),
+            schedule=GeometricSchedule(initial_period=4),
         )
         reference = exact_top_k(corel_histograms, corel_histograms[2], 10, HistogramIntersection())
         assert result_scores_match(searcher.search(corel_histograms[2], 10), reference)
@@ -112,7 +145,7 @@ class TestCorrectness:
     def test_correct_for_every_candidate_mode(self, corel_histograms, candidate_mode):
         store = DecomposedStore(corel_histograms)
         searcher = BondSearcher(
-            store, HistogramIntersection(), HqBound(), candidate_mode=candidate_mode
+            store, metric=HistogramIntersection(), bound=HqBound(), candidate_mode=candidate_mode
         )
         reference = exact_top_k(corel_histograms, corel_histograms[77], 10, HistogramIntersection())
         assert result_scores_match(searcher.search(corel_histograms[77], 10), reference)
@@ -120,14 +153,14 @@ class TestCorrectness:
     @pytest.mark.parametrize("k", [1, 3, 25, 100])
     def test_correct_for_various_k(self, corel_histograms, k):
         store = DecomposedStore(corel_histograms)
-        searcher = BondSearcher(store, HistogramIntersection(), HqBound())
+        searcher = BondSearcher(store, metric=HistogramIntersection(), bound=HqBound())
         reference = exact_top_k(corel_histograms, corel_histograms[31], k, HistogramIntersection())
         assert result_scores_match(searcher.search(corel_histograms[31], k), reference)
 
     def test_correct_on_uniform_data(self, uniform_vectors):
         """Uniform data is the hard case: little pruning, but results must stay exact."""
         store = DecomposedStore(uniform_vectors)
-        searcher = BondSearcher(store, SquaredEuclidean(), EvBound())
+        searcher = BondSearcher(store, metric=SquaredEuclidean(), bound=EvBound())
         reference = exact_top_k(uniform_vectors, uniform_vectors[5], 10, SquaredEuclidean())
         assert result_scores_match(searcher.search(uniform_vectors[5], 10), reference)
 
@@ -138,7 +171,7 @@ class TestCorrectness:
 
 class TestWorkAvoidance:
     def test_prunes_most_of_the_collection(self, corel_store, corel_histograms):
-        searcher = BondSearcher(corel_store, HistogramIntersection(), HqBound())
+        searcher = BondSearcher(corel_store, metric=HistogramIntersection(), bound=HqBound())
         result = searcher.search(corel_histograms[50], 10)
         _, remaining = result.candidate_trace.as_arrays()
         assert remaining[-1] <= max(10, 0.05 * corel_store.cardinality)
@@ -146,10 +179,10 @@ class TestWorkAvoidance:
     def test_reads_fewer_bytes_than_scan(self, corel_histograms):
         store = DecomposedStore(corel_histograms)
         row_store = RowStore(corel_histograms)
-        bond_result = BondSearcher(store, HistogramIntersection(), HqBound()).search(
+        bond_result = BondSearcher(store, metric=HistogramIntersection(), bound=HqBound()).search(
             corel_histograms[50], 10
         )
-        scan_result = SequentialScan(row_store, HistogramIntersection()).search(
+        scan_result = SequentialScan(row_store, metric=HistogramIntersection()).search(
             corel_histograms[50], 10
         )
         assert bond_result.cost.bytes_read < scan_result.cost.bytes_read / 2
@@ -167,7 +200,7 @@ class TestWorkAvoidance:
     def test_subspace_query_never_touches_other_fragments(self, clustered_vectors):
         store = DecomposedStore(clustered_vectors)
         metric = WeightedSquaredEuclidean.for_subspace(clustered_vectors.shape[1], [0, 1, 2, 3])
-        searcher = BondSearcher(store, metric)
+        searcher = BondSearcher(store, metric=metric)
         result = searcher.search(clustered_vectors[0], 5)
         assert result.dimensions_processed <= 4
 
@@ -217,3 +250,29 @@ class TestAdaptiveDefaultPlan:
         assert np.array_equal(first.oids, again.oids)
         assert np.array_equal(first.scores, again.scores)
         assert first.cost.as_dict() == again.cost.as_dict()
+
+    def test_a_warm_query_allocates_nothing_collection_sized(self):
+        """One query, alone or as a batch of one, runs in the searcher's own
+        scratch: less than one float64 column of fresh memory at its peak
+        (the fixed few tens of KB of a search need a collection this tall to
+        stay below that)."""
+        import tracemalloc
+
+        from repro.datasets.corel import make_corel_like
+
+        collection = make_corel_like(cardinality=16_000, dimensionality=64, seed=7)
+        searcher = BondSearcher(DecomposedStore(collection))
+        query = collection[17]
+        searcher.search(query, 10)  # warm the scratch
+        column_bytes = 8 * collection.shape[0]
+        for call in (
+            lambda: searcher.search(query, 10),
+            lambda: searcher.search_batch(query[None], 10),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < column_bytes

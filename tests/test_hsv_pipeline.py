@@ -115,7 +115,7 @@ class TestHistograms:
         images = make_synthetic_images(60, size=12, seed=3)
         histograms = histograms_from_images(images)
         store = DecomposedStore(histograms)
-        searcher = BondSearcher(store, HistogramIntersection())
+        searcher = BondSearcher(store, metric=HistogramIntersection())
         result = searcher.search(histograms[7], k=3)
         assert 7 in result.oids
         assert result.scores[0] == pytest.approx(1.0)

@@ -1,6 +1,6 @@
 """Sharded parallel engine suite: plan/slicing invariants, bitwise identity
-of sharded results against the unsharded fused engines (any shard count, tile
-size, metric, mode, worker count), cost aggregation across worker threads,
+of sharded results against the unsharded fused engines (any shard count,
+metric, mode, worker count), cost aggregation across worker threads,
 and the query-side early-out of the compressed filter."""
 
 from __future__ import annotations
@@ -12,15 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import BatchQueryEngine
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
 from repro.core.parallel import (
-    DEFAULT_TILE_ROWS,
     ShardedBondSearcher,
     ShardedCompressedBondSearcher,
-    TiledBatchQueryEngine,
-    TiledCompressedBatchEngine,
     merge_traces,
 )
 from repro.core.planner import FixedPeriodSchedule
@@ -183,17 +179,6 @@ class TestShardedExactIdentity:
             reference.search_batch(queries, 10), sharded.search_batch(queries, 10)
         )
 
-    @pytest.mark.parametrize("tile_rows", [1, 37, 500, DEFAULT_TILE_ROWS])
-    def test_any_tile_size_is_identical(self, corel_histograms, tile_rows):
-        reference = BondSearcher(DecomposedStore(corel_histograms))
-        sharded = ShardedBondSearcher(
-            DecomposedStore(corel_histograms), shards=3, workers=1, tile_rows=tile_rows
-        )
-        queries = corel_histograms[:4]
-        assert batches_identical(
-            reference.search_batch(queries, 7), sharded.search_batch(queries, 7)
-        )
-
     def test_single_query_and_worker_pool(self, corel_histograms):
         reference = BondSearcher(DecomposedStore(corel_histograms))
         with ShardedBondSearcher(
@@ -223,16 +208,6 @@ class TestShardedExactIdentity:
             reference.search(small[2], 20), sharded.search(small[2], 20)
         )
 
-    def test_tiled_engine_alone_matches_plain_batch_engine(self, corel_histograms):
-        store = DecomposedStore(corel_histograms)
-        searcher = BondSearcher(store)
-        queries = corel_histograms[10:16]
-        plain = BatchQueryEngine(searcher, queries, 9).run()
-        tiled = TiledBatchQueryEngine(
-            BondSearcher(DecomposedStore(corel_histograms)), queries, 9, tile_rows=111
-        ).run()
-        assert all(results_identical(a, b) for a, b in zip(plain, tiled))
-
 
 class TestShardedCompressedIdentity:
     @pytest.mark.parametrize("metric_index", [0, 1, 2])
@@ -249,7 +224,6 @@ class TestShardedCompressedIdentity:
             metric=metric,
             shards=shards,
             workers=1,
-            tile_rows=173,
         )
         queries = corel_histograms[[8, 450, 1001]]
         assert batches_identical(
@@ -268,28 +242,15 @@ class TestShardedCompressedIdentity:
             assert results_identical(expected, sharded.search(data[query_index], 10))
         sharded.close()
 
-    def test_tiled_engine_alone_matches_plain_search_batch(self, corel_histograms):
-        store = CompressedStore(DecomposedStore(corel_histograms))
-        reference = CompressedBondSearcher(
-            CompressedStore(DecomposedStore(corel_histograms))
-        )
-        queries = corel_histograms[20:25]
-        plain = reference.search_batch(queries, 6)
-        tiled = TiledCompressedBatchEngine(
-            CompressedBondSearcher(store), queries, 6, tile_rows=77
-        ).run()
-        assert all(results_identical(a, b) for a, b in zip(plain, tiled))
-
 
 @settings(max_examples=12, deadline=None)
 @given(
     shards=st.integers(min_value=1, max_value=6),
-    tile_rows=st.integers(min_value=1, max_value=400),
     k=st.integers(min_value=1, max_value=12),
     data_seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_sharded_identity_property(shards, tile_rows, k, data_seed):
-    """Any shard count / tile size / k / data: sharded == unsharded, bit for bit.
+def test_sharded_identity_property(shards, k, data_seed):
+    """Any shard count / k / data: sharded == unsharded, bit for bit.
 
     Runs both the exact and the compressed engine over a random histogram-like
     collection (with duplicated rows, so score ties actually occur and the
@@ -303,7 +264,7 @@ def test_sharded_identity_property(shards, tile_rows, k, data_seed):
 
     exact_reference = BondSearcher(DecomposedStore(data))
     exact_sharded = ShardedBondSearcher(
-        DecomposedStore(data), shards=shards, workers=1, tile_rows=tile_rows
+        DecomposedStore(data), shards=shards, workers=1
     )
     assert batches_identical(
         exact_reference.search_batch(queries, k), exact_sharded.search_batch(queries, k)
@@ -314,7 +275,6 @@ def test_sharded_identity_property(shards, tile_rows, k, data_seed):
         CompressedStore(DecomposedStore(data)),
         shards=shards,
         workers=1,
-        tile_rows=tile_rows,
     )
     assert batches_identical(
         compressed_reference.search_batch(queries, k),
@@ -497,7 +457,7 @@ class TestQuerySideEarlyOut:
         reference = CompressedBondSearcher(CompressedStore(DecomposedStore(data)))
         batch = reference.search_batch(queries, 6)
         sharded = ShardedCompressedBondSearcher(
-            CompressedStore(DecomposedStore(data)), shards=3, workers=1, tile_rows=13
+            CompressedStore(DecomposedStore(data)), shards=3, workers=1
         )
         assert batches_identical(batch, sharded.search_batch(queries, 6))
 
