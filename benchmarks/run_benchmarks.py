@@ -136,10 +136,7 @@ from repro.api import Index, Query  # noqa: E402
 from repro.baselines.vafile import VAFile  # noqa: E402
 from repro.core.bond import BondSearcher  # noqa: E402
 from repro.core.compressed import CompressedBondSearcher  # noqa: E402
-from repro.core.parallel import (  # noqa: E402
-    ShardedBondSearcher,
-    ShardedCompressedBondSearcher,
-)
+from repro.core.parallel import ShardedBondSearcher  # noqa: E402
 from repro.core.sequential import SequentialScan  # noqa: E402
 from repro.datasets.corel import make_corel_like  # noqa: E402
 from repro.engine.cost import CostModel  # noqa: E402
@@ -335,7 +332,7 @@ def run_sharded_benchmark(
         }
     # The compressed filter-and-refine engine, sharded at the widest setting.
     max_workers = max(workers_axis)
-    compressed_searcher = ShardedCompressedBondSearcher(
+    compressed_searcher = ShardedBondSearcher(
         CompressedStore(DecomposedStore(data), bits=8),
         shards=max_workers,
         workers=max_workers,
@@ -445,7 +442,7 @@ def run_multicore_benchmark(
             "process_vs_thread": thread_seconds / process_seconds,
         }
     max_workers = max(workers_axis)
-    with ShardedCompressedBondSearcher(
+    with ShardedBondSearcher(
         CompressedStore(DecomposedStore(data), bits=8),
         shards=max_workers,
         workers=max_workers,

@@ -6,7 +6,7 @@ Each backend adapts one existing searcher to the uniform facade surface:
 registry name      underlying searcher                             modes
 =================  ==============================================  =========
 bond               :class:`repro.core.bond.BondSearcher`           exact
-sharded_bond       :class:`repro.core.parallel.ShardedSearcher`    exact+compressed
+sharded_bond       :class:`repro.core.parallel.ShardedBondSearcher`  exact+compressed
 sequential_scan    :class:`repro.core.sequential.SequentialScan`   exact
 partial_abandon    :class:`repro.core.sequential.PartialAbandonScan`  exact
 rtree              :class:`repro.baselines.rtree.RTreeIndex`       exact
@@ -51,7 +51,7 @@ from repro.baselines.rtree import RTreeIndex
 from repro.baselines.vafile import VAFile
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
-from repro.core.parallel import ShardedSearcher
+from repro.core.parallel import ShardedBondSearcher
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
 from repro.core.sequential import PartialAbandonScan, SequentialScan
 from repro.engine.cost import COMPRESSED_BYTES, DOUBLE_BYTES, OID_BYTES
@@ -137,9 +137,16 @@ class Backend(abc.ABC):
     def estimate(self, index: "Index", query: "Query", metric: Metric) -> CostEstimate:
         """Cost-model hook: pre-execution estimate for the whole query."""
 
+    def variant(self, query: "Query") -> tuple:
+        """Extra ``create()`` arguments ``query`` selects — for a backend
+        that keeps more than one searcher per metric; each distinct value is
+        built and cached separately.  Default: none."""
+        return ()
+
     @abc.abstractmethod
     def create(self, index: "Index", metric: Metric):
-        """Build the underlying searcher on the index's stores."""
+        """Build the underlying searcher on the index's stores (called with
+        :meth:`variant`'s values appended)."""
 
     def answer(
         self, index: "Index", query: "Query", metric: Metric
@@ -338,14 +345,14 @@ class CompressedBondBackend(Backend):
 class ShardedBondBackend(Backend):
     """Row-sharded parallel BOND: the fused batch engine per shard, merged.
 
-    Serves both the exact and the compressed mode through one registration —
-    ``exact`` / ``approx`` queries run
-    :class:`~repro.core.parallel.ShardedBondSearcher` over decomposed shard
-    slices, ``compressed`` queries run
-    :class:`~repro.core.parallel.ShardedCompressedBondSearcher` over
-    grid-sharing compressed shard views.  Results are bitwise identical to
-    the unsharded engines (deterministic top-k merge), so the planner may
-    substitute this backend freely whenever its estimate wins.
+    Serves both the exact and the compressed mode through one registration
+    and one engine: :class:`~repro.core.parallel.ShardedBondSearcher` over
+    the index's decomposed store for ``exact`` / ``approx`` queries, over its
+    compressed store for ``compressed`` ones — each built on first use and
+    cached per kind, so an index that only ever answers exact queries never
+    quantises its fragments.  Results are bitwise identical to the unsharded
+    engines (deterministic top-k merge), so the planner may substitute this
+    backend freely whenever its estimate wins.
     """
 
     capabilities = Capabilities(
@@ -416,27 +423,17 @@ class ShardedBondBackend(Backend):
             detail=detail,
         )
 
-    def create(self, index: "Index", metric: Metric) -> ShardedSearcher:
-        return ShardedSearcher(
-            index,
-            metric,
+    def variant(self, query: "Query") -> tuple[str]:
+        return ("compressed" if query.mode == "compressed" else "exact",)
+
+    def create(self, index: "Index", metric: Metric, kind: str) -> ShardedBondSearcher:
+        return ShardedBondSearcher(
+            index.compressed if kind == "compressed" else index.decomposed,
+            metric=metric,
+            shards=index.shard_plan,
             on_shard_failure=index.on_shard_failure,
             executor=index.shard_executor,
         )
-
-    def answer(
-        self, index: "Index", query: "Query", metric: Metric
-    ) -> SearchResult | BatchSearchResult:
-        """Route the query to the mode-matching sharded engine."""
-        fault_point(
-            "backend.answer", backend=self.name, generation=getattr(index, "generation", 0)
-        )
-        searcher = index.searcher_for(self, query, metric)
-        engine = searcher.engine_for_mode(query.mode)
-        if query.is_batch:
-            return engine.search_batch(query.query_matrix, query.k)
-        trace = PruningTrace() if query.trace else None
-        return engine.search(query.single_vector, query.k, trace=trace)
 
 
 class VAFileBackend(Backend):

@@ -70,7 +70,7 @@ from repro.approx import (
     build_cluster_plan,
     build_hnsw_graph,
 )
-from repro.core.parallel import SHARD_EXECUTORS
+from repro.core.parallel import check_shard_options
 from repro.core.result import BatchSearchResult, SearchResult
 from repro.engine.cost import CostModel
 from repro.engine.updates import DeltaLog
@@ -151,8 +151,6 @@ class Index:
         :meth:`open`.
     """
 
-    SHARD_FAILURE_MODES = ("fail", "partial")
-
     def __init__(
         self,
         vectors: np.ndarray,
@@ -209,16 +207,7 @@ class Index:
         :meth:`open` path can run it without materialising the collection."""
         if shards < 1:
             raise QueryError("shards must be at least 1")
-        if on_shard_failure not in self.SHARD_FAILURE_MODES:
-            raise QueryError(
-                f"on_shard_failure must be one of {self.SHARD_FAILURE_MODES}, "
-                f"got {on_shard_failure!r}"
-            )
-        if shard_executor not in SHARD_EXECUTORS:
-            raise QueryError(
-                f"shard_executor must be one of {SHARD_EXECUTORS}, "
-                f"got {shard_executor!r}"
-            )
+        check_shard_options(shard_executor, on_shard_failure)
         self._name = name
         self._bits = bits
         self._on_shard_failure = on_shard_failure
@@ -589,7 +578,7 @@ class Index:
 
     @property
     def shard_executor(self) -> str:
-        """Worker-pool kind of the sharded engines (``"thread"`` / ``"process"``)."""
+        """Where the sharded engine runs its shards (``"thread"``: in this process / ``"process"``)."""
         return self._shard_executor
 
     @property
@@ -971,10 +960,11 @@ class Index:
         with the rest of the old generation.
         """
         epoch = self._current_epoch()
-        key = (backend.name, query.metric_spec_key())
+        variant = backend.variant(query)
+        key = (backend.name, query.metric_spec_key(), *variant)
         searcher = epoch.searchers.get(key)
         if searcher is None:
-            searcher = backend.create(self, metric)
+            searcher = backend.create(self, metric, *variant)
             epoch.searchers[key] = searcher
         return searcher
 

@@ -10,7 +10,7 @@ partition is answered by the stock fused
 :class:`~repro.core.bond.BondSearcher`, all charging flows through the one
 shared :class:`~repro.engine.cost.CostModel`, and the per-partition top-k
 sets merge with the same deterministic score-then-ascending-OID rule as the
-sharded engine (:func:`repro.core.parallel.merge_shard_results`).
+sharded engine (:meth:`repro.metrics.base.Metric.merge_top_k`).
 
 Exactness: probing every non-empty partition *is* the exact search — the
 partitions tile the collection, per-row scores are partition-independent,
@@ -160,12 +160,8 @@ class IVFSearcher:
         """Deterministic score-then-ascending-OID merge of partition top-k sets."""
         oids = np.concatenate([part[0] for part in parts])
         scores = np.concatenate([part[1] for part in parts])
-        by_oid = np.argsort(oids, kind="stable")
-        oids = oids[by_oid]
-        scores = scores[by_oid]
-        best = self._metric.best_first(scores)[:k]
         self._cost.charge_comparisons(len(oids))
-        return oids[best], scores[best]
+        return self._metric.merge_top_k(oids, scores, k)
 
     def search(
         self,

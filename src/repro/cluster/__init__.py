@@ -2,17 +2,18 @@
 
 Two layers, composable:
 
-* **Process-pool shard execution** — the sharded engines of
-  :mod:`repro.core.parallel` accept ``executor="process"``: fragments are
+* **Process-pool shard execution** — the sharded engine of
+  :mod:`repro.core.parallel` accepts ``executor="process"``: fragments are
   published once into ``multiprocessing.shared_memory``
-  (:mod:`repro.cluster.shm`), worker processes attach zero-copy and run the
-  existing fused engines (:mod:`repro.cluster.executor`), and per-shard
-  results and explicit cost-delta wire tuples come back to the parent's
-  deterministic merge.  Answers and cost accounts are **bitwise identical**
-  to the thread pool for every backend and mode — exact, compressed, approx,
-  and the live-tail overlay (which is applied in the parent, above the shard
-  layer).  Through the facade: ``Index.build(data, shards=4,
-  shard_executor="process")``.
+  (:mod:`repro.cluster.shm`), worker processes attach zero-copy and build
+  their shards from the same :class:`~repro.cluster.executor.EngineSpec`
+  recipe the in-process executor uses (:mod:`repro.cluster.executor`), and
+  per-shard results and explicit cost-account wire tuples come back to the
+  parent's deterministic merge.  Answers and cost accounts are **bitwise
+  identical** to the in-process executor for every backend and mode — exact,
+  compressed, approx, and the live-tail overlay (which is applied in the
+  parent, above the shard layer).  Through the facade: ``Index.build(data,
+  shards=4, shard_executor="process")``.
 
 * **Scatter-gather serving** — :class:`~repro.cluster.coordinator.ClusterCoordinator`
   partitions one collection into shard groups, runs one
@@ -28,7 +29,7 @@ the worker lifecycle, coordinator semantics and the failure matrix.
 """
 
 from repro.cluster.coordinator import ClusterCoordinator, ClusterHealth, ClusterStats
-from repro.cluster.executor import EngineSpec, ProcessShardExecutor
+from repro.cluster.executor import EngineSpec, InProcessShardExecutor, ProcessShardExecutor
 from repro.cluster.shm import (
     SEGMENT_PREFIX,
     AttachedStore,
@@ -43,6 +44,7 @@ __all__ = [
     "ClusterHealth",
     "ClusterStats",
     "EngineSpec",
+    "InProcessShardExecutor",
     "ProcessShardExecutor",
     "SEGMENT_PREFIX",
     "SharedStoreSegment",

@@ -1,29 +1,35 @@
-"""The process-pool shard executor: shard searchers in worker processes.
+"""Shard executors: what one shard is, and where its searches run.
 
-This is the multi-core back end of the sharded engines in
-:mod:`repro.core.parallel`.  The thread pool there already parallelises the
-NumPy block operations (which release the GIL), but every Python-level byte
-of the scan loop still serialises on one interpreter; this executor moves
-each shard's whole search into a **worker process** running the identical
-searcher over the identical bytes:
+:class:`EngineSpec` is the **single recipe** for "one shard of engine kind
+X": from ``(kind, metric, bound, ordering, schedule)`` it cuts a shard's
+store views out of the parent's (a zero-copy row slice of the exact store
+with a private :class:`~repro.engine.cost.CostModel` and, for
+``kind="compressed"``, the matching code-column slice under the parent's
+quantisation grid) and builds that shard's searcher.  Both executors build
+from it and answer the same two-method protocol —
 
-* the parent publishes the store's fragment columns once into shared memory
-  (:mod:`repro.cluster.shm`) — workers attach zero-copy;
-* per-shard stores are the same :meth:`row_slice` views over the same shard
-  plan, charging the same private :class:`~repro.engine.cost.CostModel`
-  from the same checkpoints, so a worker's ``(result, cost delta)`` is
-  bitwise what the thread path computes for that shard;
-* results travel back as plain picklable
+* ``search_batch(shard, queries, k) -> (results, CostAccount)``: one shard's
+  top-k lists for a query matrix plus the cost account the shard's searcher
+  measured for it (a single query is a batch of one);
+* ``close()``;
+
+— so the sharded engine of :mod:`repro.core.parallel` dispatches, applies its
+failure policy and merges without knowing which one it holds:
+
+* :class:`InProcessShardExecutor` runs the shard searchers in the calling
+  process, against the parent's own arrays;
+* :class:`ProcessShardExecutor` moves each shard's whole search into a
+  **worker process** running the identical searcher over the identical
+  bytes: the parent publishes the store's fragment columns once into shared
+  memory (:mod:`repro.cluster.shm`), workers attach zero-copy and build their
+  shards from the pickled spec, results travel back as plain picklable
   :class:`~repro.core.result.SearchResult` objects (float64 survives
-  pickling bit for bit) and cost deltas as the explicit
+  pickling bit for bit) and cost accounts as the explicit
   :meth:`~repro.engine.cost.CostAccount.to_wire` tuples — never as live
-  lock-holding models.
+  lock-holding models.  Answers and accounts are bitwise the in-process
+  executor's.
 
-The parent keeps the existing thread-pool *dispatch* (one thread per shard
-task blocks on its worker's pipe), so the ``shard.map`` fault point, the
-``on_shard_failure`` policies and the deterministic merge in
-:mod:`repro.core.parallel` apply unchanged.  A worker that dies mid-task
-(killed, OOM, crashed interpreter) surfaces as a
+A worker that dies mid-task (killed, OOM, crashed interpreter) surfaces as a
 :class:`~repro.errors.TransientBackendError` raised from that shard's task —
 the same typed error the retry / failover / partial-degrade machinery
 already handles — and the pool respawns a replacement so the next query
@@ -48,99 +54,106 @@ import numpy as np
 from repro.cluster.shm import SharedStoreSegment, StoreSpec, attach_store
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
-from repro.engine.cost import CostAccount, CostModel
+from repro.engine.cost import CostAccount
 from repro.errors import BackendError, QueryError, TransientBackendError
 from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
-from repro.storage.sharding import ShardPlan
+from repro.storage.sharding import ShardPlan, shard_view
 
 #: Seconds a closing pool waits for a worker to exit before terminating it.
 _JOIN_TIMEOUT = 5.0
 
 
 class EngineSpec:
-    """The picklable recipe a worker uses to build one shard's searcher.
+    """The picklable recipe for one shard's store views and searcher.
 
-    Mirrors exactly the constructor arguments the thread-path engines in
-    :mod:`repro.core.parallel` forward to their per-shard searchers —
-    including the per-shard ``copy.copy`` of bound and schedule, which the
-    worker re-applies so no two shards share mutable scratch.
+    ``kind`` is ``"exact"`` (:class:`~repro.core.bond.BondSearcher` over a
+    decomposed shard) or ``"compressed"``
+    (:class:`~repro.core.compressed.CompressedBondSearcher` over a compressed
+    shard view); this class is the only place that branches on it.  ``bound``
+    and ``schedule`` are copied per shard, so no two shards share mutable
+    scratch.
     """
 
-    def __init__(
-        self,
-        *,
-        kind: str,
-        metric,
-        bound=None,
-        ordering=None,
-        schedule=None,
-        candidate_mode: str = "auto",
-        switch_selectivity: float = 0.05,
-    ) -> None:
+    def __init__(self, *, kind: str, metric, bound=None, ordering=None, schedule=None) -> None:
         if kind not in ("exact", "compressed"):
             raise QueryError(f"engine kind must be 'exact' or 'compressed', got {kind!r}")
+        if kind == "compressed" and bound is not None:
+            raise QueryError("the compressed filter derives its own bounds; bound= is exact-only")
         self.kind = kind
         self.metric = metric
         self.bound = bound
         self.ordering = ordering
         self.schedule = schedule
-        self.candidate_mode = candidate_mode
-        self.switch_selectivity = switch_selectivity
 
-    def build_searcher(self, store):
-        """One shard's searcher over its (attached) shard store."""
+    @classmethod
+    def for_store(cls, store: DecomposedStore | CompressedStore, **components) -> "EngineSpec":
+        """The spec whose kind matches ``store`` (the kind follows the store)."""
+        kind = "compressed" if isinstance(store, CompressedStore) else "exact"
+        return cls(kind=kind, **components)
+
+    def split(
+        self, store: DecomposedStore | CompressedStore
+    ) -> tuple[DecomposedStore, CompressedStore | None]:
+        """``store`` as the ``(exact, compressed)`` pair a publication or an
+        attachment carries (``compressed`` is ``None`` for the exact kind)."""
+        return (store.exact, store) if self.kind == "compressed" else (store, None)
+
+    def shard_searcher(
+        self,
+        exact: DecomposedStore,
+        compressed: CompressedStore | None,
+        plan: ShardPlan,
+        shard: int,
+    ) -> BondSearcher | CompressedBondSearcher:
+        """Shard ``shard``'s searcher over its views of the parent store(s).
+
+        The compressed view shares the exact view's private cost model, so
+        one account covers a shard's filter *and* refinement work.
+        """
+        view = shard_view(exact, plan, shard)
+        schedule = copy.copy(self.schedule)
         if self.kind == "compressed":
+            start, stop = plan.ranges[shard]
             return CompressedBondSearcher(
-                store,
+                CompressedStore.row_slice(compressed, start, stop, exact=view),
                 metric=self.metric,
                 ordering=self.ordering,
-                schedule=copy.copy(self.schedule) if self.schedule is not None else None,
+                schedule=schedule,
             )
         return BondSearcher(
-            store,
+            view,
             metric=self.metric,
-            bound=copy.copy(self.bound) if self.bound is not None else None,
+            bound=copy.copy(self.bound),
             ordering=self.ordering,
-            schedule=copy.copy(self.schedule) if self.schedule is not None else None,
-            candidate_mode=self.candidate_mode,
-            switch_selectivity=self.switch_selectivity,
+            schedule=schedule,
         )
+
+
+class InProcessShardExecutor:
+    """The executor protocol over shard searchers living in this process."""
+
+    def __init__(self, searchers) -> None:
+        self._searchers = searchers
+
+    def search_batch(self, shard: int, queries: np.ndarray, k: int):
+        """One shard's batch search: ``(list[SearchResult], CostAccount)``."""
+        batch = self._searchers[shard].search_batch(queries, k)
+        return batch.results, batch.cost
+
+    def close(self) -> None:
+        """Nothing to release: the searchers belong to the engine."""
 
 
 def _shard_worker_main(conn, store_spec: StoreSpec, engine_spec: EngineSpec, plan: ShardPlan):
     """Worker loop: attach once, build shard searchers lazily, serve tasks.
 
-    Replies ``("ok", (payload, cost_wire))`` or ``("error", exception)``;
-    exits on a ``None`` sentinel or a closed pipe.  The per-task cost delta
-    is checkpointed exactly like the thread path: searcher construction
-    happens *before* the checkpoint, the search inside it.
+    A task is ``(shard, queries, k)``; the reply is ``("ok", (results,
+    cost_wire))`` or ``("error", exception)``.  Exits on a ``None`` sentinel
+    or a closed pipe.
     """
     attached = attach_store(store_spec)
-    shards: dict[int, tuple] = {}
-
-    def shard_state(shard: int) -> tuple:
-        state = shards.get(shard)
-        if state is None:
-            start, stop = plan.ranges[shard]
-            cost = CostModel()
-            exact = DecomposedStore.row_slice(
-                attached.decomposed,
-                start,
-                stop,
-                cost=cost,
-                name=f"{store_spec.name}.shard{shard}",
-            )
-            if engine_spec.kind == "compressed":
-                store = CompressedStore.row_slice(
-                    attached.compressed, start, stop, exact=exact
-                )
-            else:
-                store = exact
-            state = (store, engine_spec.build_searcher(store))
-            shards[shard] = state
-        return state
-
+    searchers: dict[int, BondSearcher | CompressedBondSearcher] = {}
     try:
         while True:
             try:
@@ -149,18 +162,14 @@ def _shard_worker_main(conn, store_spec: StoreSpec, engine_spec: EngineSpec, pla
                 break
             if message is None:
                 break
-            kind, shard, payload, k = message
+            shard, queries, k = message
             try:
-                store, searcher = shard_state(shard)
-                checkpoint = store.cost.checkpoint()
-                if kind == "search":
-                    result = searcher.search(payload, k)
-                elif kind == "batch":
-                    result = searcher.search_batch(payload, k).results
-                else:
-                    raise QueryError(f"unknown shard task {kind!r}")
-                wire = store.cost.since(checkpoint).to_wire()
-                reply = ("ok", (result, wire))
+                if shard not in searchers:
+                    searchers[shard] = engine_spec.shard_searcher(
+                        attached.decomposed, attached.compressed, plan, shard
+                    )
+                batch = searchers[shard].search_batch(queries, k)
+                reply = ("ok", (batch.results, batch.cost.to_wire()))
             except Exception as exc:  # ship the typed error back to the parent
                 try:
                     pickle.dumps(exc)
@@ -172,7 +181,7 @@ def _shard_worker_main(conn, store_spec: StoreSpec, engine_spec: EngineSpec, pla
             except (BrokenPipeError, OSError):
                 break
     finally:
-        shards.clear()
+        searchers.clear()
         attached.close()
         conn.close()
 
@@ -224,7 +233,6 @@ class ProcessShardExecutor:
         context: str | None = None,
     ) -> None:
         self._segment = segment.acquire()
-        self._plan = plan
         self._workers = max(1, min(int(workers), plan.num_shards))
         try:
             self._payload = pickle.dumps((segment.spec, engine_spec, plan))
@@ -242,6 +250,26 @@ class ProcessShardExecutor:
         self._closed = False
         for _ in range(self._workers):
             self._spawn()
+
+    @classmethod
+    def over(
+        cls,
+        store: DecomposedStore | CompressedStore,
+        engine_spec: EngineSpec,
+        plan: ShardPlan,
+        workers: int,
+        *,
+        context: str | None = None,
+    ) -> "ProcessShardExecutor":
+        """Publish ``store`` and start a pool over it; the pool holds the
+        segment's only reference, so :meth:`close` unlinks it."""
+        exact, compressed = engine_spec.split(store)
+        segment = SharedStoreSegment(exact, compressed=compressed)
+        try:
+            return cls(segment, engine_spec, plan, workers, context=context)
+        finally:
+            # The pool took its own reference; drop publication's.
+            segment.release()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -276,11 +304,6 @@ class ProcessShardExecutor:
         worker.process.join(timeout=_JOIN_TIMEOUT)
         if not closed:
             self._spawn()
-
-    @property
-    def workers(self) -> int:
-        """Worker-process budget of the pool."""
-        return self._workers
 
     def worker_pids(self) -> list[int]:
         """PIDs of the live worker processes (chaos tests kill these)."""
@@ -319,14 +342,14 @@ class ProcessShardExecutor:
 
     # -- dispatch -----------------------------------------------------------
 
-    def _call(self, message):
+    def _call(self, shard: int, queries: np.ndarray, k: int):
         """Run one shard task on any idle worker; typed error if it dies."""
         with self._lock:
             if self._closed:
                 raise QueryError("the process shard executor is closed")
         worker = self._idle.get()
         try:
-            worker.conn.send(message)
+            worker.conn.send((shard, np.asarray(queries, dtype=np.float64), int(k)))
             status, payload = worker.conn.recv()
         except (EOFError, BrokenPipeError, OSError) as exc:
             pid = worker.pid
@@ -337,16 +360,15 @@ class ProcessShardExecutor:
         self._idle.put(worker)
         if status == "error":
             raise payload
-        return payload
-
-    def search(self, shard: int, query: np.ndarray, k: int):
-        """One shard's single-query search: ``(SearchResult, CostAccount)``."""
-        result, wire = self._call(
-            ("search", shard, np.asarray(query, dtype=np.float64), int(k))
-        )
-        return result, CostAccount.from_wire(wire)
+        results, wire = payload
+        return results, CostAccount.from_wire(wire)
 
     def search_batch(self, shard: int, queries: np.ndarray, k: int):
         """One shard's batch search: ``(list[SearchResult], CostAccount)``."""
-        results, wire = self._call(("batch", shard, queries, int(k)))
-        return results, CostAccount.from_wire(wire)
+        return self._call(shard, queries, k)
+
+    def search(self, shard: int, query: np.ndarray, k: int):
+        """One shard's single-query search, run as a batch of one:
+        ``(SearchResult, CostAccount)``."""
+        results, cost = self._call(shard, np.asarray(query)[None], k)
+        return results[0], cost

@@ -17,10 +17,10 @@
   the engine algebra, for demonstrating the relational implementation;
 * :mod:`~repro.core.batch` — the one round driver behind every fused
   ``search`` / ``search_batch`` (a single query is a batch of one);
-* :mod:`~repro.core.parallel` — sharded parallel execution
-  (:class:`~repro.core.parallel.ShardedBondSearcher` and the compressed
-  variant): each shard's own searcher on a thread or process pool, merged
-  bitwise identical to the unsharded searchers.
+* :mod:`~repro.core.parallel` — sharded execution
+  (:class:`~repro.core.parallel.ShardedBondSearcher`, exact or compressed by
+  the store it is given): each shard's own searcher, in this process or in
+  worker processes, merged bitwise identical to the unsharded searchers.
 """
 
 from repro.core.result import BatchSearchResult, SearchResult
@@ -42,7 +42,7 @@ from repro.core.planner import (
 from repro.core.bond import BondSearcher
 from repro.core.sequential import PartialAbandonScan, SequentialScan
 from repro.core.compressed import CompressedBondSearcher
-from repro.core.parallel import ShardedBondSearcher, ShardedCompressedBondSearcher
+from repro.core.parallel import ShardedBondSearcher
 from repro.core.weighted import weighted_search
 from repro.core.subspace import subspace_search
 from repro.core.multifeature import (
@@ -71,7 +71,6 @@ __all__ = [
     "SearchResult",
     "SequentialScan",
     "ShardedBondSearcher",
-    "ShardedCompressedBondSearcher",
     "StreamMergingSearcher",
     "subspace_search",
     "recommend_period",

@@ -104,6 +104,25 @@ class Metric(abc.ABC):
             return order[::-1]
         return order
 
+    def merge_top_k(
+        self, oids: np.ndarray, scores: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The best ``k`` of a pool of (OID, score) candidates, deterministically.
+
+        This is the one merge every recombination in the stack applies
+        (row shards, IVF partitions, the live-tail overlay).  The tie-break
+        contract: the pool is first put in ascending-OID order with a stable
+        sort, then ranked by the stable :meth:`best_first` — so among equal
+        scores a distance metric keeps the smaller OID first and a similarity
+        metric (whose ranking is the reversed ascending sort) the larger one.
+        That is exactly how a single searcher ranks its ascending-OID
+        candidate list, which is what makes a merged answer bitwise identical
+        to an undivided search.
+        """
+        by_oid = np.argsort(oids, kind="stable")
+        best = by_oid[self.best_first(scores[by_oid])[:k]]
+        return oids[best], scores[best]
+
     def better(self, left: float, right: float) -> bool:
         """Whether score ``left`` is strictly better than score ``right``."""
         if self.kind.larger_is_better:

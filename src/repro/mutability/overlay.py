@@ -4,8 +4,8 @@ Every backend keeps answering over the **base** snapshot (the fragments of
 the committed generation); this module corrects that answer for the live
 updates: deleted base rows are filtered out, live tail rows are merged in,
 and the survivors rank through the exact score-then-ascending-OID tie-break
-the rest of the stack uses (the same merge as
-:func:`repro.core.parallel.merge_shard_results`) — so the overlay answer is
+the rest of the stack uses
+(:meth:`repro.metrics.base.Metric.merge_top_k`) — so the overlay answer is
 bitwise identical to a from-scratch search over the updated collection.
 
 Two properties make the overlay *exact* rather than heuristic:
@@ -104,15 +104,12 @@ def _overlay_single(
     if tail_scores is not None and tail_oids.shape[0]:
         oids = np.concatenate([oids, tail_oids])
         scores = np.concatenate([scores, tail_scores])
-    # The deterministic merge: ascending OID first, then stable best-first on
-    # scores — ties break toward the smaller OID, exactly as everywhere else.
     cost.charge_heap(int(oids.shape[0]))
     cost.charge_comparisons(int(oids.shape[0]))
-    by_oid = np.argsort(oids, kind="stable")
-    best = by_oid[metric.best_first(scores[by_oid])[:k]]
+    oids, scores = metric.merge_top_k(oids, scores, k)
     return SearchResult(
-        oids=oids[best],
-        scores=scores[best],
+        oids=oids,
+        scores=scores,
         dimensions_processed=base.dimensions_processed,
         full_scan_dimensions=base.full_scan_dimensions,
         candidate_trace=base.candidate_trace,

@@ -11,7 +11,7 @@ never waits longer than the budget for peers to share its batch, and a full
 batch flushes immediately.  Execution happens through the PR 3 platform —
 ``Index.answer(Query(..., batch=True))`` on a worker executor, so the event
 loop never blocks and the planner keeps choosing the backend (including the
-sharded thread pool) exactly as it would for a direct call.  Served answers
+sharded engine) exactly as it would for a direct call.  Served answers
 are therefore **bitwise identical** to direct ``Index.answer`` calls.
 
 Admission control is explicit: the waiting queue is bounded and overflow

@@ -39,7 +39,7 @@ from repro.storage.persistence import (
     manifest_format,
     save_decomposed,
 )
-from repro.storage.sharding import ShardPlan, shard_compressed, shard_decomposed
+from repro.storage.sharding import ShardPlan, shard_view
 
 __all__ = [
     "CompressedFragment",
@@ -54,6 +54,5 @@ __all__ = [
     "RowStore",
     "save_decomposed",
     "ShardPlan",
-    "shard_compressed",
-    "shard_decomposed",
+    "shard_view",
 ]

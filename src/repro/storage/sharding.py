@@ -3,13 +3,15 @@
 The BOND scan is embarrassingly parallel across rows: every candidate's
 partial score depends only on its own coefficients, so the collection can be
 cut into contiguous row ranges — *shards* — and each shard searched by an
-independent engine.  A :class:`ShardPlan` fixes the cut points; the
-``shard_*`` helpers materialise per-shard stores whose OIDs are local to the
-shard (global OID = local OID + shard start), each charging a **private**
+independent engine.  A :class:`ShardPlan` fixes the cut points and
+:func:`shard_view` cuts one shard's exact store, whose OIDs are local to the
+shard (global OID = local OID + shard start) and which charges a **private**
 :class:`~repro.engine.cost.CostModel` so concurrent workers never race on the
-lock-free charging hot path.  The parallel engines in
-:mod:`repro.core.parallel` merge the per-shard accounts into the parent model
-after the workers finish.
+lock-free charging hot path.  What else a shard of a given engine kind needs
+(its compressed view, its searcher) is
+:class:`repro.cluster.executor.EngineSpec`'s to say; the engine in
+:mod:`repro.core.parallel` merges the per-shard accounts into the parent model
+after the shards finish.
 
 Two properties keep sharded results bitwise identical to the single-store
 engines:
@@ -35,9 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.cost import CostModel
 from repro.errors import StorageError
-from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 
 
@@ -134,69 +134,23 @@ class ShardPlan:
         return cls(cardinality=cardinality, boundaries=boundaries)
 
 
-def _check_shardable(store: DecomposedStore, plan: ShardPlan) -> None:
+def shard_view(store: DecomposedStore, plan: ShardPlan, shard: int) -> DecomposedStore:
+    """The exact store of one shard of ``plan``: a zero-copy row slice of ``store``.
+
+    Its fragment tails are contiguous views of the parent's columns — a slice
+    of a contiguous column is itself contiguous, so the decomposed physical
+    layout survives — and its row-sum column is a slice of the parent's
+    (per-row sums do not depend on the row subset, so slicing equals
+    recomputing bit for bit).  Memory-mapped parents shard without faulting a
+    single coefficient in, and narrow parents shard without re-quantising.
+    The view charges a private cost model, so concurrent shard searches never
+    contend on the parent's counters, and
+    :meth:`DecomposedStore.row_slice` refuses a parent with buffered updates
+    or deletions, so every shard sees the settled collection.
+    """
     if plan.cardinality != store.cardinality:
         raise StorageError(
             f"shard plan covers {plan.cardinality} rows, the store holds {store.cardinality}"
         )
-    if store.pending_updates or len(store.deleted):
-        raise StorageError(
-            "the store has buffered updates or deletions; call reorganize() before "
-            "sharding so every shard sees the settled collection"
-        )
-
-
-def shard_decomposed(
-    store: DecomposedStore,
-    plan: ShardPlan,
-    *,
-    costs: list[CostModel] | None = None,
-) -> list[DecomposedStore]:
-    """Materialise one :class:`DecomposedStore` per shard of ``plan``.
-
-    Each shard is a **zero-copy row slice** of the parent
-    (:meth:`DecomposedStore.row_slice`): its fragment tails are contiguous
-    views of the parent's columns — a slice of a contiguous column is itself
-    contiguous, so the decomposed physical layout survives — and its row-sum
-    column is a slice of the parent's (per-row sums do not depend on the row
-    subset, so slicing equals recomputing bit for bit).  Memory-mapped
-    parents shard without faulting a single coefficient in, and narrow
-    parents shard without re-quantising.  Every shard charges a private cost
-    model, so worker threads never contend on the parent's counters.
-    """
-    _check_shardable(store, plan)
-    if costs is None:
-        costs = [CostModel() for _ in range(plan.num_shards)]
-    if len(costs) != plan.num_shards:
-        raise StorageError(f"expected {plan.num_shards} cost models, got {len(costs)}")
-    return [
-        DecomposedStore.row_slice(
-            store,
-            start,
-            stop,
-            cost=cost,
-            name=f"{store.name}.shard{index}",
-        )
-        for index, ((start, stop), cost) in enumerate(zip(plan.ranges, costs))
-    ]
-
-
-def shard_compressed(
-    store: CompressedStore,
-    plan: ShardPlan,
-    *,
-    costs: list[CostModel] | None = None,
-) -> list[CompressedStore]:
-    """Materialise one :class:`CompressedStore` shard view per shard of ``plan``.
-
-    The code columns are zero-copy row slices of the parent's and every shard
-    keeps the parent's global quantisation grid (see
-    :meth:`CompressedStore.row_slice`); the exact sub-stores used for
-    refinement are fresh decomposed shards sharing the same per-shard cost
-    model, so one account covers a shard's filter *and* refinement work.
-    """
-    exact_shards = shard_decomposed(store.exact, plan, costs=costs)
-    return [
-        CompressedStore.row_slice(store, start, stop, exact=exact)
-        for (start, stop), exact in zip(plan.ranges, exact_shards)
-    ]
+    start, stop = plan.ranges[shard]
+    return DecomposedStore.row_slice(store, start, stop, name=f"{store.name}.shard{shard}")

@@ -9,6 +9,10 @@ too small never prunes anything and would hide bugs in the pruning logic).
 
 from __future__ import annotations
 
+import glob
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
@@ -61,3 +65,16 @@ def clustered_store(clustered_vectors: np.ndarray) -> DecomposedStore:
 def clustered_rowstore(clustered_vectors: np.ndarray) -> RowStore:
     """A fresh row store over the clustered collection."""
     return RowStore(clustered_vectors, name="clustered")
+
+
+@pytest.fixture()
+def no_shard_leaks():
+    """Fail a test that leaves a sharded engine's resources behind: a
+    shared-memory segment, a live shard-worker process or a dispatch thread
+    (the suites that drive the engines apply it to every test)."""
+    yield
+    assert not glob.glob("/dev/shm/repro_shm_*"), "leaked shared-memory segment"
+    workers = [p for p in multiprocessing.active_children() if p.name == "repro-shard-worker"]
+    assert not workers, f"live shard workers: {workers}"
+    threads = [t.name for t in threading.enumerate() if t.name.startswith("repro-shard")]
+    assert not threads, f"live shard dispatch threads: {threads}"

@@ -35,10 +35,7 @@ from repro.cluster import (
 from repro.cluster.executor import ProcessShardExecutor
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
-from repro.core.parallel import (
-    ShardedBondSearcher,
-    ShardedCompressedBondSearcher,
-)
+from repro.core.parallel import ShardedBondSearcher
 from repro.engine.cost import CostAccount
 from repro.errors import (
     QueryError,
@@ -51,6 +48,9 @@ from repro.metrics.histogram import HistogramIntersection
 from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.sharding import ShardPlan
+
+# Every test in this file must close the engines it opens (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("no_shard_leaks")
 
 
 def leaked_segments() -> list[str]:
@@ -209,16 +209,14 @@ class TestProcessPoolIdentity:
         queries = collection[[7, 42, 193]]
         if compressed:
             make_store = lambda: CompressedStore(DecomposedStore(collection), bits=8)
-            make_sharded = ShardedCompressedBondSearcher
             single = CompressedBondSearcher(make_store(), metric=metric)
         else:
             make_store = lambda: DecomposedStore(collection)
-            make_sharded = ShardedBondSearcher
             single = BondSearcher(make_store(), metric=metric)
-        with make_sharded(
+        with ShardedBondSearcher(
             make_store(), metric=metric, shards=shards, workers=workers,
             executor="thread",
-        ) as threaded, make_sharded(
+        ) as threaded, ShardedBondSearcher(
             make_store(), metric=metric, shards=shards, workers=workers,
             executor="process",
         ) as processed:
@@ -271,7 +269,7 @@ class TestProcessPoolIdentity:
         assert not leaked_segments()
 
     def test_invalid_executor_rejected(self, collection):
-        with pytest.raises(QueryError, match="executor"):
+        with pytest.raises(QueryError, match="executor must be one of"):
             ShardedBondSearcher(
                 DecomposedStore(collection), shards=2, executor="rocket"
             )
@@ -350,7 +348,7 @@ class TestIndexProcessExecutor:
         with Index.build(collection, shards=2, shard_executor="process") as index:
             index.answer(Query(collection[3], k=5, backend="sharded_bond"))
             searcher = next(iter(index._epoch.searchers.values()))
-            pool = searcher.exact_engine._process_pool
+            pool = searcher._executor
             assert pool is not None and pool.worker_pids()
         deadline = time.monotonic() + 10
         while any(_alive(pid) for pid in pool.worker_pids()):
@@ -376,7 +374,8 @@ class TestIndexProcessExecutor:
         assert not leaked_segments()
 
     def test_invalid_shard_executor_rejected(self, collection):
-        with pytest.raises(QueryError, match="shard_executor"):
+        # The facade reuses the engine's check (and its message).
+        with pytest.raises(QueryError, match="executor must be one of"):
             Index.build(collection, shards=2, shard_executor="carrier-pigeon")
 
 
@@ -399,7 +398,7 @@ class TestWorkerDeath:
             DecomposedStore(collection), shards=2, workers=2, executor="process"
         ) as engine:
             before = engine.search(collection[8], 6)
-            pool = engine._process_pool
+            pool = engine._executor
             for pid in pool.worker_pids():
                 os.kill(pid, signal.SIGKILL)
             with pytest.raises(TransientBackendError, match="died mid-task"):
@@ -419,7 +418,7 @@ class TestWorkerDeath:
             on_shard_failure="partial",
         ) as engine:
             complete = engine.search(collection[8], 6)
-            pool = engine._process_pool
+            pool = engine._executor
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
             degraded = engine.search(collection[8], 6)
             assert degraded.degraded

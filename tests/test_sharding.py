@@ -1,7 +1,8 @@
-"""Sharded parallel engine suite: plan/slicing invariants, bitwise identity
-of sharded results against the unsharded fused engines (any shard count,
-metric, mode, worker count), cost aggregation across worker threads,
-and the query-side early-out of the compressed filter."""
+"""Sharded engine suite: plan/slicing invariants, bitwise identity of
+sharded results against the unsharded fused engines (the one lattice over
+engine kind x executor x shard count x call shape x schedule, plus metrics
+and forced ties), cost aggregation, and the query-side early-out of the
+compressed filter."""
 
 from __future__ import annotations
 
@@ -14,12 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
-from repro.core.parallel import (
-    ShardedBondSearcher,
-    ShardedCompressedBondSearcher,
-    merge_traces,
-)
-from repro.core.planner import FixedPeriodSchedule
+from repro.core.parallel import ShardedBondSearcher, merge_traces
+from repro.core.planner import FixedPeriodSchedule, MassAwareSchedule
 from repro.core.result import PruningTrace
 from repro.engine.cost import CostAccount, CostModel
 from repro.errors import StorageError
@@ -29,8 +26,11 @@ from repro.metrics.histogram import HistogramIntersection
 from repro.metrics.weighted import WeightedSquaredEuclidean
 from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
-from repro.storage.sharding import ShardPlan, shard_compressed, shard_decomposed
+from repro.storage.sharding import ShardPlan, shard_view
 from repro.workload.ground_truth import exact_top_k
+
+# Every test in this file must close the engines it opens (tests/conftest.py).
+pytestmark = pytest.mark.usefixtures("no_shard_leaks")
 
 
 def results_identical(left, right) -> bool:
@@ -98,18 +98,22 @@ class TestShardPlan:
 # -- store slicing -----------------------------------------------------------
 
 
+def shard_views(store, plan):
+    return [shard_view(store, plan, shard) for shard in range(plan.num_shards)]
+
+
 class TestShardStores:
     def test_decomposed_shards_hold_the_right_rows(self, corel_histograms):
         store = DecomposedStore(corel_histograms)
         plan = ShardPlan.balanced(store.cardinality, 3)
-        shards = shard_decomposed(store, plan)
+        shards = shard_views(store, plan)
         for shard, (start, stop) in zip(shards, plan.ranges):
             assert np.array_equal(shard.matrix, corel_histograms[start:stop])
             assert shard.has_row_sums == store.has_row_sums
 
     def test_shards_charge_private_models(self, corel_histograms):
         store = DecomposedStore(corel_histograms)
-        shards = shard_decomposed(store, ShardPlan.balanced(store.cardinality, 2))
+        shards = shard_views(store, ShardPlan.balanced(store.cardinality, 2))
         before = store.cost.checkpoint()
         shards[0].fragment(0)  # a full fragment read on the shard
         assert store.cost.since(before).bytes_read == 0
@@ -120,17 +124,17 @@ class TestShardStores:
         store = DecomposedStore(corel_histograms)
         store.delete([3])
         with pytest.raises(StorageError):
-            shard_decomposed(store, ShardPlan.balanced(store.cardinality, 2))
+            shard_views(store, ShardPlan.balanced(store.cardinality, 2))
 
     def test_plan_must_match_store(self, corel_histograms):
         store = DecomposedStore(corel_histograms)
         with pytest.raises(StorageError):
-            shard_decomposed(store, ShardPlan.balanced(store.cardinality - 1, 2))
+            shard_views(store, ShardPlan.balanced(store.cardinality - 1, 2))
 
     def test_compressed_shards_share_the_global_grid(self, corel_histograms):
         store = CompressedStore(DecomposedStore(corel_histograms))
         plan = ShardPlan.balanced(store.cardinality, 3)
-        shards = shard_compressed(store, plan)
+        shards = [s.store for s in ShardedBondSearcher(store, shards=plan).shard_searchers]
         for shard, (start, stop) in zip(shards, plan.ranges):
             assert shard.minimums is store.minimums
             assert shard.cell_widths is store.cell_widths
@@ -179,17 +183,6 @@ class TestShardedExactIdentity:
             reference.search_batch(queries, 10), sharded.search_batch(queries, 10)
         )
 
-    def test_single_query_and_worker_pool(self, corel_histograms):
-        reference = BondSearcher(DecomposedStore(corel_histograms))
-        with ShardedBondSearcher(
-            DecomposedStore(corel_histograms), shards=4, workers=2
-        ) as sharded:
-            for query_index in (3, 42, 1100):
-                query = corel_histograms[query_index]
-                assert results_identical(
-                    reference.search(query, 10), sharded.search(query, 10)
-                )
-
     def test_trace_is_recorded_into_caller_buffer(self, corel_histograms):
         sharded = ShardedBondSearcher(DecomposedStore(corel_histograms), shards=2, workers=1)
         trace = PruningTrace()
@@ -219,7 +212,7 @@ class TestShardedCompressedIdentity:
         reference = CompressedBondSearcher(
             CompressedStore(DecomposedStore(corel_histograms)), metric=metric
         )
-        sharded = ShardedCompressedBondSearcher(
+        sharded = ShardedBondSearcher(
             CompressedStore(DecomposedStore(corel_histograms)),
             metric=metric,
             shards=shards,
@@ -234,7 +227,7 @@ class TestShardedCompressedIdentity:
         # Off-unit-box Euclidean data: the corner-bound path plus sharding.
         data = clustered_vectors * 3.0 - 1.0
         metric = SquaredEuclidean(require_unit_box=False)
-        sharded = ShardedCompressedBondSearcher(
+        sharded = ShardedBondSearcher(
             CompressedStore(DecomposedStore(data)), metric=metric, shards=3, workers=2
         )
         for query_index in (1, 64, 1000):
@@ -271,7 +264,7 @@ def test_sharded_identity_property(shards, k, data_seed):
     )
 
     compressed_reference = CompressedBondSearcher(CompressedStore(DecomposedStore(data)))
-    compressed_sharded = ShardedCompressedBondSearcher(
+    compressed_sharded = ShardedBondSearcher(
         CompressedStore(DecomposedStore(data)),
         shards=shards,
         workers=1,
@@ -282,14 +275,97 @@ def test_sharded_identity_property(shards, k, data_seed):
     )
 
 
+#: The three ways the one engine can run its shards.
+EXECUTORS = {
+    "inline": lambda shards: {},
+    "thread pool": lambda shards: {"workers": shards},
+    "process": lambda shards: {"executor": "process"},
+}
+
+
+def answer_record(results, cost):
+    """Everything an answer carries that must not depend on the executor."""
+    return (
+        [(r.oids.tobytes(), r.scores.tobytes()) for r in results],
+        [
+            (r.candidate_trace.dimensions_processed, r.candidate_trace.candidates_remaining)
+            for r in results
+        ],
+        cost.as_dict(),
+    )
+
+
+@pytest.mark.parametrize(
+    "schedule", [MassAwareSchedule(), FixedPeriodSchedule(8)], ids=["mass", "m8"]
+)
+@pytest.mark.parametrize("shards", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["exact", "compressed"])
+def test_identity_lattice(corel_histograms, kind, shards, schedule):
+    """The one engine over kind x executor x shards x call shape x schedule.
+
+    OIDs, scores, trace and cost account are equal across the three
+    executors, ``search(q)`` equals ``search_batch(q[None])`` on each of them,
+    and (OIDs, scores) are bitwise the unsharded searcher's.
+    """
+    data = corel_histograms[:400]
+    queries = data[[3, 42, 110, 250, 399]]
+    unsharded = CompressedBondSearcher if kind == "compressed" else BondSearcher
+
+    def make_store():
+        exact = DecomposedStore(data)
+        return CompressedStore(exact) if kind == "compressed" else exact
+
+    reference = unsharded(make_store(), schedule=schedule)
+    engines = {
+        name: ShardedBondSearcher(make_store(), schedule=schedule, shards=shards, **options(shards))
+        for name, options in EXECUTORS.items()
+    }
+    try:
+        calls = {
+            "search": lambda s: [s.search(queries[0], 7)],
+            "batch of 1": lambda s: s.search_batch(queries[:1], 7),
+            "batch of 5": lambda s: s.search_batch(queries, 7),
+        }
+        records = {}
+        for shape, call in calls.items():
+            expected = call(reference)
+            for name, engine in engines.items():
+                answer = call(engine)
+                results = list(answer)
+                cost = results[0].cost if shape == "search" else answer.cost
+                records[shape, name] = answer_record(results, cost)
+                assert batches_identical(expected, results), (shape, name)
+            for name in engines:
+                assert records[shape, name] == records[shape, "inline"], (shape, name)
+        assert records["search", "inline"] == records["batch of 1", "inline"]
+    finally:
+        for engine in engines.values():
+            engine.close()
+
+
 # -- cost aggregation --------------------------------------------------------
+
+
+@pytest.mark.parametrize("metric_index", [0, 1, 2], ids=["Hq", "Ev", "weighted"])
+def test_one_shard_costs_the_unsharded_search_plus_the_merge(corel_histograms, metric_index):
+    # The shard's own account opens after its searcher planned, like the
+    # unsharded searcher's — so a bound that tracks T(x+) (Ev, weighted) does
+    # not pay the row-sum column copy a second time for being sharded.
+    metric = exact_metrics(corel_histograms.shape[1])[metric_index]
+    queries, k = corel_histograms[[5, 77, 803]], 10
+    plain = BondSearcher(DecomposedStore(corel_histograms), metric=metric)
+    sharded = ShardedBondSearcher(DecomposedStore(corel_histograms), metric=metric, shards=1)
+    expected = plain.search_batch(queries, k).cost.as_dict()
+    expected["heap_operations"] += len(queries) * k
+    expected["comparisons"] += len(queries) * k
+    assert sharded.search_batch(queries, k).cost.as_dict() == expected
 
 
 class TestShardedCostAggregation:
     def test_parent_receives_exactly_the_shard_deltas_plus_merge(self, corel_histograms):
         store = DecomposedStore(corel_histograms)
         sharded = ShardedBondSearcher(store, shards=3, workers=1)
-        shard_stores = sharded._shard_stores
+        shard_stores = [searcher.store for searcher in sharded.shard_searchers]
         before_shard = [s.cost.checkpoint() for s in shard_stores]
         result = sharded.search(corel_histograms[12], 10)
 
@@ -308,7 +384,7 @@ class TestShardedCostAggregation:
         store = DecomposedStore(corel_histograms)
         sharded = ShardedBondSearcher(store, shards=2, workers=1)
         checkpoint = store.cost.checkpoint()
-        sharded._shard_stores[0].fragment(1)
+        sharded.shard_searchers[0].store.fragment(1)
         assert store.cost.since(checkpoint).bytes_read == 0
 
 
@@ -456,7 +532,7 @@ class TestQuerySideEarlyOut:
         queries = data[:5]
         reference = CompressedBondSearcher(CompressedStore(DecomposedStore(data)))
         batch = reference.search_batch(queries, 6)
-        sharded = ShardedCompressedBondSearcher(
+        sharded = ShardedBondSearcher(
             CompressedStore(DecomposedStore(data)), shards=3, workers=1
         )
         assert batches_identical(batch, sharded.search_batch(queries, 6))

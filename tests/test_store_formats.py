@@ -42,7 +42,7 @@ from repro.storage import (
     load_manifest,
     manifest_format,
     save_decomposed,
-    shard_decomposed,
+    shard_view,
 )
 from repro.storage.persistence import (
     LAYOUT_VERSION,
@@ -451,7 +451,7 @@ class TestShardingFormats:
         for spec in ("float64/ram", "float32/mmap"):
             store = DecomposedStore(collection, format=spec)
             plan = ShardPlan.balanced(store.cardinality, 4)
-            shards = shard_decomposed(store, plan)
+            shards = [shard_view(store, plan, shard) for shard in range(plan.num_shards)]
             offset = 0
             for shard in shards:
                 assert shard.format == store.format
