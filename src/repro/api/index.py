@@ -438,17 +438,7 @@ class Index:
                     "(pass overwrite=True)"
                 )
             approx_section, sidecar_files = self._approx_save_payload(generation)
-            extra_manifest = {
-                "index": {
-                    "bits": self._bits,
-                    "shards": self._shards,
-                    "on_shard_failure": self._on_shard_failure,
-                    "shard_executor": self._shard_executor,
-                    "format": self._format.spec,
-                    "approx": self._approx_config.to_manifest(),
-                },
-                "sharding": self.shard_plan.to_manifest(),
-            }
+            extra_manifest = self._manifest_options(self.shard_plan)
             if approx_section:
                 extra_manifest["approx"] = approx_section
             target = save_decomposed(
@@ -461,6 +451,22 @@ class Index:
             )
         self._attach(target)
         return target
+
+    def _manifest_options(self, shard_plan: ShardPlan) -> dict:
+        """The build options (``"index"``) and shard layout (``"sharding"``)
+        every manifest this index commits records, for :meth:`open` to
+        restore — written by :meth:`save` and :meth:`reorganize` alike."""
+        return {
+            "index": {
+                "bits": self._bits,
+                "shards": self._shards,
+                "on_shard_failure": self._on_shard_failure,
+                "shard_executor": self._shard_executor,
+                "format": self._format.spec,
+                "approx": self._approx_config.to_manifest(),
+            },
+            "sharding": shard_plan.to_manifest(),
+        }
 
     def _attach(self, home: pathlib.Path) -> None:
         """Bind the index to a freshly committed store directory.
@@ -747,24 +753,13 @@ class Index:
                 new_epoch.decomposed = DecomposedStore(
                     merged, cost=self._cost, name=self._name, format=self._format
                 )
-                extra_manifest = {
-                    "index": {
-                        "bits": self._bits,
-                        "shards": self._shards,
-                        "on_shard_failure": self._on_shard_failure,
-                        "shard_executor": self._shard_executor,
-                        "format": self._format.spec,
-                        "approx": self._approx_config.to_manifest(),
-                    },
-                    "sharding": ShardPlan.balanced(
-                        int(merged.shape[0]), self._shards
-                    ).to_manifest(),
-                }
                 save_decomposed(
                     new_epoch.decomposed,
                     self._home,
                     overwrite=True,
-                    extra_manifest=extra_manifest,
+                    extra_manifest=self._manifest_options(
+                        ShardPlan.balanced(int(merged.shape[0]), self._shards)
+                    ),
                     generation=generation,
                     wal_lsn=epoch.tail.last_lsn,
                     durable=True,

@@ -71,11 +71,15 @@ class TestFusedEqualsLoop:
             assert np.array_equal(trace_loop[1], trace_fused[1])
 
     def test_both_engines_match_brute_force(self, corel_histograms):
+        """So does the VA-file over the same codes (OIDs and scores, bitwise)."""
         for metric in metrics_for(corel_histograms.shape[1]):
             store = make_store(corel_histograms)
             reference = exact_top_k(corel_histograms, corel_histograms[7], 10, metric)
-            for engine in ("loop", "fused"):
-                searcher = CompressedBondSearcher(store, metric=metric, engine=engine)
+            for searcher in (
+                CompressedBondSearcher(store, metric=metric, engine="loop"),
+                CompressedBondSearcher(store, metric=metric, engine="fused"),
+                VAFile(store, metric=metric),
+            ):
                 assert results_bitwise_equal(searcher.search(corel_histograms[7], 10), reference)
 
     def test_invalid_engine_rejected(self, corel_histograms):

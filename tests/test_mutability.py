@@ -599,6 +599,40 @@ class TestSaveAtomicity:
         reopened = Index.open(home)
         assert reopened.tail_rows == 2
 
+    def test_reorganize_persists_the_options_save_persists(self, tmp_path, base, rng):
+        def options(index):
+            return (
+                index.compressed.bits,
+                index.shards,
+                index.on_shard_failure,
+                index.shard_executor,
+                index.format.spec,
+                index.approx_config,
+            )
+
+        built = Index.build(
+            base,
+            name="opts",
+            bits=6,
+            shards=2,
+            on_shard_failure="partial",
+            shard_executor="process",
+            format="float32",
+            approx={"n_clusters": 4, "seed": 3},
+        )
+        home = tmp_path / "store"
+        built.save(home)
+        saved = load_manifest(home)["index"]
+        with Index.open(home) as after_save:
+            assert options(after_save) == options(built)
+        built.insert(hist(rng, 2))
+        assert built.reorganize() == 1
+        assert load_manifest(home)["index"] == saved
+        with Index.open(home) as after_reorganize:
+            assert after_reorganize.generation == 1
+            assert options(after_reorganize) == options(built)
+        built.close()
+
 
 # -- layout compatibility ---------------------------------------------------------
 

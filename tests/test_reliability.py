@@ -1,10 +1,10 @@
 """The reliability layer: deterministic faults, deadlines, failover, checksums.
 
-The contract pinned here (and re-checked by the ``--chaos`` benchmark axis)
-is the one :mod:`repro.reliability` states: under any seeded fault schedule,
-every query resolves to either a **bitwise-identical** answer (transient
-faults absorbed by retry / failover) or a **typed**
-:class:`~repro.errors.ReproError` — never a silently wrong answer.
+The contract pinned here is the one :mod:`repro.reliability` states: under
+any seeded fault schedule, every query resolves to either a
+**bitwise-identical** answer (transient faults absorbed by retry / failover)
+or a **typed** :class:`~repro.errors.ReproError` — never a silently wrong
+answer.
 """
 
 from __future__ import annotations
@@ -656,7 +656,7 @@ class TestChaosProperty:
 
     def test_fault_schedule_replays_identically(self, vectors):
         """Two runs of the same workload under the same seed observe the
-        same fault sequence — the property the --chaos axis replays on."""
+        same fault sequence — what makes a chaos run debuggable."""
         index_a = Index.build(vectors)
         index_b = Index.build(vectors)
 

@@ -30,9 +30,10 @@ from hypothesis import strategies as st
 from repro.api import Index, Query
 from repro.core.bond import BondSearcher
 from repro.engine.cost import COEFFICIENT_BYTES, CostModel, coefficient_bytes_for
-from repro.errors import CorruptFragmentError, StorageError
+from repro.errors import CorruptFragmentError, ReproError, StorageError
 from repro.metrics.euclidean import SquaredEuclidean
 from repro.metrics.histogram import HistogramIntersection
+from repro.reliability import FaultPlan
 from repro.storage import (
     DecomposedStore,
     FragmentFormat,
@@ -496,6 +497,29 @@ class TestIndexFormats:
         a, b = index.answer(query), reopened.answer(query)
         assert np.array_equal(a.oids, b.oids)
         assert np.array_equal(a.scores, b.scores)
+
+    def test_mmap_round_trip_survives_an_armed_read(self, collection, tmp_path):
+        """The out-of-core path end to end: a ``float64/mmap`` build answers
+        like the ram store; with ``store.read_fragment`` armed its saved copy
+        fails to open with a typed error, never wrong data; the fault-free
+        verified reopen is mapped again and answers bitwise the same."""
+        query = Query(collection[42], k=10, metric="histogram")
+        reference = Index.build(collection, name="ram").answer(query)
+        mapped = Index.build(collection, name="mapped", format="float64/mmap")
+        assert mapped.format.spec == "float64/mmap"
+        answers = [mapped.answer(query)]
+        mapped.save(tmp_path / "idx")
+        with FaultPlan(seed=7).arm("store.read_fragment", rate=1.0) as plan:
+            with pytest.raises(ReproError):
+                Index.open(tmp_path / "idx", verify="checksum")
+        assert plan.fired() > 0
+        reopened = Index.open(tmp_path / "idx", verify="checksum")
+        assert reopened.format.spec == "float64/mmap"
+        assert is_mapped(reopened.decomposed.fragment_tail(0))
+        answers.append(reopened.answer(query))
+        for result in answers:
+            assert np.array_equal(result.oids, reference.oids)
+            assert np.array_equal(result.scores, reference.scores)
 
     def test_open_format_override_to_mmap(self, collection, tmp_path):
         Index.build(collection, name="fmt", format="float32").save(tmp_path / "idx")
