@@ -84,6 +84,12 @@ class CompressedQueryRun:
     upper bound per surviving candidate — instead of a
     :class:`~repro.core.candidates.CandidateSet`, so it gets its own run
     record; the fields the driver reads mirror :class:`QueryRun`.
+
+    ``oids`` and ``scores`` stay ``None`` until the run first needs them:
+    every row survives until the first prune, and the full-height
+    accumulator is allocated by the run's first scan.  The driver scans and
+    prunes each run before the next one scans, so a batch holds at most one
+    full-height accumulator at a time.
     """
 
     query: np.ndarray
@@ -91,14 +97,18 @@ class CompressedQueryRun:
     order: np.ndarray
     weights: np.ndarray | None
     schedule: PruningSchedule
-    oids: np.ndarray
-    score_lower: np.ndarray
-    score_upper: np.ndarray
+    #: Collection size: the candidate count until the first prune.
+    cardinality: int
     #: Early-out mask over all dimensions: True where the interval
     #: contribution is provably zero for every candidate (None when no
     #: dimension qualifies), see :func:`repro.kernels.interval.provably_zero_dimensions`.
     zero_dimensions: np.ndarray | None
     trace: PruningTrace
+    #: Surviving OIDs, ascending; ``None`` while every row survives.
+    oids: np.ndarray | None = None
+    #: Interval partial scores of the survivors, interleaved as
+    #: ``complex128`` (real = lower, imag = upper); ``None`` before the first scan.
+    scores: np.ndarray | None = None
     processed: int = 0
     full_scan_dimensions: int = 0
     next_attempt: int = 0
@@ -107,7 +117,7 @@ class CompressedQueryRun:
     @property
     def alive(self) -> int:
         """How many candidates survive."""
-        return int(self.oids.shape[0])
+        return self.cardinality if self.oids is None else int(self.oids.shape[0])
 
 
 def drive(searcher, runs: Sequence[QueryRun] | Sequence[CompressedQueryRun]) -> None:

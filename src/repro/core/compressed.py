@@ -22,9 +22,8 @@ two engines with bit-for-bit identical results:
 
 * ``"fused"`` (default) processes one pruning period at a time: the period's
   m code columns arrive in a single :meth:`~repro.storage.compressed.CompressedStore.code_columns`
-  call and one interval kernel from :mod:`repro.kernels.interval` dequantises
-  and accumulates all m (lower, upper) contribution columns inside a reusable
-  workspace;
+  call and one interval kernel from :mod:`repro.kernels.interval` builds the
+  period's per-code contribution tables and folds every column in by lookup;
 * ``"loop"`` is the seed per-dimension path, kept as the reference
   implementation and benchmark baseline.
 
@@ -32,6 +31,17 @@ Both fused entry points run through the one round driver of
 :mod:`repro.core.batch`: :meth:`CompressedBondSearcher.search` drives a single
 run, :meth:`CompressedBondSearcher.search_batch` a whole batch of them,
 sharing each compressed fragment read across every live query.
+
+Pruning schedule
+----------------
+The default is the exact engine's :class:`~repro.core.planner.MassAwareSchedule`
+without a prefix mass: a first block of the paper's m = 8, and once the first
+prune has left the candidate set positional, blocks of 8, 16, 32, … to the
+end — O(log d) rounds over d dimensions where the fixed m = 8 needs d / 8.
+The refinement scores every survivor exactly, and no schedule ever drops a
+true top-k member, so the answers do not depend on the schedule; only how
+many candidates reach the refinement (``refine_rows``) and the accounted
+cost do.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ import numpy as np
 
 from repro.core.batch import CompressedQueryRun, drive
 from repro.core.ordering import DecreasingQueryOrdering, DimensionOrdering
-from repro.core.planner import FixedPeriodSchedule, PruningSchedule
+from repro.core.planner import MassAwareSchedule, PruningSchedule
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
 from repro.errors import QueryError
 from repro.kernels.interval import (
@@ -99,7 +109,10 @@ class CompressedBondSearcher:
     ordering:
         Dimension-ordering strategy (default: decreasing query value).
     schedule:
-        Pruning-period schedule (default: every 8 dimensions, the paper's m).
+        Pruning-period schedule.  Default: mass-aware — the paper's m = 8 up
+        to the first prune, then doubling blocks over the survivors (see the
+        module docstring).  Answers are identical under every schedule; the
+        survivor count handed to the refinement can differ slightly.
     engine:
         ``"fused"`` (default) runs the interval block kernels; ``"loop"`` runs
         the original per-dimension reference path.  Both return bitwise
@@ -126,7 +139,7 @@ class CompressedBondSearcher:
         self._store = store
         self._metric = metric if metric is not None else HistogramIntersection()
         self._ordering = ordering if ordering is not None else DecreasingQueryOrdering()
-        self._schedule = schedule if schedule is not None else FixedPeriodSchedule(8)
+        self._schedule = schedule if schedule is not None else MassAwareSchedule()
         self._engine = engine
         self._interval_kernel = interval_kernel_for(self._metric)
         self._workspace = IntervalWorkspace()
@@ -248,9 +261,7 @@ class CompressedBondSearcher:
             order=order,
             weights=weights,
             schedule=schedule,
-            oids=np.arange(self._store.cardinality, dtype=np.int64),
-            score_lower=np.zeros(self._store.cardinality, dtype=np.float64),
-            score_upper=np.zeros(self._store.cardinality, dtype=np.float64),
+            cardinality=self._store.cardinality,
             zero_dimensions=zero_mask if bool(zero_mask.any()) else None,
             trace=trace if trace is not None else PruningTrace(),
         )
@@ -293,6 +304,13 @@ class CompressedBondSearcher:
             return None
         return self._active_block(run, block_dimensions)
 
+    def _scores(self, run: CompressedQueryRun) -> np.ndarray:
+        """The run's interleaved accumulator, allocated at full height on
+        first use."""
+        if run.scores is None:
+            run.scores = np.zeros(run.cardinality, dtype=np.complex128)
+        return run.scores
+
     def _scan_block(
         self,
         run: CompressedQueryRun,
@@ -316,7 +334,8 @@ class CompressedBondSearcher:
         active = self._active_block(run, block_dimensions)
         if not active.size:
             return
-        if count == store.cardinality:
+        scores = self._scores(run)
+        if run.oids is None:
             # Full-collection phase: stream the whole code columns in place,
             # no gather needed.
             self._interval_kernel.accumulate_block(
@@ -325,15 +344,14 @@ class CompressedBondSearcher:
                 store.cell_widths[active],
                 run.query[active],
                 active,
-                run.score_lower,
-                run.score_upper,
+                scores,
+                None,
                 self._workspace,
+                levels=1 << store.bits,
             )
         else:
-            # Restricted phase: gather the candidates' codes (1 byte each —
-            # bitwise identical to the loop's slice-after-dequantise but 8x
-            # lighter per value) into one row block and process the whole
-            # pruning period with a few broadcast expressions.
+            # Restricted phase: gather the candidates' codes (1 byte each)
+            # into one row block and look the whole pruning period up at once.
             code_rows = store.code_row_block(
                 active, run.oids, charge="positional" if charge_storage else None
             )
@@ -343,9 +361,10 @@ class CompressedBondSearcher:
                 store.cell_widths[active],
                 run.query[active],
                 active,
-                run.score_lower,
-                run.score_upper,
+                scores,
+                None,
                 self._workspace,
+                levels=1 << store.bits,
             )
         store.cost.charge_arithmetic(
             2 * count * int(active.shape[0]) * self._metric.arithmetic_ops_per_value()
@@ -355,24 +374,26 @@ class CompressedBondSearcher:
         """One pruning checkpoint: drop hopeless candidates, record the trace
         point and plan the next attempt."""
         before = run.alive
+        scores = self._scores(run)
         keep = self._prune_mask(
-            run.query, run.order, run.processed, run.score_lower, run.score_upper, run.k, run.weights
+            run.query, run.order, run.processed, scores.real, scores.imag, run.k, run.weights
         )
-        run.oids = run.oids[keep]
-        run.score_lower = run.score_lower[keep]
-        run.score_upper = run.score_upper[keep]
+        if not keep.all():
+            run.oids = np.flatnonzero(keep) if run.oids is None else run.oids[keep]
+            run.scores = scores[keep]
         run.trace.record(run.processed, run.alive)
         run.next_attempt = run.processed + run.schedule.next_batch(
             dimensionality=int(run.order.shape[0]),
             dimensions_processed=run.processed,
             candidates_before=before,
             candidates_after=run.alive,
+            positional=self._is_positional(run),
         )
 
     def _finish(self, run: CompressedQueryRun) -> tuple[np.ndarray, np.ndarray]:
         """The refinement step: exact scores of the filter survivors from the
         exact store, best k first."""
-        oids = run.oids
+        oids = run.oids if run.oids is not None else np.arange(run.cardinality, dtype=np.int64)
         if oids.shape[0] == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         exact = self._store.exact
@@ -402,14 +423,16 @@ class CompressedBondSearcher:
                 value_lower, value_upper = self._store.bounded_fragment_for(dimension, run.oids)
             else:
                 value_lower, value_upper = self._store.bounded_fragment(dimension)
-                value_lower, value_upper = value_lower[run.oids], value_upper[run.oids]
+                if run.oids is not None:
+                    value_lower, value_upper = value_lower[run.oids], value_upper[run.oids]
                 run.full_scan_dimensions += 1
             contribution_lower, contribution_upper = contribution_interval(
                 self._metric, value_lower, value_upper, run.query[dimension], dimension=dimension
             )
-            cost.charge_arithmetic(2 * len(run.oids) * self._metric.arithmetic_ops_per_value())
-            run.score_lower += contribution_lower
-            run.score_upper += contribution_upper
+            cost.charge_arithmetic(2 * run.alive * self._metric.arithmetic_ops_per_value())
+            scores = self._scores(run)
+            scores.real += contribution_lower
+            scores.imag += contribution_upper
             run.processed += 1
 
             if run.processed >= run.next_attempt or run.processed == total_dimensions:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.baselines.vafile import VAFile
 from repro.core.compressed import CompressedBondSearcher
+from repro.core.planner import FixedPeriodSchedule
 from repro.core.sequential import SequentialScan
 from repro.experiments.base import ExperimentReport, ExperimentScale, geometric_mean, resolve_scale
 from repro.experiments.workloads import corel_setup
@@ -34,7 +35,10 @@ def run(
     metric = HistogramIntersection()
     compressed = CompressedStore(store, bits=bits)
 
-    bond = CompressedBondSearcher(compressed, metric=metric, engine=engine)
+    # The paper's m = 8: the work ratio counts the filter's pruning rounds.
+    bond = CompressedBondSearcher(
+        compressed, metric=metric, schedule=FixedPeriodSchedule(8), engine=engine
+    )
     vafile = VAFile(compressed, metric=metric)
     scan = SequentialScan(row_store, metric=metric)
 
@@ -61,7 +65,9 @@ def run(
     # whole workload; per-query wall clock is the batch time divided evenly.
     # Batch rounds always run the fused interval kernels, so the row is
     # timed on an explicitly fused searcher no matter what ``engine`` says.
-    batched_bond = CompressedBondSearcher(compressed, metric=metric, engine="fused")
+    batched_bond = CompressedBondSearcher(
+        compressed, metric=metric, schedule=FixedPeriodSchedule(8), engine="fused"
+    )
     batch = batched_bond.search_batch(list(workload), k)
     batch_seconds = [batch.elapsed_seconds / max(len(batch), 1)] * max(len(batch), 1)
     timings["BOND-Hq (8-bit, batched)"] = batch_seconds

@@ -1,15 +1,17 @@
-"""Per-metric fused *interval* block kernels over 8-bit compressed fragments.
+"""Per-metric fused *interval* block kernels over quantised fragments.
 
 The filter phase of filter-and-refine search (Section 7.4) accumulates
 interval partial scores — a lower and an upper bound per candidate — from
-quantised dimension fragments.  The seed implementation paid one Python-level
-fragment fetch, one full-array dequantisation and one
-:func:`~repro.core.compressed.contribution_interval` call *per dimension*.
-The kernels here amortise that over a whole pruning period: the period's m
-code columns arrive in one storage call, each column is dequantised into a
-reusable :class:`IntervalWorkspace` (no fresh allocations on the hot path)
-and the per-dimension (lower, upper) contribution columns are folded into the
-two score accumulators left to right.
+quantised dimension fragments.  A code can take only ``2**bits`` values, so
+per pruning period a kernel evaluates each active dimension's (lower, upper)
+contribution once per *possible code* — a contribution table — and then folds
+the candidates' codes in by lookup: one ``take`` and one add per code.  The
+metric-specific part of a kernel is only its contribution formula
+(:meth:`IntervalBlockKernel.contribution_interval`).
+
+Lower and upper travel together as one ``complex128`` value (real part =
+lower, imaginary part = upper): one lookup fetches both, one add folds both,
+and the searcher's accumulator is a single interleaved array.
 
 Bitwise equivalence contract
 ----------------------------
@@ -24,9 +26,11 @@ that the reference per-dimension sequence
     score_upper += up
 
 would accumulate — same operations, same operand order — so fused filter runs
-are bit-for-bit identical to the seed loop.  Dequantising *sliced* codes is
-bitwise identical to slicing dequantised full columns because every involved
-operation is elementwise.  ``tests/test_compressed_fused.py`` enforces the
+are bit-for-bit identical to the seed loop.  A table entry is that sequence
+applied to the code itself (every operation is elementwise, so evaluating it
+on the code grid and looking the result up is bitwise the same as evaluating
+it on the stored codes), and complex addition adds the real and imaginary
+parts independently.  ``tests/test_compressed_fused.py`` enforces the
 contract with ``np.array_equal``.
 """
 
@@ -43,96 +47,43 @@ from repro.metrics.weighted import WeightedSquaredEuclidean
 
 
 class IntervalWorkspace:
-    """Reusable scratch buffers for interval kernels.
+    """Reusable scratch for interval kernels: one interleaved column buffer.
 
-    One workspace per searcher: the buffers are lazily grown to the largest
-    candidate count seen and handed out as views, so a whole search (and every
-    search after it) dequantises and combines columns without allocating.
+    One workspace per searcher: the buffer is lazily grown to the largest
+    column seen and handed out as views, so full-height lookups land in it
+    without allocating.
     """
 
     def __init__(self) -> None:
-        self._lower = np.empty(0, dtype=np.float64)
-        self._upper = np.empty(0, dtype=np.float64)
-        self._scratch = np.empty(0, dtype=np.float64)
-        self._inside = np.empty(0, dtype=bool)
-        self._inside_scratch = np.empty(0, dtype=bool)
-        self._lower_rows = np.empty((0, 0), dtype=np.float64)
-        self._upper_rows = np.empty((0, 0), dtype=np.float64)
-        self._scratch_rows = np.empty((0, 0), dtype=np.float64)
-        self._inside_rows = np.empty((0, 0), dtype=bool)
-        self._inside_scratch_rows = np.empty((0, 0), dtype=bool)
+        self._values = np.empty(0, dtype=np.complex128)
 
-    def resize(self, count: int) -> None:
-        """Ensure every 1-D buffer can hold ``count`` values."""
-        if self._lower.shape[0] < count:
-            self._lower = np.empty(count, dtype=np.float64)
-            self._upper = np.empty(count, dtype=np.float64)
-            self._scratch = np.empty(count, dtype=np.float64)
-            self._inside = np.empty(count, dtype=bool)
-            self._inside_scratch = np.empty(count, dtype=bool)
+    def values(self, count: int) -> np.ndarray:
+        """A ``complex128`` view of length ``count`` (real = lower, imag = upper)."""
+        if self._values.shape[0] < count:
+            self._values = np.empty(count, dtype=np.complex128)
+        return self._values[:count]
 
     def value_buffers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) float64 views of length ``count``."""
-        self.resize(count)
-        return self._lower[:count], self._upper[:count]
-
-    def scratch(self, count: int) -> np.ndarray:
-        """A float64 scratch view of length ``count``."""
-        self.resize(count)
-        return self._scratch[:count]
-
-    def bool_buffers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two boolean views of length ``count``."""
-        self.resize(count)
-        return self._inside[:count], self._inside_scratch[:count]
-
-    def resize_rows(self, rows: int, count: int) -> None:
-        """Ensure every 2-D buffer can hold a ``(rows, count)`` block."""
-        if self._lower_rows.shape[0] < rows or self._lower_rows.shape[1] < count:
-            shape = (
-                max(rows, self._lower_rows.shape[0]),
-                max(count, self._lower_rows.shape[1]),
-            )
-            self._lower_rows = np.empty(shape, dtype=np.float64)
-            self._upper_rows = np.empty(shape, dtype=np.float64)
-            self._scratch_rows = np.empty(shape, dtype=np.float64)
-            self._inside_rows = np.empty(shape, dtype=bool)
-            self._inside_scratch_rows = np.empty(shape, dtype=bool)
-
-    def value_rows(self, rows: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) float64 views of shape ``(rows, count)``."""
-        self.resize_rows(rows, count)
-        return (
-            self._lower_rows[:rows, :count],
-            self._upper_rows[:rows, :count],
-        )
-
-    def scratch_rows(self, rows: int, count: int) -> np.ndarray:
-        """A float64 scratch view of shape ``(rows, count)``."""
-        self.resize_rows(rows, count)
-        return self._scratch_rows[:rows, :count]
-
-    def bool_rows(self, rows: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two boolean views of shape ``(rows, count)``."""
-        self.resize_rows(rows, count)
-        return (
-            self._inside_rows[:rows, :count],
-            self._inside_scratch_rows[:rows, :count],
-        )
+        """(lower, upper) contiguous float64 views of length ``count``, the
+        two halves of the memory behind :meth:`values` (which they clobber)."""
+        flat = self.values(count).view(np.float64)
+        return flat[:count], flat[count:]
 
 
 def dequantize_bounds(
     codes: np.ndarray,
-    minimum: float,
-    cell_width: float,
+    minimum: float | np.ndarray,
+    cell_width: float | np.ndarray,
     lower_out: np.ndarray,
     upper_out: np.ndarray,
 ) -> None:
-    """Turn one column of quantisation codes into per-value (lower, upper) bounds.
+    """Turn quantisation codes into per-value (lower, upper) bounds.
 
     Reproduces ``CompressedFragment.value_bounds()`` bit for bit —
     ``approx = minimum + codes * cell_width`` then ``approx ∓ cell_width/2`` —
     with every intermediate landing in the caller-provided output buffers.
+    ``minimum`` / ``cell_width`` are scalars for one column, or ``(m, 1)``
+    columns to dequantise m rows at once by broadcasting.
     """
     half = cell_width / 2.0
     np.multiply(codes, cell_width, out=lower_out)
@@ -141,26 +92,13 @@ def dequantize_bounds(
     np.subtract(lower_out, half, out=lower_out)        # approx - half
 
 
-def dequantize_bounds_rows(
-    code_rows: np.ndarray,
-    minimums: np.ndarray,
-    cell_widths: np.ndarray,
-    lower_out: np.ndarray,
-    upper_out: np.ndarray,
-) -> None:
-    """Row-block variant of :func:`dequantize_bounds`.
-
-    ``code_rows`` holds one dimension's candidate codes per *row* (shape
-    ``(m, n)``), so a handful of broadcast operations dequantise the whole
-    pruning period at once.  Every operation is elementwise with the same
-    per-element operands as the per-column path, so the bounds are bitwise
-    identical.
-    """
-    halves = cell_widths / 2.0
-    np.multiply(code_rows, cell_widths[:, None], out=lower_out)
-    np.add(lower_out, minimums[:, None], out=lower_out)   # lower_out = approx
-    np.add(lower_out, halves[:, None], out=upper_out)     # approx + half
-    np.subtract(lower_out, halves[:, None], out=lower_out)  # approx - half
+def _accumulate(values: np.ndarray, score_lower: np.ndarray, score_upper: np.ndarray | None) -> None:
+    """Fold one interleaved contribution column into the accumulator(s)."""
+    if score_upper is None:
+        score_lower += values
+    else:
+        score_lower += values.real
+        score_upper += values.imag
 
 
 class IntervalBlockKernel(abc.ABC):
@@ -170,6 +108,48 @@ class IntervalBlockKernel(abc.ABC):
     name: str = "interval-kernel"
 
     @abc.abstractmethod
+    def contribution_interval(
+        self,
+        value_lower: np.ndarray,
+        value_upper: np.ndarray,
+        query_values: np.ndarray,
+        dimensions: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) contributions of values known to lie in
+        ``[value_lower, value_upper]``.
+
+        The value arrays are ``(m, c)`` with row ``j`` belonging to dimension
+        ``dimensions[j]``; ``query_values`` is the ``(m, 1)`` column of the
+        query's coefficients.  May overwrite the value arrays.
+        """
+
+    def contributions(
+        self,
+        codes: np.ndarray,
+        minimums: np.ndarray,
+        cell_widths: np.ndarray,
+        query_values: np.ndarray,
+        dimensions: np.ndarray,
+    ) -> np.ndarray:
+        """Interleaved contributions of ``codes`` under m dimensions' grids.
+
+        ``codes`` is ``(m, c)`` (row ``j`` read under dimension
+        ``dimensions[j]``) or ``(c,)`` (the same codes under every
+        dimension — the code grid, which makes the result a contribution
+        table).  Returns ``(m, c)`` ``complex128``: real = lower, imag = upper.
+        """
+        shape = (minimums.shape[0], codes.shape[-1])
+        value_lower = np.empty(shape)
+        value_upper = np.empty(shape)
+        dequantize_bounds(codes, minimums[:, None], cell_widths[:, None], value_lower, value_upper)
+        lower, upper = self.contribution_interval(
+            value_lower, value_upper, query_values[:, None], dimensions
+        )
+        table = np.empty(shape, dtype=np.complex128)
+        table.real = lower
+        table.imag = upper
+        return table
+
     def accumulate_block(
         self,
         code_columns: "list[np.ndarray]",
@@ -178,17 +158,18 @@ class IntervalBlockKernel(abc.ABC):
         query_values: np.ndarray,
         dimensions: np.ndarray,
         score_lower: np.ndarray,
-        score_upper: np.ndarray,
+        score_upper: np.ndarray | None,
         workspace: IntervalWorkspace,
+        *,
+        levels: int | None = None,
     ) -> None:
         """Fold a block of compressed columns into the interval accumulators.
 
         Parameters
         ----------
         code_columns:
-            The m quantisation-code columns of the block, already restricted
-            to the surviving candidates (full fragments while every vector is
-            alive).  Left untouched — dequantisation lands in the workspace.
+            The m quantisation-code columns of the block (full fragments
+            while every vector is alive).  Left untouched.
         minimums / cell_widths:
             Per-column quantisation grids (length m, aligned with the block).
         query_values:
@@ -198,10 +179,22 @@ class IntervalBlockKernel(abc.ABC):
             to select weights, the others ignore them.
         score_lower / score_upper:
             The interval partial-score accumulators, updated in place column
-            by column, left to right.
+            by column, left to right: two float64 arrays, or one interleaved
+            ``complex128`` array in ``score_lower`` with ``score_upper=None``.
         workspace:
             Reusable scratch buffers (see :class:`IntervalWorkspace`).
+        levels:
+            Number of possible codes (``2**bits``); every code lies below it.
+            Defaults to every value the code dtype can hold.
         """
+        if not code_columns:
+            return
+        grid = _code_grid(code_columns[0].dtype, levels)
+        tables = self.contributions(grid, minimums, cell_widths, query_values, dimensions)
+        values = workspace.values(code_columns[0].shape[0])
+        for table, codes in zip(tables, code_columns):
+            table.take(codes, out=values, mode="clip")
+            _accumulate(values, score_lower, score_upper)
 
     def accumulate_row_block(
         self,
@@ -211,172 +204,77 @@ class IntervalBlockKernel(abc.ABC):
         query_values: np.ndarray,
         dimensions: np.ndarray,
         score_lower: np.ndarray,
-        score_upper: np.ndarray,
+        score_upper: np.ndarray | None,
         workspace: IntervalWorkspace,
+        *,
+        levels: int | None = None,
     ) -> None:
         """Fold a gathered ``(m, n)`` code block into the interval accumulators.
 
-        The candidate-restricted fast path: once the survivor list is small,
-        the period's codes arrive as one row-major block (row ``j`` holding
-        dimension ``dimensions[j]``'s codes for every candidate) and a few
-        broadcast expressions process all m dimensions at once instead of m
-        per-column round trips.  Accumulation stays row by row, left to
-        right, so the partial scores remain bitwise identical to the
-        per-dimension loop.
-
-        The default implementation loops over the rows via
-        :meth:`accumulate_block`; concrete kernels override it with true
-        broadcast expressions.
+        The candidate-restricted path: row ``j`` holds dimension
+        ``dimensions[j]``'s codes for every surviving candidate.  The block's
+        contributions come from one 2-D lookup into the period's tables — or,
+        when there are fewer candidates than possible codes, from evaluating
+        the gathered codes directly — and are folded in row by row, left to
+        right, exactly like :meth:`accumulate_block`.
         """
-        for position in range(code_rows.shape[0]):
-            self.accumulate_block(
-                [code_rows[position]],
-                minimums[position : position + 1],
-                cell_widths[position : position + 1],
-                query_values[position : position + 1],
-                dimensions[position : position + 1],
-                score_lower,
-                score_upper,
-                workspace,
-            )
+        grid = _code_grid(code_rows.dtype, levels)
+        if grid.shape[0] > code_rows.shape[1]:
+            values = self.contributions(code_rows, minimums, cell_widths, query_values, dimensions)
+        else:
+            tables = self.contributions(grid, minimums, cell_widths, query_values, dimensions)
+            values = np.take_along_axis(tables, code_rows, axis=1)
+        for row in values:
+            _accumulate(row, score_lower, score_upper)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
 
 
+def _code_grid(dtype: np.dtype, levels: int | None) -> np.ndarray:
+    """The codes ``0 … levels - 1`` (default: every value of ``dtype``)."""
+    if levels is None:
+        levels = int(np.iinfo(dtype).max) + 1
+    return np.arange(levels, dtype=dtype)
+
+
 class HistogramIntersectionIntervalKernel(IntervalBlockKernel):
-    """Fused interval ``min(h, q)`` — monotone, so the interval maps directly."""
+    """Interval ``min(h, q)`` — monotone, so the interval maps directly."""
 
     name = "histogram-interval"
 
-    def accumulate_block(
-        self,
-        code_columns,
-        minimums,
-        cell_widths,
-        query_values,
-        dimensions,
-        score_lower,
-        score_upper,
-        workspace,
-    ):
-        count = score_lower.shape[0]
-        value_lower, value_upper = workspace.value_buffers(count)
-        for position, codes in enumerate(code_columns):
-            dequantize_bounds(
-                codes,
-                float(minimums[position]),
-                float(cell_widths[position]),
-                value_lower,
-                value_upper,
-            )
-            query_value = float(query_values[position])
-            np.minimum(value_lower, query_value, out=value_lower)
-            np.minimum(value_upper, query_value, out=value_upper)
-            score_lower += value_lower
-            score_upper += value_upper
+    def contribution_interval(self, value_lower, value_upper, query_values, dimensions):
+        np.minimum(value_lower, query_values, out=value_lower)
+        np.minimum(value_upper, query_values, out=value_upper)
+        return value_lower, value_upper
 
-    def accumulate_row_block(
-        self,
-        code_rows,
-        minimums,
-        cell_widths,
-        query_values,
-        dimensions,
-        score_lower,
-        score_upper,
-        workspace,
-    ):
-        rows, count = code_rows.shape
-        value_lower, value_upper = workspace.value_rows(rows, count)
-        dequantize_bounds_rows(code_rows, minimums, cell_widths, value_lower, value_upper)
-        np.minimum(value_lower, query_values[:, None], out=value_lower)
-        np.minimum(value_upper, query_values[:, None], out=value_upper)
-        for position in range(rows):
-            score_lower += value_lower[position]
-            score_upper += value_upper[position]
+
+def _squared_interval(at_lower, at_upper, inside):
+    """Bounds of a convex per-value contribution from its endpoint values:
+    the larger endpoint above, the smaller below — or zero when the query
+    lies inside the interval."""
+    upper = np.maximum(at_lower, at_upper)
+    np.minimum(at_lower, at_upper, out=at_lower)
+    at_lower[inside] = 0.0
+    return at_lower, upper
 
 
 class SquaredEuclideanIntervalKernel(IntervalBlockKernel):
-    """Fused interval ``(v - q)^2`` — zero when the query lies inside the cell."""
+    """Interval ``(v - q)^2`` — zero when the query lies inside the cell."""
 
     name = "euclidean-interval"
 
-    def accumulate_block(
-        self,
-        code_columns,
-        minimums,
-        cell_widths,
-        query_values,
-        dimensions,
-        score_lower,
-        score_upper,
-        workspace,
-    ):
-        count = score_lower.shape[0]
-        value_lower, value_upper = workspace.value_buffers(count)
-        combined = workspace.scratch(count)
-        inside, inside_scratch = workspace.bool_buffers(count)
-        for position, codes in enumerate(code_columns):
-            dequantize_bounds(
-                codes,
-                float(minimums[position]),
-                float(cell_widths[position]),
-                value_lower,
-                value_upper,
-            )
-            query_value = float(query_values[position])
-            # inside = (lower <= q) & (q <= upper), before the buffers are
-            # squared in place.
-            np.less_equal(value_lower, query_value, out=inside)
-            np.greater_equal(value_upper, query_value, out=inside_scratch)
-            np.logical_and(inside, inside_scratch, out=inside)
-            # value buffers become the contributions at the interval endpoints.
-            np.subtract(value_lower, query_value, out=value_lower)
-            np.multiply(value_lower, value_lower, out=value_lower)
-            np.subtract(value_upper, query_value, out=value_upper)
-            np.multiply(value_upper, value_upper, out=value_upper)
-            np.maximum(value_lower, value_upper, out=combined)
-            score_upper += combined
-            np.minimum(value_lower, value_upper, out=combined)
-            combined[inside] = 0.0
-            score_lower += combined
-
-    def accumulate_row_block(
-        self,
-        code_rows,
-        minimums,
-        cell_widths,
-        query_values,
-        dimensions,
-        score_lower,
-        score_upper,
-        workspace,
-    ):
-        rows, count = code_rows.shape
-        value_lower, value_upper = workspace.value_rows(rows, count)
-        combined = workspace.scratch_rows(rows, count)
-        inside, inside_scratch = workspace.bool_rows(rows, count)
-        dequantize_bounds_rows(code_rows, minimums, cell_widths, value_lower, value_upper)
-        query_column = query_values[:, None]
-        np.less_equal(value_lower, query_column, out=inside)
-        np.greater_equal(value_upper, query_column, out=inside_scratch)
-        np.logical_and(inside, inside_scratch, out=inside)
-        np.subtract(value_lower, query_column, out=value_lower)
+    def contribution_interval(self, value_lower, value_upper, query_values, dimensions):
+        inside = (value_lower <= query_values) & (value_upper >= query_values)
+        np.subtract(value_lower, query_values, out=value_lower)
         np.multiply(value_lower, value_lower, out=value_lower)
-        np.subtract(value_upper, query_column, out=value_upper)
+        np.subtract(value_upper, query_values, out=value_upper)
         np.multiply(value_upper, value_upper, out=value_upper)
-        np.maximum(value_lower, value_upper, out=combined)
-        for position in range(rows):
-            score_upper += combined[position]
-        np.minimum(value_lower, value_upper, out=combined)
-        combined[inside] = 0.0
-        for position in range(rows):
-            score_lower += combined[position]
+        return _squared_interval(value_lower, value_upper, inside)
 
 
 class WeightedSquaredEuclideanIntervalKernel(IntervalBlockKernel):
-    """Fused interval ``w (v - q)^2``, multiplying as ``(w * d) * d``.
+    """Interval ``w (v - q)^2``, multiplying as ``(w * d) * d``.
 
     The multiplication order matches the scalar metric — ``w * d == d * w``
     bitwise (IEEE multiplication commutes) — so the endpoint contributions
@@ -388,90 +286,22 @@ class WeightedSquaredEuclideanIntervalKernel(IntervalBlockKernel):
     def __init__(self, weights: np.ndarray) -> None:
         self._weights = np.asarray(weights, dtype=np.float64)
 
-    def accumulate_block(
-        self,
-        code_columns,
-        minimums,
-        cell_widths,
-        query_values,
-        dimensions,
-        score_lower,
-        score_upper,
-        workspace,
-    ):
-        count = score_lower.shape[0]
-        value_lower, value_upper = workspace.value_buffers(count)
-        combined = workspace.scratch(count)
-        inside, inside_scratch = workspace.bool_buffers(count)
-        for position, codes in enumerate(code_columns):
-            dequantize_bounds(
-                codes,
-                float(minimums[position]),
-                float(cell_widths[position]),
-                value_lower,
-                value_upper,
-            )
-            query_value = float(query_values[position])
-            weight = float(self._weights[int(dimensions[position])])
-            np.less_equal(value_lower, query_value, out=inside)
-            np.greater_equal(value_upper, query_value, out=inside_scratch)
-            np.logical_and(inside, inside_scratch, out=inside)
-            # (w * d) * d at both endpoints; `combined` briefly holds w * d.
-            np.subtract(value_lower, query_value, out=value_lower)
-            np.multiply(value_lower, weight, out=combined)
-            np.multiply(combined, value_lower, out=value_lower)
-            np.subtract(value_upper, query_value, out=value_upper)
-            np.multiply(value_upper, weight, out=combined)
-            np.multiply(combined, value_upper, out=value_upper)
-            np.maximum(value_lower, value_upper, out=combined)
-            score_upper += combined
-            np.minimum(value_lower, value_upper, out=combined)
-            combined[inside] = 0.0
-            score_lower += combined
-
-    def accumulate_row_block(
-        self,
-        code_rows,
-        minimums,
-        cell_widths,
-        query_values,
-        dimensions,
-        score_lower,
-        score_upper,
-        workspace,
-    ):
-        rows, count = code_rows.shape
-        value_lower, value_upper = workspace.value_rows(rows, count)
-        combined = workspace.scratch_rows(rows, count)
-        inside, inside_scratch = workspace.bool_rows(rows, count)
-        dequantize_bounds_rows(code_rows, minimums, cell_widths, value_lower, value_upper)
-        query_column = query_values[:, None]
-        weight_column = self._weights[dimensions][:, None]
-        np.less_equal(value_lower, query_column, out=inside)
-        np.greater_equal(value_upper, query_column, out=inside_scratch)
-        np.logical_and(inside, inside_scratch, out=inside)
-        # (w * d) * d at both endpoints; `combined` briefly holds w * d.
-        np.subtract(value_lower, query_column, out=value_lower)
-        np.multiply(value_lower, weight_column, out=combined)
-        np.multiply(combined, value_lower, out=value_lower)
-        np.subtract(value_upper, query_column, out=value_upper)
-        np.multiply(value_upper, weight_column, out=combined)
-        np.multiply(combined, value_upper, out=value_upper)
-        np.maximum(value_lower, value_upper, out=combined)
-        for position in range(rows):
-            score_upper += combined[position]
-        np.minimum(value_lower, value_upper, out=combined)
-        combined[inside] = 0.0
-        for position in range(rows):
-            score_lower += combined[position]
+    def contribution_interval(self, value_lower, value_upper, query_values, dimensions):
+        weights = self._weights[dimensions][:, None]
+        inside = (value_lower <= query_values) & (value_upper >= query_values)
+        np.subtract(value_lower, query_values, out=value_lower)
+        np.multiply(value_lower * weights, value_lower, out=value_lower)
+        np.subtract(value_upper, query_values, out=value_upper)
+        np.multiply(value_upper * weights, value_upper, out=value_upper)
+        return _squared_interval(value_lower, value_upper, inside)
 
 
 class GenericIntervalKernel(IntervalBlockKernel):
-    """Fallback for metrics without a fused interval kernel.
+    """Fallback for metrics without a fused interval formula.
 
-    Dequantises each column into the workspace and delegates to
-    :func:`~repro.core.compressed.contribution_interval` — still one storage
-    call per block, only the per-column contribution math stays generic.
+    Delegates each row to :func:`~repro.core.compressed.contribution_interval`
+    — still one storage call and one table per block, only the contribution
+    math stays generic.
     """
 
     name = "generic-interval"
@@ -479,38 +309,18 @@ class GenericIntervalKernel(IntervalBlockKernel):
     def __init__(self, metric: Metric) -> None:
         self._metric = metric
 
-    def accumulate_block(
-        self,
-        code_columns,
-        minimums,
-        cell_widths,
-        query_values,
-        dimensions,
-        score_lower,
-        score_upper,
-        workspace,
-    ):
+    def contribution_interval(self, value_lower, value_upper, query_values, dimensions):
         from repro.core.compressed import contribution_interval
 
-        count = score_lower.shape[0]
-        value_lower, value_upper = workspace.value_buffers(count)
-        for position, codes in enumerate(code_columns):
-            dequantize_bounds(
-                codes,
-                float(minimums[position]),
-                float(cell_widths[position]),
-                value_lower,
-                value_upper,
-            )
-            contribution_lower, contribution_upper = contribution_interval(
+        for position in range(value_lower.shape[0]):
+            value_lower[position], value_upper[position] = contribution_interval(
                 self._metric,
-                value_lower,
-                value_upper,
-                float(query_values[position]),
+                value_lower[position],
+                value_upper[position],
+                float(query_values[position, 0]),
                 dimension=int(dimensions[position]),
             )
-            score_lower += contribution_lower
-            score_upper += contribution_upper
+        return value_lower, value_upper
 
 
 def provably_zero_dimensions(

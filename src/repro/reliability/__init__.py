@@ -10,10 +10,10 @@ Two halves:
   :class:`RetryBudget` and per-backend :class:`CircuitBreaker` primitives
   the serving layer composes around execution.
 
-The contract the whole layer upholds (pinned by ``tests/test_reliability.py``
-and the ``--chaos`` benchmark axis): under any seeded fault schedule, every
-query resolves to either a **bitwise-identical** answer (transient faults
-absorbed by retry / failover) or a **typed**
+The contract the whole layer upholds (pinned by
+``tests/test_reliability.py::TestChaosProperty``): under any seeded fault
+schedule, every query resolves to either a **bitwise-identical** answer
+(transient faults absorbed by retry / failover) or a **typed**
 :class:`~repro.errors.ReproError` — never a silently wrong answer.
 """
 

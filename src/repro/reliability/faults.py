@@ -5,7 +5,8 @@ where failures plausibly originate — with error / delay / hang schedules.
 The schedule is a pure function of the plan's seed and the per-spec hit
 counter, so two runs of the same workload under the same plan observe the
 *same* fault sequence: chaos tests replay bit for bit, and a failure found
-by the ``--chaos`` benchmark axis reproduces from its seed alone.
+by ``tests/test_reliability.py::TestChaosProperty`` reproduces from its seed
+alone.
 
 The registered fault points:
 

@@ -407,7 +407,9 @@ class CompressedStore:
         code_tails = self._code_tails
         block = np.empty((int(dims.size), len(oid_array)), dtype=self.code_dtype)
         for position, dimension in enumerate(dims):
-            np.take(code_tails[int(dimension)], oid_array, out=block[position])
+            # The method skips np.take's dispatch (~0.8 us of ~1.5 us per call
+            # on a few hundred survivors); it runs once per column per round.
+            code_tails[int(dimension)].take(oid_array, out=block[position])
         return block
 
     @property

@@ -10,11 +10,18 @@ quantisation grids (the no-false-dismissal property).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.vafile import VAFile
-from repro.core.compressed import CompressedBondSearcher
+from repro.core.batch import drive
+from repro.core.compressed import CompressedBondSearcher, contribution_interval
+from repro.core.planner import FixedPeriodSchedule, GeometricSchedule, MassAwareSchedule
+from repro.datasets.corel import make_corel_like
 from repro.errors import QueryError, StorageError
 from repro.kernels.interval import (
     GenericIntervalKernel,
@@ -365,7 +372,177 @@ class TestIntervalWorkspace:
         assert lower.shape == (100,) and upper.shape == (100,)
         small_lower, _ = workspace.value_buffers(10)
         assert small_lower.base is lower.base  # same backing buffer
-        rows_lower, rows_upper = workspace.value_rows(4, 50)
-        assert rows_lower.shape == (4, 50) and rows_upper.shape == (4, 50)
-        bigger, _ = workspace.value_rows(8, 200)
-        assert bigger.shape == (8, 200)
+        bigger = workspace.values(200)
+        assert bigger.shape == (200,) and bigger.dtype == np.complex128
+
+
+class TestScheduleIndependence:
+    """Compressed answers do not depend on the pruning schedule.
+
+    The schedule only moves the pruning checkpoints: every candidate's
+    interval scores are folded in the same dimension order wherever the
+    checkpoints fall, no checkpoint drops a true top-k member, and the
+    refinement scores the survivors exactly.  The survivor *count* may differ
+    between schedules — and need not shrink as checkpoints are added — because
+    a lower-bound contribution ``min - cell/2`` can be negative, so kappa
+    (the k-th best lower bound) is not monotone in the processed dimensions.
+    """
+
+    SCHEDULES = (
+        lambda: FixedPeriodSchedule(8),
+        MassAwareSchedule,
+        GeometricSchedule,
+    )
+
+    @staticmethod
+    def collection(seed: int, rows: int, dimensionality: int, duplicates: int, metric: str):
+        rng = np.random.default_rng(seed)
+        data = rng.random((rows, dimensionality))
+        # A constant column: its cells have width 0.
+        data[:, 1] = 0.0 if metric == "hq" else 0.5
+        # Duplicated rows, so the k-th place ties.
+        data = np.concatenate([data, data[:duplicates]])
+        if metric == "hq":
+            data /= data.sum(axis=1, keepdims=True)
+        return data
+
+    @staticmethod
+    def make_metric(metric: str, dimensionality: int, seed: int) -> Metric:
+        if metric == "hq":
+            return HistogramIntersection()
+        if metric == "euclidean":
+            return SquaredEuclidean()
+        weights = np.random.default_rng(seed).uniform(0.0, 2.0, dimensionality)
+        weights[::3] = 0.0
+        return WeightedSquaredEuclidean(weights)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        rows=st.integers(min_value=20, max_value=300),
+        dimensionality=st.integers(min_value=2, max_value=40),
+        duplicates=st.integers(min_value=1, max_value=20),
+        bits=st.sampled_from([3, 8, 10]),
+        metric=st.sampled_from(["hq", "euclidean", "weighted"]),
+        k=st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_answers_are_identical_under_every_schedule(
+        self, seed, rows, dimensionality, duplicates, bits, metric, k
+    ):
+        data = self.collection(seed, rows, dimensionality, duplicates, metric)
+        metric_ = self.make_metric(metric, dimensionality, seed)
+        store = make_store(data, bits=bits)
+        query = data[seed % data.shape[0]]
+        reference = exact_top_k(data, query, k, metric_)
+        answers = []
+        for schedule in self.SCHEDULES:
+            searcher = CompressedBondSearcher(store, metric=metric_, schedule=schedule())
+            run = searcher._plan(query, k)
+            drive(searcher, [run])
+            survivors = np.arange(data.shape[0]) if run.oids is None else run.oids
+            assert set(reference.oids.tolist()) <= set(survivors.tolist())
+            answers.append(run.result)
+        for answer in answers[1:]:
+            assert results_bitwise_equal(answers[0], answer)
+
+
+class ManhattanLike(Metric):
+    """A metric without a fused interval formula (the generic kernel's case)."""
+
+    name = "manhattan"
+
+    @property
+    def kind(self):
+        return MetricKind.DISTANCE
+
+    def contributions(self, column, query_value, *, dimension=None):
+        return np.abs(np.asarray(column, dtype=np.float64) - float(query_value))
+
+    def score(self, vectors, query):
+        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        return np.abs(vectors - query[None, :]).sum(axis=1)
+
+
+class TestKernelCallShapes:
+    """Every way into an interval kernel accumulates the same floats."""
+
+    @pytest.mark.parametrize("bits", [8, 10])
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            HistogramIntersection(),
+            SquaredEuclidean(),
+            EuclideanSimilarity(),
+            WeightedSquaredEuclidean(np.tile([0.0, 0.5, 1.7], 16)),
+            ManhattanLike(),
+        ],
+        ids=lambda metric: type(metric).__name__,
+    )
+    def test_every_call_shape_is_bitwise_identical(self, corel_histograms, metric, bits):
+        store = make_store(corel_histograms, bits=bits)
+        kernel = interval_kernel_for(metric)
+        dimensions = np.array([5, 0, 17, 3, 40, 11], dtype=np.int64)
+        query = corel_histograms[9]
+        grids = (store.minimums[dimensions], store.cell_widths[dimensions])
+        count = store.cardinality
+
+        reference_lower, reference_upper = np.zeros(count), np.zeros(count)
+        for dimension in dimensions:
+            value_lower, value_upper = store.fragment(int(dimension)).value_bounds()
+            lower, upper = contribution_interval(
+                metric, value_lower, value_upper, query[dimension], dimension=int(dimension)
+            )
+            reference_lower += lower
+            reference_upper += upper
+
+        columns = store.code_columns(dimensions, charge=False)
+        split_lower, split_upper = np.zeros(count), np.zeros(count)
+        kernel.accumulate_block(
+            columns, *grids, query[dimensions], dimensions,
+            split_lower, split_upper, IntervalWorkspace(),
+        )
+        # The searcher's path: one interleaved accumulator, 2**bits-long tables.
+        interleaved = np.zeros(count, dtype=np.complex128)
+        kernel.accumulate_block(
+            columns, *grids, query[dimensions], dimensions,
+            interleaved, None, IntervalWorkspace(), levels=1 << bits,
+        )
+        assert np.array_equal(split_lower, reference_lower)
+        assert np.array_equal(split_upper, reference_upper)
+        assert np.array_equal(interleaved.real, reference_lower)
+        assert np.array_equal(interleaved.imag, reference_upper)
+
+        # Gathered codes: every row (a table lookup) and a few rows (fewer
+        # values than codes, so the codes are evaluated directly).
+        for oids in (np.arange(count), np.array([4, 99, 1000, 7], dtype=np.int64)):
+            rows = np.zeros(oids.shape[0], dtype=np.complex128)
+            kernel.accumulate_row_block(
+                store.code_row_block(dimensions, oids, charge=None), *grids,
+                query[dimensions], dimensions, rows, None, IntervalWorkspace(),
+                levels=1 << bits,
+            )
+            assert np.array_equal(rows.real, reference_lower[oids])
+            assert np.array_equal(rows.imag, reference_upper[oids])
+
+
+class TestBatchMemory:
+    def test_batch_peak_does_not_grow_with_the_batch(self):
+        """A run allocates its full-height accumulator at its first scan and
+        shrinks it at its first prune, so a batch holds one at a time."""
+        collection = make_corel_like(cardinality=20_000, dimensionality=64, seed=5)
+        searcher = CompressedBondSearcher(make_store(collection))
+        queries = collection[np.arange(0, 20_000, 1_250)]
+        searcher.search(queries[0], 10)  # warm the workspace
+
+        def traced_peak(call) -> int:
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single = traced_peak(lambda: searcher.search(queries[0], 10))
+        batch = traced_peak(lambda: searcher.search_batch(queries, 10))
+        assert len(queries) == 16
+        assert batch < 3 * single
