@@ -2,8 +2,9 @@
 
 Builds a Corel-like collection, wraps it in the ``Index`` facade, and serves
 an open-loop Poisson query stream through the asyncio ``SearchService``:
-independent ``await service.submit(...)`` calls are coalesced into
-micro-batches under a 3 ms latency budget, executed through
+independent ``await service.submit(...)`` calls that arrive while a batch
+runs are coalesced into micro-batches (a 3 ms latency budget caps the
+wait), executed through
 ``Index.answer(Query(..., batch=True))`` on a worker thread, and answered
 with results bitwise identical to direct single-query calls.  The same
 stream is then replayed one query at a time to show what batching bought,
@@ -43,10 +44,11 @@ async def main() -> None:
     # caches exist before serving starts (a long-lived service is warm).
     index.answer(Query(histograms[0], k=10, metric="histogram"))
 
-    # 2. Serve an open-loop Poisson stream: queries arrive on their own clock,
-    #    the service coalesces whoever is waiting when the budget expires.
+    # 2. Serve an open-loop Poisson stream: queries arrive on their own clock;
+    #    an idle service dispatches at once and coalesces what arrives while a
+    #    batch runs.
     config = ServingConfig(
-        latency_budget=0.003,   # the oldest request waits at most 3 ms for peers
+        latency_budget=0.003,   # a ceiling: the oldest request waits at most 3 ms
         max_batch_size=16,      # a full batch flushes immediately
         max_queue=256,          # admission control: overflow is rejected
         admission="overlap",    # group by predicted dimension-order overlap

@@ -6,18 +6,25 @@ store views out of the parent's (a zero-copy row slice of the exact store
 with a private :class:`~repro.engine.cost.CostModel` and, for
 ``kind="compressed"``, the matching code-column slice under the parent's
 quantisation grid) and builds that shard's searcher.  Both executors build
-from it and answer the same two-method protocol —
+from it and answer the same protocol —
 
-* ``search_batch(shard, queries, k) -> (results, CostAccount)``: one shard's
-  top-k lists for a query matrix plus the cost account the shard's searcher
-  measured for it (a single query is a batch of one);
+* ``search_shards(queries, k, before) -> list[(results, CostAccount) |
+  Exception]``: every shard's top-k lists for a query matrix plus the cost
+  account its searcher measured, in shard order (a single query is a batch
+  of one).  ``before(shard)`` runs ahead of each shard's task (the engine's
+  ``shard.map`` fault point); an exception from it or from the shard's
+  search is returned in that shard's slot, never raised, so one failed
+  shard cannot abort the others;
+* ``search_batch(shard, queries, k) -> (results, CostAccount)``: one shard
+  alone (probes and tools);
 * ``close()``;
 
-— so the sharded engine of :mod:`repro.core.parallel` dispatches, applies its
-failure policy and merges without knowing which one it holds:
+— so the sharded engine of :mod:`repro.core.parallel` applies its failure
+policy and merges without knowing which one it holds:
 
 * :class:`InProcessShardExecutor` runs the shard searchers in the calling
-  process, against the parent's own arrays;
+  process, against the parent's own arrays — inline, or on its own
+  ``repro-shard`` thread pool when built with ``workers > 1``;
 * :class:`ProcessShardExecutor` moves each shard's whole search into a
   **worker process** running the identical searcher over the identical
   bytes: the parent publishes the store's fragment columns once into shared
@@ -27,10 +34,13 @@ failure policy and merges without knowing which one it holds:
   pickling bit for bit) and cost accounts as the explicit
   :meth:`~repro.engine.cost.CostAccount.to_wire` tuples — never as live
   lock-holding models.  Answers and accounts are bitwise the in-process
-  executor's.
+  executor's.  ``search_shards`` scatters from the calling thread: every
+  shard task goes to an idle worker, then the replies are received in send
+  order — the worker processes are the parallelism, so no dispatch thread
+  sits between the caller and the pipes.
 
 A worker that dies mid-task (killed, OOM, crashed interpreter) surfaces as a
-:class:`~repro.errors.TransientBackendError` raised from that shard's task —
+:class:`~repro.errors.TransientBackendError` in that shard's slot —
 the same typed error the retry / failover / partial-degrade machinery
 already handles — and the pool respawns a replacement so the next query
 finds a healthy worker.
@@ -48,6 +58,8 @@ import multiprocessing
 import pickle
 import queue
 import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -131,18 +143,46 @@ class EngineSpec:
 
 
 class InProcessShardExecutor:
-    """The executor protocol over shard searchers living in this process."""
+    """The executor protocol over shard searchers living in this process.
 
-    def __init__(self, searchers) -> None:
+    With ``workers > 1`` the shards run on a ``repro-shard`` thread pool of
+    that size (its threads start on first use; :meth:`close` stops them);
+    otherwise the calling thread walks the shards in order.
+    """
+
+    def __init__(self, searchers, workers: int = 1) -> None:
         self._searchers = searchers
+        self._pool = (
+            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-shard")
+            if workers > 1
+            else None
+        )
 
     def search_batch(self, shard: int, queries: np.ndarray, k: int):
         """One shard's batch search: ``(list[SearchResult], CostAccount)``."""
         batch = self._searchers[shard].search_batch(queries, k)
         return batch.results, batch.cost
 
+    def search_shards(self, queries: np.ndarray, k: int, before) -> list:
+        """Every shard's ``(results, CostAccount)`` or exception, in shard order."""
+
+        def task(shard: int):
+            try:
+                before(shard)
+                return self.search_batch(shard, queries, k)
+            except Exception as exc:  # the shard's outcome, not the caller's
+                return exc
+
+        shards = range(len(self._searchers))
+        if self._pool is None:
+            return [task(shard) for shard in shards]
+        return list(self._pool.map(task, shards))
+
     def close(self) -> None:
-        """Nothing to release: the searchers belong to the engine."""
+        """Stop the thread pool, if any; the searchers belong to the engine."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
 
 def _shard_worker_main(conn, store_spec: StoreSpec, engine_spec: EngineSpec, plan: ShardPlan):
@@ -233,6 +273,7 @@ class ProcessShardExecutor:
         context: str | None = None,
     ) -> None:
         self._segment = segment.acquire()
+        self._num_shards = plan.num_shards
         self._workers = max(1, min(int(workers), plan.num_shards))
         try:
             self._payload = pickle.dumps((segment.spec, engine_spec, plan))
@@ -342,26 +383,93 @@ class ProcessShardExecutor:
 
     # -- dispatch -----------------------------------------------------------
 
-    def _call(self, shard: int, queries: np.ndarray, k: int):
-        """Run one shard task on any idle worker; typed error if it dies."""
+    def _check_open(self) -> None:
         with self._lock:
             if self._closed:
                 raise QueryError("the process shard executor is closed")
-        worker = self._idle.get()
+
+    def _lost(self, worker: _Worker) -> TransientBackendError:
+        """Retire a worker whose pipe broke; the typed error for its task."""
+        pid = worker.pid
+        self._retire(worker)
+        return TransientBackendError(
+            f"shard worker (pid {pid}) died mid-task; a replacement was spawned"
+        )
+
+    def _send(self, worker: _Worker, shard: int, queries: np.ndarray, k: int) -> None:
         try:
-            worker.conn.send((shard, np.asarray(queries, dtype=np.float64), int(k)))
+            worker.conn.send((shard, queries, k))
+        except OSError as exc:
+            raise self._lost(worker) from exc
+
+    def _receive(self, worker: _Worker):
+        """The reply to ``worker``'s task; the worker goes back to the idle
+        queue (or is replaced, if it died)."""
+        try:
             status, payload = worker.conn.recv()
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            pid = worker.pid
-            self._retire(worker)
-            raise TransientBackendError(
-                f"shard worker (pid {pid}) died mid-task; a replacement was spawned"
-            ) from exc
+        except (EOFError, OSError) as exc:
+            raise self._lost(worker) from exc
         self._idle.put(worker)
         if status == "error":
             raise payload
         results, wire = payload
         return results, CostAccount.from_wire(wire)
+
+    def _call(self, shard: int, queries: np.ndarray, k: int):
+        """Run one shard task on any idle worker; typed error if it dies."""
+        self._check_open()
+        worker = self._idle.get()
+        self._send(worker, shard, np.asarray(queries, dtype=np.float64), int(k))
+        return self._receive(worker)
+
+    def search_shards(self, queries: np.ndarray, k: int, before) -> list:
+        """Every shard's ``(results, CostAccount)`` or exception, in shard order.
+
+        Scatter, then gather: each shard task goes to an idle worker, and
+        the replies are received in send order.  A caller still holding an
+        unreceived task only *tries* for another worker — when none is idle
+        it receives its oldest reply, which frees that worker — and blocks
+        on the idle queue only while it holds nothing.  Callers sharing a
+        pool with fewer workers than shards therefore never wait on one
+        another's workers in a cycle.
+        """
+        self._check_open()
+        queries = np.asarray(queries, dtype=np.float64)
+        k = int(k)
+        outcomes: list = [None] * self._num_shards
+        sent: deque[tuple[int, _Worker]] = deque()
+
+        def gather_oldest() -> None:
+            shard, worker = sent.popleft()
+            try:
+                outcomes[shard] = self._receive(worker)
+            except Exception as exc:
+                outcomes[shard] = exc
+
+        def next_worker() -> _Worker:
+            while sent:
+                try:
+                    return self._idle.get_nowait()
+                except queue.Empty:
+                    gather_oldest()
+            return self._idle.get()
+
+        try:
+            for shard in range(self._num_shards):
+                try:
+                    before(shard)
+                    worker = next_worker()
+                    self._send(worker, shard, queries, k)
+                except Exception as exc:
+                    outcomes[shard] = exc
+                    continue
+                sent.append((shard, worker))
+        finally:
+            # Even when interrupted, every sent task is received, so its
+            # worker returns to the idle queue.
+            while sent:
+                gather_oldest()
+        return outcomes
 
     def search_batch(self, shard: int, queries: np.ndarray, k: int):
         """One shard's batch search: ``(list[SearchResult], CostAccount)``."""

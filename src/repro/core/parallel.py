@@ -39,8 +39,7 @@ and beat it there too.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -160,7 +159,7 @@ class ShardedBondSearcher:
     :class:`~repro.core.compressed.CompressedBondSearcher` over a view keeping
     the parent's global quantisation grid.  What a shard's stores and
     searcher are is :class:`~repro.cluster.executor.EngineSpec`'s business;
-    this class dispatches ``(shard, queries, k)`` calls onto an executor
+    this class hands each query matrix to an executor's ``search_shards``
     (see :mod:`repro.cluster.executor` for the protocol), applies the
     shard-failure policy and merges with the deterministic tie-break of
     :func:`merge_shard_results`, so answers are bitwise identical to the
@@ -179,7 +178,9 @@ class ShardedBondSearcher:
         How many shards run at once.  Default: in-process shards run
         **inline** on the calling thread (a thread pool never beat that here
         — README, sharding section), the process executor runs one worker
-        per shard.  An explicit count sizes a pool on either executor.
+        per shard.  An explicit count sizes the in-process executor's thread
+        pool or the process executor's worker pool.  Process shards need no
+        dispatch thread: the calling thread scatters to the workers.
     on_shard_failure:
         ``"fail"`` (default) re-raises the first failed shard's error;
         ``"partial"`` degrades gracefully — the surviving shards' top-k is
@@ -237,7 +238,6 @@ class ShardedBondSearcher:
             for shard in range(self._plan.num_shards)
         ]
         self._executor = None  # the shard executor, opened on first use
-        self._dispatch: ThreadPoolExecutor | None = None
 
     @property
     def store(self) -> DecomposedStore | CompressedStore:
@@ -261,15 +261,13 @@ class ShardedBondSearcher:
         return self._plan
 
     def close(self) -> None:
-        """Shut the executor and the dispatch pool down (idempotent; a later
-        search re-opens them).
+        """Shut the executor down — worker processes, or the in-process
+        thread pool of ``workers > 1`` (idempotent; a later search re-opens
+        it).
 
         In process mode this also releases the engine's reference on the
         shared-memory segment — the last holder unlinks it, so a closed
         engine leaves nothing behind in ``/dev/shm``."""
-        if self._dispatch is not None:
-            self._dispatch.shutdown(wait=True)
-            self._dispatch = None
         if self._executor is not None:
             self._executor.close()
             self._executor = None
@@ -281,9 +279,10 @@ class ShardedBondSearcher:
         self.close()
 
     def _open_executor(self):
-        """The shard executor, built (or rebuilt, after close) on the calling
-        thread *before* any dispatch thread starts, so fork-based workers
-        never fork a multithreaded parent mid-flight."""
+        """The shard executor, built (or rebuilt, after close) on first use.
+        The engine starts no thread of its own: process shards are scattered
+        from the calling thread, and the thread pool of in-process
+        ``workers > 1`` belongs to (and closes with) its executor."""
         if self._executor is None:
             from repro.cluster.executor import InProcessShardExecutor, ProcessShardExecutor
 
@@ -296,45 +295,27 @@ class ShardedBondSearcher:
                     context=self._process_context,
                 )
             else:
-                self._executor = InProcessShardExecutor(self._searchers)
+                self._executor = InProcessShardExecutor(self._searchers, self._workers)
         return self._executor
-
-    def _map_shards(self, task: Callable[[int], object]) -> list:
-        """Run ``task(shard_index)`` for every shard: inline with one worker,
-        else on the dispatch pool (a process worker's task blocks its
-        dispatch thread on the pipe, so the pool is what overlaps them)."""
-        if self._workers == 1:
-            return [task(shard) for shard in range(self._plan.num_shards)]
-        if self._dispatch is None:
-            self._dispatch = ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix="repro-shard"
-            )
-        return list(self._dispatch.map(task, range(self._plan.num_shards)))
 
     def _search_shards(
         self, queries: np.ndarray, k: int
     ) -> tuple[list, list[int], tuple[int, ...]]:
         """Every shard's top-k lists for ``queries``, split by the failure policy.
 
-        Every shard task passes through the ``shard.map`` fault point and has
-        its exception captured (so one dead shard never aborts the pool map
-        mid-iteration).  Each surviving shard's own cost account reaches the
-        parent model once.  Returns the surviving shards' result lists, their
-        indices and the failed shards' indices — unless the policy is
-        ``"fail"`` (or *no* shard survived, where there is nothing to degrade
-        to), in which case the lowest-indexed shard's original exception is
-        re-raised, preserving its type for the retry / failover layers above.
+        Every shard task passes through the ``shard.map`` fault point, and the
+        executor captures each shard's exception in its slot (so one dead
+        shard never aborts the others).  Each surviving shard's own cost
+        account reaches the parent model once.  Returns the surviving shards'
+        result lists, their indices and the failed shards' indices — unless
+        the policy is ``"fail"`` (or *no* shard survived, where there is
+        nothing to degrade to), in which case the lowest-indexed shard's
+        original exception is re-raised, preserving its type for the retry /
+        failover layers above.
         """
-        executor = self._open_executor()
-
-        def guarded(shard: int):
-            try:
-                fault_point("shard.map", shard=shard)
-                return executor.search_batch(shard, queries, k)
-            except Exception as exc:  # split below; never poisons the pool map
-                return exc
-
-        outcomes = self._map_shards(guarded)
+        outcomes = self._open_executor().search_shards(
+            queries, k, lambda shard: fault_point("shard.map", shard=shard)
+        )
         failed = tuple(
             shard for shard, outcome in enumerate(outcomes) if isinstance(outcome, Exception)
         )

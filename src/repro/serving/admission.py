@@ -1,8 +1,9 @@
 """Admission policies: how admitted requests become micro-batches.
 
-When the :class:`~repro.serving.service.SearchService` decides to flush — the
-oldest request's latency budget ran out, or enough compatible requests piled
-up — the admission policy partitions the flushed requests into the
+When the :class:`~repro.serving.service.SearchService` decides to flush — a
+worker is idle, the oldest request's latency budget ran out, or enough
+compatible requests piled up — the admission policy partitions the flushed
+requests into the
 micro-batches that actually execute.  Policies are **pure** functions over
 per-request dimension signatures, so they are measurable (and property
 testable) in complete isolation from the asyncio machinery: same signatures

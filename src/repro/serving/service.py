@@ -3,12 +3,12 @@
 :class:`SearchService` turns a stream of independent single-query submissions
 into the micro-batches the batch engines are fast at.  Callers ``await
 service.submit(vector, k=...)`` and get their own
-:class:`~repro.core.result.SearchResult` back; between submission and
-execution the service coalesces compatible requests (same ``k``, metric,
-mode, backend pin, approx knobs) under a **latency budget**: the oldest
-waiting request
-never waits longer than the budget for peers to share its batch, and a full
-batch flushes immediately.  Execution happens through the PR 3 platform —
+:class:`~repro.core.result.SearchResult` back.  Admission is
+**work-conserving**: an idle service dispatches at once and coalesces what
+arrives while a batch runs — compatible requests (same ``k``, metric, mode,
+backend pin, approx knobs) leave together as soon as a worker frees up; the
+**latency budget** caps the wait, a full batch flushes immediately.
+Execution happens through the :mod:`repro.api` platform —
 ``Index.answer(Query(..., batch=True))`` on a worker executor, so the event
 loop never blocks and the planner keeps choosing the backend (including the
 sharded engine) exactly as it would for a direct call.  Served answers
@@ -89,10 +89,12 @@ class ServingConfig:
     Attributes
     ----------
     latency_budget:
-        Seconds the *oldest* request of a compatible run may wait for peers
-        before its micro-batch flushes regardless of size.  ``0.0`` disables
-        coalescing-by-time (every admission pass flushes whatever is
-        pending), which is the honest one-query-per-submit configuration.
+        Ceiling in seconds on how long the *oldest* request of a compatible
+        run waits for admission.  An idle service (fewer than
+        ``executor_workers`` batches running) dispatches at once and
+        coalesces what arrives while a batch runs; the budget caps the wait,
+        so a run past it flushes even while every worker is busy.  ``0.0``
+        flushes whatever is pending on every admission pass.
     max_batch_size:
         Upper bound on queries per micro-batch; a compatible run reaching
         this size flushes immediately, before the budget expires.
@@ -186,7 +188,7 @@ class _PendingRequest:
 
 
 class SearchService:
-    """Latency-budget micro-batching front end over one :class:`Index`.
+    """Work-conserving micro-batching front end over one :class:`Index`.
 
     The service has a simple lifecycle: ``await start()`` (or ``async
     with``), any number of concurrent :meth:`submit` calls, ``await stop()``.
@@ -213,6 +215,10 @@ class SearchService:
         self._owns_index = owns_index
         self._pending: deque[_PendingRequest] = deque()
         self._inflight: set[asyncio.Task] = set()
+        # Batches dispatched and not yet finished.  Counted explicitly: a
+        # task leaves _inflight by done-callback, after the admission loop
+        # has already woken to look for an idle worker.
+        self._running_batches = 0
         self._inflight_requests = 0
         self._inflight_riders: set[_PendingRequest] = set()
         self._retry_policy = RetryPolicy(
@@ -459,12 +465,14 @@ class SearchService:
             self._stats.record_failure(failed)
 
     async def _admission_passes(self) -> None:
-        """Coalesce pending requests into micro-batches under the budget.
+        """Coalesce pending requests into micro-batches, work-conserving.
 
-        One pass per wake-up: group the queue into compatible runs, flush
-        every run that is due (full, past the oldest member's deadline, or
-        draining), otherwise sleep until the earliest deadline or the next
-        submission — a monotonic-clock timer wheel of size one.
+        One pass per wake-up: group the queue into compatible runs, oldest
+        first, and flush every run that is due — a worker is idle (fewer
+        than ``executor_workers`` batches running), the run is full, it is
+        past its oldest member's deadline, or the service is draining.
+        Otherwise sleep until the earliest deadline, the next submission or
+        the next finished batch — a monotonic-clock timer wheel of size one.
         """
         assert self._loop is not None and self._wake is not None
         while True:
@@ -479,16 +487,18 @@ class SearchService:
             runs: dict[tuple, list[_PendingRequest]] = {}
             for request in self._pending:
                 runs.setdefault(request.batch_key, []).append(request)
-            due = [
-                run
-                for run in runs.values()
-                if self._state == "draining"
-                or len(run) >= self._config.max_batch_size
-                or now >= run[0].deadline
-            ]
-            if due:
-                for run in due:
+            dispatched = False
+            for run in runs.values():
+                # Checked per run: each dispatch may take the last idle worker.
+                if (
+                    self._state == "draining"
+                    or self._running_batches < self._config.executor_workers
+                    or len(run) >= self._config.max_batch_size
+                    or now >= run[0].deadline
+                ):
                     self._dispatch(run)
+                    dispatched = True
+            if dispatched:
                 continue
             next_deadline = min(run[0].deadline for run in runs.values())
             expiries = [
@@ -585,6 +595,7 @@ class SearchService:
             requests = [run[index] for index in indices]
             self._inflight_requests += len(requests)
             self._inflight_riders.update(requests)
+            self._running_batches += 1
             task = self._loop.create_task(self._execute(requests))
             self._inflight.add(task)
             task.add_done_callback(self._inflight.discard)
@@ -600,6 +611,10 @@ class SearchService:
             # their batch is done (see _queued_requests).
             self._inflight_requests -= len(requests)
             self._inflight_riders.difference_update(requests)
+            # A worker is free: what queued behind this batch leaves now.
+            self._running_batches -= 1
+            assert self._wake is not None
+            self._wake.set()
 
     def _live_riders(self, requests: list[_PendingRequest]) -> list[_PendingRequest]:
         """The riders still worth executing for: not cancelled, not expired.

@@ -17,13 +17,17 @@ import asyncio
 import glob
 import os
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import SeedBondSearcher
 
+import repro.core.parallel as parallel_module
 from repro.api.index import Index
 from repro.api.query import Query
 from repro.cluster import (
@@ -45,6 +49,7 @@ from repro.errors import (
 )
 from repro.metrics.euclidean import SquaredEuclidean
 from repro.metrics.histogram import HistogramIntersection
+from repro.reliability import FaultPlan, fault_point
 from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.sharding import ShardPlan
@@ -438,6 +443,124 @@ class TestWorkerDeath:
             assert results_identical(complete, recovered)
             assert not recovered.degraded
         assert not leaked_segments()
+
+
+# -- scatter / gather over the worker pool ------------------------------------
+
+
+def assert_seed_answers(collection, queries, k, results) -> None:
+    seed = SeedBondSearcher(collection)
+    results = list(results)
+    assert len(results) == len(queries)
+    for query, result in zip(queries, results):
+        assert results_identical(seed.search(query, k), result)
+
+
+class TestScatterGather:
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_one_worker_over_many_shards_is_the_oracle(self, collection, shards):
+        queries = collection[[7, 42, 193]]
+        with ShardedBondSearcher(
+            DecomposedStore(collection), shards=shards, workers=1, executor="process"
+        ) as engine:
+            batch = engine.search_batch(queries, 9)
+            singles = [engine.search(query, 9) for query in queries]
+            assert len(engine._executor.worker_pids()) == 1
+        assert_seed_answers(collection, queries, 9, batch)
+        assert_seed_answers(collection, queries, 9, singles)
+
+    def test_threads_sharing_one_worker_never_deadlock(self, collection):
+        """Three threads (more than this box's cores) scatter 2 shards onto
+        one worker: each must finish, and never read another's reply."""
+        queries = collection[[3, 77]]
+        spec = EngineSpec(kind="exact", metric=HistogramIntersection())
+        store = DecomposedStore(collection)
+        executor = ProcessShardExecutor.over(
+            store, spec, ShardPlan.balanced(store.cardinality, 2), workers=1
+        )
+        no_fault = lambda shard: None
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reference = executor.search_shards(queries, 5, no_fault)
+            failures: list = []
+            finished: list = []
+
+            def drive() -> None:
+                try:
+                    for _ in range(50):
+                        outcomes = executor.search_shards(queries, 5, no_fault)
+                        for (want, _), (got, _) in zip(reference, outcomes):
+                            assert all(map(results_identical, want, got))
+                    finished.append(True)
+                except Exception as exc:  # reported below, on the test thread
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=drive, daemon=True) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads), "scatter deadlocked"
+            assert not failures and len(finished) == 3
+        finally:
+            sys.setswitchinterval(switch_interval)
+            executor.close()
+
+    def test_worker_killed_mid_scatter_degrades_then_recovers(self, collection, monkeypatch):
+        query = collection[8]
+        with ShardedBondSearcher(
+            DecomposedStore(collection),
+            shards=2,
+            workers=2,
+            executor="process",
+            on_shard_failure="partial",
+        ) as engine:
+            engine.search(query, 6)
+            pool = engine._executor
+            killed = []
+
+            def kill_the_next_worker(point, shard):
+                # Shard 0 is already out on one worker; shard 1 is about to
+                # be sent to the other, the head of the idle queue.
+                if shard == 1 and not killed:
+                    killed.append(pool._idle.queue[0].pid)
+                    os.kill(killed[0], signal.SIGKILL)
+
+            monkeypatch.setattr(parallel_module, "fault_point", kill_the_next_worker)
+            degraded = engine.search(query, 6)
+            assert killed
+            assert degraded.degraded and degraded.failed_shards == (1,)
+            assert all(engine.shard_plan.shard_of(int(oid)) == 0 for oid in degraded.oids)
+            pids = pool.worker_pids()
+            assert len(pids) == 2 and killed[0] not in pids
+            recovered = engine.search(query, 6)
+            assert not recovered.degraded
+        assert_seed_answers(collection, [query], 6, [recovered])
+
+    def test_armed_shard_map_fault_fails_only_that_shard(self, collection):
+        query = collection[8]
+        with ShardedBondSearcher(
+            DecomposedStore(collection),
+            shards=2,
+            executor="process",
+            on_shard_failure="partial",
+        ) as engine:
+            engine.search(query, 6)
+            pids = engine._executor.worker_pids()
+            with FaultPlan(seed=1).arm("shard.map", where={"shard": 1}):
+                degraded = engine.search(query, 6)
+                outcomes = engine._executor.search_shards(
+                    query[None], 6, lambda shard: fault_point("shard.map", shard=shard)
+                )
+            assert degraded.degraded and degraded.failed_shards == (1,)
+            assert all(engine.shard_plan.shard_of(int(oid)) == 0 for oid in degraded.oids)
+            assert isinstance(outcomes[0], tuple)
+            assert isinstance(outcomes[1], TransientBackendError)
+            assert engine._executor.worker_pids() == pids  # no worker was lost
+            complete = engine.search(query, 6)
+        assert not complete.degraded
+        assert_seed_answers(collection, [query], 6, [complete])
 
 
 # -- the scatter-gather coordinator -------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import asyncio
 import pathlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -513,19 +515,36 @@ class TestServingReliability:
         assert health.as_dict()["breakers"][planned]["state"] == "open"
 
     def test_deadline_expires_in_queue(self, vectors):
+        """A request queued behind a busy worker expires without running."""
         index = Index.build(vectors)
+        gate = threading.Event()
+        executor = ThreadPoolExecutor(max_workers=1)
 
         async def main():
-            config = ServingConfig(latency_budget=5.0)  # batch would wait 5s
-            async with SearchService(index, config=config) as service:
+            # The budget would let the second request wait 5 s for a worker.
+            config = ServingConfig(latency_budget=5.0)
+            async with SearchService(index, config=config, executor=executor) as service:
+                executor.submit(gate.wait)  # hold the only worker
+                first = asyncio.ensure_future(
+                    service.submit(vectors[0], k=5, metric="histogram")
+                )
+                await asyncio.sleep(0.01)  # dispatched: the one running batch
                 with pytest.raises(DeadlineExceeded):
                     await service.submit(
-                        vectors[0], k=5, metric="histogram", timeout=0.05
+                        vectors[1], k=5, metric="histogram", timeout=0.05
                     )
+                gate.set()
+                await first
                 return service.stats()
 
-        stats = run(main())
-        assert stats.expired == 1 and stats.completed == 0
+        try:
+            stats = run(main())
+        finally:
+            gate.set()
+            executor.shutdown(wait=True)
+        assert stats.expired == 1 and stats.completed == 1
+        # Only the first request ever reached the backend.
+        assert [batch.sequence_numbers for batch in stats.recent_batches] == [(0,)]
 
     def test_deadline_validation(self, vectors):
         index = Index.build(vectors)

@@ -3,8 +3,10 @@
 The serving contract is that micro-batching is *invisible* in the answers:
 every served result must be bitwise identical to the direct
 ``Index.answer(Query(...))`` call for the same query, for every backend and
-mode.  On top sit the operational properties — latency-budget flushes keep
-arrival order, the bounded queue rejects overflow explicitly, shutdown
+mode.  On top sit the operational properties — an idle service dispatches
+at once and coalesces what queues behind a busy worker, the latency budget
+caps the wait, flushes keep arrival order, the bounded queue rejects
+overflow explicitly, shutdown
 drains, admission policies group deterministically, and per-batch cost
 attribution adds up to what the index actually charged.
 """
@@ -12,6 +14,10 @@ attribution adds up to what the index actually charged.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -222,6 +228,148 @@ class TestBudgetAndFlushOrdering:
         # Sequential awaiting can never coalesce: three batches of one.
         assert stats.batches == 3
         assert stats.mean_batch_size == 1.0
+
+
+@contextlib.contextmanager
+def gated_executor():
+    """A one-thread executor whose thread waits on ``gate`` before anything
+    else runs: batches dispatched to it stay *running* until the gate opens."""
+    gate = threading.Event()
+    executor = ThreadPoolExecutor(max_workers=1)
+    executor.submit(gate.wait)
+    try:
+        yield gate, executor
+    finally:
+        gate.set()
+        executor.shutdown(wait=True)
+
+
+def batch_sizes(stats) -> list[int]:
+    """Batch sizes in dispatch order."""
+    batches = sorted(stats.recent_batches, key=lambda batch: min(batch.sequence_numbers))
+    return [batch.batch_size for batch in batches]
+
+
+class TestWorkConservingAdmission:
+    """An idle worker takes a request at once; the budget only caps waits."""
+
+    def test_idle_service_dispatches_at_once(self, corel_index, corel_histograms):
+        budget = 5.0
+        vector = corel_histograms[0]
+
+        async def main():
+            async with SearchService(
+                corel_index, config=ServingConfig(latency_budget=budget)
+            ) as service:
+                started = time.perf_counter()
+                result = await service.submit(vector, k=5, metric="histogram")
+                return result, time.perf_counter() - started, service.stats()
+
+        result, elapsed, stats = asyncio.run(main())
+        assert elapsed < 1.0
+        assert stats.recent_batches[0].queue_waits[0] < 0.1 * budget
+        assert results_identical(
+            result, corel_index.answer(Query(vector, k=5, metric="histogram"))
+        )
+
+    def test_arrivals_coalesce_behind_a_busy_worker(self, corel_index, corel_histograms):
+        vectors = corel_histograms[:6]
+
+        async def main():
+            with gated_executor() as (gate, executor):
+                service = SearchService(
+                    corel_index, config=ServingConfig(latency_budget=30.0), executor=executor
+                )
+                await service.start()
+                first = asyncio.ensure_future(
+                    service.submit(vectors[0], k=5, metric="histogram")
+                )
+                await asyncio.sleep(0.01)  # dispatched: the one running batch
+                rest = [
+                    asyncio.ensure_future(service.submit(v, k=5, metric="histogram"))
+                    for v in vectors[1:]
+                ]
+                await asyncio.sleep(0.01)
+                waiting = service.stats().pending
+                gate.set()
+                results = await asyncio.gather(first, *rest)
+                await service.stop()
+            return waiting, results, service.stats()
+
+        waiting, results, stats = asyncio.run(main())
+        assert waiting == 5
+        assert batch_sizes(stats) == [1, 5]
+        for vector, result in zip(vectors, results):
+            assert results_identical(
+                result, corel_index.answer(Query(vector, k=5, metric="histogram"))
+            )
+
+    def test_budget_caps_the_wait_while_every_worker_is_busy(
+        self, corel_index, corel_histograms
+    ):
+        vectors = corel_histograms[:3]
+
+        async def main():
+            # Two batches may run at once; the gated executor keeps both
+            # of the first two requests' batches running.
+            config = ServingConfig(latency_budget=0.25, executor_workers=2)
+            with gated_executor() as (gate, executor):
+                service = SearchService(corel_index, config=config, executor=executor)
+                await service.start()
+                futures = []
+                for vector in vectors:
+                    futures.append(
+                        asyncio.ensure_future(service.submit(vector, k=5, metric="histogram"))
+                    )
+                    await asyncio.sleep(0.01)
+                before_budget = service.stats().pending
+                await asyncio.sleep(0.6)
+                after_budget = service.stats().pending
+                gate.set()
+                results = await asyncio.gather(*futures)
+                await service.stop()
+            return before_budget, after_budget, results, service.stats()
+
+        before_budget, after_budget, results, stats = asyncio.run(main())
+        assert before_budget == 1  # both workers busy: the third request waits
+        assert after_budget == 0  # past its deadline it dispatched anyway
+        assert batch_sizes(stats) == [1, 1, 1]
+        for vector, result in zip(vectors, results):
+            assert results_identical(
+                result, corel_index.answer(Query(vector, k=5, metric="histogram"))
+            )
+
+    def test_stop_drains_requests_queued_behind_a_busy_worker(
+        self, corel_index, corel_histograms
+    ):
+        vectors = corel_histograms[:4]
+
+        async def main():
+            with gated_executor() as (gate, executor):
+                service = SearchService(
+                    corel_index, config=ServingConfig(latency_budget=30.0), executor=executor
+                )
+                await service.start()
+                futures = [
+                    asyncio.ensure_future(service.submit(vectors[0], k=4, metric="histogram"))
+                ]
+                await asyncio.sleep(0.01)
+                futures += [
+                    asyncio.ensure_future(service.submit(v, k=4, metric="histogram"))
+                    for v in vectors[1:]
+                ]
+                await asyncio.sleep(0.01)
+                asyncio.get_running_loop().call_later(0.05, gate.set)
+                await service.stop()  # the queued three flush, budget waived
+                return await asyncio.gather(*futures), service.stats()
+
+        results, stats = asyncio.run(main())
+        assert stats.completed == 4 and not stats.pending
+        assert batch_sizes(stats) == [1, 3]
+        for vector, result in zip(vectors, results):
+            assert results_identical(
+                result, corel_index.answer(Query(vector, k=4, metric="histogram"))
+            )
 
 
 class TestBackpressureAndLifecycle:

@@ -343,6 +343,26 @@ def test_identity_lattice(corel_histograms, kind, shards, schedule):
             engine.close()
 
 
+def shard_threads() -> list[str]:
+    return [thread.name for thread in threading.enumerate() if thread.name.startswith("repro-shard")]
+
+
+def test_only_an_in_process_pool_starts_shard_threads(corel_histograms):
+    """Process shards are scattered from the calling thread: an open,
+    searched process-mode engine runs no dispatch thread, whatever its
+    worker count.  In-process shards start a pool only for ``workers > 1``."""
+    data = corel_histograms[:300]
+    query = data[17]
+    for options in ({"executor": "process"}, {"executor": "process", "workers": 1}, {}):
+        with ShardedBondSearcher(DecomposedStore(data), shards=3, **options) as engine:
+            engine.search(query, 5)
+            engine.search_batch(data[:4], 5)
+            assert not shard_threads(), options
+    with ShardedBondSearcher(DecomposedStore(data), shards=3, workers=3) as engine:
+        engine.search(query, 5)
+        assert shard_threads()
+
+
 # -- cost aggregation --------------------------------------------------------
 
 
