@@ -38,10 +38,14 @@ def show(label: str, result) -> None:
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="live-updates-") as scratch:
+        walk_through(Path(scratch) / "store")
+
+
+def walk_through(home: Path) -> None:
     # 1. Build and persist a collection: the saved index is "attached" —
     #    from here on, every update is WAL-logged before it is acknowledged.
     histograms = make_corel_like(cardinality=5_000, dimensionality=64, seed=17)
-    home = Path(tempfile.mkdtemp(prefix="live-updates-")) / "store"
     index = Index.build(histograms, name="corel-live")
     index.save(home)
     print(f"saved {index.cardinality} rows to {home} (generation {index.generation})")
@@ -68,12 +72,16 @@ def main() -> None:
 
     # 4. The overlay answer is bitwise identical to a full rebuild at the
     #    same logical state (the paper-grade identity the tests enforce).
+    #    The rebuild compacts OIDs: every row after the deleted one moves
+    #    down by one.
     logical = np.vstack([np.delete(histograms, 123, axis=0), fresh])
-    rebuilt = Index.build(logical, name="rebuilt")
-    live = index.answer(Query(fresh[1], k=5, metric="histogram"))
-    reference = rebuilt.answer(Query(fresh[1], k=5, metric="histogram"))
-    assert np.array_equal(live.scores, reference.scores)
-    print("\noverlay scores == rebuild scores (bitwise):", live.scores[:3])
+    with Index.build(logical, name="rebuilt") as rebuilt:
+        for vector in (probe, fresh[1]):
+            live = index.answer(Query(vector, k=5, metric="histogram"))
+            reference = rebuilt.answer(Query(vector, k=5, metric="histogram"))
+            assert np.array_equal(live.oids - (live.oids > 123), reference.oids)
+            assert np.array_equal(live.scores, reference.scores)
+    print("\noverlay OIDs and scores == rebuild (bitwise):", live.scores[:3])
 
     # 5. Reorganise: merge the tail into fresh fragments and commit them as
     #    the next generation.  OIDs compact (the deleted row's successors
@@ -86,13 +94,14 @@ def main() -> None:
     #    process would.  The committed generation loads, and the WAL suffix
     #    replays the acknowledged-but-unmerged updates.
     index.insert(fresh[:1])
-    reopened = Index.open(home)
-    print(f"\nreopened: generation {reopened.generation}, "
-          f"replayed tail rows: {reopened.tail_rows}")
-    a = index.answer(Query(fresh[0], k=5, metric="histogram"))
-    b = reopened.answer(Query(fresh[0], k=5, metric="histogram"))
-    assert np.array_equal(a.oids, b.oids) and np.array_equal(a.scores, b.scores)
+    with Index.open(home) as reopened:
+        print(f"\nreopened: generation {reopened.generation}, "
+              f"replayed tail rows: {reopened.tail_rows}")
+        a = index.answer(Query(fresh[0], k=5, metric="histogram"))
+        b = reopened.answer(Query(fresh[0], k=5, metric="histogram"))
+        assert np.array_equal(a.oids, b.oids) and np.array_equal(a.scores, b.scores)
     print("recovered answers are bitwise identical to the live index")
+    index.close()
 
 
 if __name__ == "__main__":

@@ -114,6 +114,8 @@ class Backend(abc.ABC):
     capabilities: Capabilities
     #: Execution-engine label reported by ``explain()``.
     engine: str = "-"
+    #: Whether the searcher's ``search`` / ``search_batch`` take ``exclude=``.
+    excludes_natively: bool = False
 
     @property
     def name(self) -> str:
@@ -149,7 +151,7 @@ class Backend(abc.ABC):
         :meth:`variant`'s values appended)."""
 
     def answer(
-        self, index: "Index", query: "Query", metric: Metric
+        self, index: "Index", query: "Query", metric: Metric, *, exclude=None
     ) -> SearchResult | BatchSearchResult:
         """Execute ``query`` through the (cached) underlying searcher.
 
@@ -157,15 +159,48 @@ class Backend(abc.ABC):
         ``search_batch`` with the *same* arguments a direct call would use,
         which is what keeps facade answers bitwise identical to direct
         searcher calls.
+
+        ``exclude`` holds ascending OIDs to leave out (a live index's deleted
+        base rows).  A searcher that takes ``exclude=`` drops them inside its
+        scan; the others search at ``k + len(exclude)`` — enough even if every
+        excluded row ranks in the top-k — and filter.
         """
         fault_point(
             "backend.answer", backend=self.name, generation=getattr(index, "generation", 0)
         )
         searcher = index.searcher_for(self, query, metric)
+        if exclude is None or not len(exclude):
+            return self._search(searcher, query, query.k)
+        if self.excludes_natively:
+            return self._search(searcher, query, query.k, exclude=exclude)
+        answer = self._search(searcher, query, min(query.k + len(exclude), index.cardinality))
+        for result in answer.results if isinstance(answer, BatchSearchResult) else [answer]:
+            found = exclude[np.searchsorted(exclude, result.oids).clip(max=len(exclude) - 1)]
+            keep = found != result.oids
+            index.cost.charge_comparisons(int(keep.shape[0]))
+            result.oids, result.scores = metric.merge_top_k(
+                result.oids[keep], result.scores[keep], query.k
+            )
+        return answer
+
+    def _search(self, searcher, query: "Query", k: int, **options):
+        """One ``search`` (single vector) or ``search_batch`` (batch) call."""
         if query.is_batch:
-            return searcher.search_batch(query.query_matrix, query.k)
+            return searcher.search_batch(query.query_matrix, k, **options)
         trace = PruningTrace() if query.trace else None
-        return searcher.search(query.single_vector, query.k, trace=trace)
+        return searcher.search(query.single_vector, k, trace=trace, **options)
+
+    def score_rows(
+        self, index: "Index", query: "Query", metric: Metric, columns: np.ndarray
+    ) -> np.ndarray:
+        """The ``(n_queries, n_rows)`` scores of rows held outside the index,
+        given as ``(dimensions, n_rows)`` float64 columns — bitwise what this
+        backend's searches score the rows inside one (the live tail overlay
+        rests on this).  Nothing is charged.  Default: the metric's score of
+        row-major rows, as the refine steps, the scan and the R-tree compute
+        it (an exact tail for the approximate backends)."""
+        rows = np.ascontiguousarray(columns.T)
+        return np.stack([metric.score(rows, vector) for vector in query.query_matrix])
 
 
 class BondBackend(Backend):
@@ -185,6 +220,7 @@ class BondBackend(Backend):
         exact=True,
     )
     engine = "fused"
+    excludes_natively = True
 
     def estimate(self, index: "Index", query: "Query", metric: Metric) -> CostEstimate:
         n = index.cardinality
@@ -201,6 +237,10 @@ class BondBackend(Backend):
 
     def create(self, index: "Index", metric: Metric) -> BondSearcher:
         return BondSearcher(index.decomposed, metric=metric)
+
+    def score_rows(self, index, query, metric, columns):
+        """The searcher's own kernel fold (:meth:`BondSearcher.score_rows`)."""
+        return index.searcher_for(self, query, metric).score_rows(query.query_matrix, columns)
 
 
 class SequentialScanBackend(Backend):
@@ -263,6 +303,10 @@ class PartialAbandonBackend(Backend):
 
     def create(self, index: "Index", metric: Metric) -> PartialAbandonScan:
         return PartialAbandonScan(index.row_store, metric=metric)
+
+    def score_rows(self, index, query, metric, columns):
+        """The scan's own blocked sums (:meth:`PartialAbandonScan.score_rows`)."""
+        return index.searcher_for(self, query, metric).score_rows(query.query_matrix, columns)
 
 
 class RTreeBackend(Backend):
@@ -435,6 +479,14 @@ class ShardedBondBackend(Backend):
             executor=index.shard_executor,
         )
 
+    def score_rows(self, index, query, metric, columns):
+        """Exact shards score like ``bond`` (their shard searchers' kernel
+        fold); compressed shards refine like ``compressed_bond``."""
+        if self.variant(query) != ("exact",):
+            return super().score_rows(index, query, metric, columns)
+        searcher = index.searcher_for(self, query, metric)
+        return searcher.shard_searchers[0].score_rows(query.query_matrix, columns)
+
 
 class VAFileBackend(Backend):
     """Full VA-file approximation scan plus exact refinement."""
@@ -541,28 +593,16 @@ class IVFBackend(Backend):
             default_nprobe=index.approx_config.default_nprobe,
         )
 
-    def answer(
-        self, index: "Index", query: "Query", metric: Metric
-    ) -> SearchResult | BatchSearchResult:
-        """Execute with the query's ``approx_params`` knobs threaded through."""
-        fault_point(
-            "backend.answer", backend=self.name, generation=getattr(index, "generation", 0)
-        )
-        searcher = index.searcher_for(self, query, metric)
+    def _search(self, searcher, query: "Query", k: int, **options):
+        """Search with the query's ``approx_params`` knobs threaded through."""
         params = query.approx_params
-        nprobe = params.nprobe if params is not None else None
-        target_recall = params.target_recall if params is not None else None
-        if query.is_batch:
-            return searcher.search_batch(
-                query.query_matrix, query.k, nprobe=nprobe, target_recall=target_recall
-            )
-        trace = PruningTrace() if query.trace else None
-        return searcher.search(
-            query.single_vector,
-            query.k,
-            nprobe=nprobe,
-            target_recall=target_recall,
-            trace=trace,
+        return super()._search(
+            searcher,
+            query,
+            k,
+            nprobe=params.nprobe if params is not None else None,
+            target_recall=params.target_recall if params is not None else None,
+            **options,
         )
 
 
@@ -624,28 +664,16 @@ class HNSWBackend(Backend):
             default_ef_search=index.approx_config.default_ef_search,
         )
 
-    def answer(
-        self, index: "Index", query: "Query", metric: Metric
-    ) -> SearchResult | BatchSearchResult:
-        """Execute with the query's ``approx_params`` knobs threaded through."""
-        fault_point(
-            "backend.answer", backend=self.name, generation=getattr(index, "generation", 0)
-        )
-        searcher = index.searcher_for(self, query, metric)
+    def _search(self, searcher, query: "Query", k: int, **options):
+        """Search with the query's ``approx_params`` knobs threaded through."""
         params = query.approx_params
-        ef_search = params.ef_search if params is not None else None
-        target_recall = params.target_recall if params is not None else None
-        if query.is_batch:
-            return searcher.search_batch(
-                query.query_matrix, query.k, ef_search=ef_search, target_recall=target_recall
-            )
-        trace = PruningTrace() if query.trace else None
-        return searcher.search(
-            query.single_vector,
-            query.k,
-            ef_search=ef_search,
-            target_recall=target_recall,
-            trace=trace,
+        return super()._search(
+            searcher,
+            query,
+            k,
+            ef_search=params.ef_search if params is not None else None,
+            target_recall=params.target_recall if params is not None else None,
+            **options,
         )
 
 

@@ -31,8 +31,9 @@ Live mutability
 updates accumulate in an in-memory delta tail
 (:class:`~repro.mutability.tail.TailState`, the paper's Section 6.2
 differential file) that every ``answer`` overlays exactly on the chosen
-backend's base answer — deleted rows filtered, live tail rows scored and
-merged through the stack's deterministic score-then-OID tie-break — so an
+backend's base answer — deleted base rows left out by the backend's own
+answer, live tail rows scored by the backend's own row scorer and merged
+through the stack's deterministic score-then-OID tie-break — so an
 updated index answers **bitwise identically** to one rebuilt from scratch at
 the same logical state.  ``reorganize()`` merges the tail into fresh base
 fragments and publishes them as a new epoch with a single atomic reference
@@ -53,7 +54,6 @@ index supports the same operations without the durability.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import pathlib
 import threading
 
@@ -77,7 +77,7 @@ from repro.engine.updates import DeltaLog
 from repro.errors import BackendError, FailoverExhausted, QueryError, StorageError
 from repro.metrics.base import Metric
 from repro.mutability.epoch import Epoch
-from repro.mutability.overlay import inflated_k, overlay_answer
+from repro.mutability.overlay import overlay_answer
 from repro.mutability.tail import TailState
 from repro.mutability.wal import OP_INSERT, WriteAheadLog, read_wal, wal_token
 from repro.storage.compressed import CompressedStore
@@ -239,8 +239,6 @@ class Index:
                 base_cardinality=base_cardinality,
                 dimensionality=self._dimensionality,
                 format=self._format,
-                cost=self._cost,
-                name=f"{self._name}-tail",
             ),
             delta=DeltaLog(self._dimensionality),
         )
@@ -788,8 +786,7 @@ class Index:
 
         Cached searchers that expose ``close()`` (the sharded engines — their
         process pools and shared-memory segments must not outlive the epoch)
-        are closed; plain searchers are simply dropped.  The live tail's
-        sub-index releases its own cached engines recursively.
+        are closed; plain searchers are simply dropped.
         """
         searchers = list(epoch.searchers.values())
         epoch.searchers.clear()
@@ -797,18 +794,14 @@ class Index:
             closer = getattr(searcher, "close", None)
             if callable(closer):
                 closer()
-        sub = epoch.tail.sub_index
-        if sub is not None:
-            epoch.tail.sub_index = None
-            sub.close()
 
     def close(self) -> None:
         """Release every resource the index owns (idempotent).
 
         Closes the current epoch's cached backend engines — including any
         process-pool sharded engines, whose worker processes exit and whose
-        shared-memory segments are unlinked — plus the tail sub-index and,
-        on an attached index, the write-ahead log.  Answering again after
+        shared-memory segments are unlinked — and, on an attached index, the
+        write-ahead log.  Answering again after
         ``close()`` is permitted (engines rebuild lazily), but further
         mutations on an attached index are not.  ``Index`` is also a context
         manager: ``with Index.build(...) as index: ...`` closes on exit.
@@ -999,75 +992,27 @@ class Index:
         The update-free path is untouched (and bitwise identical to the
         pre-mutability facade): an empty tail hands the query straight to
         the backend.  With live updates, the backend answers over the base
-        snapshot at an inflated top-k (enough to survive the delete filter),
-        and the overlay merges the live tail rows deterministically.
+        snapshot at the caller's ``k``, its search excluding the deleted
+        base rows, and scores the live tail rows with its own row scorer —
+        bitwise what it scores them once reorganised into the base (per-row
+        scores do not depend on the rest of the collection) — and the
+        overlay merges the two.  Approximate backends score the tail
+        exactly, so a fresh insert is never hidden by a stale structure.
         """
         tail = epoch.tail
         if tail.is_empty:
             return backend.answer(self, query, metric)
-        base_k = inflated_k(query.k, tail)
-        base_query = query if base_k == query.k else dataclasses.replace(query, k=base_k)
-        base = backend.answer(self, base_query, metric)
-        tail_scores = self._tail_scores(backend, query, metric, tail)
-        return overlay_answer(base, query.k, metric, tail, self._cost, tail_scores)
-
-    def _tail_index(self, tail: TailState) -> "Index":
-        """The tail-only sub-index of one tail state, built once per state.
-
-        Covers exactly the live tail rows (local OID = rank among the live
-        rows, ascending — the order of ``tail.live_oids``) in the same
-        fragment format, sharing the same cost model, so a backend scoring
-        the tail charges and quantises exactly as it will once the rows are
-        reorganised into the base.
-        """
-        sub = tail.sub_index
-        if sub is None:
-            sub = Index(
-                tail.live_raw_rows(),
-                name=f"{self._name}-tail",
-                bits=self._bits,
-                cost=self._cost,
-                format=self._format,
-            )
-            tail.sub_index = sub
-        return sub
-
-    def _tail_scores(self, backend, query: Query, metric: Metric, tail: TailState):
-        """Per-query scores of every live tail row, or None without live rows.
-
-        Exact backends score the tail **through their own kernels** over the
-        tail-only sub-index: every exact engine's per-row score accumulates
-        in a query-determined order independent of the rest of the
-        collection, so these scores are bitwise what the same backend
-        computes over the rebuilt (post-reorganisation) collection — the
-        property the rebuild-identity contract rests on.  Approximate
-        backends (no bitwise contract) use a plain exact metric scan of the
-        tail instead, which also means a fresh insert can never be hidden by
-        a stale graph or cluster assignment.
-        """
-        live = tail.live_tail_count
-        if live == 0:
-            return None
-        if getattr(backend.capabilities, "exact", True):
-            sub = self._tail_index(tail)
-            sub_query = dataclasses.replace(query, k=live)
-            answer = backend.answer(sub, sub_query, metric)
-            results = (
-                answer.results if isinstance(answer, BatchSearchResult) else [answer]
-            )
-            scores = np.empty((len(results), live), dtype=np.float64)
-            for row, result in enumerate(results):
-                scores[row, result.oids] = result.scores
-            return scores
-        _, rows = tail.live_tail()
-        matrix = query.query_matrix
-        scores = np.empty((matrix.shape[0], live), dtype=np.float64)
-        for row in range(matrix.shape[0]):
-            scores[row] = metric.score(rows, matrix[row])
+        base = backend.answer(self, query, metric, exclude=tail.deleted_base)
+        if not tail.live_tail_count:
+            return base
+        oids, columns = tail.live_rows()
+        # One read of the tail per answer; its arithmetic per query.
+        self._cost.charge_scan(columns.size, self._format.coefficient_bytes)
         self._cost.charge_arithmetic(
-            int(rows.size) * metric.arithmetic_ops_per_value() * matrix.shape[0]
+            columns.size * metric.arithmetic_ops_per_value() * query.batch_size
         )
-        return scores
+        scores = backend.score_rows(self, query, metric, columns)
+        return overlay_answer(base, query.k, metric, oids, scores, self._cost)
 
     def answer(
         self, query: Query, *, failover: bool = False

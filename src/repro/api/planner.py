@@ -264,9 +264,9 @@ class QueryPlanner:
 
         An update-free index (and any index-like object without mutability
         counters) plans exactly as before.  With live updates, every answer
-        additionally scans and scores the tail rows and filters the deleted
-        base OIDs out of the (inflated) base top-k — identical work whatever
-        backend produced the base answer, hence one uniform additive term.
+        additionally scans and scores the tail rows and merges them into the
+        base top-k — the same work whatever backend produced the base answer,
+        hence one uniform additive term.
         """
         tail_rows = int(getattr(self._index, "tail_rows", 0) or 0)
         deleted = int(getattr(self._index, "deleted_count", 0) or 0)

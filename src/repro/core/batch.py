@@ -15,6 +15,12 @@ protocol the two searchers implement:
 ``_finish(run)``
     the survivors' exact ``(oids, scores)``, best first.
 
+An exact run may carry tombstones (``exclude``: rows deleted since the store
+was built).  They ride the full-height scan like any row — the zero-copy column
+stream is untouched — take the worst bound at the run's first prune, so they
+can never set the pruning threshold, and leave with it; a run that never
+prunes drops them in ``_finish``.
+
 :meth:`BondSearcher.search <repro.core.bond.BondSearcher.search>` drives one
 run, ``search_batch`` many — a single query is a batch of one, through the
 same code and at the same accounted cost.
@@ -68,6 +74,9 @@ class QueryRun:
     processed: int = 0
     full_scan_dimensions: int = 0
     next_attempt: int = 0
+    #: Candidate positions of the excluded rows (tombstones), dropped by the
+    #: run's first prune — or by ``_finish`` if it never prunes; ``None`` after.
+    exclude: np.ndarray | None = None
     result: SearchResult | None = None
 
     @property

@@ -206,7 +206,9 @@ class BondSearcher:
         """The fused block kernel matching the metric."""
         return self._kernel
 
-    def search(self, query: np.ndarray, k: int, *, trace: PruningTrace | None = None) -> SearchResult:
+    def search(
+        self, query: np.ndarray, k: int, *, trace: PruningTrace | None = None, exclude=None
+    ) -> SearchResult:
         """Return the k nearest neighbours of ``query``.
 
         Parameters
@@ -218,9 +220,12 @@ class BondSearcher:
         trace:
             Optional :class:`~repro.core.result.PruningTrace` to record the
             pruning curve into (also attached to the returned result).
+        exclude:
+            Ascending OIDs to leave out (a live index's deleted rows): they
+            take the worst bound at the first prune and leave with it.
         """
         started = time.perf_counter()
-        run = self._plan(query, k, trace)
+        run = self._plan(query, k, trace, exclude=exclude)
         # The account opens after planning: initialising the candidate state
         # (an Ev-style bound starts from the T(x) column) is set-up, not scan.
         cost = self._store.cost
@@ -233,7 +238,7 @@ class BondSearcher:
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
-    def search_batch(self, queries: np.ndarray, k: int) -> BatchSearchResult:
+    def search_batch(self, queries: np.ndarray, k: int, *, exclude=None) -> BatchSearchResult:
         """Answer a whole batch of queries, sharing fragment reads.
 
         Every query runs the exact single-query algorithm — its own dimension
@@ -252,6 +257,8 @@ class BondSearcher:
             accepted and treated as a batch of one).
         k:
             Number of neighbours per query; clamped to the collection size.
+        exclude:
+            Ascending OIDs every query leaves out (see :meth:`search`).
 
         Returns
         -------
@@ -264,7 +271,7 @@ class BondSearcher:
         if query_matrix.ndim != 2:
             raise QueryError(f"queries must form a 2-D matrix, got shape {query_matrix.shape}")
         runs = [
-            self._plan(query, k, reuse_scratch=index == 0)
+            self._plan(query, k, reuse_scratch=index == 0, exclude=exclude)
             for index, query in enumerate(query_matrix)
         ]
         cost = self._store.cost
@@ -285,6 +292,7 @@ class BondSearcher:
         trace: PruningTrace | None = None,
         *,
         reuse_scratch: bool = True,
+        exclude=None,
     ) -> QueryRun:
         """Validate one query and set up its independent run state.
 
@@ -301,12 +309,7 @@ class BondSearcher:
             raise QueryError("k must be at least 1")
         k = min(k, self._store.cardinality)
 
-        weights = self._metric.weights if isinstance(self._metric, WeightedSquaredEuclidean) else None
-        dimension_order = self._ordering.order(query, weights=weights)
-        if weights is not None:
-            # Subspace fast path: zero-weight dimensions contribute nothing
-            # and their fragments never need to be touched (Section 8.1).
-            dimension_order = dimension_order[weights[dimension_order] > 0.0]
+        dimension_order, weights = self._dimension_order(query)
         schedule_length = (
             self._store.dimensionality if weights is None else int(dimension_order.shape[0])
         )
@@ -327,6 +330,11 @@ class BondSearcher:
             candidates=candidates,
             schedule_length=schedule_length,
             trace=trace if trace is not None else PruningTrace(),
+            exclude=(
+                candidates.positions_of(np.asarray(exclude, dtype=np.int64))
+                if exclude is not None and len(exclude)
+                else None
+            ),
         )
         run.trace.record(0, run.alive)
         prefix_mass = (
@@ -334,6 +342,31 @@ class BondSearcher:
         )
         run.next_attempt = schedule.first_batch(schedule_length, prefix_mass)
         return run
+
+    def _dimension_order(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The query's processing order of dimensions, and the metric's weights."""
+        weights = self._metric.weights if isinstance(self._metric, WeightedSquaredEuclidean) else None
+        dimension_order = self._ordering.order(query, weights=weights)
+        if weights is not None:
+            # Subspace fast path: zero-weight dimensions contribute nothing
+            # and their fragments never need to be touched (Section 8.1).
+            dimension_order = dimension_order[weights[dimension_order] > 0.0]
+        return dimension_order, weights
+
+    def score_rows(self, queries: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """The ``(n_queries, n_rows)`` scores of rows held outside the store,
+        given as ``(dimensions, n_rows)`` float64 columns: contributions folded
+        from 0.0 in the query's dimension order, as :meth:`_finish` folds a
+        row with nothing processed — so, bitwise, what any search over a
+        store holding the row returns.  Nothing is charged."""
+        query_matrix = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        scores = np.zeros((query_matrix.shape[0], columns.shape[1]), dtype=np.float64)
+        for row, query in enumerate(query_matrix):
+            query = self._metric.validate_query(query)
+            order, _ = self._dimension_order(query)
+            block = self._kernel.contribution_block(columns[order].T, query[order], order)
+            accumulate_columns(scores[row], block)
+        return scores
 
     def make_candidates(self) -> CandidateSet:
         """A fresh candidate set with the bookkeeping this searcher's bound needs."""
@@ -422,7 +455,7 @@ class BondSearcher:
         """
         candidates = run.candidates
         before = len(candidates)
-        self._attempt_prune(run.state, run.processed, candidates, run.k)
+        self._attempt_prune(run)
         run.trace.record(run.processed, len(candidates))
         run.next_attempt = run.processed + run.schedule.next_batch(
             dimensionality=run.schedule_length,
@@ -478,12 +511,17 @@ class BondSearcher:
     def _finish(self, run: QueryRun) -> tuple[np.ndarray, np.ndarray]:
         """Complete the survivors' exact scores on the unprocessed dimensions
         and rank them: best k (OIDs, scores), best first, with deterministic
-        tie-breaks."""
+        tie-breaks.  A run that never pruned drops its tombstones here."""
         candidates = run.candidates
+        oids = candidates.oids
         scores = candidates.partial_scores.copy()
+        if run.exclude is not None:
+            keep = np.ones(oids.shape[0], dtype=bool)
+            keep[run.exclude] = False
+            oids, scores = oids[keep], scores[keep]
         remaining = run.order[run.processed:]
-        if remaining.shape[0] and len(candidates):
-            values = self._store.gather_matrix(candidates.oids, remaining)
+        if remaining.shape[0] and oids.shape[0]:
+            values = self._store.gather_matrix(oids, remaining)
             self._store.cost.charge_arithmetic(
                 values.size * self._metric.arithmetic_ops_per_value()
             )
@@ -495,19 +533,20 @@ class BondSearcher:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         self._store.cost.charge_heap(scores.shape[0])
         top = self._metric.best_first(scores)[: run.k]
-        return candidates.oids[top], scores[top]
+        return oids[top], scores[top]
 
     # -- internals -----------------------------------------------------------------
 
-    def _attempt_prune(
-        self, state: PartialState, processed: int, candidates: CandidateSet, k: int
-    ) -> None:
-        """One pruning attempt: bound every candidate and drop the hopeless ones."""
+    def _attempt_prune(self, run: QueryRun) -> None:
+        """One pruning attempt: bound every candidate and drop the hopeless
+        ones.  The run's first prune also drops its tombstones: they take
+        the worst bound, so they never set kappa, and are never kept."""
+        candidates, k, state = run.candidates, run.k, run.state
         if len(candidates) <= k:
             return
         # Advance the search's one state object; the candidate-aligned views
         # are aligned by construction, so it is not re-validated.
-        state.num_processed = processed
+        state.num_processed = run.processed
         state.partial_scores = candidates.partial_scores
         state.partial_value_sums = candidates.partial_value_sums
         state.remaining_value_sums = candidates.remaining_value_sums
@@ -528,7 +567,10 @@ class BondSearcher:
         cost.charge_comparisons(count)
 
         keep = self._prune_keep[:count]
-        if self._metric.kind is MetricKind.SIMILARITY:
+        similarity = self._metric.kind is MetricKind.SIMILARITY
+        if run.exclude is not None:
+            lower[run.exclude] = upper[run.exclude] = -np.inf if similarity else np.inf
+        if similarity:
             # kappa_min: the k-th largest guaranteed (lower-bound) score.  The
             # selection partitions the lower buffer in place — it is not
             # needed afterwards (the keep test reads only the upper bounds).
@@ -540,6 +582,9 @@ class BondSearcher:
             upper.partition(k - 1)
             kappa = float(upper[k - 1])
             np.less_equal(lower, kappa, out=keep)
+        if run.exclude is not None:
+            keep[run.exclude] = False
+            run.exclude = None
         candidates.prune(keep)
 
     def _full_order(self, order: np.ndarray, dimensionality: int) -> np.ndarray:

@@ -29,6 +29,7 @@ import numpy as np
 from repro.engine.bitmap import Bitmap
 from repro.engine.cost import DOUBLE_BYTES
 from repro.errors import QueryError
+from repro.kernels.block import accumulate_columns
 from repro.storage.decomposed import DecomposedStore
 
 
@@ -174,6 +175,13 @@ class CandidateSet:
         """The candidate set as a bitmap over the collection."""
         return Bitmap.from_oids(self._store.cardinality, self.oids)
 
+    def positions_of(self, oids: np.ndarray) -> np.ndarray:
+        """Candidate positions of those of ``oids`` that are candidates.  In
+        a store with no deletions, before any prune, a position *is* its OID."""
+        if self._oids_buffer is None:
+            return oids
+        return np.flatnonzero(np.isin(self.oids, oids))
+
     # -- fragment access -------------------------------------------------------
 
     def column_values(self, dimension: int) -> np.ndarray:
@@ -243,9 +251,7 @@ class CandidateSet:
         """
         if contribution_block.shape[0] != self._count:
             raise QueryError("the contribution block must be aligned with the candidate list")
-        scores = self.partial_scores
-        for position in range(contribution_block.shape[1]):
-            scores += contribution_block[:, position]
+        accumulate_columns(self.partial_scores, contribution_block)
         if self._partial_sums_buffer is not None:
             partial_sums = self.partial_value_sums
             for position in range(value_block.shape[1]):

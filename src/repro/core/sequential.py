@@ -111,27 +111,24 @@ class SequentialScan:
                     rows.size * self._metric.arithmetic_ops_per_value()
                 )
                 self._store.cost.charge_heap(rows.shape[0])
-                if best_oids[position] is None:
-                    best_oids[position], best_scores[position] = oids, scores
-                else:
-                    best_oids[position] = np.concatenate([best_oids[position], oids])
-                    best_scores[position] = np.concatenate([best_scores[position], scores])
-                if best_scores[position].shape[0] > k:
-                    order = self._metric.best_first(best_scores[position])[:k]
-                    best_oids[position] = best_oids[position][order]
-                    best_scores[position] = best_scores[position][order]
+                pool_oids, pool_scores = oids, scores
+                if best_oids[position] is not None:
+                    pool_oids = np.concatenate([best_oids[position], oids])
+                    pool_scores = np.concatenate([best_scores[position], scores])
+                # The stack's one tie-break, so equal scores rank by OID
+                # however the table is cut into row batches.
+                best_oids[position], best_scores[position] = self._metric.merge_top_k(
+                    pool_oids, pool_scores, k
+                )
 
         results = []
         for position in range(batch_size):
-            oids, scores = best_oids[position], best_scores[position]
-            assert oids is not None and scores is not None
-            order = self._metric.best_first(scores)
             trace = PruningTrace()
             trace.record(self._store.dimensionality, self._store.cardinality)
             results.append(
                 SearchResult(
-                    oids=oids[order][:k],
-                    scores=scores[order][:k],
+                    oids=best_oids[position],
+                    scores=best_scores[position],
                     dimensions_processed=self._store.dimensionality,
                     full_scan_dimensions=self._store.dimensionality,
                     candidate_trace=trace,
@@ -233,9 +230,10 @@ class PartialAbandonScan:
             best_oids.append(oid)
             best_scores.append(score)
             if len(best_scores) > k:
-                order = self._metric.best_first(np.asarray(best_scores))[:k]
-                best_oids = [best_oids[index] for index in order]
-                best_scores = [best_scores[index] for index in order]
+                kept_oids, kept_scores = self._metric.merge_top_k(
+                    np.asarray(best_oids), np.asarray(best_scores), k
+                )
+                best_oids, best_scores = kept_oids.tolist(), kept_scores.tolist()
             if len(best_scores) == k:
                 threshold = min(best_scores) if similarity else max(best_scores)
 
@@ -243,9 +241,9 @@ class PartialAbandonScan:
         self._store.cost.charge_arithmetic(values_touched * self._metric.arithmetic_ops_per_value())
         self._store.cost.charge_comparisons(values_touched // self._check_period + 1)
 
-        order = self._metric.best_first(np.asarray(best_scores))[:k]
-        oids = np.asarray([best_oids[index] for index in order], dtype=np.int64)
-        scores = np.asarray([best_scores[index] for index in order], dtype=np.float64)
+        oids, scores = self._metric.merge_top_k(
+            np.asarray(best_oids, dtype=np.int64), np.asarray(best_scores, dtype=np.float64), k
+        )
         trace = trace if trace is not None else PruningTrace()
         trace.record(0, self._store.cardinality)
         trace.record(self._store.dimensionality, survivors)
@@ -258,6 +256,28 @@ class PartialAbandonScan:
             cost=self._store.cost.since(cost_checkpoint),
             elapsed_seconds=time.perf_counter() - started,
         )
+
+    def score_rows(self, queries: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """The ``(n_queries, n_rows)`` scores of rows held outside the store,
+        given as ``(dimensions, n_rows)`` columns: the blocked sums, in the
+        scan's block order, that :meth:`search` gives a row it does not
+        abandon.  Nothing is charged."""
+        query_matrix = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        similarity = self._metric.kind is MetricKind.SIMILARITY
+        dimensionality = columns.shape[0]
+        scores = np.empty((query_matrix.shape[0], columns.shape[1]), dtype=np.float64)
+        for position, query in enumerate(query_matrix):
+            query = self._metric.validate_query(query)
+            for row_number, row in enumerate(columns.T):
+                score = 0.0
+                for start in range(0, dimensionality, self._check_period):
+                    stop = min(start + self._check_period, dimensionality)
+                    if similarity:
+                        score += float(np.sum(np.minimum(row[start:stop], query[start:stop])))
+                    else:
+                        score += float(np.sum((row[start:stop] - query[start:stop]) ** 2))
+                scores[position, row_number] = score
+        return scores
 
     def search_batch(self, queries: np.ndarray, k: int) -> BatchSearchResult:
         """Answer a batch of queries with a per-query loop.

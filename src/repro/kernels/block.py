@@ -222,11 +222,22 @@ def accumulate_columns(target: np.ndarray, block: np.ndarray) -> None:
     would round differently from the per-dimension loop it replaces.  Adding
     the columns left to right reproduces the loop's addition sequence exactly,
     keeping fused partial scores bitwise identical to the seed path.
+
+    The fold is one ``np.add.reduce`` down axis 0 of a C-ordered ``(m + 1, n)``
+    stack whose row 0 is ``target``: reducing the non-contiguous axis adds the
+    rows strictly in order.  With ``n < 2`` that axis *is* contiguous and
+    numpy switches to pairwise summation, so a single row folds per column.
     """
     if block.ndim != 2 or block.shape[0] != target.shape[0]:
         raise MetricError(
             f"contribution block of shape {block.shape} is not aligned with "
             f"accumulator of length {target.shape[0]}"
         )
-    for position in range(block.shape[1]):
-        target += block[:, position]
+    if target.shape[0] < 2:
+        for position in range(block.shape[1]):
+            target += block[:, position]
+        return
+    stack = np.empty((block.shape[1] + 1, target.shape[0]), dtype=np.float64)
+    stack[0] = target
+    stack[1:] = block.T
+    np.add.reduce(stack, axis=0, out=target)

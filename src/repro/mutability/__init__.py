@@ -7,9 +7,9 @@ periodic reorganisations — made durable and queryable:
   logging of every insert/delete, replayed by ``Index.open``;
 * :class:`TailState`: the immutable in-memory delta tail (inserted rows +
   delete bitmap view) published by atomic swap;
-* :func:`overlay_answer` / :func:`inflated_k`: exact correction of any base
-  backend's top-k for the live tail, via the stack's deterministic
-  score-then-OID merge;
+* :func:`overlay_answer`: one deterministic score-then-OID merge of the live
+  tail rows into a base answer whose search already dropped the deleted
+  base rows;
 * :class:`Epoch`: the all-or-nothing unit a reorganisation publishes.
 
 ``Index.insert`` / ``Index.delete`` / ``Index.reorganize`` on the facade
@@ -18,7 +18,7 @@ machinery behind them.
 """
 
 from repro.mutability.epoch import Epoch
-from repro.mutability.overlay import inflated_k, overlay_answer
+from repro.mutability.overlay import overlay_answer
 from repro.mutability.tail import TailState
 from repro.mutability.wal import (
     OP_DELETE,
@@ -36,7 +36,6 @@ __all__ = [
     "WriteAheadLog",
     "OP_DELETE",
     "OP_INSERT",
-    "inflated_k",
     "overlay_answer",
     "read_wal",
     "wal_token",

@@ -13,22 +13,20 @@ order, dead rows included): exactly the coordinate system of
 :meth:`repro.engine.updates.DeltaLog.apply`, so overlay answers and the
 reorganised store agree on which row an OID names.
 
-Scoring goes through a :class:`~repro.storage.rowstore.RowStore` built over
-the raw rows in the index's own fragment format: the scan yields
-widened-**quantised** coefficients (bitwise what the rows will hold after
-the next reorganisation, by the format's quantise-once idempotence
-contract) and charges the shared cost model at the narrow coefficient
-width, keeping the bytes-moved account honest.
+The deleted base OIDs are the tombstones every base answer leaves out
+(``Backend.answer(..., exclude=...)``; ``bond`` drops them inside its scan).
+The live rows are scored from :meth:`TailState.live_rows`:
+their values quantised to the index's fragment format and widened back —
+bitwise what the rows will hold after the next reorganisation, by the
+format's quantise-once idempotence contract — held once per state, in RAM.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.cost import CostModel
 from repro.errors import StorageError
 from repro.storage.formats import FragmentFormat
-from repro.storage.rowstore import RowStore
 
 
 class TailState:
@@ -42,10 +40,7 @@ class TailState:
         "deleted_base",
         "last_lsn",
         "_format",
-        "_cost",
-        "_name",
-        "_row_store",
-        "sub_index",
+        "_live",
     )
 
     def __init__(
@@ -58,8 +53,6 @@ class TailState:
         deleted_base: np.ndarray,
         last_lsn: int,
         format: FragmentFormat,
-        cost: CostModel,
-        name: str,
     ) -> None:
         self.base_cardinality = int(base_cardinality)
         self.dimensionality = int(dimensionality)
@@ -68,23 +61,13 @@ class TailState:
         self.deleted_base = deleted_base
         self.last_lsn = int(last_lsn)
         self._format = format
-        self._cost = cost
-        self._name = name
-        self._row_store = None
-        #: Lazily built tail-only Index used to score tail rows with the
-        #: same backend kernels as the base answer (set by the facade; an
-        #: immutable state keeps it valid for its whole lifetime).
-        self.sub_index = None
+        # live_rows(), cached: the state is immutable, so a racing first
+        # build computes the same arrays.
+        self._live: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def empty(
-        cls,
-        *,
-        base_cardinality: int,
-        dimensionality: int,
-        format: FragmentFormat,
-        cost: CostModel,
-        name: str = "tail",
+        cls, *, base_cardinality: int, dimensionality: int, format: FragmentFormat
     ) -> "TailState":
         """The clean state: no tail rows, no deletes."""
         return cls(
@@ -95,8 +78,6 @@ class TailState:
             deleted_base=np.empty(0, dtype=np.int64),
             last_lsn=0,
             format=format,
-            cost=cost,
-            name=name,
         )
 
     # -- derived views -------------------------------------------------------------
@@ -131,36 +112,16 @@ class TailState:
         """Logical collection size: live base rows plus live tail rows."""
         return self.base_cardinality - self.deleted_base_count + self.live_tail_count
 
-    @property
-    def live_oids(self) -> np.ndarray:
-        """Global OIDs of the live tail rows, ascending."""
-        if self.raw.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        return self.base_cardinality + np.flatnonzero(~self.dead).astype(np.int64)
-
-    def live_raw_rows(self) -> np.ndarray:
-        """The live tail rows in logical (pre-quantisation) float64 form."""
-        return self.raw[~self.dead] if self.raw.shape[0] else self.raw
-
-    def live_tail(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(global OIDs, widened-quantised rows)`` of the live tail rows.
-
-        Charges a full tail scan to the shared cost model (the overlay
-        genuinely reads every tail coefficient per query).
-        """
-        if self.raw.shape[0] == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty((0, self.dimensionality), dtype=np.float64),
-            )
-        if self._row_store is None:
-            self._row_store = RowStore(
-                self.raw, cost=self._cost, name=self._name, format=self._format
-            )
-        rows = self._row_store.scan()
-        alive = ~self.dead
-        oids = self.base_cardinality + np.flatnonzero(alive).astype(np.int64)
-        return oids, rows[alive]
+    def live_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live tail rows: their ascending global OIDs, and their
+        quantised-then-widened values as ``(dimensionality, live_tail_count)``
+        float64 columns.  Built on first use, once per state."""
+        if self._live is None:
+            alive = ~self.dead
+            rows = self._format.widen(self._format.quantise(self.raw[alive]))
+            oids = self.base_cardinality + np.flatnonzero(alive).astype(np.int64)
+            self._live = (oids, np.ascontiguousarray(rows.T))
+        return self._live
 
     # -- transitions (return a NEW state; never mutate in place) --------------------
 
@@ -174,8 +135,6 @@ class TailState:
             deleted_base=self.deleted_base,
             last_lsn=lsn,
             format=self._format,
-            cost=self._cost,
-            name=self._name,
         )
 
     def with_delete(self, oids: np.ndarray, *, lsn: int) -> "TailState":
@@ -211,8 +170,6 @@ class TailState:
             deleted_base=deleted_base,
             last_lsn=lsn,
             format=self._format,
-            cost=self._cost,
-            name=self._name,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

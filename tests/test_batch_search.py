@@ -183,6 +183,56 @@ def test_batch_with_deleted_vectors():
         assert not set(result.oids) & {0, 5, 17}
 
 
+@pytest.mark.parametrize("k", [4, 110, 500])
+@pytest.mark.parametrize("engine", ["fused", "loop"])
+@pytest.mark.parametrize("metric_name", ["histogram", "euclidean"])
+def test_exclude_matches_a_search_over_the_compacted_rows(metric_name, engine, k):
+    """``exclude=`` over a store with its own deletes answers like a search
+    over the rows left, even when excluded rows would set the pruning
+    threshold or tie a live one at the k-th place.  ``k = 110`` lies between
+    the live and the stored row counts, so the threshold is infinite and only
+    the forced ``keep`` removes the tombstones; ``k = 500`` exceeds the
+    collection: the run never prunes, so ``_finish`` drops them."""
+    data, rng = _collection(120, 10, 13, normalized=True)
+    metric, _ = _metric_for(metric_name, 10, rng)
+    # The first query is peaked, unlike every other row, and four excluded
+    # rows copy it: were they to keep their bounds, they would set the first
+    # pruning threshold and prune the live answer.
+    copies = [40, 41, 42, 43]
+    data[[2, *copies]] = 0.1 / 9
+    data[[2, *copies], 0] = 0.9
+    queries = data[[2, 30, 64]]
+    # Among the other live rows, the first query's 4th best gets a twin at
+    # the bottom of its ranking; the twin with the smaller OID wins the tie.
+    rest = [
+        int(oid)
+        for oid in metric.best_first(metric.score(data, queries[0]))
+        if oid not in {0, 2, 5, 17, *copies}
+    ]
+    winner, survivor = sorted([rest[3], rest[-1]])
+    data[[winner, survivor]] = data[rest[3]]
+    store = DecomposedStore(data)
+    store.delete([0, 5, 17])
+    # Tombstones: the copies, the first query's own row, the tie's winner,
+    # a row the store already deleted, and a handful more.
+    others = np.setdiff1d(rest, [winner, survivor])
+    exclude = np.unique(
+        [*copies, 2, winner, 5, *rng.choice(others, size=6, replace=False).tolist()]
+    )
+    kept = np.setdiff1d(np.arange(120), np.union1d(exclude, [0, 5, 17]))
+    reference = BondSearcher(DecomposedStore(data[kept]), metric=metric)
+    searcher = BondSearcher(store, metric=metric, engine=engine)
+
+    expected = [reference.search(query, k) for query in queries]
+    singles = [searcher.search(query, k, exclude=exclude) for query in queries]
+    for results in (singles, searcher.search_batch(queries, k, exclude=exclude).results):
+        for result, wanted in zip(results, expected):
+            assert np.array_equal(result.oids, kept[wanted.oids])
+            assert np.array_equal(result.scores, wanted.scores)
+    # The live twin takes the excluded one's place at the k-th slot.
+    assert survivor in singles[0].oids.tolist()
+
+
 def test_engine_argument_validated():
     data, _ = _collection(20, 5, 0, normalized=True)
     with pytest.raises(QueryError):

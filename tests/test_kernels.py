@@ -128,6 +128,27 @@ def test_accumulate_columns_is_left_to_right():
     assert target[1] == 6.0
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("columns", [1, 8, 166])
+@pytest.mark.parametrize("rows", [1, 2, 3, 257])
+def test_accumulate_columns_is_the_per_column_left_fold(rows, columns, order):
+    """The reduce-based fold adds exactly like ``target += block[:, j]`` per
+    column, whatever the block layout.  One row is the trap: numpy reduces a
+    contiguous axis pairwise, which differs in the low bits."""
+    rng = np.random.default_rng(rows * 1000 + columns)
+    for _ in range(20):
+        # Magnitudes spanning 16 decades make any reassociation visible.
+        block = rng.standard_normal((rows, columns)) * 10.0 ** rng.integers(-8, 8, (rows, columns))
+        block = np.asarray(block, order=order)
+        start = rng.standard_normal(rows)
+        expected = start.copy()
+        for position in range(columns):
+            expected += block[:, position]
+        folded = start.copy()
+        accumulate_columns(folded, block)
+        assert np.array_equal(folded, expected)
+
+
 def test_accumulate_columns_rejects_misaligned_block():
     with pytest.raises(MetricError):
         accumulate_columns(np.zeros(3), np.zeros((4, 2)))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import tempfile
 import threading
 
 import numpy as np
@@ -28,6 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Index, Query
+from repro.core.bond import BondSearcher
+from repro.core.result import BatchSearchResult
 from repro.errors import FaultInjectionError, QueryError, StorageError
 from repro.mutability.wal import (
     WAL_HEADER,
@@ -37,7 +40,9 @@ from repro.mutability.wal import (
     wal_token,
 )
 from repro.reliability.faults import FaultPlan
+from repro.storage.formats import FragmentFormat
 from repro.storage.persistence import MANIFEST_NAME, load_manifest, manifest_mutability
+from repro.storage.sharding import ShardPlan
 
 DIMS = 16
 
@@ -100,6 +105,99 @@ class Shadow:
             oid: rank
             for rank, oid in enumerate(i for i, keep in enumerate(self.alive) if keep)
         }
+
+
+#: The backend lattice of the overlay-equals-rebuild test:
+#: ``name -> (Index options, Query options)``.  ``exact`` and ``compressed``
+#: leave the backend to the planner (``bond`` / ``compressed_bond``); the
+#: metrics alternate so both pruning directions are covered.
+OVERLAY_BACKENDS = {
+    "exact": ({}, {"metric": "histogram"}),
+    "compressed": ({}, {"metric": "histogram", "mode": "compressed"}),
+    "sharded_bond": ({"shards": 3}, {"metric": "euclidean", "backend": "sharded_bond"}),
+    "sharded_bond-process": (
+        {"shards": 3, "shard_executor": "process"},
+        {"metric": "histogram", "backend": "sharded_bond"},
+    ),
+    "sharded_bond-compressed": (
+        {"shards": 3},
+        {"metric": "euclidean", "mode": "compressed", "backend": "sharded_bond"},
+    ),
+    "sequential_scan": ({}, {"metric": "histogram", "backend": "sequential_scan"}),
+    "partial_abandon": ({}, {"metric": "histogram", "backend": "partial_abandon"}),
+    "rtree": ({}, {"metric": "euclidean", "backend": "rtree"}),
+    "vafile": ({}, {"metric": "histogram", "mode": "compressed", "backend": "vafile"}),
+}
+
+OVERLAY_SCENARIOS = ("basic", "tie", "k_ge_live", "shard_wiped", "base_wiped", "one_dimension")
+
+OVERLAY_CASES = [
+    pytest.param(backend, scenario, id=backend if scenario == "basic" else f"{backend}-{scenario}")
+    for backend in OVERLAY_BACKENDS
+    for scenario in OVERLAY_SCENARIOS
+]
+
+
+def overlay_scenario(name: str, rng: np.random.Generator, metric: str):
+    """``(base rows, inserted rows, deleted OIDs, k)`` of one edge case."""
+    if name == "one_dimension":
+        return rng.random((80, 1)), rng.random((5, 1)), [3, 81], 6
+    if name == "k_ge_live":
+        # 12 - 2 base rows and 3 - 1 tail rows live; k exceeds them all.
+        return hist(rng, 12), hist(rng, 3), [0, 5, 13], 15
+    if name == "base_wiped":
+        return hist(rng, 20), hist(rng, 5), list(range(20)), 3
+    base, rows = hist(rng, 80), hist(rng, 5)
+    if name == "basic":
+        return base, rows, [3, 81], 6
+    if name == "shard_wiped":
+        start, stop = ShardPlan.balanced(80, 3).ranges[1]
+        return base, rows, [*range(start, stop), 81], 6
+    assert name == "tie"
+    # The probe (row 10) is peaked, unlike every other row, and k deleted
+    # rows copy it: were tombstones to keep their bounds, they would set
+    # the first pruning threshold and prune every live row but row 10.
+    # Among the other rows, the worst becomes a copy of the one at the k-th
+    # place (its rival, deleted too), so the copy ties at the k-th place.
+    # The inserted rows copy poor matches.
+    k = 6
+    base[10] = 0.1 / (DIMS - 1)
+    base[10, 0] = 0.9
+    copies = list(range(20, 20 + k))
+    base[copies] = base[10]
+    if metric == "histogram":
+        closeness = np.minimum(base, base[10]).sum(axis=1)
+    else:
+        closeness = -((base - base[10]) ** 2).sum(axis=1)
+    others = [
+        int(oid) for oid in np.argsort(-closeness, kind="stable") if oid not in {10, *copies}
+    ]
+    rival, twin = others[k - 2], others[-1]
+    base[twin] = base[rival]
+    return base, base[others[-6:-1]].copy(), [*copies, rival], k
+
+
+def results_of(answer) -> list:
+    return answer.results if isinstance(answer, BatchSearchResult) else [answer]
+
+
+#: ``(backend, mode, metric)`` of every exact backend row scorer (both
+#: engine kinds of ``sharded_bond``), over each metric it serves.
+ROW_SCORERS = [
+    (backend, mode, metric)
+    for backend, mode in (
+        ("bond", "exact"),
+        ("sharded_bond", "exact"),
+        ("sequential_scan", "exact"),
+        ("partial_abandon", "exact"),
+        ("rtree", "exact"),
+        ("compressed_bond", "compressed"),
+        ("sharded_bond", "compressed"),
+        ("vafile", "compressed"),
+    )
+    for metric in ("histogram", "euclidean")
+    if not (backend == "rtree" and metric == "histogram")
+]
 
 
 def assert_matches_rebuild(index: Index, shadow: Shadow, queries: np.ndarray, k: int = 5):
@@ -262,22 +360,92 @@ class TestLiveUpdates:
         assert np.array_equal(first.oids, second.oids)
         assert np.array_equal(first.scores, second.scores)
 
-    @pytest.mark.parametrize("mode", ["exact", "compressed"])
-    def test_overlay_matches_rebuild_across_modes(self, base, rng, mode):
-        index = Index.build(base, name="live")
+    @pytest.mark.parametrize(("backend", "scenario"), OVERLAY_CASES)
+    def test_overlay_matches_rebuild_across_modes(
+        self, rng, backend, scenario, monkeypatch, no_shard_leaks
+    ):
+        index_options, query_options = OVERLAY_BACKENDS[backend]
+        metric = query_options["metric"]
+        base, rows, deleted, k = overlay_scenario(scenario, rng, metric)
         shadow = Shadow(base)
-        rows = hist(rng, 5)
-        index.insert(rows)
         shadow.insert(rows)
-        index.delete([3, 81])
-        shadow.delete([3, 81])
-        reference = Index.build(shadow.rebuilt(), name="rebuilt")
+        shadow.delete(deleted)
         mapping = shadow.mapping()
-        q_live = query_for(base[10], k=6, mode=mode)
-        live = index.answer(q_live)
-        rebuilt = reference.answer(q_live)
-        assert [mapping[int(oid)] for oid in live.oids] == rebuilt.oids.tolist()
-        assert np.array_equal(live.scores, rebuilt.scores)
+        probes = np.vstack([base[10], rows[0]])
+        if metric == "histogram" and base.shape[1] == 1:
+            probes = np.ones((2, 1))  # the only L1-normalised 1-D query
+        with Index.build(base, name="live", **index_options) as index, Index.build(
+            shadow.rebuilt(), name="rebuilt", **index_options
+        ) as reference:
+            index.insert(rows)
+            index.delete(deleted)
+            # Spies: bond's base search runs at the caller's k (it drops the
+            # deleted rows inside its scan), and answering builds no index
+            # (no tail sub-index).
+            searched_k, built = [], []
+            for name in ("search", "search_batch"):
+                original = getattr(BondSearcher, name)
+
+                def spy(searcher, queries, k, *args, _original=original, **kwargs):
+                    searched_k.append(k)
+                    return _original(searcher, queries, k, *args, **kwargs)
+
+                monkeypatch.setattr(BondSearcher, name, spy)
+            index_init = Index.__init__
+            monkeypatch.setattr(
+                Index, "__init__", lambda *a, **kw: built.append(a) or index_init(*a, **kw)
+            )
+            for vectors in (probes[0], probes):
+                query = Query(vectors, k=k, batch=vectors.ndim == 2, **query_options)
+                live, rebuilt = index.answer(query), reference.answer(query)
+                for live_one, rebuilt_one in zip(results_of(live), results_of(rebuilt)):
+                    assert [mapping[int(oid)] for oid in live_one.oids] == rebuilt_one.oids.tolist()
+                    assert np.array_equal(live_one.scores, rebuilt_one.scores)
+        assert built == []
+        if backend == "exact":
+            assert searched_k, "the base search did not run on BondSearcher"
+            assert set(searched_k) == {k}
+
+    @pytest.mark.parametrize(
+        ("backend", "mode", "metric"), ROW_SCORERS, ids=lambda value: str(value)
+    )
+    @pytest.mark.parametrize("fragment_format", ["float64", "float32"])
+    def test_score_rows_matches_the_backends_own_search(
+        self, rng, backend, mode, metric, fragment_format, no_shard_leaks
+    ):
+        # The overlay's rebuild identity rests on this: a backend scores a
+        # row outside the index exactly as its searches score it inside one.
+        rows = hist(rng, 40)
+        quantised = FragmentFormat.coerce(fragment_format)
+        columns = np.ascontiguousarray(quantised.widen(quantised.quantise(rows)).T)
+        with Index.build(rows, format=fragment_format, shards=2) as index:
+            query = Query(
+                hist(rng, 3), k=len(rows), metric=metric, mode=mode, backend=backend, batch=True
+            )
+            plan = index.plan(query)
+            scores = plan.backend.score_rows(index, query, plan.metric, columns)
+            answer = index.answer(query)
+        assert scores.shape == (3, len(rows))
+        for row, result in enumerate(answer.results):
+            assert sorted(result.oids.tolist()) == list(range(len(rows)))
+            assert np.array_equal(scores[row, result.oids], result.scores)
+
+    def test_mmap_index_spills_nothing_on_the_query_path(self, rng, monkeypatch):
+        base = hist(rng, 80)
+        with Index.build(base, name="mapped", format="float32/mmap") as index:
+            index.answer(query_for(base[0]))  # the base fragments spill here, once
+            spilled = []
+            original = tempfile.TemporaryDirectory
+            monkeypatch.setattr(
+                tempfile,
+                "TemporaryDirectory",
+                lambda *a, **kw: spilled.append(kw.get("prefix")) or original(*a, **kw),
+            )
+            for cycle in range(20):
+                oids = index.insert(hist(rng, 2))
+                index.delete([cycle, int(oids[0])])
+                index.answer(query_for(base[40]))
+        assert spilled == []
 
     def test_batch_overlay_matches_rebuild(self, base, rng):
         index = Index.build(base, name="live")
