@@ -4,7 +4,7 @@ A from-scratch reproduction of de Vries, Mamoulis, Nes & Kersten,
 "Efficient k-NN Search on Vertically Decomposed Data", ACM SIGMOD 2002.
 
 The package re-exports the user-facing entry points; see README.md for a
-quickstart and DESIGN.md for the full system inventory.
+quickstart and docs/API.md for the facade.
 
 Typical usage (the unified facade; see docs/API.md)::
 

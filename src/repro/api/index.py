@@ -73,7 +73,6 @@ from repro.approx import (
 from repro.core.parallel import check_shard_options
 from repro.core.result import BatchSearchResult, SearchResult
 from repro.engine.cost import CostModel
-from repro.engine.updates import DeltaLog
 from repro.errors import BackendError, FailoverExhausted, QueryError, StorageError
 from repro.metrics.base import Metric
 from repro.mutability.epoch import Epoch
@@ -102,6 +101,23 @@ import repro.api.backends  # noqa: F401
 
 #: File name of the write-ahead log inside an attached store directory.
 WAL_NAME = "wal.log"
+
+
+#: Rows per block of the finiteness check: 1,024 rows x 166 float64
+#: dimensions is ~1.3 MB, so ``max`` re-reads what ``min`` left in cache.
+_FINITE_CHECK_ROWS = 1024
+
+
+def _require_finite(rows: np.ndarray) -> None:
+    """Reject NaN and inf coefficients, like ``Metric.validate_query``: NaN
+    compares False, so a NaN row would slip past pruning into answers and
+    rank differently before and after a reorganisation.  NaN propagates
+    through ``min`` and ``max`` and each infinity shows in one of them; a
+    block of rows small enough to stay in cache is read from memory once."""
+    for start in range(0, rows.shape[0], _FINITE_CHECK_ROWS):
+        block = rows[start : start + _FINITE_CHECK_ROWS]
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            raise QueryError("vector coefficients must be finite (found NaN or inf)")
 
 
 class Index:
@@ -168,6 +184,7 @@ class Index:
         matrix = np.asarray(vectors, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] == 0 or matrix.shape[1] == 0:
             raise QueryError(f"an index needs a non-empty 2-D vector matrix, got {matrix.shape}")
+        _require_finite(matrix)
         self._setup(
             name=name,
             bits=bits,
@@ -240,7 +257,6 @@ class Index:
                 dimensionality=self._dimensionality,
                 format=self._format,
             ),
-            delta=DeltaLog(self._dimensionality),
         )
 
     @classmethod
@@ -383,10 +399,8 @@ class Index:
                 # Already merged into the committed fragments.
                 continue
             if record.op == OP_INSERT:
-                epoch.delta.record_append(record.vectors)
                 tail = tail.with_insert(record.vectors, lsn=record.lsn)
             else:
-                epoch.delta.record_delete(record.oids)
                 tail = tail.with_delete(record.oids, lsn=record.lsn)
         epoch.tail = tail
         self._home = home
@@ -621,11 +635,6 @@ class Index:
         """Base rows deleted since the last reorganisation."""
         return self._current_epoch().tail.deleted_base_count
 
-    @property
-    def pending_updates(self) -> int:
-        """Buffered update operations awaiting the next :meth:`reorganize`."""
-        return len(self._current_epoch().delta)
-
     def planning_state(self) -> tuple[int, int, int, int]:
         """``(generation, cardinality, tail_rows, deleted_count)`` of the epoch
         this thread reads, from one epoch lookup.
@@ -653,8 +662,9 @@ class Index:
         to the write-ahead log and fsynced **before** this method returns —
         an acknowledged insert survives any crash.  OIDs continue past the
         current coordinate system (base rows, then tail rows in insert
-        order) and are compacted by the next reorganisation exactly like
-        :meth:`repro.engine.updates.DeltaLog.apply` does.
+        order) and are compacted by the next reorganisation
+        (:meth:`~repro.mutability.tail.TailState.merged`).  A non-finite
+        coefficient raises before anything is logged.
         """
         rows = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if rows.ndim != 2 or rows.shape[0] == 0:
@@ -664,6 +674,7 @@ class Index:
                 f"inserted vectors have {rows.shape[1]} dimensions, "
                 f"index has {self._dimensionality}"
             )
+        _require_finite(rows)
         with self._mutation_lock:
             epoch = self._epoch
             if self._wal is not None:
@@ -671,7 +682,6 @@ class Index:
             else:
                 lsn = epoch.tail.last_lsn + 1
             # Durable (or in-memory acknowledged) — now publish.
-            epoch.delta.record_append(rows)
             start = epoch.tail.total_cardinality
             epoch.tail = epoch.tail.with_insert(rows, lsn=lsn)
             return np.arange(start, start + rows.shape[0], dtype=np.int64)
@@ -703,19 +713,18 @@ class Index:
                 lsn = self._wal.append_delete(oid_array)
             else:
                 lsn = epoch.tail.last_lsn + 1
-            epoch.delta.record_delete(oid_array)
             epoch.tail = epoch.tail.with_delete(oid_array, lsn=lsn)
             return int(oid_array.size)
 
     def reorganize(self) -> int:
         """Merge the delta tail into fresh base fragments; returns the generation.
 
-        The paper's "periodic reorganisation": buffered appends and deletes
-        are applied to the base collection (via
-        :meth:`~repro.engine.updates.DeltaLog.apply` on a snapshot — a
-        failure leaves the live state untouched), the merged collection gets
-        fresh stores, a fresh shard plan, and a cleared tail, and the whole
-        bundle is published as the next epoch with one atomic swap.
+        The paper's "periodic reorganisation": the live base rows and then
+        the live tail rows (:meth:`~repro.mutability.tail.TailState.merged`,
+        which only reads the immutable tail, so a failure leaves the live
+        state untouched) get fresh stores, a fresh shard plan, and a cleared
+        tail, and the whole bundle is published as the next epoch with one
+        atomic swap.
         In-flight queries finish on the epoch they pinned; new queries see
         the new one.  Serving never stops.
 
@@ -731,9 +740,9 @@ class Index:
         """
         with self._mutation_lock:
             epoch = self._epoch
-            if epoch.tail.is_empty and not len(epoch.delta):
+            if epoch.tail.is_empty:
                 return epoch.generation
-            merged = epoch.delta.snapshot().apply(self.vectors)
+            merged = epoch.tail.merged(self.vectors)
             if merged.shape[0] == 0:
                 raise StorageError(
                     "reorganisation would delete every row; an index cannot be empty"
@@ -747,7 +756,7 @@ class Index:
             if self._home is not None:
                 # Build the merged store and commit it durably BEFORE the
                 # swap: if anything here raises (including injected faults),
-                # the live epoch, delta log, and WAL are untouched.
+                # the live epoch, its tail, and the WAL are untouched.
                 new_epoch.decomposed = DecomposedStore(
                     merged, cost=self._cost, name=self._name, format=self._format
                 )

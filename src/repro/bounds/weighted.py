@@ -25,9 +25,9 @@ implementation therefore uses a *provably safe* upper bound — the minimum of
   ``max(w⁺)``
 
 — and exposes the paper's literal Equation 14 as ``paper_equation14`` for
-comparison experiments.  The substitution is recorded in DESIGN.md; for the
-weight distributions of Figure 11 (skewed but applied to the *query*
-dimensions that are processed first) the safe bound prunes almost as well.
+comparison experiments.  For the weight distributions of Figure 11 (skewed
+but applied to the *query* dimensions that are processed first) the safe
+bound prunes almost as well.
 
 **Floating-point safety.**  With a single remaining dimension the lower and
 upper bounds above are *analytically equal* (the remaining coordinate is

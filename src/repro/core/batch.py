@@ -74,8 +74,9 @@ class QueryRun:
     processed: int = 0
     full_scan_dimensions: int = 0
     next_attempt: int = 0
-    #: Candidate positions of the excluded rows (tombstones), dropped by the
-    #: run's first prune — or by ``_finish`` if it never prunes; ``None`` after.
+    #: OIDs of the excluded rows (tombstones), dropped by the run's first
+    #: prune (until then a candidate's position is its OID) — or by
+    #: ``_finish`` if it never prunes; ``None`` after.
     exclude: np.ndarray | None = None
     result: SearchResult | None = None
 

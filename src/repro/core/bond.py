@@ -331,7 +331,7 @@ class BondSearcher:
             schedule_length=schedule_length,
             trace=trace if trace is not None else PruningTrace(),
             exclude=(
-                candidates.positions_of(np.asarray(exclude, dtype=np.int64))
+                np.asarray(exclude, dtype=np.int64)
                 if exclude is not None and len(exclude)
                 else None
             ),

@@ -26,7 +26,6 @@ from enum import Enum
 
 import numpy as np
 
-from repro.engine.bitmap import Bitmap
 from repro.engine.cost import DOUBLE_BYTES
 from repro.errors import QueryError
 from repro.kernels.block import accumulate_columns
@@ -84,27 +83,19 @@ class CandidateSet:
         self.reset()
 
     def reset(self) -> None:
-        """Start over with every live vector as a candidate.
+        """Start over with every vector as a candidate.
 
         The survivor workspace — every per-vector array, allocated once at
         full size, ``_count`` tracking the live prefix that pruning compacts
         in place — is reused when it is still large enough, so a searcher
         that keeps one candidate set and resets it per search touches no
-        fresh collection-sized memory.
+        fresh collection-sized memory.  OIDs are virtual and dense (a store
+        is immutable), so nothing is materialised until the first prune,
+        whose survivor positions *are* the surviving OIDs.
         """
         store = self._store
-        if len(store.deleted) == 0:
-            # Virtual dense OIDs: without deletions the live set is 0..n-1,
-            # so nothing is materialised until the first prune (whose
-            # survivor positions *are* the surviving OIDs).
-            self._oids_buffer: np.ndarray | None = None
-            count = store.cardinality
-        else:
-            self._oids_buffer = np.ascontiguousarray(
-                store.full_candidates().oids(), dtype=np.int64
-            )
-            count = int(self._oids_buffer.shape[0])
-        self._count = count
+        self._oids_buffer: np.ndarray | None = None
+        count = self._count = store.cardinality
         self._current_mode = (
             CandidateMode.POSITIONAL
             if self._mode_policy == "positional"
@@ -121,11 +112,7 @@ class CandidateSet:
             if self._partial_sums_buffer is not None:
                 self._partial_sums_buffer[:count] = 0.0
         if self._remaining_sums_buffer is not None:
-            row_sums = store.row_sums().tail
-            if self._oids_buffer is None:
-                self._remaining_sums_buffer[:count] = row_sums
-            else:
-                np.take(row_sums, self._oids_buffer, out=self._remaining_sums_buffer[:count])
+            self._remaining_sums_buffer[:count] = store.row_sums().tail
 
     # -- basic accessors -------------------------------------------------------
 
@@ -170,17 +157,6 @@ class CandidateSet:
     def selectivity(self) -> float:
         """Surviving fraction of the collection."""
         return len(self) / self._store.cardinality
-
-    def as_bitmap(self) -> Bitmap:
-        """The candidate set as a bitmap over the collection."""
-        return Bitmap.from_oids(self._store.cardinality, self.oids)
-
-    def positions_of(self, oids: np.ndarray) -> np.ndarray:
-        """Candidate positions of those of ``oids`` that are candidates.  In
-        a store with no deletions, before any prune, a position *is* its OID."""
-        if self._oids_buffer is None:
-            return oids
-        return np.flatnonzero(np.isin(self.oids, oids))
 
     # -- fragment access -------------------------------------------------------
 

@@ -17,7 +17,7 @@ generates histograms that match the *published statistics* of the collection
 (Zipfian per-histogram values, varying heavy bins, L1 normalisation), and
 :mod:`repro.datasets.hsv` provides a miniature image -> HSV-histogram
 extraction pipeline so the end-to-end path of the motivating application is
-exercised too.  See DESIGN.md for the substitution rationale.
+exercised too.
 """
 
 from repro.datasets.corel import CorelLikeConfig, make_corel_like

@@ -11,21 +11,19 @@ This package provides the pieces of that substrate that BOND relies on:
   dense heads, typed tails and propagated properties (dense, sorted, key);
 * :mod:`~repro.engine.operators` — the MIL operators used in Section 6.1 of
   the paper: multijoin map (``[min]``, ``[+]``, ...), ``uselect``, ``kfetch``,
-  positional joins, semijoins and reverse joins;
-* :class:`~repro.engine.bitmap.Bitmap` — the bitmap candidate index used to
-  represent the pruned candidate set cheaply in early iterations;
+  positional joins and reverse joins;
 * :class:`~repro.engine.cost.CostModel` — an I/O + CPU accounting model that
   counts bytes read, tuples scanned and arithmetic operations, so that the
   "avoided work" claims of the paper can be measured in a
   machine-independent way;
 * :mod:`~repro.engine.properties` — property flags and their propagation
-  rules through operators;
-* :mod:`~repro.engine.updates` — differential update files and delete
-  bitmaps (Section 6.2).
+  rules through operators.
+
+Section 6.2's differential file and delete bitmap live in
+:mod:`repro.mutability.tail`.
 """
 
 from repro.engine.bat import BAT
-from repro.engine.bitmap import Bitmap
 from repro.engine.cost import CostAccount, CostModel, CostReport
 from repro.engine.properties import Properties
 from repro.engine.operators import (
@@ -34,25 +32,19 @@ from repro.engine.operators import (
     multijoin_map,
     positional_join,
     reverse_join,
-    semijoin,
     uselect,
 )
-from repro.engine.updates import DeltaLog, DeltaOperation
 
 __all__ = [
     "BAT",
-    "Bitmap",
     "CostAccount",
     "CostModel",
     "CostReport",
-    "DeltaLog",
-    "DeltaOperation",
     "Properties",
     "kfetch",
     "materialize",
     "multijoin_map",
     "positional_join",
     "reverse_join",
-    "semijoin",
     "uselect",
 ]

@@ -10,7 +10,7 @@ These are the operators used by the MIL program of Section 6.1:
   whose tail falls in ``[low, high]``, renumbered with a fresh dense head.
 * ``kfetch`` — the k-th largest (or smallest) tail value, computed with a
   bounded heap in ``O(n log k)``.
-* ``positional_join`` / ``reverse_join`` / ``semijoin`` — the join shapes
+* ``positional_join`` / ``reverse_join`` — the join shapes
   BOND needs to restrict the remaining dimension fragments to the candidate
   set (step 3 of the MIL program).
 * ``materialize`` — gather the tail values of a fragment at a set of OIDs.
@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.engine.bat import BAT, default_tuple_bytes
-from repro.engine.bitmap import Bitmap
 from repro.engine.cost import CostModel
 from repro.engine.properties import (
     propagate_map,
@@ -115,25 +114,6 @@ def uselect(
         properties=propagate_select(bat.properties),
         name=name or f"uselect({bat.name})",
     )
-
-
-def uselect_mask(
-    bat: BAT,
-    low: float,
-    high: float,
-    *,
-    cost: CostModel | None = None,
-) -> Bitmap:
-    """Bitmap variant of :func:`uselect` used in early BOND iterations.
-
-    Returns a bitmap over tuple positions (equivalently, over dense OIDs
-    relative to ``bat.head_base``).
-    """
-    mask = (bat.tail >= low) & (bat.tail <= high)
-    if cost is not None:
-        cost.charge_scan(len(bat), default_tuple_bytes(bat))
-        cost.charge_comparisons(2 * len(bat))
-    return Bitmap.from_mask(mask)
 
 
 def kfetch(
@@ -226,24 +206,6 @@ def reverse_join(
     if cost is not None:
         cost.charge_random_access(len(oids), fragment.tail.itemsize)
     return BAT.dense(gathered, name=name or f"gather({fragment.name})")
-
-
-def semijoin(fragment: BAT, bitmap: Bitmap, *, cost: CostModel | None = None, name: str = "") -> BAT:
-    """Restrict ``fragment`` to the OIDs set in ``bitmap`` (bitmap semijoin).
-
-    The fragment must have a dense virtual head covering the bitmap universe.
-    The result carries the surviving tail values with a fresh dense head; its
-    order matches ascending OID order, i.e. ascending candidate order.
-    """
-    if not fragment.head_is_virtual:
-        raise EngineError("bitmap semijoin requires a fragment with a virtual dense head")
-    if bitmap.universe_size != len(fragment):
-        raise EngineError(
-            f"bitmap universe ({bitmap.universe_size}) does not match fragment length ({len(fragment)})"
-        )
-    if cost is not None:
-        cost.charge_scan(len(fragment), default_tuple_bytes(fragment))
-    return BAT.dense(fragment.tail[bitmap.mask], name=name or f"semijoin({fragment.name})")
 
 
 def materialize(fragment: BAT, oids: Sequence[int] | np.ndarray, *, cost: CostModel | None = None) -> np.ndarray:

@@ -61,7 +61,8 @@ class ExperimentReport:
     Attributes
     ----------
     experiment_id:
-        Identifier from the per-experiment index in DESIGN.md ("fig4", ...).
+        Identifier from the experiment index in :mod:`repro.experiments`
+        ("fig4", ...).
     title:
         Human-readable description of the regenerated artefact.
     rows:

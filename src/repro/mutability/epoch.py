@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import threading
 
-from repro.engine.updates import DeltaLog
 from repro.mutability.tail import TailState
 
 
@@ -40,15 +39,12 @@ class Epoch:
         base_cardinality: int,
         dimensionality: int,
         tail: TailState,
-        delta: DeltaLog,
     ) -> None:
         self.generation = int(generation)
         self.base_cardinality = int(base_cardinality)
         self.dimensionality = int(dimensionality)
         #: The live delta tail; replaced (never mutated) on insert/delete.
         self.tail = tail
-        #: Op-order log mirroring the tail; consumed by ``reorganize()``.
-        self.delta = delta
         # -- lazily materialised per-epoch state (built by the Index) -------
         self.input = None          # ingested matrix (None on the open path)
         self.vectors = None        # widened-quantised logical matrix cache

@@ -1,17 +1,26 @@
 """The in-memory delta tail: live inserted rows plus the delete bitmap view.
 
-Between reorganisations, acknowledged updates live here (Section 6.2's
-differential file): inserted rows as a row-major tail in **logical**
-(pre-quantisation) float64 form, deletes as a dead-flag per tail row plus a
-sorted array of deleted base OIDs.  Tail states are immutable — each
-mutation produces a new state object, and the index publishes it with one
-atomic epoch swap, so a query thread holding a state sees a frozen view
-with no locking.
+Section 6.2 of the paper: feature-vector collections are mostly static, and
+their updates are dominated by appends of newly ingested images plus
+occasional deletions.  Following Copeland & Khoshafian, a vertically
+fragmented collection buffers them in one differential file, and a delete
+bitmap hides deleted vectors from queries until a periodic reorganisation
+merges both into fresh fragments.
+
+A :class:`TailState` is that differential file and that bitmap, the one
+in-memory record of every acknowledged write between reorganisations (the
+write-ahead log is its durable twin, and replay rebuilds it): inserted rows
+as a row-major tail in **logical** (pre-quantisation) float64 form, deletes
+as a dead-flag per tail row plus a sorted array of deleted base OIDs.  Tail
+states are immutable — each mutation produces a new state object, and the
+index publishes it with one atomic epoch swap, so a query thread holding a
+state sees a frozen view with no locking.
 
 Tail rows carry OIDs ``base_cardinality + position`` (position in insert
-order, dead rows included): exactly the coordinate system of
-:meth:`repro.engine.updates.DeltaLog.apply`, so overlay answers and the
-reorganised store agree on which row an OID names.
+order, dead rows included).  A delete marks a row dead but never shifts an
+OID, and a dead OID is not reused: the coordinate system only compacts when
+:meth:`TailState.merged` builds the next generation's rows, so overlay
+answers and the reorganised store agree on which row an OID names.
 
 The deleted base OIDs are the tombstones every base answer leaves out
 (``Backend.answer(..., exclude=...)``; ``bond`` drops them inside its scan).
@@ -122,6 +131,17 @@ class TailState:
             oids = self.base_cardinality + np.flatnonzero(alive).astype(np.int64)
             self._live = (oids, np.ascontiguousarray(rows.T))
         return self._live
+
+    def merged(self, base: np.ndarray) -> np.ndarray:
+        """The reorganised collection: the live ``base`` rows, then the live
+        tail rows in insert order (raw float64; the next generation's stores
+        quantise them once, like any ingested row)."""
+        base = np.asarray(base, dtype=np.float64)
+        if base.shape != (self.base_cardinality, self.dimensionality):
+            raise StorageError("base matrix does not match the tail's coordinate system")
+        live_base = np.ones(self.base_cardinality, dtype=bool)
+        live_base[self.deleted_base] = False
+        return np.concatenate([base[live_base], self.raw[~self.dead]])
 
     # -- transitions (return a NEW state; never mutate in place) --------------------
 

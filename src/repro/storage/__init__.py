@@ -9,8 +9,8 @@ BAT of ``(vector id, coefficient)`` pairs with a virtual dense head.
 Three stores are provided:
 
 * :class:`~repro.storage.decomposed.DecomposedStore` — the vertically
-  fragmented layout BOND runs on, with per-fragment access, bitmap semijoins,
-  appends/deletes via a differential log, and storage accounting;
+  fragmented layout BOND runs on, immutable, with per-fragment access,
+  multi-fragment block gathers and storage accounting;
 * :class:`~repro.storage.rowstore.RowStore` — the conventional horizontal
   layout used by sequential scan (SSH / SSE) and as the refinement source for
   the VA-file;

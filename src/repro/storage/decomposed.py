@@ -23,9 +23,9 @@ straight into their float64 accumulators.  Cost charges use the format's
 coefficient width: a float32 fragment scan moves half the bytes of a float64
 one, which is the whole point.
 
-Updates follow Section 6.2: appends and deletes are buffered in a
-:class:`~repro.engine.updates.DeltaLog` and merged at ``reorganize()`` time;
-a delete bitmap masks deleted vectors from queries in the meantime.
+A store is immutable: OID ``i`` is row ``i`` for its whole life.  Updates
+live beside it in the index's delta tail (:mod:`repro.mutability.tail`, the
+paper's Section 6.2), and a reorganisation builds the next store.
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.engine.bat import BAT
-from repro.engine.bitmap import Bitmap
 from repro.engine.cost import CostModel, DOUBLE_BYTES
-from repro.engine.operators import semijoin
-from repro.engine.updates import DeltaLog
 from repro.errors import StorageError
 from repro.storage.formats import FragmentFormat
 
@@ -208,11 +205,6 @@ class DecomposedStore:
             raise StorageError(
                 f"row slice [{start}, {stop}) outside collection of size {parent.cardinality}"
             )
-        if parent.pending_updates or len(parent.deleted):
-            raise StorageError(
-                "the store has buffered updates or deletions; call reorganize() before "
-                "slicing so every slice sees the settled collection"
-            )
         shard = object.__new__(cls)
         shard.name = name if name is not None else f"{parent.name}[{start}:{stop}]"
         shard._cost = cost if cost is not None else CostModel()
@@ -276,8 +268,6 @@ class DecomposedStore:
                 alignment=self._alignment_token,
                 name=f"{self.name}.rowsum",
             )
-        self._delta = DeltaLog(dimensionality=self._dimensionality)
-        self._deleted = Bitmap(self._cardinality)
 
     def _widened_from(self, tails: Sequence[np.ndarray]) -> np.ndarray:
         """The float64 C-order matrix of the (possibly narrow) tails."""
@@ -290,7 +280,7 @@ class DecomposedStore:
 
     @property
     def cardinality(self) -> int:
-        """Number of vectors in the (reorganised) collection."""
+        """Number of vectors in the collection."""
         return self._cardinality
 
     @property
@@ -341,17 +331,6 @@ class DecomposedStore:
         """
         self._check_dimension(dimension)
         return self._tails[dimension]
-
-    def fragment_for_candidates(self, dimension: int, candidates: Bitmap) -> BAT:
-        """Return the fragment restricted to a candidate bitmap.
-
-        Only the surviving values are charged to the cost model when the
-        candidate set is already materialised (post switch-over); the full
-        fragment scan cost is charged by :func:`semijoin` itself when a
-        bitmap filter has to inspect every position.
-        """
-        self._check_dimension(dimension)
-        return semijoin(self._fragments[dimension], candidates, cost=self._cost)
 
     def widened_column(self, dimension: int) -> np.ndarray:
         """One fragment's logical (float64-widened) values, uncharged.
@@ -544,15 +523,6 @@ class DecomposedStore:
             row[dimension] = tail[oid]
         return row
 
-    # -- candidate helpers -----------------------------------------------------
-
-    def full_candidates(self) -> Bitmap:
-        """A bitmap of all live (non-deleted) vectors."""
-        bitmap = Bitmap.full(self.cardinality)
-        if len(self._deleted):
-            bitmap = bitmap.difference(self._deleted)
-        return bitmap
-
     # -- storage accounting ----------------------------------------------------
 
     def storage_bytes(self) -> int:
@@ -572,57 +542,6 @@ class DecomposedStore:
         """
         base = self.cardinality * self.dimensionality * DOUBLE_BYTES
         return self.storage_bytes() / base
-
-    # -- updates (Section 6.2) ---------------------------------------------------
-
-    @property
-    def deleted(self) -> Bitmap:
-        """Bitmap of OIDs deleted since the last reorganisation."""
-        return self._deleted
-
-    @property
-    def pending_updates(self) -> int:
-        """Number of buffered delta entries."""
-        return len(self._delta)
-
-    def append(self, vectors: np.ndarray) -> None:
-        """Buffer the append of one or more vectors (visible after reorganize)."""
-        self._delta.record_append(vectors)
-
-    def delete(self, oids: Sequence[int] | np.ndarray) -> None:
-        """Mark vectors as deleted.
-
-        Deletions take effect immediately for queries (via the delete bitmap)
-        and are merged into the fragments at the next :meth:`reorganize`.
-        """
-        oid_array = np.asarray(list(np.atleast_1d(oids)), dtype=np.int64)
-        if len(oid_array) and (oid_array.min() < 0 or oid_array.max() >= self.cardinality):
-            raise StorageError("delete targets an OID outside the current collection")
-        self._delta.record_delete(oid_array)
-        for oid in oid_array:
-            self._deleted.set(int(oid))
-
-    def reorganize(self) -> None:
-        """Apply buffered appends and deletes and rebuild the fragments.
-
-        Narrow stores apply the delta to the widened logical matrix and
-        re-quantise (appended float64 rows go through the same single
-        ``astype`` every ingested row did); mapped stores spill a fresh
-        temporary mapping.  A clean store (empty delta) is a no-op — in
-        particular, the fragments are not rebuilt, so zero-copy views taken
-        over them stay valid.
-        """
-        if not len(self._delta):
-            return
-        new_matrix = self._delta.apply(self.matrix)
-        had_row_sums = self._row_sums is not None
-        self.__init__(
-            new_matrix,
-            cost=self._cost,
-            name=self.name,
-            precompute_row_sums=had_row_sums,
-            format=self._format,
-        )
 
     # -- helpers -----------------------------------------------------------------
 

@@ -312,8 +312,7 @@ def save_decomposed(
     Parameters
     ----------
     store:
-        The collection to persist.  Pending (unreorganised) updates are not
-        written; call :meth:`DecomposedStore.reorganize` first if needed.
+        The collection to persist.
     directory:
         Target directory; created if missing.
     overwrite:
@@ -338,11 +337,6 @@ def save_decomposed(
         write *before* the commit, so the manifest never references files
         that do not exist yet.
     """
-    if store.pending_updates:
-        raise StorageError(
-            "the store has buffered updates; call reorganize() before saving so the "
-            "on-disk fragments reflect the logical collection"
-        )
     path = pathlib.Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     manifest_path = path / MANIFEST_NAME

@@ -144,9 +144,7 @@ def shard_view(store: DecomposedStore, plan: ShardPlan, shard: int) -> Decompose
     recomputing bit for bit).  Memory-mapped parents shard without faulting a
     single coefficient in, and narrow parents shard without re-quantising.
     The view charges a private cost model, so concurrent shard searches never
-    contend on the parent's counters, and
-    :meth:`DecomposedStore.row_slice` refuses a parent with buffered updates
-    or deletions, so every shard sees the settled collection.
+    contend on the parent's counters.
     """
     if plan.cardinality != store.cardinality:
         raise StorageError(

@@ -173,12 +173,12 @@ def test_loop_and_fused_charge_identical_costs():
 def test_batch_with_deleted_vectors():
     data, rng = _collection(120, 10, 9, normalized=True)
     store = DecomposedStore(data)
-    store.delete([0, 5, 17])
+    deleted = np.array([0, 5, 17])
     searcher = BondSearcher(store, engine="fused")
     loop = BondSearcher(store, engine="loop")
     queries = data[[2, 30]]
-    references = [loop.search(query, 4) for query in queries]
-    for result, reference in zip(searcher.search_batch(queries, 4), references):
+    references = [loop.search(query, 4, exclude=deleted) for query in queries]
+    for result, reference in zip(searcher.search_batch(queries, 4, exclude=deleted), references):
         _assert_identical(result, reference)
         assert not set(result.oids) & {0, 5, 17}
 
@@ -187,12 +187,12 @@ def test_batch_with_deleted_vectors():
 @pytest.mark.parametrize("engine", ["fused", "loop"])
 @pytest.mark.parametrize("metric_name", ["histogram", "euclidean"])
 def test_exclude_matches_a_search_over_the_compacted_rows(metric_name, engine, k):
-    """``exclude=`` over a store with its own deletes answers like a search
-    over the rows left, even when excluded rows would set the pruning
-    threshold or tie a live one at the k-th place.  ``k = 110`` lies between
-    the live and the stored row counts, so the threshold is infinite and only
-    the forced ``keep`` removes the tombstones; ``k = 500`` exceeds the
-    collection: the run never prunes, so ``_finish`` drops them."""
+    """``exclude=`` answers like a search over the rows left, even when
+    excluded rows would set the pruning threshold or tie a live one at the
+    k-th place.  ``k = 110`` lies between the live and the stored row
+    counts, so the threshold is infinite and only the forced ``keep``
+    removes the tombstones; ``k = 500`` exceeds the collection: the run
+    never prunes, so ``_finish`` drops them."""
     data, rng = _collection(120, 10, 13, normalized=True)
     metric, _ = _metric_for(metric_name, 10, rng)
     # The first query is peaked, unlike every other row, and four excluded
@@ -212,14 +212,14 @@ def test_exclude_matches_a_search_over_the_compacted_rows(metric_name, engine, k
     winner, survivor = sorted([rest[3], rest[-1]])
     data[[winner, survivor]] = data[rest[3]]
     store = DecomposedStore(data)
-    store.delete([0, 5, 17])
-    # Tombstones: the copies, the first query's own row, the tie's winner,
-    # a row the store already deleted, and a handful more.
+    # Tombstones: rows 0, 5 and 17, the copies, the first query's own row,
+    # the tie's winner, and a handful more.
     others = np.setdiff1d(rest, [winner, survivor])
     exclude = np.unique(
-        [*copies, 2, winner, 5, *rng.choice(others, size=6, replace=False).tolist()]
+        [0, 5, 17, *copies, 2, winner, *rng.choice(others, size=6, replace=False).tolist()]
     )
-    kept = np.setdiff1d(np.arange(120), np.union1d(exclude, [0, 5, 17]))
+    kept = np.setdiff1d(np.arange(120), exclude)
+    assert kept.shape[0] < 110 < store.cardinality
     reference = BondSearcher(DecomposedStore(data[kept]), metric=metric)
     searcher = BondSearcher(store, metric=metric, engine=engine)
 

@@ -22,13 +22,6 @@ class TestConstruction:
         assert candidates.partial_value_sums is not None
         assert np.allclose(candidates.remaining_value_sums, corel_store.matrix.sum(axis=1))
 
-    def test_deleted_vectors_excluded(self, corel_histograms):
-        store = DecomposedStore(corel_histograms[:100])
-        store.delete([0, 1, 2])
-        candidates = CandidateSet(store)
-        assert len(candidates) == 97
-        assert 0 not in set(candidates.oids)
-
     def test_invalid_mode_rejected(self, corel_store):
         with pytest.raises(QueryError):
             CandidateSet(corel_store, mode="nonsense")
@@ -90,13 +83,6 @@ class TestAccumulateAndPrune:
         values = candidates.column_values(3)
         assert np.allclose(values, corel_store.matrix[survivors, 3])
 
-    def test_as_bitmap_round_trip(self, corel_store):
-        candidates = CandidateSet(corel_store)
-        keep = np.zeros(len(candidates), dtype=bool)
-        keep[[1, 5]] = True
-        candidates.prune(keep)
-        assert list(candidates.as_bitmap()) == [1, 5]
-
     def test_positional_mode_charges_less_than_bitmap(self, corel_histograms):
         bitmap_store = DecomposedStore(corel_histograms)
         positional_store = DecomposedStore(corel_histograms)
@@ -143,28 +129,6 @@ class TestReset:
         assert candidates.partial_scores.base is buffers[0]
         assert candidates.partial_value_sums.base is buffers[1]
         assert candidates.remaining_value_sums.base is buffers[2]
-
-    def test_reset_sees_deletions_made_since(self, corel_histograms):
-        store = DecomposedStore(corel_histograms[:100])
-        candidates = CandidateSet(store, track_remaining_sums=True)
-        store.delete([4, 50])
-        candidates.reset()
-        assert len(candidates) == 98
-        assert not candidates.is_full()
-        expected = np.setdiff1d(np.arange(100), [4, 50])
-        assert np.array_equal(candidates.oids, expected)
-        assert np.array_equal(
-            candidates.remaining_value_sums, store.matrix.sum(axis=1)[expected]
-        )
-
-    def test_reset_grows_with_the_store(self, corel_histograms):
-        store = DecomposedStore(corel_histograms[:100])
-        candidates = CandidateSet(store, track_partial_sums=True)
-        store.append(corel_histograms[100:130])
-        store.reorganize()
-        candidates.reset()
-        assert len(candidates) == 130
-        assert candidates.partial_value_sums.shape == (130,)
 
     def test_first_prune_of_dense_oids_keeps_the_survivor_positions(self, corel_store):
         candidates = CandidateSet(corel_store)

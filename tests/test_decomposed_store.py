@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.bitmap import Bitmap
 from repro.engine.cost import CostModel
 from repro.errors import StorageError
 from repro.storage.decomposed import DecomposedStore
@@ -53,12 +52,6 @@ class TestFragments:
         store = DecomposedStore(corel_histograms, cost=cost)
         store.fragment(0, charge=False)
         assert cost.account.bytes_read == 0
-
-    def test_fragment_for_candidates(self, corel_store):
-        bitmap = Bitmap.from_oids(corel_store.cardinality, [1, 5, 9])
-        restricted = corel_store.fragment_for_candidates(2, bitmap)
-        assert len(restricted) == 3
-        assert np.allclose(restricted.tail, corel_store.matrix[[1, 5, 9], 2])
 
     def test_iter_fragments_respects_order(self, corel_store):
         order = [4, 0, 2]
@@ -109,9 +102,6 @@ class TestStorageAccounting:
     def test_overhead_without_row_sums_is_one(self, corel_histograms):
         store = DecomposedStore(corel_histograms, precompute_row_sums=False)
         assert store.storage_overhead_ratio() == pytest.approx(1.0)
-
-    def test_full_candidates_covers_collection(self, corel_store):
-        assert len(corel_store.full_candidates()) == corel_store.cardinality
 
 
 class TestGatherBlockSinglePath:

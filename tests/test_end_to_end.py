@@ -80,14 +80,19 @@ class TestPublicApi:
     def test_updates_then_search(self):
         histograms = make_corel_like(cardinality=400, dimensionality=32, seed=7)
         extra = make_corel_like(cardinality=10, dimensionality=32, seed=8)
-        store = DecomposedStore(histograms)
-        store.append(extra)
-        store.delete([0])
-        store.reorganize()
-        assert store.cardinality == 409
-        searcher = BondSearcher(store, metric=HistogramIntersection())
-        result = searcher.search(extra[3], 1)
+        index = repro.Index.build(histograms)
+        assert index.insert(extra).tolist() == list(range(400, 410))
+        index.delete([0])
+        query = repro.Query(extra[3], k=1, metric="histogram")
+        live = index.answer(query)
+        assert live.oids.tolist() == [403]
+        assert index.reorganize() == 1
+        assert index.cardinality == 409
+        # Reorganisation compacts the deleted OID 0 away.
+        result = index.answer(query)
+        assert result.oids.tolist() == [402]
         assert result.scores[0] == pytest.approx(1.0)
+        assert np.array_equal(result.scores, live.scores)
 
     def test_cost_model_isolation_between_queries(self):
         histograms = make_corel_like(cardinality=400, dimensionality=32, seed=9)

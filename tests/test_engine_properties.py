@@ -2,7 +2,7 @@
 
 These complement the example-based unit tests with randomised checks of the
 algebraic identities the searchers silently rely on: selections agree with
-their mask form, kfetch agrees with a full sort, gathers agree with fancy
+a numpy filter, kfetch agrees with a full sort, gathers agree with fancy
 indexing, per-dimension contributions always sum to the full metric score,
 and the candidate-set bookkeeping stays consistent under arbitrary pruning
 sequences.
@@ -17,8 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.candidates import CandidateSet
 from repro.engine.bat import BAT
-from repro.engine.bitmap import Bitmap
-from repro.engine.operators import kfetch, materialize, reverse_join, semijoin, uselect, uselect_mask
+from repro.engine.operators import kfetch, materialize, reverse_join, uselect
 from repro.metrics.euclidean import SquaredEuclidean
 from repro.metrics.histogram import HistogramIntersection
 from repro.metrics.weighted import WeightedSquaredEuclidean
@@ -29,15 +28,12 @@ unit_columns = arrays(np.float64, st.integers(1, 200), elements=st.floats(0.0, 1
 
 @settings(max_examples=50, deadline=None)
 @given(values=unit_columns, low=st.floats(0.0, 1.0), high=st.floats(0.0, 1.0))
-def test_uselect_agrees_with_mask_and_numpy(values, low, high):
-    """uselect, its bitmap form and a plain numpy filter select the same OIDs."""
+def test_uselect_agrees_with_numpy(values, low, high):
+    """uselect and a plain numpy filter select the same OIDs."""
     low, high = min(low, high), max(low, high)
-    bat = BAT.dense(values)
-    selected = uselect(bat, low, high).tail
-    mask = uselect_mask(bat, low, high)
+    selected = uselect(BAT.dense(values), low, high).tail
     expected = np.nonzero((values >= low) & (values <= high))[0]
     assert np.array_equal(np.sort(selected), expected)
-    assert np.array_equal(mask.oids(), expected)
 
 
 @settings(max_examples=50, deadline=None)
@@ -58,16 +54,6 @@ def test_gather_operators_agree_with_fancy_indexing(values, seed):
     candidates = BAT.dense(oids.astype(np.int64))
     assert np.array_equal(reverse_join(candidates, fragment).tail, values[oids])
     assert np.array_equal(materialize(fragment, oids), values[oids])
-
-
-@settings(max_examples=50, deadline=None)
-@given(values=unit_columns, seed=st.integers(0, 1_000))
-def test_semijoin_agrees_with_boolean_mask(values, seed):
-    rng = np.random.default_rng(seed)
-    mask = rng.random(len(values)) < 0.3
-    bitmap = Bitmap.from_mask(mask)
-    result = semijoin(BAT.dense(values), bitmap)
-    assert np.array_equal(result.tail, values[mask])
 
 
 @settings(max_examples=40, deadline=None)

@@ -32,6 +32,7 @@ from repro.api import Index, Query
 from repro.core.bond import BondSearcher
 from repro.core.result import BatchSearchResult
 from repro.errors import FaultInjectionError, QueryError, StorageError
+from repro.mutability.tail import TailState
 from repro.mutability.wal import (
     WAL_HEADER,
     WalRecord,
@@ -344,7 +345,9 @@ class TestLiveUpdates:
             index.delete([80])
         with pytest.raises(StorageError):
             index.delete([-1])
-        assert index.pending_updates == 0
+        with pytest.raises(QueryError):
+            index.delete(np.zeros((2, 2), dtype=np.int64))
+        assert index.tail_rows == 0 and index.deleted_count == 0
 
     def test_insert_validates_dimensionality(self, base):
         index = Index.build(base, name="live")
@@ -579,6 +582,118 @@ class TestInterleavingProperty:
         assert_matches_rebuild(index, shadow, shadow.rebuilt()[0], k=4)
 
 
+# -- the tail is the one record of pending writes: merged() == the shadow ----------
+
+
+def empty_tail(base_rows: np.ndarray) -> TailState:
+    return TailState.empty(
+        base_cardinality=base_rows.shape[0],
+        dimensionality=base_rows.shape[1],
+        format=FragmentFormat.coerce(None),
+    )
+
+
+class TestTailMerged:
+    """``TailState.merged`` is the reorganised collection: live base rows,
+    then live tail rows in insert order, with deletes applied in log order
+    in the coordinate system current when each was issued."""
+
+    BASE = np.array([[0.0], [1.0], [2.0]])
+
+    def test_delete_then_append_does_not_resurrect(self):
+        # The delete marks OID 1 dead; the append takes OID 3, never 1.
+        tail = empty_tail(self.BASE).with_delete(np.array([1]), lsn=1)
+        tail = tail.with_insert(np.array([[3.0]]), lsn=2)
+        assert tail.total_cardinality == 4
+        assert tail.merged(self.BASE).tolist() == [[0.0], [2.0], [3.0]]
+
+    def test_delete_of_a_pending_tail_row_applies_in_log_order(self):
+        tail = empty_tail(self.BASE).with_insert(np.array([[3.0], [4.0]]), lsn=1)  # OIDs 3, 4
+        tail = tail.with_delete(np.array([3]), lsn=2)
+        assert tail.merged(self.BASE).tolist() == [[0.0], [1.0], [2.0], [4.0]]
+
+    def test_double_delete_is_idempotent(self):
+        tail = empty_tail(self.BASE).with_insert(np.array([[3.0]]), lsn=1)
+        once = tail.with_delete(np.array([0, 3]), lsn=2)
+        twice = once.with_delete(np.array([0, 3]), lsn=3)
+        assert twice.deleted_base.tolist() == [0]
+        assert np.array_equal(twice.merged(self.BASE), once.merged(self.BASE))
+        assert twice.merged(self.BASE).tolist() == [[1.0], [2.0]]
+
+    def test_delete_cannot_name_a_not_yet_inserted_oid(self):
+        # Log order matters: when the delete is issued, OID 3 does not exist.
+        with pytest.raises(StorageError):
+            empty_tail(self.BASE).with_delete(np.array([3]), lsn=1)
+
+    def test_merged_rejects_a_base_of_another_shape(self):
+        with pytest.raises(StorageError):
+            empty_tail(self.BASE).merged(np.zeros((4, 1)))
+
+    def test_caller_mutating_its_rows_after_insert_changes_nothing(self, base, rng):
+        index = Index.build(base, name="copy")
+        rows = hist(rng, 2)
+        expected = rows.copy()
+        index.insert(rows)
+        rows[:] = 0.0
+        index.reorganize()
+        assert np.array_equal(index.vectors[-2:], expected)
+
+    @given(seed=st.integers(min_value=0, max_value=2**16), steps=st.integers(1, 25))
+    @settings(max_examples=40, deadline=None)
+    def test_random_op_sequences_match_the_shadow(self, seed, steps):
+        op_rng = np.random.default_rng(seed)
+        base_rows = op_rng.random((int(op_rng.integers(1, 6)), 3))
+        tail, shadow = empty_tail(base_rows), Shadow(base_rows)
+        for lsn in range(1, steps + 1):
+            if op_rng.random() < 0.5:
+                rows = op_rng.random((int(op_rng.integers(1, 4)), 3))
+                tail = tail.with_insert(rows, lsn=lsn)
+                shadow.insert(rows)
+            else:
+                # Any OID of the coordinate system, dead ones included.
+                oids = op_rng.integers(0, len(shadow.rows), size=int(op_rng.integers(1, 4)))
+                tail = tail.with_delete(oids, lsn=lsn)
+                shadow.delete(oids)
+            assert tail.live_count == shadow.live
+            merged = tail.merged(base_rows)
+            assert merged.shape == (shadow.live, 3)
+            if shadow.live:
+                assert np.array_equal(merged, shadow.rebuilt())
+
+
+# -- non-finite rows are refused before they are logged ------------------------------
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteRows:
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "+inf", "-inf"])
+    def test_build_refuses_non_finite_rows(self, base, value):
+        rows = base.copy()
+        rows[7, 3] = value
+        with pytest.raises(QueryError):
+            Index.build(rows, name="bad")
+
+    @pytest.mark.parametrize("batch", [1, 4], ids=["single", "batch"])
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "+inf", "-inf"])
+    def test_insert_refuses_non_finite_rows_before_logging(
+        self, tmp_path, base, rng, value, batch
+    ):
+        index = Index.build(base, name="attached")
+        home = tmp_path / "store"
+        index.save(home)
+        index.insert(hist(rng, 1))
+        wal_bytes = (home / "wal.log").stat().st_size
+        rows = hist(rng, batch)
+        rows[batch - 1, 2] = value
+        with pytest.raises(QueryError):
+            index.insert(rows[0] if batch == 1 else rows)
+        assert (home / "wal.log").stat().st_size == wal_bytes
+        assert index.tail_rows == 1
+        assert Index.open(home).tail_rows == 1
+
+
 # -- crash consistency over the persisted store -----------------------------------
 
 
@@ -672,7 +787,7 @@ class TestCrashConsistency:
         assert index.generation == 1
         reopened = Index.open(home)
         assert reopened.generation == 1
-        assert reopened.tail_rows == 0 and reopened.pending_updates == 0
+        assert reopened.tail_rows == 0 and reopened.deleted_count == 0
         assert_matches_rebuild(reopened, shadow, base[:3])
         # Old-generation fragment files were garbage-collected after commit.
         assert not (home / "dim_00000.col").exists()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.engine.bat import BAT
-from repro.engine.bitmap import Bitmap
 from repro.engine.cost import CostModel
 from repro.engine.operators import (
     kfetch,
@@ -14,9 +13,7 @@ from repro.engine.operators import (
     multijoin_map,
     positional_join,
     reverse_join,
-    semijoin,
     uselect,
-    uselect_mask,
 )
 from repro.errors import AlignmentError, EngineError
 
@@ -77,11 +74,6 @@ class TestUselect:
         bat = BAT.dense(np.array([0.1, 0.2]))
         result = uselect(bat, 0.5, 1.0)
         assert len(result) == 0
-
-    def test_mask_variant_matches(self):
-        bat = BAT.dense(np.array([0.1, 0.7, 0.4]))
-        mask = uselect_mask(bat, 0.3, 1.0)
-        assert list(mask) == [1, 2]
 
     def test_charges_comparisons(self):
         cost = CostModel()
@@ -157,17 +149,6 @@ class TestJoins:
         candidates = BAT.dense(np.array([9, 7], dtype=np.int64))
         result = reverse_join(candidates, fragment)
         assert np.allclose(result.tail, [30.0, 10.0])
-
-    def test_semijoin_with_bitmap(self):
-        fragment = BAT.dense(np.array([1.0, 2.0, 3.0, 4.0]))
-        bitmap = Bitmap.from_oids(4, [0, 3])
-        result = semijoin(fragment, bitmap)
-        assert np.allclose(result.tail, [1.0, 4.0])
-
-    def test_semijoin_requires_matching_universe(self):
-        fragment = BAT.dense(np.array([1.0, 2.0]))
-        with pytest.raises(EngineError):
-            semijoin(fragment, Bitmap(3))
 
     def test_materialize(self):
         fragment = BAT.dense(np.array([5.0, 6.0, 7.0]))

@@ -73,12 +73,6 @@ class TestPersistence:
             save_decomposed(store, tmp_path / "c")
         save_decomposed(store, tmp_path / "c", overwrite=True)
 
-    def test_pending_updates_block_save(self, corel_histograms, tmp_path):
-        store = DecomposedStore(corel_histograms[:20])
-        store.delete([0])
-        with pytest.raises(StorageError):
-            save_decomposed(store, tmp_path / "c")
-
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(StorageError):
             load_manifest(tmp_path)

@@ -120,12 +120,6 @@ class TestShardStores:
         assert shards[0].cost.account.bytes_read > 0
         assert shards[1].cost.account.bytes_read == 0
 
-    def test_sharding_refuses_unsettled_stores(self, corel_histograms):
-        store = DecomposedStore(corel_histograms)
-        store.delete([3])
-        with pytest.raises(StorageError):
-            shard_views(store, ShardPlan.balanced(store.cardinality, 2))
-
     def test_plan_must_match_store(self, corel_histograms):
         store = DecomposedStore(corel_histograms)
         with pytest.raises(StorageError):
