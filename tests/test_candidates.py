@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.bond import BondSearcher
 from repro.core.candidates import CandidateMode, CandidateSet
 from repro.errors import QueryError
 from repro.storage.decomposed import DecomposedStore
@@ -139,3 +140,42 @@ class TestReset:
         assert np.array_equal(candidates.oids, [3, 8, 21])
         candidates.prune(np.array([True, False, True]))
         assert np.array_equal(candidates.oids, [3, 21])
+
+    def test_reset_forgets_the_survivors_of_the_last_search(self, corel_store):
+        candidates = CandidateSet(corel_store)
+        keep = np.zeros(len(candidates), dtype=bool)
+        keep[[3, 8, 21]] = True
+        candidates.prune(keep)
+        candidates.reset()
+        keep = np.zeros(len(candidates), dtype=bool)
+        keep[[5, 700]] = True
+        candidates.prune(keep)
+        assert np.array_equal(candidates.oids, [5, 700])
+
+    def test_positional_policy_survives_reset(self, corel_store):
+        candidates = CandidateSet(corel_store, mode="positional")
+        keep = np.ones(len(candidates), dtype=bool)
+        keep[0] = False
+        candidates.prune(keep)
+        candidates.reset()
+        assert candidates.mode is CandidateMode.POSITIONAL
+        assert len(candidates) == corel_store.cardinality
+
+
+class TestExcludedOids:
+    """A store is immutable, so a candidate position is its OID and the
+    searcher's ``exclude`` tombstones name positions directly."""
+
+    @pytest.mark.parametrize("mode", ["auto", "bitmap", "positional"])
+    def test_excluded_oids_never_survive(self, corel_histograms, mode):
+        rows = corel_histograms[:100]
+        excluded = np.array([0, 1, 2])
+        kept = np.arange(3, 100)
+        searcher = BondSearcher(DecomposedStore(rows), candidate_mode=mode)
+        reference = BondSearcher(DecomposedStore(rows[kept]), candidate_mode=mode)
+        for probe in (0, 1, 50):
+            result = searcher.search(rows[probe], 10, exclude=excluded)
+            wanted = reference.search(rows[probe], 10)
+            assert not {0, 1, 2} & set(result.oids.tolist())
+            assert np.array_equal(result.oids, kept[wanted.oids])
+            assert np.array_equal(result.scores, wanted.scores)

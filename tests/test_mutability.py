@@ -41,6 +41,7 @@ from repro.mutability.wal import (
     wal_token,
 )
 from repro.reliability.faults import FaultPlan
+from repro.storage.decomposed import DecomposedStore
 from repro.storage.formats import FragmentFormat
 from repro.storage.persistence import MANIFEST_NAME, load_manifest, manifest_mutability
 from repro.storage.sharding import ShardPlan
@@ -661,6 +662,115 @@ class TestTailMerged:
                 assert np.array_equal(merged, shadow.rebuilt())
 
 
+class TestTailTransitions:
+    """The counters of ``TailState`` transitions, and their immutability: a
+    transition returns a new state and never touches the one it came from."""
+
+    BASE = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+
+    def test_insert_counts(self):
+        tail = empty_tail(self.BASE).with_insert(np.ones((2, 2)), lsn=1)
+        tail = tail.with_insert(np.zeros((1, 2)), lsn=2)
+        assert (tail.tail_rows, tail.live_tail_count, tail.total_cardinality) == (3, 3, 6)
+        assert tail.live_count == 6 and tail.last_lsn == 2
+        assert not tail.is_empty
+
+    def test_delete_counts_split_base_and_tail(self):
+        tail = empty_tail(self.BASE).with_insert(np.ones((2, 2)), lsn=1)  # OIDs 3, 4
+        tail = tail.with_delete(np.array([1, 4]), lsn=2)
+        assert tail.deleted_base.tolist() == [1]
+        assert tail.dead.tolist() == [False, True]
+        assert (tail.deleted_base_count, tail.live_tail_count, tail.live_count) == (1, 1, 3)
+        assert tail.total_cardinality == 5
+
+    def test_deleted_base_oids_stay_sorted_and_unique(self):
+        base = np.zeros((8, 1))
+        tail = empty_tail(base).with_delete(np.array([5, 1, 5]), lsn=1)
+        tail = tail.with_delete(np.array([3, 1]), lsn=2)
+        assert tail.deleted_base.tolist() == [1, 3, 5]
+
+    def test_insert_after_a_delete_keeps_the_deleted_base(self):
+        tail = empty_tail(self.BASE).with_delete(np.array([0, 2]), lsn=1)
+        tail = tail.with_insert(np.full((1, 2), 3.0), lsn=2)
+        assert tail.deleted_base.tolist() == [0, 2]
+        assert tail.merged(self.BASE).tolist() == [[1.0, 1.0], [3.0, 3.0]]
+
+    def test_merged_applies_an_append_then_a_delete(self):
+        base = np.array([[0.0, 0.0], [1.0, 1.0]])
+        tail = empty_tail(base).with_insert(np.array([[2.0, 2.0]]), lsn=1)
+        tail = tail.with_delete(np.array([0]), lsn=2)
+        assert tail.merged(base).tolist() == [[1.0, 1.0], [2.0, 2.0]]
+
+    @pytest.mark.parametrize("oid", [-1, 5], ids=["negative", "past-the-tail"])
+    def test_delete_outside_the_coordinate_system_raises(self, oid):
+        tail = empty_tail(self.BASE).with_insert(np.ones((2, 2)), lsn=1)  # OIDs [0, 5)
+        with pytest.raises(StorageError):
+            tail.with_delete(np.array([oid]), lsn=2)
+
+    def test_transitions_leave_the_prior_state_untouched(self):
+        first = empty_tail(self.BASE).with_insert(np.ones((1, 2)), lsn=1)
+        raw, dead = first.raw.copy(), first.dead.copy()
+        first.with_insert(np.zeros((2, 2)), lsn=2)
+        first.with_delete(np.array([0, 3]), lsn=3)
+        assert np.array_equal(first.raw, raw) and np.array_equal(first.dead, dead)
+        assert first.deleted_base_count == 0 and first.last_lsn == 1
+
+    def test_merged_leaves_the_tail_intact(self):
+        tail = empty_tail(self.BASE).with_insert(np.full((2, 2), 7.0), lsn=1)
+        tail = tail.with_delete(np.array([1, 3]), lsn=2)
+        once = tail.merged(self.BASE)
+        once[:] = -1.0
+        assert tail.merged(self.BASE).tolist() == [[0.0, 0.0], [2.0, 2.0], [7.0, 7.0]]
+        assert (tail.tail_rows, tail.live_tail_count, tail.deleted_base_count) == (2, 1, 1)
+
+    def test_empty_tail_merges_to_a_copy_of_the_base(self):
+        tail = empty_tail(self.BASE)
+        assert tail.is_empty and tail.live_count == 3
+        merged = tail.merged(self.BASE)
+        assert np.array_equal(merged, self.BASE)
+        assert not np.shares_memory(merged, self.BASE)
+
+    def test_a_wholly_deleted_tail_merges_to_the_base(self):
+        tail = empty_tail(self.BASE).with_insert(np.ones((2, 2)), lsn=1)
+        tail = tail.with_delete(np.array([3, 4]), lsn=2)
+        assert not tail.is_empty and tail.live_tail_count == 0
+        assert np.array_equal(tail.merged(self.BASE), self.BASE)
+
+    def test_empty_delete_changes_only_the_lsn(self):
+        tail = empty_tail(self.BASE).with_insert(np.ones((1, 2)), lsn=1)
+        tail = tail.with_delete(np.array([0]), lsn=2)
+        after = tail.with_delete(np.array([], dtype=np.int64), lsn=3)
+        assert after.deleted_base.tolist() == [0] and after.dead.tolist() == [False]
+        assert after.last_lsn == 3
+
+    def test_live_rows_of_an_empty_tail(self):
+        oids, columns = empty_tail(self.BASE).live_rows()
+        assert oids.shape == (0,) and columns.shape == (2, 0)
+
+    def test_live_rows_skip_dead_rows_and_keep_their_oids(self):
+        rows = np.array([[3.0, 3.5], [4.0, 4.5], [5.0, 5.5]])
+        tail = empty_tail(self.BASE).with_insert(rows, lsn=1)  # OIDs 3, 4, 5
+        tail = tail.with_delete(np.array([4]), lsn=2)
+        oids, columns = tail.live_rows()
+        assert oids.tolist() == [3, 5]
+        assert np.array_equal(columns, rows[[0, 2]].T)
+
+    def test_live_rows_are_built_once(self):
+        tail = empty_tail(self.BASE).with_insert(np.ones((2, 2)), lsn=1)
+        assert tail.live_rows() is tail.live_rows()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "float16"])
+    def test_live_rows_hold_what_the_reorganised_store_will(self, rng, dtype):
+        fmt = FragmentFormat.coerce(dtype)
+        base_rows = hist(rng, 10)
+        tail = TailState.empty(base_cardinality=10, dimensionality=DIMS, format=fmt)
+        tail = tail.with_insert(hist(rng, 4), lsn=1).with_delete(np.array([2, 11]), lsn=2)
+        oids, columns = tail.live_rows()
+        assert oids.tolist() == [10, 12, 13]
+        store = DecomposedStore(tail.merged(base_rows), format=fmt)
+        assert np.array_equal(columns.T, store.matrix[-3:])
+
+
 # -- non-finite rows are refused before they are logged ------------------------------
 
 
@@ -692,6 +802,139 @@ class TestNonFiniteRows:
         assert (home / "wal.log").stat().st_size == wal_bytes
         assert index.tail_rows == 1
         assert Index.open(home).tail_rows == 1
+
+
+# -- the write lifecycle: tail now, base after the next reorganisation -------------
+
+
+class TestReorganizeLifecycle:
+    def test_insert_counts_at_once_and_joins_the_base_at_reorganize(self, base, rng):
+        index = Index.build(base, name="grow")
+        rows = hist(rng, 2)
+        index.insert(rows)
+        assert (index.cardinality, index.live_count, index.tail_rows) == (80, 82, 2)
+        index.reorganize()
+        assert (index.cardinality, index.live_count, len(index)) == (82, 82, 82)
+        assert np.array_equal(index.vectors, np.concatenate([base, rows]))
+
+    def test_delete_hides_at_once_and_shrinks_at_reorganize(self, base):
+        index = Index.build(base, name="shrink")
+        index.delete([0, 1])
+        assert (index.cardinality, index.live_count) == (80, 78)
+        result = index.answer(query_for(base[0], k=80))
+        assert len(result.oids) == 78 and not {0, 1} & set(result.oids.tolist())
+        index.reorganize()
+        assert (index.cardinality, index.live_count) == (78, 78)
+        assert np.array_equal(index.vectors, base[2:])
+
+    def test_counters_clear_at_reorganize(self, base, rng):
+        index = Index.build(base, name="clear")
+        index.insert(hist(rng, 1))
+        index.delete([2])
+        assert (index.tail_rows, index.deleted_count) == (1, 1)
+        assert index.reorganize() == 1 == index.generation
+        assert index.tail_rows == 0 and index.deleted_count == 0
+
+    @pytest.mark.parametrize("metric,own_score", [("histogram", 1.0), ("euclidean", 0.0)])
+    def test_an_inserted_row_is_its_own_nearest_neighbour_after_reorganize(
+        self, base, rng, metric, own_score
+    ):
+        index = Index.build(base, name="self")
+        rows = hist(rng, 10)
+        index.insert(rows)
+        index.reorganize()
+        result = index.answer(Query(rows[5], k=1, metric=metric))
+        assert result.oids.tolist() == [85]
+        assert result.scores[0] == pytest.approx(own_score)
+
+    @pytest.mark.parametrize("shape", [(0, DIMS), (2, 2, DIMS)], ids=["no-rows", "3-d"])
+    def test_insert_refuses_a_malformed_batch(self, base, shape):
+        index = Index.build(base, name="shape")
+        with pytest.raises(QueryError):
+            index.insert(np.full(shape, 1.0 / DIMS))
+        assert index.tail_rows == 0
+
+    def test_caller_mutating_its_oids_after_delete_changes_nothing(self, base):
+        index = Index.build(base, name="copy")
+        oids = np.array([3, 4], dtype=np.int64)
+        index.delete(oids)
+        oids[:] = 0
+        index.reorganize()
+        assert np.array_equal(index.vectors, np.delete(base, [3, 4], axis=0))
+
+    def test_empty_delete_logs_nothing(self, tmp_path, base, rng):
+        index = Index.build(base, name="attached")
+        home = tmp_path / "store"
+        index.save(home)
+        index.insert(hist(rng, 1))
+        wal_bytes = (home / "wal.log").stat().st_size
+        assert index.delete([]) == 0
+        assert (home / "wal.log").stat().st_size == wal_bytes
+        assert index.deleted_count == 0
+
+    def test_oids_continue_past_dead_tail_rows(self, base, rng):
+        index = Index.build(base, name="oids")
+        assert index.insert(hist(rng, 2)).tolist() == [80, 81]
+        index.delete([81])
+        assert index.insert(hist(rng, 1)).tolist() == [82]
+        assert (index.tail_rows, index.live_count) == (3, 82)
+
+    def test_reorganize_after_the_tail_is_wholly_deleted_keeps_the_base(self, base, rng):
+        index = Index.build(base, name="undo")
+        index.insert(hist(rng, 2))
+        index.delete([80, 81])
+        assert index.reorganize() == 1
+        assert index.cardinality == 80
+        assert np.array_equal(index.vectors, base)
+
+    def test_reorganize_rebalances_the_shard_plan(self, base, rng):
+        index = Index.build(base, name="sharded", shards=3)
+        assert index.shard_plan == ShardPlan.balanced(80, 3)
+        index.insert(hist(rng, 10))
+        index.delete(list(range(5)))
+        index.reorganize()
+        assert index.shard_plan == ShardPlan.balanced(85, 3)
+
+    def test_sharded_answers_after_reorganize_match_unsharded(self, base, rng):
+        sharded = Index.build(base, name="sharded", shards=3)
+        plain = Index.build(base, name="plain")
+        rows = hist(rng, 6)
+        for index in (sharded, plain):
+            index.insert(rows)
+            index.delete([4, 30, 83])
+            index.reorganize()
+        for probe in (base[10], rows[2]):
+            left = sharded.answer(query_for(probe, k=7, backend="sharded_bond"))
+            right = plain.answer(query_for(probe, k=7))
+            assert np.array_equal(left.oids, right.oids)
+            assert np.array_equal(left.scores, right.scores)
+
+    def test_replayed_tail_merges_like_the_live_one(self, tmp_path, base, rng):
+        attached = Index.build(base, name="replay")
+        home = tmp_path / "store"
+        attached.save(home)
+        live = Index.build(base, name="live")
+        first, second = hist(rng, 3), hist(rng, 2)
+        for index in (attached, live):
+            index.insert(first)
+            index.delete([1, 81])
+            index.insert(second)
+        reopened = Index.open(home)
+        assert (reopened.tail_rows, reopened.deleted_count) == (5, 1)
+        reopened.reorganize()
+        live.reorganize()
+        assert np.array_equal(reopened.vectors, live.vectors)
+
+    def test_save_after_reorganize_round_trips(self, tmp_path, base, rng):
+        index = Index.build(base, name="resave")
+        index.insert(hist(rng, 4))
+        index.delete([0, 82])
+        index.reorganize()
+        index.save(tmp_path / "store")
+        reopened = Index.open(tmp_path / "store")
+        assert np.array_equal(reopened.vectors, index.vectors)
+        probe = index.vectors[40]
+        assert answers(reopened, probe) == answers(index, probe)
 
 
 # -- crash consistency over the persisted store -----------------------------------
