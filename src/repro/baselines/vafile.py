@@ -26,9 +26,9 @@ import time
 
 import numpy as np
 
-from repro.core.compressed import contribution_interval
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
 from repro.errors import QueryError
+from repro.kernels.interval import contribution_interval
 from repro.metrics.base import Metric
 from repro.metrics.euclidean import SquaredEuclidean
 from repro.storage.compressed import CompressedStore

@@ -35,6 +35,7 @@ from repro.core.ordering import (
 from repro.core.planner import (
     FixedPeriodSchedule,
     GeometricSchedule,
+    HandOffSchedule,
     MassAwareSchedule,
     PruningSchedule,
     recommend_period,
@@ -61,6 +62,7 @@ __all__ = [
     "FeatureComponent",
     "FixedPeriodSchedule",
     "GeometricSchedule",
+    "HandOffSchedule",
     "MassAwareSchedule",
     "IncreasingQueryOrdering",
     "MultiFeatureBondSearcher",

@@ -140,9 +140,10 @@ def drive(searcher, runs: Sequence[QueryRun] | Sequence[CompressedQueryRun]) -> 
         # union of their blocks, charged once however many of them consume it.
         union = None
         for run in live:
-            # Up to the run's next pruning attempt (at least one dimension),
-            # clipped to its remaining order: every block ends at a checkpoint.
-            block = run.order[run.processed:max(run.next_attempt, run.processed + 1)]
+            # Up to the run's next pruning attempt (a live run's is ahead of
+            # it), clipped to its remaining order: every block ends at a
+            # checkpoint.
+            block = run.order[run.processed:run.next_attempt]
             streamed = searcher._streamed_dimensions(run, block)
             if streamed is not None:
                 if union is None:
@@ -165,13 +166,18 @@ def drive(searcher, runs: Sequence[QueryRun] | Sequence[CompressedQueryRun]) -> 
 def _retire_finished(searcher, runs: Sequence) -> list:
     """Build the result of every run whose scan is over; return the rest.
 
-    A scan is over when the candidate set is no larger than k or the
-    dimensions are exhausted; the survivors' exact scores are then completed
-    only k-ish vectors wide.
+    A scan is over when the candidate set is no larger than k, the
+    dimensions are exhausted, or the schedule ended it (a next attempt of 0
+    dimensions, see :meth:`~repro.core.planner.PruningSchedule.next_batch`);
+    the survivors' exact scores are then completed only survivors wide.
     """
     live = []
     for run in runs:
-        if run.processed < run.order.shape[0] and run.alive > run.k:
+        if (
+            run.processed < run.order.shape[0]
+            and run.alive > run.k
+            and run.next_attempt > run.processed
+        ):
             live.append(run)
             continue
         oids, scores = searcher._finish(run)

@@ -423,7 +423,11 @@ class BondSearcher:
         candidates = run.candidates
         total_dimensions = int(run.order.shape[0])
 
-        while run.processed < total_dimensions and run.alive > run.k:
+        while (
+            run.processed < total_dimensions
+            and run.alive > run.k
+            and run.next_attempt > run.processed
+        ):
             dimension = int(run.order[run.processed])
             column = candidates.column_values(dimension)
             contributions = self._metric.contributions(column, query[dimension], dimension=dimension)

@@ -151,7 +151,7 @@ class MultiFeatureBondSearcher:
 
         processed = 0
         next_attempt = self._schedule.first_batch(total_steps)
-        while processed < total_steps and len(oids) > k:
+        while processed < total_steps and len(oids) > k and next_attempt > processed:
             component_index, dimension = schedule_entries[processed]
             component_states[component_index].consume(dimension, oids)
             processed += 1

@@ -12,6 +12,14 @@ the effect, the processed query mass ``T(q⁻)``; :class:`GeometricSchedule`
 reacts to the *observed* effect instead, and the `abl-m` benchmark compares
 the options against the paper's fixed periods.
 
+A schedule may also end the scan: ``next_batch`` returning 0 means "no
+further round pays; finish", and the searcher hands its survivors straight
+to its completion step (the exact engine's remaining-dimension scoring, the
+compressed filter's exact refinement).  :class:`HandOffSchedule` — the
+compressed filter's default — does that at the first prune that leaves the
+candidate set positional: past it, more code rounds only trade a slightly
+smaller refine set for a whole survivors-by-dimensions pass over the codes.
+
 Schedules only move block boundaries.  Every candidate's score is folded
 dimension by dimension in the query's own order wherever the boundaries
 fall, so the answers of two schedules are bitwise identical; what differs is
@@ -61,6 +69,10 @@ class PruningSchedule(abc.ABC):
         and after it, so adaptive schedules can react to the observed effect;
         ``positional`` says whether the candidate set is materialised (so a
         further block costs survivors x dimensions, not full columns).
+
+        Returning 0 ends the scan: the run is finished at the dimensions it
+        has processed, and its survivors go to the searcher's completion step
+        (which scores them exactly), so the answer does not change.
         """
 
 
@@ -155,6 +167,27 @@ class MassAwareSchedule(PruningSchedule):
             block = self._tail_block
             self._tail_block *= 2
         return min(block, dimensionality - dimensions_processed)
+
+
+class HandOffSchedule(FixedPeriodSchedule):
+    """Filter at the paper's m = 8 until the set is positional, then finish.
+
+    The compressed filter's default (Section 7.4).  The first prune that
+    leaves the candidate set positional is where the filter's survivor curve
+    flattens: further code rounds cost survivors x dimensions each and shrink
+    the refine set only slowly, while the exact refinement of the extra rows
+    is cheaper than those rounds.  So ``next_batch`` returns 0 there — the
+    run hands its survivors to the refinement — and the paper's fixed m = 8
+    until then.
+    """
+
+    name = "hand-off"
+
+    def __init__(self) -> None:
+        super().__init__(8)
+
+    def next_batch(self, *, positional: bool = False, **counts: int) -> int:
+        return 0 if positional else super().next_batch(**counts)
 
 
 class GeometricSchedule(PruningSchedule):

@@ -31,6 +31,7 @@ from repro.kernels.interval import (
     IntervalWorkspace,
     SquaredEuclideanIntervalKernel,
     WeightedSquaredEuclideanIntervalKernel,
+    contribution_interval,
     dequantize_bounds,
     interval_kernel_for,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "WeightedSquaredEuclideanIntervalKernel",
     "WeightedSquaredEuclideanKernel",
     "accumulate_columns",
+    "contribution_interval",
     "dequantize_bounds",
     "interval_kernel_for",
     "kernel_for",

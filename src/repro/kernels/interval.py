@@ -46,6 +46,34 @@ from repro.metrics.histogram import HistogramIntersection
 from repro.metrics.weighted import WeightedSquaredEuclidean
 
 
+def contribution_interval(
+    metric: Metric,
+    lower_values: np.ndarray,
+    upper_values: np.ndarray,
+    query_value: float,
+    *,
+    dimension: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on one dimension's contribution given per-value intervals.
+
+    For histogram intersection ``min(h, q)`` is monotone in ``h``, so the
+    interval maps directly.  For (weighted) squared Euclidean the contribution
+    ``w (h - q)^2`` is not monotone: it is zero when the query lies inside the
+    interval and otherwise attains its extremes at the interval endpoints.
+    """
+    if isinstance(metric, HistogramIntersection):
+        return (
+            metric.contributions(lower_values, query_value, dimension=dimension),
+            metric.contributions(upper_values, query_value, dimension=dimension),
+        )
+    at_lower = metric.contributions(lower_values, query_value, dimension=dimension)
+    at_upper = metric.contributions(upper_values, query_value, dimension=dimension)
+    upper = np.maximum(at_lower, at_upper)
+    inside = (lower_values <= query_value) & (query_value <= upper_values)
+    lower = np.where(inside, 0.0, np.minimum(at_lower, at_upper))
+    return lower, upper
+
+
 class IntervalWorkspace:
     """Reusable scratch for interval kernels: one interleaved column buffer.
 
@@ -299,7 +327,7 @@ class WeightedSquaredEuclideanIntervalKernel(IntervalBlockKernel):
 class GenericIntervalKernel(IntervalBlockKernel):
     """Fallback for metrics without a fused interval formula.
 
-    Delegates each row to :func:`~repro.core.compressed.contribution_interval`
+    Delegates each row to :func:`contribution_interval`
     — still one storage call and one table per block, only the contribution
     math stays generic.
     """
@@ -310,8 +338,6 @@ class GenericIntervalKernel(IntervalBlockKernel):
         self._metric = metric
 
     def contribution_interval(self, value_lower, value_upper, query_values, dimensions):
-        from repro.core.compressed import contribution_interval
-
         for position in range(value_lower.shape[0]):
             value_lower[position], value_upper[position] = contribution_interval(
                 self._metric,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle import SeedBondSearcher
 
 from repro.bounds.euclidean import EqBound, EvBound
 from repro.bounds.histogram import HhBound, HqBound
@@ -11,7 +12,7 @@ from repro.core.bond import BondSearcher, default_bound_for
 from repro.core.compressed import CompressedBondSearcher
 from repro.core.ordering import IncreasingQueryOrdering, RandomOrdering
 from repro.core.parallel import ShardedBondSearcher
-from repro.core.planner import FixedPeriodSchedule, GeometricSchedule
+from repro.core.planner import FixedPeriodSchedule, GeometricSchedule, HandOffSchedule
 from repro.core.sequential import SequentialScan
 from repro.errors import MetricError, QueryError
 from repro.metrics.euclidean import EuclideanSimilarity, SquaredEuclidean
@@ -276,3 +277,65 @@ class TestAdaptiveDefaultPlan:
             finally:
                 tracemalloc.stop()
             assert peak < column_bytes
+
+
+class FinishAfter(FixedPeriodSchedule):
+    """The paper's m = 8 for ``attempts`` checkpoints, then "finish" (0)."""
+
+    def __init__(self, attempts: int) -> None:
+        super().__init__(8)
+        self._attempts = attempts
+        self._seen = 0
+
+    def first_batch(self, dimensionality, prefix_mass=None) -> int:
+        self._seen = 0
+        return super().first_batch(dimensionality, prefix_mass)
+
+    def next_batch(self, **counts) -> int:
+        self._seen += 1
+        return 0 if self._seen >= self._attempts else super().next_batch(**counts)
+
+
+class TestScheduleEndsTheScan:
+    """A schedule returning 0 retires an exact run through ``_finish``: the
+    survivors are completed on the unprocessed dimensions, so the answer is
+    still the frozen seed search's, bitwise."""
+
+    @pytest.mark.parametrize("metric", [HistogramIntersection(), SquaredEuclidean()])
+    @pytest.mark.parametrize("attempts", [1, 2])
+    def test_zero_retires_the_run_with_the_oracle_answer(self, corel_histograms, metric, attempts):
+        seed = SeedBondSearcher(corel_histograms, metric)
+        loop, fused = (
+            BondSearcher(
+                DecomposedStore(corel_histograms),
+                metric=metric,
+                schedule=FinishAfter(attempts),
+                engine=engine,
+            )
+            for engine in ("loop", "fused")
+        )
+        queries = corel_histograms[[3, 150, 777]]
+        batch = fused.search_batch(queries, 7)
+        for query, batched in zip(queries, batch):
+            expected = seed.search(query, 7)
+            loop_result, fused_result = loop.search(query, 7), fused.search(query, 7)
+            for result in (loop_result, fused_result, batched):
+                assert np.array_equal(result.oids, expected.oids)
+                assert np.array_equal(result.scores, expected.scores)
+            assert loop_result.cost.as_dict() == fused_result.cost.as_dict()
+            # The scan stopped at the schedule's word, not at the end.
+            for result in (loop_result, fused_result):
+                assert result.dimensions_processed == 8 * attempts
+                assert list(result.candidate_trace.dimensions_processed) == [
+                    8 * n for n in range(attempts + 1)
+                ]
+
+    def test_hand_off_schedule_on_the_exact_engine(self, corel_histograms):
+        seed = SeedBondSearcher(corel_histograms)
+        searcher = BondSearcher(DecomposedStore(corel_histograms), schedule=HandOffSchedule())
+        for row in (5, 400, 1100):
+            result = searcher.search(corel_histograms[row], 10)
+            expected = seed.search(corel_histograms[row], 10)
+            assert np.array_equal(result.oids, expected.oids)
+            assert np.array_equal(result.scores, expected.scores)
+            assert result.full_scan_dimensions == result.dimensions_processed

@@ -16,13 +16,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import SeedBondSearcher
 
 from repro.baselines.vafile import VAFile
 from repro.core.batch import drive
+from repro.cluster.executor import EngineSpec
 from repro.core.compressed import CompressedBondSearcher, contribution_interval
-from repro.core.planner import FixedPeriodSchedule, GeometricSchedule, MassAwareSchedule
+from repro.core.parallel import ShardedBondSearcher
+from repro.core.planner import (
+    FixedPeriodSchedule,
+    GeometricSchedule,
+    HandOffSchedule,
+    MassAwareSchedule,
+)
 from repro.datasets.corel import make_corel_like
 from repro.errors import QueryError, StorageError
+from repro.kernels import interval as interval_kernels
 from repro.kernels.interval import (
     GenericIntervalKernel,
     HistogramIntersectionIntervalKernel,
@@ -37,6 +46,7 @@ from repro.metrics.histogram import HistogramIntersection
 from repro.metrics.weighted import WeightedSquaredEuclidean
 from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
+from repro.storage.sharding import ShardPlan
 from repro.workload.ground_truth import exact_top_k
 
 
@@ -282,10 +292,124 @@ class TestNoFalseDismissalProperty:
             assert results_bitwise_equal(searcher.search(query, 10), reference)
 
 
+class FirstPruneOnly(FixedPeriodSchedule):
+    """The paper's m = 8 up to the first prune, then always finish."""
+
+    def next_batch(self, **counts) -> int:
+        return 0
+
+
+def assert_oracle_answer(data: np.ndarray, query: np.ndarray, k: int, result) -> None:
+    """The frozen seed search's OIDs, and the brute-force scores bitwise.
+
+    The refinement scores a whole row at once, the seed search folds it
+    dimension by dimension, so their scores agree to a few ulps only.
+    """
+    seed = SeedBondSearcher(data).search(query, k)
+    assert np.array_equal(result.oids, seed.oids)
+    np.testing.assert_allclose(result.scores, seed.scores, rtol=1e-12, atol=0.0)
+    assert results_bitwise_equal(result, exact_top_k(data, query, k, HistogramIntersection()))
+
+
+class TestHandOff:
+    """The default compressed plan filters at m = 8 until the first prune
+    that leaves the candidate set positional (<= 5 % of the rows) and hands
+    the survivors to the exact refinement there."""
+
+    def test_is_the_default_of_every_compressed_path(self, corel_histograms):
+        store = make_store(corel_histograms)
+        assert isinstance(CompressedBondSearcher(store)._schedule, HandOffSchedule)
+        with ShardedBondSearcher(store, shards=2) as sharded:
+            for searcher in sharded.shard_searchers:
+                assert isinstance(searcher._schedule, HandOffSchedule)
+        # A process shard builds its searcher from the same spec.
+        spec = EngineSpec.for_store(store, metric=HistogramIntersection())
+        worker = spec.shard_searcher(
+            store.exact, store, ShardPlan.balanced(store.cardinality, 2), 1
+        )
+        assert isinstance(worker._schedule, HandOffSchedule)
+
+    @pytest.mark.parametrize("engine", ["loop", "fused"])
+    def test_trace_ends_at_the_first_positional_prune(self, corel_histograms, engine):
+        store = make_store(corel_histograms)
+        searcher = CompressedBondSearcher(store, engine=engine)
+        threshold = 0.05 * store.cardinality
+        handed_off = 0
+        for query_index in range(0, corel_histograms.shape[0], 37):
+            result = searcher.search(corel_histograms[query_index], 10)
+            remaining = result.candidate_trace.candidates_remaining
+            processed = result.candidate_trace.dimensions_processed
+            # Full-height blocks of m = 8 up to the end of the trace ...
+            assert list(processed) == list(range(0, 8 * len(processed), 8))
+            assert all(count > threshold for count in remaining[:-1])
+            # ... which is the first prune that leaves the set positional.
+            assert remaining[-1] <= threshold
+            assert result.dimensions_processed == processed[-1]
+            assert result.full_scan_dimensions == result.dimensions_processed
+            handed_off += result.dimensions_processed < corel_histograms.shape[1]
+        assert handed_off > 20
+
+    def test_fused_equals_loop_and_batch_at_identical_cost(self, corel_histograms):
+        store = make_store(corel_histograms)
+        loop = CompressedBondSearcher(store, engine="loop")
+        fused = CompressedBondSearcher(store, engine="fused")
+        queries = corel_histograms[[3, 42, 148, 800]]
+        batch = fused.search_batch(queries, 10)
+        for query, batched in zip(queries, batch):
+            loop_result, fused_result = loop.search(query, 10), fused.search(query, 10)
+            assert results_bitwise_equal(loop_result, fused_result)
+            assert results_bitwise_equal(fused_result, batched)
+            assert loop_result.cost.as_dict() == fused_result.cost.as_dict()
+            assert loop_result.full_scan_dimensions == fused_result.full_scan_dimensions
+            assert_oracle_answer(corel_histograms, query, 10, fused_result)
+
+    @pytest.mark.parametrize("side", ["just_under", "just_over"])
+    def test_first_prune_at_the_threshold_matches_the_oracle(self, corel_histograms, side):
+        """Pad the collection so the first prune leaves just under (or just
+        over) 5 % of the rows.  The padding repeats rows that prune already
+        drops: the quantisation grid (per-dimension minimum and maximum) and
+        the pruning threshold (the k-th best lower bound) stay as they were,
+        so the survivors do too."""
+        k = 10
+        probe = CompressedBondSearcher(make_store(corel_histograms), schedule=FirstPruneOnly(8))
+        for query_index in range(corel_histograms.shape[0]):
+            query = corel_histograms[query_index]
+            run = probe._plan(query, k)
+            drive(probe, [run])
+            if run.oids is not None and 0.05 * corel_histograms.shape[0] < run.alive <= 200:
+                break
+        else:
+            pytest.fail("no query's first prune leaves 5-17 % of the rows")
+        survivors = run.alive
+        pruned = np.setdiff1d(np.arange(corel_histograms.shape[0]), run.oids)
+        rows = 20 * survivors + (1 if side == "just_under" else -1)
+        padding = corel_histograms[pruned[np.arange(rows - corel_histograms.shape[0]) % pruned.shape[0]]]
+        data = np.vstack([corel_histograms, padding])
+        store = make_store(data)
+
+        result = CompressedBondSearcher(store).search(query, k)
+        remaining = result.candidate_trace.candidates_remaining
+        assert remaining[1] == survivors
+        if side == "just_under":
+            assert survivors / rows < 0.05
+            assert list(remaining) == [rows, survivors]
+            assert result.full_scan_dimensions == result.dimensions_processed == 8
+        else:
+            assert result.dimensions_processed > 8
+        assert_oracle_answer(data, query, k, result)
+
+    def test_contribution_interval_keeps_its_core_import_path(self):
+        assert contribution_interval is interval_kernels.contribution_interval
+
+
 class TestFullScanAccounting:
     def test_full_scan_dimensions_counts_only_full_fragment_reads(self, corel_histograms):
         store = make_store(corel_histograms)
-        searcher = CompressedBondSearcher(store, metric=HistogramIntersection())
+        # The default hand-off plan runs no positional round; the mass-aware
+        # plan keeps filtering over the survivors.
+        searcher = CompressedBondSearcher(
+            store, metric=HistogramIntersection(), schedule=MassAwareSchedule()
+        )
         result = searcher.search(corel_histograms[9], 10)
         # pruning collapses the candidate set well before the order runs out,
         # so later rounds are positional fetches and must not be counted
@@ -392,6 +516,7 @@ class TestScheduleIndependence:
         lambda: FixedPeriodSchedule(8),
         MassAwareSchedule,
         GeometricSchedule,
+        HandOffSchedule,
     )
 
     @staticmethod

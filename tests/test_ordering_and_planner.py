@@ -15,6 +15,7 @@ from repro.core.ordering import (
 from repro.core.planner import (
     FixedPeriodSchedule,
     GeometricSchedule,
+    HandOffSchedule,
     MassAwareSchedule,
     recommend_period,
 )
@@ -97,6 +98,27 @@ class TestFixedSchedule:
 
     def test_period_property(self):
         assert FixedPeriodSchedule(16).period == 16
+
+
+class TestHandOffSchedule:
+    def next_batch(self, schedule, processed, *, positional):
+        return schedule.next_batch(
+            dimensionality=20,
+            dimensions_processed=processed,
+            candidates_before=100,
+            candidates_after=50,
+            positional=positional,
+        )
+
+    def test_the_paper_period_until_positional(self):
+        schedule = HandOffSchedule()
+        assert schedule.first_batch(166, np.ones(167)) == 8
+        assert schedule.first_batch(5) == 5
+        assert self.next_batch(schedule, 8, positional=False) == 8
+        assert self.next_batch(schedule, 16, positional=False) == 4
+
+    def test_zero_once_positional(self):
+        assert self.next_batch(HandOffSchedule(), 8, positional=True) == 0
 
 
 class TestMassAwareSchedule:
