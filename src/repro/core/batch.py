@@ -96,10 +96,10 @@ class CompressedQueryRun:
     record; the fields the driver reads mirror :class:`QueryRun`.
 
     ``oids`` and ``scores`` stay ``None`` until the run first needs them:
-    every row survives until the first prune, and the full-height
-    accumulator is allocated by the run's first scan.  The driver scans and
-    prunes each run before the next one scans, so a batch holds at most one
-    full-height accumulator at a time.
+    every row survives until the first prune, and until then the run's
+    scores live in its searcher's one full-height accumulator.  The driver
+    scans and prunes each run before the next one scans, so the runs of a
+    batch take turns with it.
     """
 
     query: np.ndarray

@@ -35,19 +35,33 @@ sharing each compressed fragment read across every live query.
 Pruning schedule
 ----------------
 The default is :class:`~repro.core.planner.HandOffSchedule`: full-height
-blocks of the paper's m = 8 until a prune leaves the candidate set
-positional (at most 5 % of the rows), and there the filter stops — the
-schedule returns 0 and the survivors go straight to the refinement.  The
-survivor curve of Figure 9 is flat past that first big prune, so further
-code rounds would cost survivors x dimensions lookups each to shrink the
-refine set only slowly.  On the 59,619 x 166 benchmark collection (2-vCPU
-x86-64 box) the hand-off refines ~550 rows per query instead of ~223, in one
-filter round instead of the six of a doubling schedule, and a batch of 32
-takes about half the time.  The refinement scores every survivor exactly,
-and no schedule ever drops a true top-k member, so the answers do not
-depend on the schedule; only how many candidates reach the refinement
-(``refine_rows``) and the accounted cost do.  ``fig9`` and ``tab4`` pin
+blocks of 4 columns, half the paper's m = 8, until a prune leaves the
+candidate set positional (at most 5 % of the rows), one more block of 4
+over the survivors' codes, and there the filter stops — the schedule
+returns 0 and the survivors go straight to the refinement.  The survivor
+curve of Figure 9 is flat past that first big prune, so further code rounds
+would cost survivors x dimensions lookups each to shrink the refine set only
+slowly, and every full-height column costs a lookup per row.  On the
+59,619 x 166 benchmark collection (2-vCPU x86-64 box, seed 7) 927 of
+1,024 queries trace ``[0, 4, 8]``, and a query refines ~534 rows, against
+8 full-height columns and ~550 rows under the previous m = 8 hand-off;
+together with the reused accumulator and the cheaper selections below, a
+batch of 32 takes ~33 ms instead of ~54.  The refinement scores every
+survivor exactly, and no schedule ever drops a true top-k member, so the
+answers do not depend on the schedule; only how many candidates reach the
+refinement (``refine_rows``) and the accounted cost do.  ``fig9`` and ``tab4`` pin
 ``FixedPeriodSchedule(8)`` to keep the paper's full-depth filter.
+
+Selections
+----------
+The first prune's threshold κ is the k-th best lower bound of the whole
+collection.  :func:`kth_largest` (and its distance twin
+:func:`kth_smallest`) takes the k-th best of a stride-:data:`SAMPLE_STRIDE`
+sample first, which bounds κ, and partitions only the bounds past it — a
+few hundred instead of every row — for the same κ bit for bit.  The
+refinement ranks its exact scores with :func:`best_k`, which sorts only a
+partition-seeded pool and returns ``best_first(scores)[:k]`` bit for bit,
+ties included.
 """
 
 from __future__ import annotations
@@ -88,11 +102,11 @@ class CompressedBondSearcher:
     ordering:
         Dimension-ordering strategy (default: decreasing query value).
     schedule:
-        Pruning-period schedule.  Default: hand-off — the paper's m = 8 up
-        to the first prune that leaves the candidate set positional, then
-        straight to the refinement (see the module docstring).  Answers are
-        identical under every schedule; the survivor count handed to the
-        refinement differs.
+        Pruning-period schedule.  Default: hand-off — full-height blocks of
+        4 up to the first prune that leaves the candidate set positional,
+        one block of 4 over the survivors, then straight to the refinement
+        (see the module docstring).  Answers are identical under every
+        schedule; the survivor count handed to the refinement differs.
     engine:
         ``"fused"`` (default) runs the interval block kernels; ``"loop"`` runs
         the original per-dimension reference path.  Both return bitwise
@@ -100,9 +114,10 @@ class CompressedBondSearcher:
 
     Notes
     -----
-    A searcher owns a reusable kernel workspace, so one instance must not run
-    concurrent searches from multiple threads; create one searcher per thread
-    (they can share the store).
+    A searcher owns a reusable kernel workspace and one full-height
+    accumulator, so one instance must not run concurrent searches from
+    multiple threads; create one searcher per thread (they can share the
+    store).
     """
 
     def __init__(
@@ -123,6 +138,12 @@ class CompressedBondSearcher:
         self._engine = engine
         self._interval_kernel = interval_kernel_for(self._metric)
         self._workspace = IntervalWorkspace()
+        # Scratch reused by every run, allocated on first use: the full-height
+        # accumulator of the run being scanned (see _shared_accumulator) and
+        # the bounds and keep mask of a prune (see _prune_mask).
+        self._accumulator: np.ndarray | None = None
+        self._bounds = np.empty(0, dtype=np.float64)
+        self._keep = np.empty(0, dtype=bool)
         # Once the candidate set has shrunk below this fraction the filter
         # fetches only the candidates' codes instead of whole fragments.
         self._positional_threshold = 0.05 * self._store.cardinality
@@ -285,11 +306,23 @@ class CompressedBondSearcher:
         return self._active_block(run, block_dimensions)
 
     def _scores(self, run: CompressedQueryRun) -> np.ndarray:
-        """The run's interleaved accumulator, allocated at full height on
-        first use."""
+        """The run's interleaved accumulator; one that has streamed nothing
+        yet gets the shared full-height one, zeroed."""
         if run.scores is None:
-            run.scores = np.zeros(run.cardinality, dtype=np.complex128)
+            run.scores = self._shared_accumulator()
+            run.scores.fill(0.0)
         return run.scores
+
+    def _shared_accumulator(self) -> np.ndarray:
+        """The searcher's one full-height ``complex128`` accumulator.
+
+        A run scans into it until its first prune, which moves the survivors'
+        scores out (see :meth:`_checkpoint`); the driver scans and prunes each
+        run before the next one scans, so the runs of a batch take turns.
+        """
+        if self._accumulator is None:
+            self._accumulator = np.empty(self._store.cardinality, dtype=np.complex128)
+        return self._accumulator
 
     def _scan_block(
         self,
@@ -314,37 +347,30 @@ class CompressedBondSearcher:
         active = self._active_block(run, block_dimensions)
         if not active.size:
             return
-        scores = self._scores(run)
+        kernel = self._interval_kernel
+        grids = (store.minimums[active], store.cell_widths[active], run.query[active], active)
         if run.oids is None:
             # Full-collection phase: stream the whole code columns in place,
-            # no gather needed.
-            self._interval_kernel.accumulate_block(
-                store.code_columns(active, charge=charge_storage),
-                store.minimums[active],
-                store.cell_widths[active],
-                run.query[active],
-                active,
-                scores,
-                None,
-                self._workspace,
-                levels=1 << store.bits,
-            )
+            # no gather needed.  A run's first scan writes the shared
+            # accumulator outright instead of adding to a zeroed one.
+            columns = store.code_columns(active, charge=charge_storage)
+            if run.scores is None:
+                run.scores = self._shared_accumulator()
+                kernel.start_block(
+                    columns, *grids, run.scores, self._workspace, levels=1 << store.bits
+                )
+            else:
+                kernel.accumulate_block(
+                    columns, *grids, run.scores, None, self._workspace, levels=1 << store.bits
+                )
         else:
             # Restricted phase: gather the candidates' codes (1 byte each)
             # into one row block and look the whole pruning period up at once.
             code_rows = store.code_row_block(
                 active, run.oids, charge="positional" if charge_storage else None
             )
-            self._interval_kernel.accumulate_row_block(
-                code_rows,
-                store.minimums[active],
-                store.cell_widths[active],
-                run.query[active],
-                active,
-                scores,
-                None,
-                self._workspace,
-                levels=1 << store.bits,
+            kernel.accumulate_row_block(
+                code_rows, *grids, run.scores, None, self._workspace, levels=1 << store.bits
             )
         store.cost.charge_arithmetic(
             2 * count * int(active.shape[0]) * self._metric.arithmetic_ops_per_value()
@@ -359,8 +385,12 @@ class CompressedBondSearcher:
             run.query, run.order, run.processed, scores.real, scores.imag, run.k, run.weights
         )
         if not keep.all():
-            run.oids = np.flatnonzero(keep) if run.oids is None else run.oids[keep]
-            run.scores = scores[keep]
+            rows = np.flatnonzero(keep)
+            run.oids = rows if run.oids is None else run.oids[rows]
+            run.scores = scores.take(rows)
+        elif scores is self._accumulator:
+            # The shared accumulator is the next run's to scan into.
+            run.scores = scores.copy()
         run.trace.record(run.processed, run.alive)
         run.next_attempt = run.processed + run.schedule.next_batch(
             dimensionality=int(run.order.shape[0]),
@@ -373,15 +403,26 @@ class CompressedBondSearcher:
     def _finish(self, run: CompressedQueryRun) -> tuple[np.ndarray, np.ndarray]:
         """The refinement step: exact scores of the filter survivors from the
         exact store, best k first."""
+        run.scores = None  # the filter's bounds are spent; a batch frees them run by run
         oids = run.oids if run.oids is not None else np.arange(run.cardinality, dtype=np.int64)
         if oids.shape[0] == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         exact = self._store.exact
         vectors = exact.gather_matrix(oids)
-        scores = self._metric.score(vectors, run.query)
+        scores = self._refine_scores(vectors, run.query)
         exact.cost.charge_arithmetic(vectors.size * self._metric.arithmetic_ops_per_value())
-        best = self._metric.best_first(scores)[: run.k]
+        best = best_k(self._metric, scores, run.k)
         return oids[best], scores[best]
+
+    def _refine_scores(self, vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
+        """Exact scores of the gathered ``vectors``, bitwise ``metric.score``.
+
+        ``_plan`` validated the query already; histogram intersection is
+        scored in place in the gathered matrix, which is the refinement's own.
+        """
+        if type(self._metric) is HistogramIntersection:
+            return np.minimum(vectors, query, out=vectors).sum(axis=1)
+        return self._metric.score(vectors, query)
 
     # -- the reference engine ------------------------------------------------------
 
@@ -443,16 +484,21 @@ class CompressedBondSearcher:
         remaining_query = query[remaining]
         cost.charge_heap(count)
         cost.charge_comparisons(count)
+        if self._keep.shape[0] < count:
+            self._bounds = np.empty(count, dtype=np.float64)
+            self._keep = np.empty(count, dtype=bool)
+        bounds, keep = self._bounds[:count], self._keep[:count]
 
         # The test direction follows the accumulated contributions, not the
         # metric kind (EuclideanSimilarity accumulates distance-valued
         # intervals and applies its similarity transform only at refinement).
         if not self._metric.contributions_are_distances:
             remaining_mass = float(remaining_query.sum())
-            guaranteed = score_lower                     # remaining contributes at least 0
-            optimistic = score_upper + remaining_mass    # and at most T(q+)
-            kappa = float(np.partition(guaranteed, count - k)[count - k])
-            return optimistic >= kappa
+            # guaranteed: score_lower (the remaining dimensions contribute at
+            # least 0); optimistic: at most T(q+) more.
+            optimistic = np.add(score_upper, remaining_mass, out=bounds)
+            kappa = kth_largest(score_lower, k)
+            return np.greater_equal(optimistic, kappa, out=keep)
         # Worst case of each remaining dimension: the farthest corner of the
         # dimension's *stored value range* [minimum, maximum].  Hard-coding
         # the unit-hypercube corner max(q, 1-q)^2 here would under-estimate
@@ -465,7 +511,67 @@ class CompressedBondSearcher:
             corner = float(np.sum(edge * edge))
         else:
             corner = float(np.sum(weights[remaining] * (edge * edge)))
-        guaranteed = score_upper + corner                # worst case for the candidate
-        optimistic = score_lower                         # best case: remaining contributes 0
-        kappa = float(np.partition(guaranteed, k - 1)[k - 1])
-        return optimistic <= kappa
+        # guaranteed: the candidate's worst case; optimistic: score_lower
+        # (the remaining dimensions contribute 0).
+        guaranteed = np.add(score_upper, corner, out=bounds)
+        kappa = kth_smallest(guaranteed, k)
+        return np.less_equal(score_lower, kappa, out=keep)
+
+
+# -- selection -------------------------------------------------------------------
+
+#: Stride of the sample that seeds a threshold selection: its k-th best value
+#: bounds the full set's, so only the values past it need a partition.
+SAMPLE_STRIDE = 64
+
+
+def kth_largest(values: np.ndarray, k: int) -> float:
+    """``np.partition(values, n - k)[n - k]``, bitwise, for finite values.
+
+    The k-th largest of a stride-:data:`SAMPLE_STRIDE` sample is at most the
+    k-th largest of all, so only the values at or above it — a few hundred
+    where a prune collapses the set — are partitioned.  Equal non-zero floats
+    share their bits; a zero is selected from the full set, since which
+    signed zero a partition puts at a rank depends on its input.
+    """
+    n = values.shape[0]
+    if n >= SAMPLE_STRIDE * k:
+        sample = values[::SAMPLE_STRIDE]
+        floor = np.partition(sample, sample.shape[0] - k)[sample.shape[0] - k]
+        pool = values[values >= floor]
+        kappa = np.partition(pool, pool.shape[0] - k)[pool.shape[0] - k]
+        if kappa != 0.0:
+            return float(kappa)
+    return float(np.partition(values, n - k)[n - k])
+
+
+def kth_smallest(values: np.ndarray, k: int) -> float:
+    """``np.partition(values, k - 1)[k - 1]``, bitwise, for finite values
+    (the distance twin of :func:`kth_largest`)."""
+    n = values.shape[0]
+    if n >= SAMPLE_STRIDE * k:
+        sample = values[::SAMPLE_STRIDE]
+        ceiling = np.partition(sample, k - 1)[k - 1]
+        pool = values[values <= ceiling]
+        kappa = np.partition(pool, k - 1)[k - 1]
+        if kappa != 0.0:
+            return float(kappa)
+    return float(np.partition(values, k - 1)[k - 1])
+
+
+def best_k(metric: Metric, scores: np.ndarray, k: int) -> np.ndarray:
+    """``metric.best_first(scores)[:k]``, bitwise, ties and NaNs included.
+
+    Only a pool seeded by a partition is ranked: every score not strictly
+    worse than the k-th best, in index order, so the stable ranking of the
+    pool orders ties exactly as the stable ranking of all scores does.  A
+    NaN compares false, so it joins the pool wherever ``best_first`` puts it.
+    """
+    n = scores.shape[0]
+    if n <= k:
+        return metric.best_first(scores)
+    if metric.kind.larger_is_better:
+        pool = np.flatnonzero(~(scores < np.partition(scores, n - k)[n - k]))
+    else:
+        pool = np.flatnonzero(~(scores > np.partition(scores, k - 1)[k - 1]))
+    return pool[metric.best_first(scores[pool])[:k]]

@@ -78,7 +78,8 @@ class IntervalWorkspace:
     """Reusable scratch for interval kernels: one interleaved column buffer.
 
     One workspace per searcher: the buffer is lazily grown to the largest
-    column seen and handed out as views, so full-height lookups land in it
+    request seen — a row tile of a full-height block, see
+    :data:`TILE_ROWS` — and handed out as views, so lookups land in it
     without allocating.
     """
 
@@ -219,10 +220,34 @@ class IntervalBlockKernel(abc.ABC):
             return
         grid = _code_grid(code_columns[0].dtype, levels)
         tables = self.contributions(grid, minimums, cell_widths, query_values, dimensions)
-        values = workspace.values(code_columns[0].shape[0])
-        for table, codes in zip(tables, code_columns):
-            table.take(codes, out=values, mode="clip")
-            _accumulate(values, score_lower, score_upper)
+        _fold_tiles(tables, code_columns, score_lower, score_upper, workspace)
+
+    def start_block(
+        self,
+        code_columns: "list[np.ndarray]",
+        minimums: np.ndarray,
+        cell_widths: np.ndarray,
+        query_values: np.ndarray,
+        dimensions: np.ndarray,
+        scores: np.ndarray,
+        workspace: IntervalWorkspace,
+        *,
+        levels: int | None = None,
+    ) -> None:
+        """Overwrite the interleaved ``scores`` with a block's interval sums.
+
+        Bitwise what :meth:`accumulate_block` leaves in a zeroed
+        ``complex128`` accumulator, without the zeroing pass and the first
+        column's add: the first column is looked up straight into ``scores``
+        from its table plus 0.0 — ``x + 0.0`` is ``0.0 + x`` bit for bit, a
+        -0.0 contribution included — and the others are added to it tile by
+        tile.  The arguments are those of :meth:`accumulate_block`;
+        ``code_columns`` must not be empty.
+        """
+        grid = _code_grid(code_columns[0].dtype, levels)
+        tables = self.contributions(grid, minimums, cell_widths, query_values, dimensions)
+        (tables[0] + 0.0).take(code_columns[0], out=scores, mode="clip")
+        _fold_tiles(tables[1:], code_columns[1:], scores, None, workspace)
 
     def accumulate_row_block(
         self,
@@ -240,23 +265,56 @@ class IntervalBlockKernel(abc.ABC):
         """Fold a gathered ``(m, n)`` code block into the interval accumulators.
 
         The candidate-restricted path: row ``j`` holds dimension
-        ``dimensions[j]``'s codes for every surviving candidate.  The block's
-        contributions come from one 2-D lookup into the period's tables — or,
-        when there are fewer candidates than possible codes, from evaluating
-        the gathered codes directly — and are folded in row by row, left to
-        right, exactly like :meth:`accumulate_block`.
+        ``dimensions[j]``'s codes for every surviving candidate.  The rows
+        are looked up in the period's tables and folded in left to right,
+        exactly like the columns of :meth:`accumulate_block` — or, when there
+        are fewer candidates than possible codes, the gathered codes are
+        evaluated directly.
         """
         grid = _code_grid(code_rows.dtype, levels)
         if grid.shape[0] > code_rows.shape[1]:
             values = self.contributions(code_rows, minimums, cell_widths, query_values, dimensions)
+            for row in values:
+                _accumulate(row, score_lower, score_upper)
         else:
             tables = self.contributions(grid, minimums, cell_widths, query_values, dimensions)
-            values = np.take_along_axis(tables, code_rows, axis=1)
-        for row in values:
-            _accumulate(row, score_lower, score_upper)
+            _fold_tiles(tables, code_rows, score_lower, score_upper, workspace)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
+
+
+#: Rows per tile of a full-height block: one tile of the interleaved
+#: accumulator and one of the column buffer (16 B a row each) stay in the
+#: core's cache while every column of the block folds into the tile.
+TILE_ROWS = 16_384
+
+
+def _fold_tiles(
+    tables: np.ndarray,
+    code_columns: "list[np.ndarray] | np.ndarray",
+    score_lower: np.ndarray,
+    score_upper: np.ndarray | None,
+    workspace: IntervalWorkspace,
+) -> None:
+    """Fold code columns (or the rows of a code block) into the
+    accumulator(s), tile by tile.
+
+    Every row still receives its columns left to right, so the tiling moves
+    no float.
+    """
+    if len(code_columns) == 0:
+        return
+    rows = code_columns[0].shape[0]
+    values = workspace.values(min(rows, TILE_ROWS))
+    for start in range(0, rows, TILE_ROWS):
+        tile = slice(start, start + TILE_ROWS)
+        lower = score_lower[tile]
+        upper = None if score_upper is None else score_upper[tile]
+        buffer = values[: lower.shape[0]]
+        for table, codes in zip(tables, code_columns):
+            table.take(codes[tile], out=buffer, mode="clip")
+            _accumulate(buffer, lower, upper)
 
 
 def _code_grid(dtype: np.dtype, levels: int | None) -> np.ndarray:

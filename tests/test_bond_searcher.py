@@ -338,4 +338,8 @@ class TestScheduleEndsTheScan:
             expected = seed.search(corel_histograms[row], 10)
             assert np.array_equal(result.oids, expected.oids)
             assert np.array_equal(result.scores, expected.scores)
-            assert result.full_scan_dimensions == result.dimensions_processed
+            # Blocks of 4, the last one over the materialised survivors only.
+            processed = result.candidate_trace.dimensions_processed
+            assert list(processed) == list(range(0, 4 * len(processed), 4))
+            assert result.dimensions_processed == processed[-1]
+            assert result.full_scan_dimensions == result.dimensions_processed - 4

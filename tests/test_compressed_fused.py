@@ -14,14 +14,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import SeedBondSearcher
 
 from repro.baselines.vafile import VAFile
 from repro.core.batch import drive
 from repro.cluster.executor import EngineSpec
-from repro.core.compressed import CompressedBondSearcher, contribution_interval
+from repro.core.compressed import (
+    SAMPLE_STRIDE,
+    CompressedBondSearcher,
+    best_k,
+    contribution_interval,
+    kth_largest,
+    kth_smallest,
+)
 from repro.core.parallel import ShardedBondSearcher
 from repro.core.planner import (
     FixedPeriodSchedule,
@@ -33,8 +40,10 @@ from repro.datasets.corel import make_corel_like
 from repro.errors import QueryError, StorageError
 from repro.kernels import interval as interval_kernels
 from repro.kernels.interval import (
+    TILE_ROWS,
     GenericIntervalKernel,
     HistogramIntersectionIntervalKernel,
+    IntervalBlockKernel,
     IntervalWorkspace,
     SquaredEuclideanIntervalKernel,
     WeightedSquaredEuclideanIntervalKernel,
@@ -293,7 +302,7 @@ class TestNoFalseDismissalProperty:
 
 
 class FirstPruneOnly(FixedPeriodSchedule):
-    """The paper's m = 8 up to the first prune, then always finish."""
+    """Blocks of ``period`` up to the first prune, then always finish."""
 
     def next_batch(self, **counts) -> int:
         return 0
@@ -312,9 +321,10 @@ def assert_oracle_answer(data: np.ndarray, query: np.ndarray, k: int, result) ->
 
 
 class TestHandOff:
-    """The default compressed plan filters at m = 8 until the first prune
-    that leaves the candidate set positional (<= 5 % of the rows) and hands
-    the survivors to the exact refinement there."""
+    """The default compressed plan filters in full-height blocks of 4 until
+    the first prune that leaves the candidate set positional (<= 5 % of the
+    rows), runs one block of 4 over the survivors' codes, and hands the
+    survivors to the exact refinement there."""
 
     def test_is_the_default_of_every_compressed_path(self, corel_histograms):
         store = make_store(corel_histograms)
@@ -330,24 +340,31 @@ class TestHandOff:
         assert isinstance(worker._schedule, HandOffSchedule)
 
     @pytest.mark.parametrize("engine", ["loop", "fused"])
-    def test_trace_ends_at_the_first_positional_prune(self, corel_histograms, engine):
+    def test_trace_ends_one_round_after_the_first_positional_prune(
+        self, corel_histograms, engine
+    ):
         store = make_store(corel_histograms)
         searcher = CompressedBondSearcher(store, engine=engine)
         threshold = 0.05 * store.cardinality
-        handed_off = 0
+        handed_off, traces = 0, set()
         for query_index in range(0, corel_histograms.shape[0], 37):
             result = searcher.search(corel_histograms[query_index], 10)
             remaining = result.candidate_trace.candidates_remaining
             processed = result.candidate_trace.dimensions_processed
-            # Full-height blocks of m = 8 up to the end of the trace ...
-            assert list(processed) == list(range(0, 8 * len(processed), 8))
-            assert all(count > threshold for count in remaining[:-1])
-            # ... which is the first prune that leaves the set positional.
-            assert remaining[-1] <= threshold
+            # Blocks of 4 up to the end of the trace ...
+            assert list(processed) == list(range(0, 4 * len(processed), 4))
+            # ... full-height up to the first prune that leaves the set
+            # positional ...
+            assert all(count > threshold for count in remaining[:-2])
+            assert remaining[-2] <= threshold
+            # ... and one positional round after it.
             assert result.dimensions_processed == processed[-1]
-            assert result.full_scan_dimensions == result.dimensions_processed
+            assert result.full_scan_dimensions == result.dimensions_processed - 4
             handed_off += result.dimensions_processed < corel_histograms.shape[1]
+            traces.add(tuple(processed))
         assert handed_off > 20
+        # A 4-column prune that leaves the set positional hands off at 8.
+        assert (0, 4, 8) in traces
 
     def test_fused_equals_loop_and_batch_at_identical_cost(self, corel_histograms):
         store = make_store(corel_histograms)
@@ -365,13 +382,13 @@ class TestHandOff:
 
     @pytest.mark.parametrize("side", ["just_under", "just_over"])
     def test_first_prune_at_the_threshold_matches_the_oracle(self, corel_histograms, side):
-        """Pad the collection so the first prune leaves just under (or just
-        over) 5 % of the rows.  The padding repeats rows that prune already
-        drops: the quantisation grid (per-dimension minimum and maximum) and
-        the pruning threshold (the k-th best lower bound) stay as they were,
-        so the survivors do too."""
+        """Pad the collection so the first (4-column) prune leaves just under
+        (or just over) 5 % of the rows.  The padding repeats rows that prune
+        already drops: the quantisation grid (per-dimension minimum and
+        maximum) and the pruning threshold (the k-th best lower bound) stay
+        as they were, so the survivors do too."""
         k = 10
-        probe = CompressedBondSearcher(make_store(corel_histograms), schedule=FirstPruneOnly(8))
+        probe = CompressedBondSearcher(make_store(corel_histograms), schedule=FirstPruneOnly(4))
         for query_index in range(corel_histograms.shape[0]):
             query = corel_histograms[query_index]
             run = probe._plan(query, k)
@@ -389,13 +406,19 @@ class TestHandOff:
 
         result = CompressedBondSearcher(store).search(query, k)
         remaining = result.candidate_trace.candidates_remaining
+        processed = result.candidate_trace.dimensions_processed
         assert remaining[1] == survivors
         if side == "just_under":
+            # Positional at once: one round over the survivors, then refine.
             assert survivors / rows < 0.05
-            assert list(remaining) == [rows, survivors]
-            assert result.full_scan_dimensions == result.dimensions_processed == 8
+            assert list(processed) == [0, 4, 8]
+            assert result.full_scan_dimensions == 4 and result.dimensions_processed == 8
         else:
-            assert result.dimensions_processed > 8
+            # Not yet positional: the next block still streams full height.
+            assert survivors / rows > 0.05
+            assert list(processed[:3]) == [0, 4, 8]
+            assert result.full_scan_dimensions >= 8
+            assert result.dimensions_processed == result.full_scan_dimensions + 4
         assert_oracle_answer(data, query, k, result)
 
     def test_contribution_interval_keeps_its_core_import_path(self):
@@ -632,10 +655,17 @@ class TestKernelCallShapes:
             columns, *grids, query[dimensions], dimensions,
             interleaved, None, IntervalWorkspace(), levels=1 << bits,
         )
+        # A run's first scan: written over whatever the accumulator held.
+        started = np.full(count, np.nan, dtype=np.complex128)
+        kernel.start_block(
+            columns, *grids, query[dimensions], dimensions,
+            started, IntervalWorkspace(), levels=1 << bits,
+        )
         assert np.array_equal(split_lower, reference_lower)
         assert np.array_equal(split_upper, reference_upper)
         assert np.array_equal(interleaved.real, reference_lower)
         assert np.array_equal(interleaved.imag, reference_upper)
+        assert np.array_equal(started.view(np.int64), interleaved.view(np.int64))
 
         # Gathered codes: every row (a table lookup) and a few rows (fewer
         # values than codes, so the codes are evaluated directly).
@@ -671,3 +701,163 @@ class TestBatchMemory:
         batch = traced_peak(lambda: searcher.search_batch(queries, 10))
         assert len(queries) == 16
         assert batch < 3 * single
+
+
+class SignedZeroKernel(IntervalBlockKernel):
+    """Lower contributions of -0.0 or a value, upper ones of a value or -0.0."""
+
+    def contribution_interval(self, value_lower, value_upper, query_values, dimensions):
+        lower = np.where(value_lower > query_values, value_lower, -0.0)
+        upper = np.where(value_upper > query_values, -0.0, value_upper)
+        return lower, upper
+
+
+class TestStartBlock:
+    """A run's first full-height block is written, not added: bitwise the
+    sums a zeroed accumulator would hold, across row tiles."""
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 7])
+    def test_equals_accumulating_into_zeros(self, width):
+        rng = np.random.default_rng(width)
+        count = 2 * TILE_ROWS + 123
+        columns = [rng.integers(0, 16, count, dtype=np.uint8) for _ in range(width)]
+        grids = (np.linspace(0.0, 0.3, width), np.full(width, 1 / 16), np.full(width, 0.4))
+        dimensions = np.arange(width)
+        kernel = SignedZeroKernel()
+
+        expected = np.zeros(count, dtype=np.complex128)
+        kernel.accumulate_block(
+            columns, *grids, dimensions, expected, None, IntervalWorkspace(), levels=16
+        )
+        started = np.full(count, -0.0, dtype=np.complex128)
+        kernel.start_block(columns, *grids, dimensions, started, IntervalWorkspace(), levels=16)
+        assert np.array_equal(started.view(np.int64), expected.view(np.int64))
+        # 0.0 + -0.0 is +0.0: no signed zero survives a zeroed accumulator.
+        assert not np.signbit(started.real).any() and not np.signbit(started.imag).any()
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@st.composite
+def selection_inputs(draw, *, nan: bool = False):
+    """Scores with ties, duplicates, negatives and both signed zeros, and a
+    k below n / SAMPLE_STRIDE (the sampled path), anywhere up to n, or n."""
+    n = draw(st.integers(1, 1500))
+    k = draw(
+        st.one_of(
+            st.integers(1, max(1, n // SAMPLE_STRIDE)), st.integers(1, n), st.just(n)
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = [-2.5, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0] + ([np.nan] if nan else [])
+    kind = draw(st.sampled_from(["palette", "periodic", "continuous", "mixed"]))
+    if kind == "palette":
+        values = rng.choice(palette, n, p=rng.dirichlet(np.ones(len(palette))))
+    elif kind == "periodic":
+        values = np.resize(rng.choice(palette, draw(st.integers(1, 6))), n)
+    elif kind == "continuous":
+        values = rng.normal(size=n)
+    else:
+        values = np.where(rng.random(n) < 0.5, rng.choice(palette, n), rng.normal(size=n))
+    return values, k
+
+
+class TestSelection:
+    """The first prune's threshold and the refinement's ranking select from a
+    small pool, bitwise as the whole partition and ranking would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(selection_inputs())
+    # A partition of the pool and one of the whole set can put different
+    # signed zeros at the same rank.
+    @example((np.resize([-0.0, 0.0, 1.0], 64), 1))
+    @example((np.resize([-0.0, 0.0, -1.0], 64), 1))
+    def test_kth_largest_and_smallest_are_the_partition_picks(self, inputs):
+        values, k = inputs
+        n = values.shape[0]
+        # The searcher selects over the real or imaginary half of its
+        # interleaved accumulator: a strided view.
+        interleaved = np.empty(n, dtype=np.complex128)
+        interleaved.real = values
+        for view in (values, interleaved.real):
+            assert bits(kth_largest(view, k)) == bits(np.partition(values, n - k)[n - k])
+            assert bits(kth_smallest(view, k)) == bits(np.partition(values, k - 1)[k - 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        selection_inputs(nan=True),
+        st.sampled_from([HistogramIntersection(), SquaredEuclidean(), EuclideanSimilarity()]),
+    )
+    def test_best_k_is_the_stable_ranking(self, inputs, metric):
+        scores, k = inputs
+        assert np.array_equal(best_k(metric, scores, k), metric.best_first(scores)[:k])
+
+
+class TestSharedAccumulator:
+    """Every run of a searcher scans into one reused full-height
+    accumulator: no run may see another's scores, batched or single, fused
+    or loop, wherever the prunes fall."""
+
+    @staticmethod
+    def check(data: np.ndarray, queries: np.ndarray, k: int) -> list:
+        store = make_store(data)
+        loop = CompressedBondSearcher(store, engine="loop")
+        fused = CompressedBondSearcher(store)
+        batch = fused.search_batch(queries, k)
+        singles = []
+        for query, batched in zip(queries, batch):
+            single, loop_result = fused.search(query, k), loop.search(query, k)
+            assert results_bitwise_equal(single, batched)
+            assert results_bitwise_equal(single, loop_result)
+            assert loop_result.cost.as_dict() == single.cost.as_dict()
+            assert_oracle_answer(data, query, k, single)
+            singles.append(single)
+        return singles
+
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_k_at_least_n(self, corel_histograms, extra):
+        data = corel_histograms[:40]
+        for result in self.check(data, data[[0, 13, 39]], 40 + extra):
+            assert result.oids.shape == (40,)
+
+    def test_identical_rows_never_prune(self, corel_histograms):
+        data = np.tile(corel_histograms[3], (300, 1))
+        for result in self.check(data, corel_histograms[[3, 10, 500]], 10):
+            assert set(result.candidate_trace.candidates_remaining) == {300}
+
+    @pytest.mark.parametrize("dimensionality", [1, 2, 3, 4])
+    def test_few_dimensions(self, dimensionality):
+        raw = np.random.default_rng(dimensionality).random((600, dimensionality)) ** 3
+        data = raw / raw.sum(axis=1, keepdims=True)
+        self.check(data, data[[0, 1, 250, 599]], 5)
+
+    def test_a_batch_in_which_one_run_never_prunes(self, corel_histograms):
+        # An all-zero column: a query with all its mass there scores every row
+        # 0, so its run keeps every row at every prune, while its neighbours
+        # in the batch prune and scan into the shared accumulator after it.
+        data = np.hstack([corel_histograms, np.zeros((corel_histograms.shape[0], 1))])
+        blind = np.zeros(data.shape[1])
+        blind[-1] = 1.0
+        queries = np.vstack([data[5], blind, data[77], data[400]])
+        results = self.check(data, queries, 10)
+        count = data.shape[0]
+        assert set(results[1].candidate_trace.candidates_remaining) == {count}
+        for result in (results[0], results[2], results[3]):
+            assert result.candidate_trace.candidates_remaining[-1] < count
+
+    def test_a_warmed_single_search_allocates_no_full_height_array(self):
+        """The accumulator, the bounds and the keep mask of the first prune
+        are the searcher's, reused by every search; only survivor-sized
+        arrays and a column's index conversion are allocated per search."""
+        collection = make_corel_like(cardinality=20_000, dimensionality=64, seed=5)
+        searcher = CompressedBondSearcher(make_store(collection))
+        searcher.search(collection[0], 10)  # warm the searcher's buffers
+        tracemalloc.start()
+        try:
+            searcher.search(collection[0], 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * collection.shape[0]

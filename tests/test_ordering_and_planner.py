@@ -110,15 +110,27 @@ class TestHandOffSchedule:
             positional=positional,
         )
 
-    def test_the_paper_period_until_positional(self):
+    def test_half_the_paper_period_until_positional(self):
         schedule = HandOffSchedule()
-        assert schedule.first_batch(166, np.ones(167)) == 8
-        assert schedule.first_batch(5) == 5
-        assert self.next_batch(schedule, 8, positional=False) == 8
-        assert self.next_batch(schedule, 16, positional=False) == 4
+        assert schedule.first_batch(166, np.ones(167)) == 4
+        assert schedule.first_batch(3) == 3
+        assert self.next_batch(schedule, 4, positional=False) == 4
+        assert self.next_batch(schedule, 18, positional=False) == 2
 
-    def test_zero_once_positional(self):
-        assert self.next_batch(HandOffSchedule(), 8, positional=True) == 0
+    def test_one_positional_round_then_zero(self):
+        schedule = HandOffSchedule()
+        schedule.first_batch(20)
+        assert self.next_batch(schedule, 4, positional=True) == 4
+        assert self.next_batch(schedule, 8, positional=True) == 0
+        assert self.next_batch(schedule, 8, positional=True) == 0
+        # The positional round is clipped to the remaining dimensions ...
+        schedule.first_batch(20)
+        assert self.next_batch(schedule, 18, positional=True) == 2
+        # ... and every search starts with its own.
+        schedule.first_batch(20)
+        assert self.next_batch(schedule, 8, positional=False) == 4
+        assert self.next_batch(schedule, 12, positional=True) == 4
+        assert self.next_batch(schedule, 16, positional=True) == 0
 
 
 class TestMassAwareSchedule:
