@@ -139,7 +139,7 @@ class CompressedBondSearcher:
         self._interval_kernel = interval_kernel_for(self._metric)
         self._workspace = IntervalWorkspace()
         # Scratch reused by every run, allocated on first use: the full-height
-        # accumulator of the run being scanned (see _shared_accumulator) and
+        # accumulator of the run being scanned (see _scores) and
         # the bounds and keep mask of a prune (see _prune_mask).
         self._accumulator: np.ndarray | None = None
         self._bounds = np.empty(0, dtype=np.float64)
@@ -307,22 +307,19 @@ class CompressedBondSearcher:
 
     def _scores(self, run: CompressedQueryRun) -> np.ndarray:
         """The run's interleaved accumulator; one that has streamed nothing
-        yet gets the shared full-height one, zeroed."""
-        if run.scores is None:
-            run.scores = self._shared_accumulator()
-            run.scores.fill(0.0)
-        return run.scores
-
-    def _shared_accumulator(self) -> np.ndarray:
-        """The searcher's one full-height ``complex128`` accumulator.
+        yet gets the searcher's one full-height ``complex128`` accumulator,
+        zeroed.
 
         A run scans into it until its first prune, which moves the survivors'
         scores out (see :meth:`_checkpoint`); the driver scans and prunes each
         run before the next one scans, so the runs of a batch take turns.
         """
-        if self._accumulator is None:
-            self._accumulator = np.empty(self._store.cardinality, dtype=np.complex128)
-        return self._accumulator
+        if run.scores is None:
+            if self._accumulator is None:
+                self._accumulator = np.empty(self._store.cardinality, dtype=np.complex128)
+            run.scores = self._accumulator
+            run.scores.fill(0.0)
+        return run.scores
 
     def _scan_block(
         self,
@@ -349,20 +346,18 @@ class CompressedBondSearcher:
             return
         kernel = self._interval_kernel
         grids = (store.minimums[active], store.cell_widths[active], run.query[active], active)
+        scores = self._scores(run)
         if run.oids is None:
             # Full-collection phase: stream the whole code columns in place,
-            # no gather needed.  A run's first scan writes the shared
-            # accumulator outright instead of adding to a zeroed one.
-            columns = store.code_columns(active, charge=charge_storage)
-            if run.scores is None:
-                run.scores = self._shared_accumulator()
-                kernel.start_block(
-                    columns, *grids, run.scores, self._workspace, levels=1 << store.bits
-                )
-            else:
-                kernel.accumulate_block(
-                    columns, *grids, run.scores, None, self._workspace, levels=1 << store.bits
-                )
+            # no gather needed.
+            kernel.accumulate_block(
+                store.code_columns(active, charge=charge_storage),
+                *grids,
+                scores,
+                None,
+                self._workspace,
+                levels=1 << store.bits,
+            )
         else:
             # Restricted phase: gather the candidates' codes (1 byte each)
             # into one row block and look the whole pruning period up at once.
@@ -370,7 +365,7 @@ class CompressedBondSearcher:
                 active, run.oids, charge="positional" if charge_storage else None
             )
             kernel.accumulate_row_block(
-                code_rows, *grids, run.scores, None, self._workspace, levels=1 << store.bits
+                code_rows, *grids, scores, None, self._workspace, levels=1 << store.bits
             )
         store.cost.charge_arithmetic(
             2 * count * int(active.shape[0]) * self._metric.arithmetic_ops_per_value()
@@ -409,20 +404,10 @@ class CompressedBondSearcher:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         exact = self._store.exact
         vectors = exact.gather_matrix(oids)
-        scores = self._refine_scores(vectors, run.query)
+        scores = self._metric.score_in_place(vectors, run.query)  # the gathered copy is ours
         exact.cost.charge_arithmetic(vectors.size * self._metric.arithmetic_ops_per_value())
-        best = best_k(self._metric, scores, run.k)
+        best = self._metric.best_first(scores)[: run.k]
         return oids[best], scores[best]
-
-    def _refine_scores(self, vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
-        """Exact scores of the gathered ``vectors``, bitwise ``metric.score``.
-
-        ``_plan`` validated the query already; histogram intersection is
-        scored in place in the gathered matrix, which is the refinement's own.
-        """
-        if type(self._metric) is HistogramIntersection:
-            return np.minimum(vectors, query, out=vectors).sum(axis=1)
-        return self._metric.score(vectors, query)
 
     # -- the reference engine ------------------------------------------------------
 
@@ -558,20 +543,3 @@ def kth_smallest(values: np.ndarray, k: int) -> float:
             return float(kappa)
     return float(np.partition(values, k - 1)[k - 1])
 
-
-def best_k(metric: Metric, scores: np.ndarray, k: int) -> np.ndarray:
-    """``metric.best_first(scores)[:k]``, bitwise, ties and NaNs included.
-
-    Only a pool seeded by a partition is ranked: every score not strictly
-    worse than the k-th best, in index order, so the stable ranking of the
-    pool orders ties exactly as the stable ranking of all scores does.  A
-    NaN compares false, so it joins the pool wherever ``best_first`` puts it.
-    """
-    n = scores.shape[0]
-    if n <= k:
-        return metric.best_first(scores)
-    if metric.kind.larger_is_better:
-        pool = np.flatnonzero(~(scores < np.partition(scores, n - k)[n - k]))
-    else:
-        pool = np.flatnonzero(~(scores > np.partition(scores, k - 1)[k - 1]))
-    return pool[metric.best_first(scores[pool])[:k]]

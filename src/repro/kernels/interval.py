@@ -222,33 +222,6 @@ class IntervalBlockKernel(abc.ABC):
         tables = self.contributions(grid, minimums, cell_widths, query_values, dimensions)
         _fold_tiles(tables, code_columns, score_lower, score_upper, workspace)
 
-    def start_block(
-        self,
-        code_columns: "list[np.ndarray]",
-        minimums: np.ndarray,
-        cell_widths: np.ndarray,
-        query_values: np.ndarray,
-        dimensions: np.ndarray,
-        scores: np.ndarray,
-        workspace: IntervalWorkspace,
-        *,
-        levels: int | None = None,
-    ) -> None:
-        """Overwrite the interleaved ``scores`` with a block's interval sums.
-
-        Bitwise what :meth:`accumulate_block` leaves in a zeroed
-        ``complex128`` accumulator, without the zeroing pass and the first
-        column's add: the first column is looked up straight into ``scores``
-        from its table plus 0.0 — ``x + 0.0`` is ``0.0 + x`` bit for bit, a
-        -0.0 contribution included — and the others are added to it tile by
-        tile.  The arguments are those of :meth:`accumulate_block`;
-        ``code_columns`` must not be empty.
-        """
-        grid = _code_grid(code_columns[0].dtype, levels)
-        tables = self.contributions(grid, minimums, cell_widths, query_values, dimensions)
-        (tables[0] + 0.0).take(code_columns[0], out=scores, mode="clip")
-        _fold_tiles(tables[1:], code_columns[1:], scores, None, workspace)
-
     def accumulate_row_block(
         self,
         code_rows: np.ndarray,

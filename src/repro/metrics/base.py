@@ -81,6 +81,12 @@ class Metric(abc.ABC):
     def score(self, vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
         """Full aggregate between every row of ``vectors`` and ``query``."""
 
+    def score_in_place(self, vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
+        """:meth:`score` of a 2-D ``float64`` matrix the caller no longer
+        needs, bitwise; an implementation may overwrite ``vectors`` instead
+        of allocating a temporary of its size."""
+        return self.score(vectors, query)
+
     def arithmetic_ops_per_value(self) -> int:
         """Scalar operations charged per coefficient in the cost model."""
         return 1

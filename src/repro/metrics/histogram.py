@@ -45,13 +45,21 @@ class HistogramIntersection(Metric):
 
     def score(self, vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
         """Full intersection between every row of ``vectors`` and ``query``."""
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+        return self._intersection(np.atleast_2d(np.asarray(vectors, dtype=np.float64)), query)
+
+    def score_in_place(self, vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
+        """:meth:`score`, taking the minimums in ``vectors`` itself."""
+        return self._intersection(vectors, query, out=vectors)
+
+    def _intersection(
+        self, vectors: np.ndarray, query: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         query = self.validate_query(query)
         if vectors.shape[1] != query.shape[0]:
             raise MetricError(
                 f"dimensionality mismatch: vectors have {vectors.shape[1]}, query has {query.shape[0]}"
             )
-        return np.minimum(vectors, query[None, :]).sum(axis=1)
+        return np.minimum(vectors, query[None, :], out=out).sum(axis=1)
 
     def validate_query(self, query: np.ndarray) -> np.ndarray:
         """Check the query is a normalised histogram (non-negative, sums to 1)."""

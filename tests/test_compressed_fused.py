@@ -24,7 +24,6 @@ from repro.cluster.executor import EngineSpec
 from repro.core.compressed import (
     SAMPLE_STRIDE,
     CompressedBondSearcher,
-    best_k,
     contribution_interval,
     kth_largest,
     kth_smallest,
@@ -43,7 +42,6 @@ from repro.kernels.interval import (
     TILE_ROWS,
     GenericIntervalKernel,
     HistogramIntersectionIntervalKernel,
-    IntervalBlockKernel,
     IntervalWorkspace,
     SquaredEuclideanIntervalKernel,
     WeightedSquaredEuclideanIntervalKernel,
@@ -655,17 +653,10 @@ class TestKernelCallShapes:
             columns, *grids, query[dimensions], dimensions,
             interleaved, None, IntervalWorkspace(), levels=1 << bits,
         )
-        # A run's first scan: written over whatever the accumulator held.
-        started = np.full(count, np.nan, dtype=np.complex128)
-        kernel.start_block(
-            columns, *grids, query[dimensions], dimensions,
-            started, IntervalWorkspace(), levels=1 << bits,
-        )
         assert np.array_equal(split_lower, reference_lower)
         assert np.array_equal(split_upper, reference_upper)
         assert np.array_equal(interleaved.real, reference_lower)
         assert np.array_equal(interleaved.imag, reference_upper)
-        assert np.array_equal(started.view(np.int64), interleaved.view(np.int64))
 
         # Gathered codes: every row (a table lookup) and a few rows (fewer
         # values than codes, so the codes are evaluated directly).
@@ -682,12 +673,14 @@ class TestKernelCallShapes:
 
 class TestBatchMemory:
     def test_batch_peak_does_not_grow_with_the_batch(self):
-        """A run allocates its full-height accumulator at its first scan and
-        shrinks it at its first prune, so a batch holds one at a time."""
+        """Every run scans into the searcher's one full-height accumulator
+        and keeps only its survivors past its first prune, so a batch of 16
+        peaks below two full-height accumulators' worth (16 B a row each):
+        one more per run, even for a moment, would show."""
         collection = make_corel_like(cardinality=20_000, dimensionality=64, seed=5)
         searcher = CompressedBondSearcher(make_store(collection))
         queries = collection[np.arange(0, 20_000, 1_250)]
-        searcher.search(queries[0], 10)  # warm the workspace
+        searcher.search(queries[0], 10)  # allocate the searcher's buffers
 
         def traced_peak(call) -> int:
             tracemalloc.start()
@@ -697,43 +690,33 @@ class TestBatchMemory:
             finally:
                 tracemalloc.stop()
 
-        single = traced_peak(lambda: searcher.search(queries[0], 10))
         batch = traced_peak(lambda: searcher.search_batch(queries, 10))
         assert len(queries) == 16
-        assert batch < 3 * single
+        assert batch < 2 * 16 * collection.shape[0]
 
 
-class SignedZeroKernel(IntervalBlockKernel):
-    """Lower contributions of -0.0 or a value, upper ones of a value or -0.0."""
-
-    def contribution_interval(self, value_lower, value_upper, query_values, dimensions):
-        lower = np.where(value_lower > query_values, value_lower, -0.0)
-        upper = np.where(value_upper > query_values, -0.0, value_upper)
-        return lower, upper
-
-
-class TestStartBlock:
-    """A run's first full-height block is written, not added: bitwise the
-    sums a zeroed accumulator would hold, across row tiles."""
+class TestRowTiles:
+    """A full-height block folds tile by tile; every row still receives its
+    columns left to right, bitwise as folding whole columns would."""
 
     @pytest.mark.parametrize("width", [1, 2, 4, 7])
-    def test_equals_accumulating_into_zeros(self, width):
+    def test_tiles_fold_like_whole_columns(self, width):
         rng = np.random.default_rng(width)
         count = 2 * TILE_ROWS + 123
         columns = [rng.integers(0, 16, count, dtype=np.uint8) for _ in range(width)]
         grids = (np.linspace(0.0, 0.3, width), np.full(width, 1 / 16), np.full(width, 0.4))
         dimensions = np.arange(width)
-        kernel = SignedZeroKernel()
+        kernel = HistogramIntersectionIntervalKernel()
 
-        expected = np.zeros(count, dtype=np.complex128)
+        tiled = np.zeros(count, dtype=np.complex128)
         kernel.accumulate_block(
-            columns, *grids, dimensions, expected, None, IntervalWorkspace(), levels=16
+            columns, *grids, dimensions, tiled, None, IntervalWorkspace(), levels=16
         )
-        started = np.full(count, -0.0, dtype=np.complex128)
-        kernel.start_block(columns, *grids, dimensions, started, IntervalWorkspace(), levels=16)
-        assert np.array_equal(started.view(np.int64), expected.view(np.int64))
-        # 0.0 + -0.0 is +0.0: no signed zero survives a zeroed accumulator.
-        assert not np.signbit(started.real).any() and not np.signbit(started.imag).any()
+        tables = kernel.contributions(np.arange(16, dtype=np.uint8), *grids, dimensions)
+        whole = np.zeros(count, dtype=np.complex128)
+        for table, codes in zip(tables, columns):
+            whole += table[codes]
+        assert np.array_equal(tiled.view(np.int64), whole.view(np.int64))
 
 
 def bits(value) -> bytes:
@@ -741,7 +724,7 @@ def bits(value) -> bytes:
 
 
 @st.composite
-def selection_inputs(draw, *, nan: bool = False):
+def selection_inputs(draw):
     """Scores with ties, duplicates, negatives and both signed zeros, and a
     k below n / SAMPLE_STRIDE (the sampled path), anywhere up to n, or n."""
     n = draw(st.integers(1, 1500))
@@ -751,7 +734,7 @@ def selection_inputs(draw, *, nan: bool = False):
         )
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    palette = [-2.5, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0] + ([np.nan] if nan else [])
+    palette = [-2.5, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 3.0]
     kind = draw(st.sampled_from(["palette", "periodic", "continuous", "mixed"]))
     if kind == "palette":
         values = rng.choice(palette, n, p=rng.dirichlet(np.ones(len(palette))))
@@ -765,8 +748,8 @@ def selection_inputs(draw, *, nan: bool = False):
 
 
 class TestSelection:
-    """The first prune's threshold and the refinement's ranking select from a
-    small pool, bitwise as the whole partition and ranking would."""
+    """The first prune's threshold is selected from a small pool, bitwise as
+    the whole partition would select it."""
 
     @settings(max_examples=300, deadline=None)
     @given(selection_inputs())
@@ -784,15 +767,6 @@ class TestSelection:
         for view in (values, interleaved.real):
             assert bits(kth_largest(view, k)) == bits(np.partition(values, n - k)[n - k])
             assert bits(kth_smallest(view, k)) == bits(np.partition(values, k - 1)[k - 1])
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        selection_inputs(nan=True),
-        st.sampled_from([HistogramIntersection(), SquaredEuclidean(), EuclideanSimilarity()]),
-    )
-    def test_best_k_is_the_stable_ranking(self, inputs, metric):
-        scores, k = inputs
-        assert np.array_equal(best_k(metric, scores, k), metric.best_first(scores)[:k])
 
 
 class TestSharedAccumulator:
@@ -847,10 +821,11 @@ class TestSharedAccumulator:
         for result in (results[0], results[2], results[3]):
             assert result.candidate_trace.candidates_remaining[-1] < count
 
-    def test_a_warmed_single_search_allocates_no_full_height_array(self):
-        """The accumulator, the bounds and the keep mask of the first prune
-        are the searcher's, reused by every search; only survivor-sized
-        arrays and a column's index conversion are allocated per search."""
+    def test_a_warmed_single_search_peaks_below_16_bytes_a_row(self):
+        """The accumulator and the first prune's bounds and keep mask are the
+        searcher's, reused by every search.  A search still allocates the
+        first column's index conversion (8 B a row) and the threshold
+        selection's 1 B-a-row mask, but no full-height accumulator."""
         collection = make_corel_like(cardinality=20_000, dimensionality=64, seed=5)
         searcher = CompressedBondSearcher(make_store(collection))
         searcher.search(collection[0], 10)  # warm the searcher's buffers

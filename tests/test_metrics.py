@@ -42,6 +42,18 @@ class TestHistogramIntersection:
             total += metric.contributions(corel_histograms[:, dimension], query[dimension])
         assert np.allclose(total, metric.score(corel_histograms, query))
 
+    def test_score_in_place_is_score_bitwise(self, corel_histograms):
+        metric = HistogramIntersection()
+        query = corel_histograms[2]
+        expected = metric.score(corel_histograms, query)
+        vectors = corel_histograms[10:400].copy()
+        scores = metric.score_in_place(vectors, query)
+        assert np.array_equal(scores, expected[10:400])
+        # The minimums were taken in the caller's matrix itself.
+        assert np.array_equal(vectors, np.minimum(corel_histograms[10:400], query))
+        with pytest.raises(MetricError):
+            metric.score_in_place(np.zeros((3, 4)), np.array([0.5, 0.5]))
+
     def test_kind_is_similarity(self):
         assert HistogramIntersection().kind is MetricKind.SIMILARITY
         assert HistogramIntersection().kind.larger_is_better
@@ -103,6 +115,14 @@ class TestSquaredEuclidean:
     def test_unit_box_check_can_be_disabled(self):
         metric = SquaredEuclidean(require_unit_box=False)
         assert metric.validate_query(np.array([2.0, -1.0])) is not None
+
+    def test_score_in_place_defaults_to_score(self, clustered_vectors):
+        metric = SquaredEuclidean()
+        query = clustered_vectors[3]
+        vectors = clustered_vectors.copy()
+        assert np.array_equal(
+            metric.score_in_place(vectors, query), metric.score(clustered_vectors, query)
+        )
 
     def test_best_first_orders_ascending(self):
         order = SquaredEuclidean().best_first(np.array([0.2, 0.9, 0.5]))
