@@ -45,23 +45,23 @@ slowly, and every full-height column costs a lookup per row.  On the
 59,619 x 166 benchmark collection (2-vCPU x86-64 box, seed 7) 927 of
 1,024 queries trace ``[0, 4, 8]``, and a query refines ~534 rows, against
 8 full-height columns and ~550 rows under the previous m = 8 hand-off;
-together with the reused accumulator and the cheaper selections below, a
-batch of 32 takes ~33 ms instead of ~54.  The refinement scores every
+together with the reused accumulator and the cheaper first prune below, a
+batch of 32 takes ~43 ms instead of ~60.  The refinement scores every
 survivor exactly, and no schedule ever drops a true top-k member, so the
 answers do not depend on the schedule; only how many candidates reach the
 refinement (``refine_rows``) and the accounted cost do.  ``fig9`` and ``tab4`` pin
 ``FixedPeriodSchedule(8)`` to keep the paper's full-depth filter.
 
-Selections
-----------
+The first prune and the refinement
+----------------------------------
 The first prune's threshold κ is the k-th best lower bound of the whole
 collection.  :func:`kth_largest` (and its distance twin
 :func:`kth_smallest`) takes the k-th best of a stride-:data:`SAMPLE_STRIDE`
 sample first, which bounds κ, and partitions only the bounds past it — a
 few hundred instead of every row — for the same κ bit for bit.  The
-refinement ranks its exact scores with :func:`best_k`, which sorts only a
-partition-seeded pool and returns ``best_first(scores)[:k]`` bit for bit,
-ties included.
+refinement scores the survivors' gathered exact rows with
+:meth:`~repro.metrics.base.Metric.score_in_place` (the gathered copy is the
+refinement's own) and ranks them with ``best_first``.
 """
 
 from __future__ import annotations
@@ -404,7 +404,7 @@ class CompressedBondSearcher:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         exact = self._store.exact
         vectors = exact.gather_matrix(oids)
-        scores = self._metric.score_in_place(vectors, run.query)  # the gathered copy is ours
+        scores = self._metric.score_in_place(vectors, run.query)
         exact.cost.charge_arithmetic(vectors.size * self._metric.arithmetic_ops_per_value())
         best = self._metric.best_first(scores)[: run.k]
         return oids[best], scores[best]

@@ -276,8 +276,6 @@ def _fold_tiles(
     Every row still receives its columns left to right, so the tiling moves
     no float.
     """
-    if len(code_columns) == 0:
-        return
     rows = code_columns[0].shape[0]
     values = workspace.values(min(rows, TILE_ROWS))
     for start in range(0, rows, TILE_ROWS):

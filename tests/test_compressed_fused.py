@@ -823,8 +823,8 @@ class TestSharedAccumulator:
 
     def test_a_warmed_single_search_peaks_below_16_bytes_a_row(self):
         """The accumulator and the first prune's bounds and keep mask are the
-        searcher's, reused by every search.  A search still allocates the
-        first column's index conversion (8 B a row) and the threshold
+        searcher's, reused by every search.  A search still allocates a
+        tile's index conversion (8 B a row of the tile) and the threshold
         selection's 1 B-a-row mask, but no full-height accumulator."""
         collection = make_corel_like(cardinality=20_000, dimensionality=64, seed=5)
         searcher = CompressedBondSearcher(make_store(collection))
