@@ -1,19 +1,20 @@
-"""Multi-core search: process-pool shards and the cluster coordinator.
+"""Multi-core search: process-pool shards, answered directly and served.
 
-Demonstrates the two tiers of ``repro.cluster`` and the contract both hold —
-answers bitwise identical to the single-process engines, or a typed error:
+Demonstrates ``repro.cluster`` and the contract it holds — answers bitwise
+identical to the single-process engines, or a typed error:
 
 1. ``Index.build(..., shard_executor="process")``: the per-shard fused
    engines run in worker processes that attach zero-copy to one
    shared-memory publication of the fragments, per-shard cost deltas travel
    back as explicit wire tuples, and the deterministic top-k merge makes the
-   answer bit for bit the thread pool's (exact *and* compressed mode).
-2. ``ClusterCoordinator``: the collection split into contiguous row groups,
-   one ``Index`` + ``SearchService`` per group, one ``await submit(...)``
-   scattered to every member and gathered back through the same merge.
+   answer bit for bit the unsharded one (exact *and* compressed mode).
+2. One ``SearchService`` over that process-sharded index: the index
+   scatters each micro-batch to its shards and merges; the service adds
+   batching, retries and failover.  With ``on_shard_failure="partial"`` a
+   failed shard yields an honestly ``degraded`` answer over the survivors.
 
-On a single-core machine the process tier cannot be faster — the identity
-checks below are the point; speedups need real cores.
+On a single-core machine the process executor cannot be faster — the
+identity checks below are the point; speedups need real cores.
 
 Run with::
 
@@ -25,9 +26,7 @@ from __future__ import annotations
 import asyncio
 import os
 
-import numpy as np
-
-from repro import ClusterCoordinator, Index, Query, make_corel_like
+from repro import FaultPlan, Index, Query, SearchService, make_corel_like
 
 
 def identical(a, b) -> bool:
@@ -52,11 +51,15 @@ async def main() -> None:
     reference = single.answer(query)
     compressed_reference = single.answer(compressed_query)
 
-    # 2. Tier 1 — the same index sharded 4 ways, engines in worker processes.
+    # 2. The same index sharded 4 ways, engines in worker processes.
     #    Index.close() (or the context manager) shuts the pool down and
     #    unlinks the shared-memory segment; nothing survives in /dev/shm.
     with Index.build(
-        histograms, name="corel-mp", shards=4, shard_executor="process"
+        histograms,
+        name="corel-mp",
+        shards=4,
+        shard_executor="process",
+        on_shard_failure="partial",
     ) as index:
         exact = index.answer(query)
         compressed = index.answer(compressed_query)
@@ -65,20 +68,22 @@ async def main() -> None:
         pinned = Query(histograms[42], k=10, metric="histogram", backend="sharded_bond")
         print(f"planner detail          : {index.plan(pinned).estimate.detail}")
 
-    # 3. Tier 2 — four row groups, each a full Index + SearchService, one
-    #    scatter-gather submit.  Groups compose with tier 1 (shards=2 inside
-    #    each group) and stop() closes everything the coordinator built.
-    async with ClusterCoordinator(
-        histograms, groups=4, name="corel-cluster", index_options={"shards": 2}
-    ) as cluster:
-        served = await cluster.submit(histograms[42], k=10, metric="histogram")
-        print(f"coordinator (4 groups)  : bitwise == reference: {identical(served, reference)}")
-        stats = cluster.health()
-        print(
-            f"cluster health          : running={stats.running} "
-            f"members={len(stats.members)} degraded={stats.degraded_members}"
-        )
+        # 3. Served: one SearchService over the process-sharded index.  A
+        #    fault armed on shard 1 degrades the answer instead of failing it:
+        #    the survivors' top-k, flagged, with no row of the lost shard.
+        async with SearchService(index) as service:
+            served = await service.submit(histograms[42], k=10, metric="histogram")
+            print(f"served                  : bitwise == reference: {identical(served, reference)}")
+            with FaultPlan(seed=1).arm("shard.map", where={"shard": 1}):
+                degraded = await service.submit(histograms[42], k=10, metric="histogram")
+            lost = [int(oid) for oid in degraded.oids if index.shard_plan.shard_of(int(oid)) == 1]
+            print(
+                f"shard 1 faulted         : degraded={degraded.degraded} "
+                f"failed_shards={degraded.failed_shards} oids from shard 1: {lost}"
+            )
+            print(f"service health          : running={service.health().running}")
 
+    single.close()
     print(f"top oids: {reference.oids.tolist()}")
 
 

@@ -34,7 +34,6 @@ from repro.api import (
 )
 from repro.approx import ApproxConfig
 from repro.baselines import RTreeIndex, SimilarityNetwork, VAFile
-from repro.cluster import ClusterCoordinator, ClusterHealth, ClusterStats
 from repro.bounds import (
     EqBound,
     EvBound,
@@ -144,9 +143,6 @@ __all__ = [
     "BondSearcher",
     "Capabilities",
     "CircuitBreaker",
-    "ClusterCoordinator",
-    "ClusterHealth",
-    "ClusterStats",
     "ClusteredCollection",
     "CorruptFragmentError",
     "CompressedBondSearcher",

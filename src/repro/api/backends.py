@@ -434,8 +434,8 @@ class ShardedBondBackend(Backend):
         The shards run concurrently, so the latency-relevant read volume is
         the per-shard share of the unsharded engine's traffic (the paper's
         pruning behaviour is row-local and survives sharding).  On top sit
-        the top-k merge (``shards * k`` candidates per query re-ranked at the
-        coordinator) and a fixed per-shard coordination charge.
+        the top-k merge (``shards * k`` candidates per query re-ranked in the
+        parent) and a fixed per-shard coordination charge.
         """
         n = index.cardinality
         d = index.dimensionality

@@ -22,9 +22,8 @@ from it and answer the same protocol —
 — so the sharded engine of :mod:`repro.core.parallel` applies its failure
 policy and merges without knowing which one it holds:
 
-* :class:`InProcessShardExecutor` runs the shard searchers in the calling
-  process, against the parent's own arrays — inline, or on its own
-  ``repro-shard`` thread pool when built with ``workers > 1``;
+* :class:`InProcessShardExecutor` runs the shard searchers inline on the
+  calling thread, in shard order, against the parent's own arrays;
 * :class:`ProcessShardExecutor` moves each shard's whole search into a
   **worker process** running the identical searcher over the identical
   bytes: the parent publishes the store's fragment columns once into shared
@@ -55,11 +54,11 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
+import numbers
 import pickle
 import queue
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -74,6 +73,14 @@ from repro.storage.sharding import ShardPlan, shard_view
 
 #: Seconds a closing pool waits for a worker to exit before terminating it.
 _JOIN_TIMEOUT = 5.0
+
+
+def check_workers(workers) -> int:
+    """``workers`` as a worker count, or a :class:`~repro.errors.QueryError`
+    if it is not an integer >= 1 — never silently rounded or clamped up."""
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise QueryError(f"workers must be an integer >= 1, got {workers!r}")
+    return int(workers)
 
 
 class EngineSpec:
@@ -143,20 +150,12 @@ class EngineSpec:
 
 
 class InProcessShardExecutor:
-    """The executor protocol over shard searchers living in this process.
+    """The executor protocol over shard searchers living in this process:
+    the calling thread walks the shards in order (a thread pool never beat
+    that here — README, sharding section)."""
 
-    With ``workers > 1`` the shards run on a ``repro-shard`` thread pool of
-    that size (its threads start on first use; :meth:`close` stops them);
-    otherwise the calling thread walks the shards in order.
-    """
-
-    def __init__(self, searchers, workers: int = 1) -> None:
+    def __init__(self, searchers) -> None:
         self._searchers = searchers
-        self._pool = (
-            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-shard")
-            if workers > 1
-            else None
-        )
 
     def search_batch(self, shard: int, queries: np.ndarray, k: int):
         """One shard's batch search: ``(list[SearchResult], CostAccount)``."""
@@ -165,24 +164,17 @@ class InProcessShardExecutor:
 
     def search_shards(self, queries: np.ndarray, k: int, before) -> list:
         """Every shard's ``(results, CostAccount)`` or exception, in shard order."""
-
-        def task(shard: int):
+        outcomes: list = []
+        for shard in range(len(self._searchers)):
             try:
                 before(shard)
-                return self.search_batch(shard, queries, k)
+                outcomes.append(self.search_batch(shard, queries, k))
             except Exception as exc:  # the shard's outcome, not the caller's
-                return exc
-
-        shards = range(len(self._searchers))
-        if self._pool is None:
-            return [task(shard) for shard in shards]
-        return list(self._pool.map(task, shards))
+                outcomes.append(exc)
+        return outcomes
 
     def close(self) -> None:
-        """Stop the thread pool, if any; the searchers belong to the engine."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Nothing to stop: the searchers belong to the engine."""
 
 
 def _shard_worker_main(conn, store_spec: StoreSpec, engine_spec: EngineSpec, plan: ShardPlan):
@@ -257,7 +249,8 @@ class ProcessShardExecutor:
     plan:
         The shard plan; workers slice their shard stores from it.
     workers:
-        Worker-process count (clamped to the shard count).
+        Worker-process count: an integer >= 1 (clamped to the shard count);
+        anything else raises :class:`~repro.errors.QueryError`.
     context:
         Start method (``"fork"`` / ``"spawn"`` / ``"forkserver"``); default
         is the platform's (``fork`` on Linux).
@@ -272,9 +265,9 @@ class ProcessShardExecutor:
         *,
         context: str | None = None,
     ) -> None:
+        self._workers = min(check_workers(workers), plan.num_shards)
         self._segment = segment.acquire()
         self._num_shards = plan.num_shards
-        self._workers = max(1, min(int(workers), plan.num_shards))
         try:
             self._payload = pickle.dumps((segment.spec, engine_spec, plan))
         except Exception as exc:

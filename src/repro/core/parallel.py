@@ -11,11 +11,10 @@ compressed fragments follows from the store it is given, and what a shard of
 either kind *is* lives in :class:`repro.cluster.executor.EngineSpec` alone.
 
 The shards run on one of two executors behind one protocol
-(:mod:`repro.cluster.executor`): in this process — inline by default, on a
-thread pool when the caller passes ``workers`` — or, with
+(:mod:`repro.cluster.executor`): inline on the calling thread, or, with
 ``executor="process"``, in worker processes over shared-memory fragments
 (:mod:`repro.cluster`), which takes the Python-level scan loop off the GIL.
-Answers and cost accounts are bitwise identical across all of them (the same
+Answers and cost accounts are bitwise identical across both (the same
 searchers run over the same bytes and the parent applies the same merge).
 
 Within a shard a batch runs the round driver of :mod:`repro.core.batch`
@@ -55,10 +54,10 @@ from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.sharding import ShardPlan
 
-#: Recognised shard-executor kinds: ``"thread"`` searches the shards in this
-#: process (inline, or on a thread pool when ``workers`` asks for one);
-#: ``"process"`` runs each shard's search in a worker process over
-#: shared-memory fragments (see :mod:`repro.cluster`).
+#: Recognised shard-executor kinds: ``"thread"`` searches the shards inline
+#: on the calling thread (the name predates the removal of its thread pool;
+#: manifests persist it); ``"process"`` runs each shard's search in a worker
+#: process over shared-memory fragments (see :mod:`repro.cluster`).
 SHARD_EXECUTORS = ("thread", "process")
 
 #: Recognised shard-failure policies (see ``on_shard_failure``).
@@ -71,8 +70,8 @@ def merge_shard_results(
     plan: ShardPlan,
     k: int,
     *,
-    cost: CostModel | None = None,
-    shard_indices: Sequence[int] | None = None,
+    cost: CostModel,
+    shard_indices: Sequence[int],
 ) -> SearchResult:
     """Merge one query's per-shard top-k lists into the global top-k.
 
@@ -87,22 +86,16 @@ def merge_shard_results(
     curves over the union of their recorded checkpoints.
 
     ``shard_indices`` names the shard of ``plan`` each entry of
-    ``shard_results`` came from (default: all shards in order); the partial
-    mode of ``on_shard_failure`` merges only the surviving subset.
+    ``shard_results`` came from (the partial mode of ``on_shard_failure``
+    merges only the surviving subset); the merge's heap and comparison work
+    is charged to ``cost``.
     """
-    if shard_indices is None:
-        starts = plan.starts
-    else:
-        starts = [plan.starts[index] for index in shard_indices]
-    offset_oids = [
-        shard.oids + start
-        for shard, start in zip(shard_results, starts)
-    ]
-    oids = np.concatenate(offset_oids)
+    oids = np.concatenate(
+        [shard.oids + plan.starts[index] for shard, index in zip(shard_results, shard_indices)]
+    )
     scores = np.concatenate([shard.scores for shard in shard_results])
-    if cost is not None:
-        cost.charge_heap(int(oids.shape[0]))
-        cost.charge_comparisons(int(oids.shape[0]))
+    cost.charge_heap(int(oids.shape[0]))
+    cost.charge_comparisons(int(oids.shape[0]))
     oids, scores = metric.merge_top_k(oids, scores, k)
     return SearchResult(
         oids=oids,
@@ -175,12 +168,13 @@ class ShardedBondSearcher:
     shards:
         Shard count or a ready :class:`~repro.storage.sharding.ShardPlan`.
     workers:
-        How many shards run at once.  Default: in-process shards run
-        **inline** on the calling thread (a thread pool never beat that here
-        — README, sharding section), the process executor runs one worker
-        per shard.  An explicit count sizes the in-process executor's thread
-        pool or the process executor's worker pool.  Process shards need no
-        dispatch thread: the calling thread scatters to the workers.
+        The process executor's worker-process count: an integer >= 1
+        (clamped to the shard count; default one worker per shard).  The
+        calling thread scatters to the workers, so no dispatch thread
+        starts.  In-process shards always run inline on the calling thread
+        (a thread pool never beat that here — README, sharding section), so
+        ``workers`` with ``executor="thread"`` raises
+        :class:`~repro.errors.QueryError`.
     on_shard_failure:
         ``"fail"`` (default) re-raises the first failed shard's error;
         ``"partial"`` degrades gracefully — the surviving shards' top-k is
@@ -214,8 +208,11 @@ class ShardedBondSearcher:
         executor: str = "thread",
         process_context: str | None = None,
     ) -> None:
-        # Imported here because repro.cluster's coordinator imports this module.
-        from repro.cluster.executor import EngineSpec
+        # Imported here, not at the top: cluster sits a rung above core.  The
+        # executors belong beside this module, but bench/layers.py and
+        # bench/tracing.py import them (and this module) by their present
+        # paths, so the move waits for a change that may also update bench/.
+        from repro.cluster.executor import EngineSpec, check_workers
 
         check_shard_options(executor, on_shard_failure)
         self._store = store
@@ -223,9 +220,13 @@ class ShardedBondSearcher:
         self._plan = shards if isinstance(shards, ShardPlan) else ShardPlan.balanced(
             store.cardinality, int(shards)
         )
-        if workers is None:
-            workers = self._plan.num_shards if executor == "process" else 1
-        self._workers = max(1, min(int(workers), self._plan.num_shards))
+        if workers is not None:
+            if executor == "thread":
+                raise QueryError(
+                    "workers sizes the process executor's pool; in-process shards run inline"
+                )
+            check_workers(workers)
+        self._workers = self._plan.num_shards if workers is None else workers
         self._on_shard_failure = on_shard_failure
         self._executor_kind = executor
         self._process_context = process_context
@@ -261,13 +262,12 @@ class ShardedBondSearcher:
         return self._plan
 
     def close(self) -> None:
-        """Shut the executor down — worker processes, or the in-process
-        thread pool of ``workers > 1`` (idempotent; a later search re-opens
-        it).
+        """Shut the executor down (idempotent; a later search re-opens it).
 
-        In process mode this also releases the engine's reference on the
-        shared-memory segment — the last holder unlinks it, so a closed
-        engine leaves nothing behind in ``/dev/shm``."""
+        In process mode this stops the worker processes and releases the
+        engine's reference on the shared-memory segment — the last holder
+        unlinks it, so a closed engine leaves nothing behind in
+        ``/dev/shm``."""
         if self._executor is not None:
             self._executor.close()
             self._executor = None
@@ -280,9 +280,8 @@ class ShardedBondSearcher:
 
     def _open_executor(self):
         """The shard executor, built (or rebuilt, after close) on first use.
-        The engine starts no thread of its own: process shards are scattered
-        from the calling thread, and the thread pool of in-process
-        ``workers > 1`` belongs to (and closes with) its executor."""
+        No executor starts a thread: in-process shards run inline and
+        process shards are scattered from the calling thread."""
         if self._executor is None:
             from repro.cluster.executor import InProcessShardExecutor, ProcessShardExecutor
 
@@ -295,7 +294,7 @@ class ShardedBondSearcher:
                     context=self._process_context,
                 )
             else:
-                self._executor = InProcessShardExecutor(self._searchers, self._workers)
+                self._executor = InProcessShardExecutor(self._searchers)
         return self._executor
 
     def _search_shards(

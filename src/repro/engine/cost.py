@@ -305,7 +305,7 @@ class CostModel:
 
         This is how per-shard accounts reach the parent model without
         double-charging: shard stores charge their *private* models while the
-        workers run, and the coordinator merges each shard's
+        workers run, and the sharded engine merges each shard's
         :meth:`since`-delta here afterwards.  The merge is locked, so several
         workers may merge into a shared parent concurrently.
         """

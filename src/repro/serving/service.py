@@ -202,17 +202,12 @@ class SearchService:
         *,
         config: ServingConfig | None = None,
         executor: ThreadPoolExecutor | None = None,
-        owns_index: bool = False,
     ) -> None:
         self._index = index
         self._config = config if config is not None else ServingConfig()
         self._policy = resolve_admission(self._config.admission)
         self._executor = executor
         self._owns_executor = executor is None
-        # With owns_index=True the service closes the index on stop() —
-        # cached sharded engines, process pools and shared-memory segments
-        # included.  The ClusterCoordinator builds its members this way.
-        self._owns_index = owns_index
         self._pending: deque[_PendingRequest] = deque()
         self._inflight: set[asyncio.Task] = set()
         # Batches dispatched and not yet finished.  Counted explicitly: a
@@ -273,8 +268,6 @@ class SearchService:
         """
         if self._state == "new":
             self._state = "closed"
-            if self._owns_index:
-                self._index.close()
             return
         if self._state == "closed":
             return
@@ -330,8 +323,6 @@ class SearchService:
             # After a timed-out drain a worker thread may still be wedged in a
             # batch; joining it would reintroduce the unbounded wait.
             self._executor.shutdown(wait=not timed_out, cancel_futures=timed_out)
-        if self._owns_index:
-            self._index.close()
 
     async def __aenter__(self) -> "SearchService":
         return await self.start()

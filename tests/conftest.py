@@ -67,13 +67,12 @@ def clustered_rowstore(clustered_vectors: np.ndarray) -> RowStore:
     return RowStore(clustered_vectors, name="clustered")
 
 
-@pytest.fixture()
+@pytest.fixture(autouse=True)
 def no_shard_leaks():
-    """Fail a test that leaves a sharded engine's resources behind: a
-    shared-memory segment, a live shard-worker process or a ``repro-shard``
-    dispatch thread (the suites that drive the engines apply it to every
-    test).  Dispatch threads exist only for in-process shards with
-    ``workers > 1``; process shards are scattered from the calling thread."""
+    """Fail any test that leaves a sharded engine's resources behind: a
+    shared-memory segment or a live shard-worker process.  No code starts a
+    ``repro-shard`` thread (in-process shards run inline, process shards are
+    scattered from the calling thread); the thread check guards that."""
     yield
     assert not glob.glob("/dev/shm/repro_shm_*"), "leaked shared-memory segment"
     workers = [p for p in multiprocessing.active_children() if p.name == "repro-shard-worker"]

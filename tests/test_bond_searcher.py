@@ -67,7 +67,7 @@ class TestValidation:
         [
             lambda data: BondSearcher(DecomposedStore(data)),
             lambda data: CompressedBondSearcher(CompressedStore(DecomposedStore(data))),
-            lambda data: ShardedBondSearcher(DecomposedStore(data), shards=2, workers=1),
+            lambda data: ShardedBondSearcher(DecomposedStore(data), shards=2),
             lambda data: SequentialScan(RowStore(data)),
         ],
         ids=["bond", "compressed", "sharded", "scan"],

@@ -1,10 +1,10 @@
-"""The cluster subsystem: shared-memory publication, process-pool shard
-workers, and the scatter-gather serving coordinator.
+"""The cluster subsystem: shared-memory publication and process-pool shard
+workers.
 
 The load-bearing contract is **bitwise identity**: for any shard count,
 worker count, backend and mode — exact, compressed, and the live-tail
 overlay — the process-pool answer (OIDs, scores, cost account) must equal
-the thread-pool answer must equal the unsharded answer, bit for bit.  On
+the inline answer must equal the unsharded answer, bit for bit.  On
 top sit the lifecycle guarantees (reference-counted segments, nothing left
 in ``/dev/shm`` after ``close()``) and the failure matrix (a killed worker
 surfaces as a typed transient error or a degraded partial answer — never a
@@ -13,7 +13,6 @@ wrong one — and the pool respawns a replacement).
 
 from __future__ import annotations
 
-import asyncio
 import glob
 import os
 import signal
@@ -31,7 +30,6 @@ import repro.core.parallel as parallel_module
 from repro.api.index import Index
 from repro.api.query import Query
 from repro.cluster import (
-    ClusterCoordinator,
     EngineSpec,
     SharedStoreSegment,
     attach_store,
@@ -43,7 +41,6 @@ from repro.core.parallel import ShardedBondSearcher
 from repro.engine.cost import CostAccount
 from repro.errors import (
     QueryError,
-    ServiceClosed,
     StorageError,
     TransientBackendError,
 )
@@ -53,9 +50,6 @@ from repro.reliability import FaultPlan, fault_point
 from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.sharding import ShardPlan
-
-# Every test in this file must close the engines it opens (tests/conftest.py).
-pytestmark = pytest.mark.usefixtures("no_shard_leaks")
 
 
 def leaked_segments() -> list[str]:
@@ -219,8 +213,7 @@ class TestProcessPoolIdentity:
             make_store = lambda: DecomposedStore(collection)
             single = BondSearcher(make_store(), metric=metric)
         with ShardedBondSearcher(
-            make_store(), metric=metric, shards=shards, workers=workers,
-            executor="thread",
+            make_store(), metric=metric, shards=shards, executor="thread"
         ) as threaded, ShardedBondSearcher(
             make_store(), metric=metric, shards=shards, workers=workers,
             executor="process",
@@ -278,6 +271,25 @@ class TestProcessPoolIdentity:
             ShardedBondSearcher(
                 DecomposedStore(collection), shards=2, executor="rocket"
             )
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.7, 2.0, "2", True])
+    def test_invalid_worker_count_rejected_not_clamped(self, collection, workers):
+        store = DecomposedStore(collection)
+        with pytest.raises(QueryError, match="workers must be an integer >= 1"):
+            ShardedBondSearcher(store, shards=2, workers=workers, executor="process")
+        spec = EngineSpec.for_store(store, metric=HistogramIntersection())
+        with pytest.raises(QueryError, match="workers must be an integer >= 1"):
+            ProcessShardExecutor.over(
+                store, spec, ShardPlan.balanced(store.cardinality, 2), workers
+            )
+        assert not leaked_segments()
+
+    def test_worker_count_above_shard_count_is_clamped(self, collection):
+        with ShardedBondSearcher(
+            DecomposedStore(collection), shards=2, workers=np.int64(5), executor="process"
+        ) as engine:
+            engine.search(collection[3], 5)
+            assert len(engine._executor.worker_pids()) == 2
 
 
 # -- facade integration -------------------------------------------------------
@@ -561,90 +573,3 @@ class TestScatterGather:
             complete = engine.search(query, 6)
         assert not complete.degraded
         assert_seed_answers(collection, [query], 6, [complete])
-
-
-# -- the scatter-gather coordinator -------------------------------------------
-
-
-class TestClusterCoordinator:
-    def test_answers_bitwise_identical_to_one_index(self, collection):
-        single = Index.build(collection)
-        queries = collection[[3, 77, 150]]
-
-        async def main():
-            async with ClusterCoordinator(
-                collection, groups=3, index_options={"shards": 2}
-            ) as coordinator:
-                return [
-                    await coordinator.submit(vector, k=9) for vector in queries
-                ]
-
-        try:
-            merged = asyncio.run(main())
-            for vector, result in zip(queries, merged):
-                reference = single.answer(Query(vector, k=9))
-                assert results_identical(reference, result)
-                assert not result.degraded
-        finally:
-            single.close()
-        assert not leaked_segments()
-
-    def test_stats_and_health_aggregate_members(self, collection):
-        async def main():
-            async with ClusterCoordinator(collection, groups=2) as coordinator:
-                await coordinator.submit(collection[0], k=5)
-                stats = coordinator.stats()
-                health = coordinator.health()
-            return stats, health, coordinator.health()
-
-        stats, live_health, stopped_health = asyncio.run(main())
-        assert len(stats.members) == 2
-        assert stats.submitted == 2 and stats.completed == 2
-        assert stats.cost.bytes_read == sum(
-            member.cost.bytes_read for member in stats.members
-        )
-        assert live_health.running and not live_health.degraded_members
-        assert not stopped_health.running
-        assert stopped_health.degraded_members == (0, 1)
-
-    def test_stopped_member_fails_or_degrades_by_policy(self, collection):
-        async def main(on_group_failure):
-            coordinator = ClusterCoordinator(
-                collection, groups=2, on_group_failure=on_group_failure
-            )
-            async with coordinator:
-                await coordinator.services[1].stop()
-                if on_group_failure == "fail":
-                    with pytest.raises(ServiceClosed):
-                        await coordinator.submit(collection[4], k=6)
-                    return None
-                return await coordinator.submit(collection[4], k=6)
-
-        assert asyncio.run(main("fail")) is None
-        partial = asyncio.run(main("partial"))
-        assert partial.degraded and partial.failed_shards == (1,)
-        # Every OID comes from group 0's row range.
-        plan = ShardPlan.balanced(len(collection), 2)
-        assert all(plan.shard_of(int(oid)) == 0 for oid in partial.oids)
-
-    def test_rejects_bad_configuration(self, collection):
-        with pytest.raises(QueryError, match="on_group_failure"):
-            ClusterCoordinator(collection, on_group_failure="shrug")
-        with pytest.raises(QueryError, match="group plan"):
-            ClusterCoordinator(
-                collection, groups=ShardPlan.balanced(10, 2)
-            )
-
-    def test_stop_closes_owned_indexes(self, collection):
-        async def main():
-            coordinator = ClusterCoordinator(
-                collection,
-                groups=2,
-                index_options={"shards": 2, "shard_executor": "process"},
-            )
-            async with coordinator:
-                await coordinator.submit(collection[12], k=5)
-            return coordinator
-
-        asyncio.run(main())
-        assert not leaked_segments()

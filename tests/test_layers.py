@@ -5,7 +5,7 @@ function — must point *down* this order; packages on one rung are siblings
 and may not import each other either:
 
     errors < {engine, metrics, bounds, reliability} < storage < kernels < core
-           < {baselines, approx, mutability, workload} < api < serving < cluster
+           < {baselines, approx, mutability, workload, cluster} < api < serving
 
 ``datasets``, ``experiments`` and ``instrumentation`` sit outside the order as
 leaves: they may import any layer, and no layer may import them.  The root
@@ -28,19 +28,21 @@ LAYERS = (
     ("storage",),
     ("kernels",),
     ("core",),
-    ("baselines", "approx", "mutability", "workload"),
+    # cluster runs core's shard searchers in worker processes.
+    ("baselines", "approx", "mutability", "workload", "cluster"),
     ("api",),
     ("serving",),
-    # The coordinator runs a SearchService over an Index.
-    ("cluster",),
 )
 RANK = {package: rank for rank, rung in enumerate(LAYERS) for package in rung}
 LEAVES = frozenset({"datasets", "experiments", "instrumentation"})
 
 #: Known upward imports, (importing file, imported module) -> occurrences.
-#: ``ShardedBondSearcher`` imports its executors lazily because the cluster
-#: coordinator imports ``core.parallel``; it goes when the executor and the
-#: shared-memory module move beside ``core/parallel.py``.
+#: ``ShardedBondSearcher`` imports its executors lazily from ``cluster``, one
+#: rung up.  It goes when the executor and the shared-memory module move
+#: beside ``core/parallel.py``; that move waits for a change that may also
+#: update ``bench/layers.py`` and ``bench/tracing.py``, which import
+#: ``repro.cluster``, ``repro.cluster.executor`` and ``repro.core.parallel``
+#: by these paths.
 ALLOWANCES = {("core/parallel.py", "repro.cluster.executor"): 2}
 
 

@@ -366,7 +366,7 @@ class TestLiveUpdates:
 
     @pytest.mark.parametrize(("backend", "scenario"), OVERLAY_CASES)
     def test_overlay_matches_rebuild_across_modes(
-        self, rng, backend, scenario, monkeypatch, no_shard_leaks
+        self, rng, backend, scenario, monkeypatch
     ):
         index_options, query_options = OVERLAY_BACKENDS[backend]
         metric = query_options["metric"]
@@ -415,7 +415,7 @@ class TestLiveUpdates:
     )
     @pytest.mark.parametrize("fragment_format", ["float64", "float32"])
     def test_score_rows_matches_the_backends_own_search(
-        self, rng, backend, mode, metric, fragment_format, no_shard_leaks
+        self, rng, backend, mode, metric, fragment_format
     ):
         # The overlay's rebuild identity rests on this: a backend scores a
         # row outside the index exactly as its searches score it inside one.

@@ -25,8 +25,6 @@ from repro.metrics.histogram import HistogramIntersection
 from repro.metrics.weighted import WeightedSquaredEuclidean
 from repro.storage.decomposed import DecomposedStore
 
-pytestmark = pytest.mark.usefixtures("no_shard_leaks")
-
 #: Odd, so with paired neighbours the k-th and (k+1)-th answers tie.
 K = 7
 

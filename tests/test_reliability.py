@@ -273,7 +273,7 @@ class TestChecksums:
 class TestShardFailure:
     def test_fail_mode_reraises(self, vectors):
         searcher = ShardedBondSearcher(
-            DecomposedStore(vectors), shards=3, workers=2, on_shard_failure="fail"
+            DecomposedStore(vectors), shards=3, on_shard_failure="fail"
         )
         with FaultPlan(seed=1).arm("shard.map", where={"shard": 1}):
             with pytest.raises(TransientBackendError):
@@ -281,10 +281,10 @@ class TestShardFailure:
         searcher.close()
 
     def test_partial_mode_degrades_and_flags(self, vectors):
-        full = ShardedBondSearcher(DecomposedStore(vectors), shards=3, workers=2)
+        full = ShardedBondSearcher(DecomposedStore(vectors), shards=3)
         reference = full.search(vectors[0], 5)
         partial = ShardedBondSearcher(
-            DecomposedStore(vectors), shards=3, workers=2, on_shard_failure="partial"
+            DecomposedStore(vectors), shards=3, on_shard_failure="partial"
         )
         with FaultPlan(seed=1).arm("shard.map", where={"shard": 1}):
             degraded = partial.search(vectors[0], 5)
@@ -304,7 +304,7 @@ class TestShardFailure:
 
     def test_partial_mode_with_no_survivors_raises(self, vectors):
         searcher = ShardedBondSearcher(
-            DecomposedStore(vectors), shards=2, workers=2, on_shard_failure="partial"
+            DecomposedStore(vectors), shards=2, on_shard_failure="partial"
         )
         with FaultPlan(seed=1).arm("shard.map"):
             with pytest.raises(TransientBackendError):

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import SeedBondSearcher
 
 from repro.api import Index, Query
 from repro.errors import (
@@ -32,6 +33,7 @@ from repro.errors import (
     ServiceClosed,
     ServingError,
 )
+from repro.reliability import FaultPlan
 from repro.serving import (
     FifoAdmission,
     OverlapAdmission,
@@ -173,6 +175,85 @@ class TestServedIdentity:
         for batch in stats.recent_batches:
             # All riders of one batch were answered at one k.
             assert len({served[s].k for s in batch.sequence_numbers}) == 1
+
+
+def serve_in_turn(index, vectors, k):
+    """One service life that submits ``vectors`` one after another, so each
+    is a batch of one (a batch of several may plan another backend)."""
+
+    async def main():
+        async with SearchService(index) as service:
+            results = [await service.submit(vector, k=k) for vector in vectors]
+        return results, service.stats()
+
+    return asyncio.run(main())
+
+
+class TestShardedServing:
+    """One service over a sharded index is the scatter-gather deployment:
+    the index scatters each batch to its shards and merges, the service
+    adds batching, retries and failover on top."""
+
+    def serve_shard_faulted(self, data, queries, *, shard_executor, on_shard_failure):
+        """Serve ``queries`` (k=7) with shard 1's ``shard.map`` faulted; return the
+        answers, the service stats and a fault-free ``index.answer`` of each."""
+        index = Index.build(
+            data, shards=3, shard_executor=shard_executor, on_shard_failure=on_shard_failure
+        )
+        try:
+            direct = [index.answer(Query(vector, k=7)) for vector in queries]
+            assert index.plan(Query(queries[0], k=7)).backend_name == "sharded_bond"
+            with FaultPlan(seed=1).arm("shard.map", where={"shard": 1}):
+                served, stats = serve_in_turn(index, queries, 7)
+            return served, stats, direct, index.shard_plan
+        finally:
+            index.close()
+
+    def test_fault_free_answers_are_index_answer_and_the_oracle(self, corel_histograms):
+        queries = corel_histograms[[4, 250, 999]]
+        with Index.build(
+            corel_histograms, shards=3, shard_executor="process", on_shard_failure="partial"
+        ) as index:
+            assert index.plan(Query(queries[0], k=7)).backend_name == "sharded_bond"
+            served, stats = serve_in_turn(index, queries, 7)
+            direct = [index.answer(Query(vector, k=7)) for vector in queries]
+        assert {batch.backend for batch in stats.recent_batches} == {"sharded_bond"}
+        seed = SeedBondSearcher(corel_histograms)
+        for vector, mine, reference in zip(queries, served, direct):
+            assert not mine.degraded
+            assert results_identical(mine, reference)
+            assert results_identical(mine, seed.search(vector, 7))
+
+    @pytest.mark.parametrize("shard_executor", ["thread", "process"])
+    def test_partial_policy_serves_a_degraded_answer_without_the_dead_shard(
+        self, corel_histograms, shard_executor
+    ):
+        served, stats, _, plan = self.serve_shard_faulted(
+            corel_histograms,
+            corel_histograms[[4, 250, 999]],
+            shard_executor=shard_executor,
+            on_shard_failure="partial",
+        )
+        for result in served:
+            assert result.degraded and result.failed_shards == (1,)
+            assert all(plan.shard_of(int(oid)) != 1 for oid in result.oids)
+        assert stats.failovers == 0 and stats.failed == 0
+        assert {batch.backend for batch in stats.recent_batches} == {"sharded_bond"}
+
+    @pytest.mark.parametrize("shard_executor", ["thread", "process"])
+    def test_fail_policy_fails_over_to_a_complete_answer(
+        self, corel_histograms, shard_executor
+    ):
+        queries = corel_histograms[[4]]
+        served, stats, direct, _ = self.serve_shard_faulted(
+            corel_histograms, queries, shard_executor=shard_executor, on_shard_failure="fail"
+        )
+        (result,) = served
+        assert not result.degraded
+        assert results_identical(result, direct[0])
+        assert results_identical(result, SeedBondSearcher(corel_histograms).search(queries[0], 7))
+        assert stats.failovers == 1
+        assert stats.recent_batches[-1].backend != "sharded_bond"
 
 
 class TestBudgetAndFlushOrdering:

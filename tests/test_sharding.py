@@ -19,7 +19,7 @@ from repro.core.parallel import ShardedBondSearcher, merge_traces
 from repro.core.planner import FixedPeriodSchedule, MassAwareSchedule
 from repro.core.result import PruningTrace
 from repro.engine.cost import CostAccount, CostModel
-from repro.errors import StorageError
+from repro.errors import QueryError, StorageError
 from repro.kernels.interval import provably_zero_dimensions
 from repro.metrics.euclidean import SquaredEuclidean
 from repro.metrics.histogram import HistogramIntersection
@@ -28,9 +28,6 @@ from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.sharding import ShardPlan, shard_view
 from repro.workload.ground_truth import exact_top_k
-
-# Every test in this file must close the engines it opens (tests/conftest.py).
-pytestmark = pytest.mark.usefixtures("no_shard_leaks")
 
 
 def results_identical(left, right) -> bool:
@@ -170,7 +167,7 @@ class TestShardedExactIdentity:
         metric = exact_metrics(corel_histograms.shape[1])[metric_index]
         reference = BondSearcher(DecomposedStore(corel_histograms), metric=metric)
         sharded = ShardedBondSearcher(
-            DecomposedStore(corel_histograms), metric=metric, shards=shards, workers=1
+            DecomposedStore(corel_histograms), metric=metric, shards=shards
         )
         queries = corel_histograms[[5, 77, 803]]
         assert batches_identical(
@@ -178,7 +175,7 @@ class TestShardedExactIdentity:
         )
 
     def test_trace_is_recorded_into_caller_buffer(self, corel_histograms):
-        sharded = ShardedBondSearcher(DecomposedStore(corel_histograms), shards=2, workers=1)
+        sharded = ShardedBondSearcher(DecomposedStore(corel_histograms), shards=2)
         trace = PruningTrace()
         result = sharded.search(corel_histograms[9], 5, trace=trace)
         assert result.candidate_trace is trace
@@ -190,7 +187,7 @@ class TestShardedExactIdentity:
         # k rows each and the merge must still produce the global top-k.
         small = corel_histograms[:30]
         reference = BondSearcher(DecomposedStore(small))
-        sharded = ShardedBondSearcher(DecomposedStore(small), shards=4, workers=1)
+        sharded = ShardedBondSearcher(DecomposedStore(small), shards=4)
         assert results_identical(
             reference.search(small[2], 20), sharded.search(small[2], 20)
         )
@@ -210,7 +207,6 @@ class TestShardedCompressedIdentity:
             CompressedStore(DecomposedStore(corel_histograms)),
             metric=metric,
             shards=shards,
-            workers=1,
         )
         queries = corel_histograms[[8, 450, 1001]]
         assert batches_identical(
@@ -222,7 +218,7 @@ class TestShardedCompressedIdentity:
         data = clustered_vectors * 3.0 - 1.0
         metric = SquaredEuclidean(require_unit_box=False)
         sharded = ShardedBondSearcher(
-            CompressedStore(DecomposedStore(data)), metric=metric, shards=3, workers=2
+            CompressedStore(DecomposedStore(data)), metric=metric, shards=3
         )
         for query_index in (1, 64, 1000):
             expected = exact_top_k(data, data[query_index], 10, metric)
@@ -250,9 +246,7 @@ def test_sharded_identity_property(shards, k, data_seed):
     queries = data[rng.choice(180, 3, replace=False)]
 
     exact_reference = BondSearcher(DecomposedStore(data))
-    exact_sharded = ShardedBondSearcher(
-        DecomposedStore(data), shards=shards, workers=1
-    )
+    exact_sharded = ShardedBondSearcher(DecomposedStore(data), shards=shards)
     assert batches_identical(
         exact_reference.search_batch(queries, k), exact_sharded.search_batch(queries, k)
     )
@@ -261,7 +255,6 @@ def test_sharded_identity_property(shards, k, data_seed):
     compressed_sharded = ShardedBondSearcher(
         CompressedStore(DecomposedStore(data)),
         shards=shards,
-        workers=1,
     )
     assert batches_identical(
         compressed_reference.search_batch(queries, k),
@@ -269,11 +262,10 @@ def test_sharded_identity_property(shards, k, data_seed):
     )
 
 
-#: The three ways the one engine can run its shards.
+#: The two ways the one engine can run its shards.
 EXECUTORS = {
-    "inline": lambda shards: {},
-    "thread pool": lambda shards: {"workers": shards},
-    "process": lambda shards: {"executor": "process"},
+    "inline": {},
+    "process": {"executor": "process"},
 }
 
 
@@ -297,7 +289,7 @@ def answer_record(results, cost):
 def test_identity_lattice(corel_histograms, kind, shards, schedule):
     """The one engine over kind x executor x shards x call shape x schedule.
 
-    OIDs, scores, trace and cost account are equal across the three
+    OIDs, scores, trace and cost account are equal across the two
     executors, ``search(q)`` equals ``search_batch(q[None])`` on each of them,
     and (OIDs, scores) are bitwise the unsharded searcher's.
     """
@@ -311,7 +303,7 @@ def test_identity_lattice(corel_histograms, kind, shards, schedule):
 
     reference = unsharded(make_store(), schedule=schedule)
     engines = {
-        name: ShardedBondSearcher(make_store(), schedule=schedule, shards=shards, **options(shards))
+        name: ShardedBondSearcher(make_store(), schedule=schedule, shards=shards, **options)
         for name, options in EXECUTORS.items()
     }
     try:
@@ -341,20 +333,25 @@ def shard_threads() -> list[str]:
     return [thread.name for thread in threading.enumerate() if thread.name.startswith("repro-shard")]
 
 
-def test_only_an_in_process_pool_starts_shard_threads(corel_histograms):
-    """Process shards are scattered from the calling thread: an open,
-    searched process-mode engine runs no dispatch thread, whatever its
-    worker count.  In-process shards start a pool only for ``workers > 1``."""
+def test_no_engine_configuration_starts_shard_threads(corel_histograms):
+    """In-process shards run inline and process shards are scattered from
+    the calling thread: an open, searched engine runs no ``repro-shard``
+    thread, whatever its executor or worker count."""
     data = corel_histograms[:300]
     query = data[17]
-    for options in ({"executor": "process"}, {"executor": "process", "workers": 1}, {}):
+    for options in ({}, {"executor": "process"}, {"executor": "process", "workers": 1}):
         with ShardedBondSearcher(DecomposedStore(data), shards=3, **options) as engine:
             engine.search(query, 5)
             engine.search_batch(data[:4], 5)
             assert not shard_threads(), options
-    with ShardedBondSearcher(DecomposedStore(data), shards=3, workers=3) as engine:
-        engine.search(query, 5)
-        assert shard_threads()
+
+
+def test_workers_with_the_in_process_executor_is_rejected(corel_histograms):
+    store = DecomposedStore(corel_histograms[:300])
+    with pytest.raises(QueryError, match="in-process shards run inline"):
+        ShardedBondSearcher(store, shards=3, workers=1)
+    with pytest.raises(QueryError, match="in-process shards run inline"):
+        ShardedBondSearcher(store, shards=3, workers=3, executor="thread")
 
 
 # -- cost aggregation --------------------------------------------------------
@@ -378,7 +375,7 @@ def test_one_shard_costs_the_unsharded_search_plus_the_merge(corel_histograms, m
 class TestShardedCostAggregation:
     def test_parent_receives_exactly_the_shard_deltas_plus_merge(self, corel_histograms):
         store = DecomposedStore(corel_histograms)
-        sharded = ShardedBondSearcher(store, shards=3, workers=1)
+        sharded = ShardedBondSearcher(store, shards=3)
         shard_stores = [searcher.store for searcher in sharded.shard_searchers]
         before_shard = [s.cost.checkpoint() for s in shard_stores]
         result = sharded.search(corel_histograms[12], 10)
@@ -396,7 +393,7 @@ class TestShardedCostAggregation:
 
     def test_parent_untouched_while_only_shards_charge(self, corel_histograms):
         store = DecomposedStore(corel_histograms)
-        sharded = ShardedBondSearcher(store, shards=2, workers=1)
+        sharded = ShardedBondSearcher(store, shards=2)
         checkpoint = store.cost.checkpoint()
         sharded.shard_searchers[0].store.fragment(1)
         assert store.cost.since(checkpoint).bytes_read == 0
@@ -546,9 +543,7 @@ class TestQuerySideEarlyOut:
         queries = data[:5]
         reference = CompressedBondSearcher(CompressedStore(DecomposedStore(data)))
         batch = reference.search_batch(queries, 6)
-        sharded = ShardedBondSearcher(
-            CompressedStore(DecomposedStore(data)), shards=3, workers=1
-        )
+        sharded = ShardedBondSearcher(CompressedStore(DecomposedStore(data)), shards=3)
         assert batches_identical(batch, sharded.search_batch(queries, 6))
 
 
@@ -584,7 +579,6 @@ class TestIndexShardingOptions:
 
     def test_invalid_shard_count_rejected(self, corel_histograms):
         from repro.api import Index
-        from repro.errors import QueryError
 
         with pytest.raises(QueryError):
             Index.build(corel_histograms, shards=0)
