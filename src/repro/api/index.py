@@ -70,6 +70,7 @@ from repro.approx import (
     build_cluster_plan,
     build_hnsw_graph,
 )
+from repro.cluster.shm import decompose_shared
 from repro.core.parallel import check_shard_options
 from repro.core.result import BatchSearchResult, SearchResult
 from repro.engine.cost import CostModel
@@ -757,21 +758,23 @@ class Index:
                 # Build the merged store and commit it durably BEFORE the
                 # swap: if anything here raises (including injected faults),
                 # the live epoch, its tail, and the WAL are untouched.
-                new_epoch.decomposed = DecomposedStore(
-                    merged, cost=self._cost, name=self._name, format=self._format
-                )
-                save_decomposed(
-                    new_epoch.decomposed,
-                    self._home,
-                    overwrite=True,
-                    extra_manifest=self._manifest_options(
-                        ShardPlan.balanced(int(merged.shape[0]), self._shards)
-                    ),
-                    generation=generation,
-                    wal_lsn=epoch.tail.last_lsn,
-                    durable=True,
-                )
-                token = wal_token((self._home / MANIFEST_NAME).read_bytes())
+                new_epoch.decomposed = self._decompose(merged)
+                try:
+                    save_decomposed(
+                        new_epoch.decomposed,
+                        self._home,
+                        overwrite=True,
+                        extra_manifest=self._manifest_options(
+                            ShardPlan.balanced(int(merged.shape[0]), self._shards)
+                        ),
+                        generation=generation,
+                        wal_lsn=epoch.tail.last_lsn,
+                        durable=True,
+                    )
+                    token = wal_token((self._home / MANIFEST_NAME).read_bytes())
+                except BaseException:
+                    self._close_epoch_resources(new_epoch)
+                    raise
                 # The commit owns every logged record; swap, then retire the
                 # old log under the new lineage.  A crash between the commit
                 # and the reset is safe: the old log's token no longer
@@ -781,9 +784,10 @@ class Index:
                 self._wal.reset(token=token)
             else:
                 self._epoch = new_epoch
-            # The superseded epoch's cached searchers can hold real resources
-            # (process pools, shared-memory segments); tear them down once
-            # the last query pinned to it finishes — never under a reader.
+            # The superseded epoch's cached searchers and its store's segment
+            # are real resources (process pools, shared memory); tear them
+            # down once the last query pinned to it finishes — never under a
+            # reader.
             epoch.retire(lambda: self._close_epoch_resources(epoch))
             return generation
 
@@ -791,11 +795,14 @@ class Index:
 
     @staticmethod
     def _close_epoch_resources(epoch: Epoch) -> None:
-        """Close everything one epoch's cache holds onto.
+        """Close everything one epoch holds onto.
 
         Cached searchers that expose ``close()`` (the sharded engines — their
-        process pools and shared-memory segments must not outlive the epoch)
-        are closed; plain searchers are simply dropped.
+        process pools must not outlive the epoch) are closed; plain searchers
+        are simply dropped.  A store decomposed into a shared-memory segment
+        is dropped with the epoch's reference on the segment, which unlinks
+        it; views still held elsewhere keep their pages, and a later use of
+        the epoch decomposes afresh.
         """
         searchers = list(epoch.searchers.values())
         epoch.searchers.clear()
@@ -803,15 +810,20 @@ class Index:
             closer = getattr(searcher, "close", None)
             if callable(closer):
                 closer()
+        store = epoch.decomposed
+        if store is not None and store.segment is not None:
+            epoch.decomposed = None
+            epoch.compressed = None
+            store.segment.release()
 
     def close(self) -> None:
         """Release every resource the index owns (idempotent).
 
         Closes the current epoch's cached backend engines — including any
-        process-pool sharded engines, whose worker processes exit and whose
-        shared-memory segments are unlinked — and, on an attached index, the
-        write-ahead log.  Answering again after
-        ``close()`` is permitted (engines rebuild lazily), but further
+        process-pool sharded engines, whose worker processes exit — unlinks
+        the shared-memory segment a process-sharded store lives in and, on an
+        attached index, closes the write-ahead log.  Answering again after
+        ``close()`` is permitted (stores and engines rebuild lazily), but further
         mutations on an attached index are not.  ``Index`` is also a context
         manager: ``with Index.build(...) as index: ...`` closes on exit.
         """
@@ -920,11 +932,23 @@ class Index:
         """The vertically decomposed representation, built on first use."""
         epoch = self._current_epoch()
         if epoch.decomposed is None:
-            source = epoch.input if epoch.input is not None else self.vectors
-            epoch.decomposed = DecomposedStore(
-                source, cost=self._cost, name=self._name, format=self._format
-            )
+            # Under the lock: a store decomposed into shared memory that lost
+            # a race would keep its segment until exit.
+            with self._mutation_lock:
+                if epoch.decomposed is None:
+                    source = epoch.input if epoch.input is not None else self.vectors
+                    epoch.decomposed = self._decompose(source)
         return epoch.decomposed
+
+    def _decompose(self, source: np.ndarray) -> DecomposedStore:
+        """The decomposed store of ``source``.  With process shards and a
+        RAM-resident format it is decomposed straight into the shared-memory
+        segment every process pool of the epoch attaches (the epoch owns it;
+        see :meth:`_close_epoch_resources`); otherwise it is private."""
+        options = {"cost": self._cost, "name": self._name, "format": self._format}
+        if self._shards > 1 and self._shard_executor == "process" and not self._format.is_mapped:
+            return decompose_shared(source, **options)
+        return DecomposedStore(source, **options)
 
     @property
     def compressed(self) -> CompressedStore:

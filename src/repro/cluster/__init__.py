@@ -1,9 +1,11 @@
 """``repro.cluster``: process-pool shard execution.
 
 The sharded engine of :mod:`repro.core.parallel` accepts
-``executor="process"``: fragments are published once into
-``multiprocessing.shared_memory`` (:mod:`repro.cluster.shm`), worker
-processes attach zero-copy and build their shards from the same
+``executor="process"``: fragments live in ``multiprocessing.shared_memory``
+(:mod:`repro.cluster.shm`) — a process-sharded index decomposes straight
+into one segment that all its pools share, any other store is copied into
+one per engine — worker processes attach zero-copy and build their shards
+from the same
 :class:`~repro.cluster.executor.EngineSpec` recipe the in-process executor
 uses (:mod:`repro.cluster.executor`), and per-shard results and explicit
 cost-account wire tuples come back to the parent's deterministic merge.

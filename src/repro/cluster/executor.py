@@ -26,9 +26,12 @@ policy and merges without knowing which one it holds:
   calling thread, in shard order, against the parent's own arrays;
 * :class:`ProcessShardExecutor` moves each shard's whole search into a
   **worker process** running the identical searcher over the identical
-  bytes: the parent publishes the store's fragment columns once into shared
-  memory (:mod:`repro.cluster.shm`), workers attach zero-copy and build their
-  shards from the pickled spec, results travel back as plain picklable
+  bytes: workers attach the store's shared-memory segment zero-copy
+  (:mod:`repro.cluster.shm`) and build their shards from the pickled spec —
+  an index's process-sharded store was decomposed straight into that
+  segment, so every pool of the index attaches the same one, while a store
+  without a segment (a direct engine's, a mapped or an opened one) is
+  published by copy first; results travel back as plain picklable
   :class:`~repro.core.result.SearchResult` objects (float64 survives
   pickling bit for bit) and cost accounts as the explicit
   :meth:`~repro.engine.cost.CostAccount.to_wire` tuples — never as live
@@ -62,7 +65,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.cluster.shm import SharedStoreSegment, StoreSpec, attach_store
+from repro.cluster.shm import SharedStoreSegment, StoreSpec, attach_store, publish
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
 from repro.engine.cost import CostAccount
@@ -295,10 +298,11 @@ class ProcessShardExecutor:
         *,
         context: str | None = None,
     ) -> "ProcessShardExecutor":
-        """Publish ``store`` and start a pool over it; the pool holds the
-        segment's only reference, so :meth:`close` unlinks it."""
+        """Start a pool over ``store``'s segment (:func:`~repro.cluster.shm.publish`:
+        the one its store carries, else a copy); :meth:`close` drops the
+        pool's reference, which unlinks a copy."""
         exact, compressed = engine_spec.split(store)
-        segment = SharedStoreSegment(exact, compressed=compressed)
+        segment = publish(exact, compressed=compressed)
         try:
             return cls(segment, engine_spec, plan, workers, context=context)
         finally:

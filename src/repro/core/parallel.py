@@ -14,6 +14,9 @@ The shards run on one of two executors behind one protocol
 (:mod:`repro.cluster.executor`): inline on the calling thread, or, with
 ``executor="process"``, in worker processes over shared-memory fragments
 (:mod:`repro.cluster`), which takes the Python-level scan loop off the GIL.
+The workers attach the segment the store was decomposed into when it has
+one (a process-sharded :class:`~repro.api.index.Index`'s store does), and a
+copy of the store's fragments otherwise.
 Answers and cost accounts are bitwise identical across both (the same
 searchers run over the same bytes and the parent applies the same merge).
 
@@ -181,9 +184,10 @@ class ShardedBondSearcher:
         merged and flagged (``result.degraded`` / ``result.failed_shards``).
     executor:
         ``"thread"`` (default) searches the shards in this process;
-        ``"process"`` publishes the fragments into shared memory once and
-        runs each shard's search in a worker process (bitwise-identical
-        answers and cost accounts).  Process mode needs picklable metric /
+        ``"process"`` runs each shard's search in a worker process over the
+        store's shared-memory segment — the one it carries, else a copy
+        made when the pool starts (bitwise-identical answers and cost
+        accounts).  Process mode needs picklable metric /
         bound / ordering / schedule objects.
     process_context:
         Multiprocessing start method of process mode (``"fork"`` /
@@ -266,8 +270,8 @@ class ShardedBondSearcher:
 
         In process mode this stops the worker processes and releases the
         engine's reference on the shared-memory segment — the last holder
-        unlinks it, so a closed engine leaves nothing behind in
-        ``/dev/shm``."""
+        unlinks it, so a closed engine over a copy leaves nothing behind in
+        ``/dev/shm`` (a carried segment goes with its owner's reference)."""
         if self._executor is not None:
             self._executor.close()
             self._executor = None

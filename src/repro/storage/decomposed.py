@@ -78,24 +78,47 @@ class DecomposedStore:
         format: FragmentFormat | str | None = None,
     ) -> None:
         fragment_format = FragmentFormat.coerce(format)
-        matrix = np.asarray(vectors, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise StorageError(f"expected a 2-D vector matrix, got shape {matrix.shape}")
-        if matrix.shape[0] == 0 or matrix.shape[1] == 0:
-            raise StorageError("the collection must contain at least one vector and one dimension")
-        self.name = name
-        self._cost = cost if cost is not None else CostModel()
-        self._cardinality = int(matrix.shape[0])
-        self._dimensionality = int(matrix.shape[1])
+        matrix = vector_matrix(vectors)
         # Each fragment owns a *contiguous* copy of its column: vertical
         # decomposition is a physical layout, and a strided view into the
         # row-major matrix would silently read with row-store locality —
         # every fragment scan would drag the neighbouring dimensions through
-        # the cache, defeating the paper's point.  Narrow formats quantise
-        # here, once; all later arithmetic runs over the float64-widened
-        # values of exactly these coefficients.
-        fragment_array = _decompose(matrix, fragment_format.np_dtype)
-        tails = list(fragment_array)
+        # the cache, defeating the paper's point.
+        fragments = np.empty(matrix.shape[::-1], dtype=fragment_format.np_dtype)
+        self._ingest(
+            matrix,
+            fragments,
+            None,
+            fragment_format=fragment_format,
+            cost=cost,
+            name=name,
+            precompute_row_sums=precompute_row_sums,
+            segment=None,
+        )
+
+    def _ingest(
+        self,
+        matrix: np.ndarray,
+        fragments: np.ndarray,
+        row_sum_column: np.ndarray | None,
+        *,
+        fragment_format: FragmentFormat,
+        cost: CostModel | None,
+        name: str,
+        precompute_row_sums: bool,
+        segment,
+    ) -> None:
+        """Decompose ``matrix`` into ``fragments`` (a ``(dimensionality,
+        stride)`` array, ``stride >= cardinality``) and assemble the store
+        over it.  Narrow formats quantise here, once; all later arithmetic
+        runs over the float64-widened values of exactly these coefficients.
+        ``row_sum_column``, when given, receives the ``T(v)`` column."""
+        self.name = name
+        self._cost = cost if cost is not None else CostModel()
+        self._cardinality = int(matrix.shape[0])
+        self._dimensionality = int(matrix.shape[1])
+        _decompose(matrix, fragments)
+        tails = list(fragments[:, : self._cardinality])
         row_sum_tail = None
         if fragment_format.is_identity:
             if precompute_row_sums:
@@ -110,8 +133,11 @@ class DecomposedStore:
                 # per-row reduction a later lazy widening would produce), so
                 # the Ev bound sees the collection the fragments actually hold.
                 row_sum_tail = self._widened_from(tails).sum(axis=1)
+        if row_sum_column is not None:
+            row_sum_column[:] = row_sum_tail
+            row_sum_tail = row_sum_column
         mmap_dir = None
-        flat = (fragment_array.reshape(-1), self._cardinality, 0)
+        flat = (fragments.reshape(-1), int(fragments.shape[1]), 0)
         if fragment_format.is_mapped:
             mmap_dir, tails = _spill_to_mmap(tails, name)
             flat = None
@@ -123,9 +149,50 @@ class DecomposedStore:
             mmap_dir=mmap_dir,
             mmap_owner=None,
             flat=flat,
+            segment=segment,
         )
 
     # -- alternate constructors ----------------------------------------------
+
+    @classmethod
+    def decompose_into(
+        cls,
+        vectors: np.ndarray,
+        fragments: np.ndarray,
+        row_sums: np.ndarray,
+        *,
+        segment,
+        cost: CostModel | None = None,
+        name: str = "collection",
+        format: FragmentFormat | str | None = None,
+    ) -> "DecomposedStore":
+        """Decompose ``vectors`` into memory the caller owns.
+
+        The shared-memory path of :func:`repro.cluster.shm.decompose_shared`:
+        ``fragments`` is a writable ``(dimensionality, stride)`` array of the
+        format's dtype (``stride >= cardinality``, so every fragment can start
+        on an aligned boundary) and ``row_sums`` a writable float64 column of
+        ``cardinality`` values.  The store is bitwise the one ``__init__``
+        builds — same transpose, same row sums, the caller's row matrix kept
+        for the identity format — but its tails, flat array and row-sum column
+        are views into that memory, and ``segment`` (its owner) is carried as
+        :attr:`segment`.  RAM-resident formats only.
+        """
+        fragment_format = FragmentFormat.coerce(format)
+        if fragment_format.is_mapped:
+            raise StorageError(f"a {fragment_format.spec} store cannot live in caller memory")
+        store = object.__new__(cls)
+        store._ingest(
+            vector_matrix(vectors),
+            fragments,
+            row_sums,
+            fragment_format=fragment_format,
+            cost=cost,
+            name=name,
+            precompute_row_sums=True,
+            segment=segment,
+        )
+        return store
 
     @classmethod
     def from_fragments(
@@ -237,6 +304,7 @@ class DecomposedStore:
         mmap_dir,
         mmap_owner,
         flat: tuple[np.ndarray, int, int] | None = None,
+        segment=None,
     ) -> None:
         """Shared tail-of-construction: wrap tails in BATs and init bookkeeping.
 
@@ -246,10 +314,12 @@ class DecomposedStore:
         ``array[dimension * stride + offset + oid]``, which lets
         :meth:`gather_block` fetch a restricted block with a single ``take``.
         Stores assembled from independent tails (loaded, mapped or
-        shared-memory fragments) pass ``None``.
+        shared-memory fragments) pass ``None``.  ``segment`` is the
+        shared-memory segment the fragments were decomposed into, if any.
         """
         self._format = fragment_format
         self._flat = flat
+        self._segment = segment
         self._coefficient_bytes = fragment_format.coefficient_bytes
         self._alignment_token = id(self)
         self._matrix = matrix
@@ -305,6 +375,14 @@ class DecomposedStore:
     def coefficient_bytes(self) -> int:
         """Bytes per stored coefficient — what fragment reads are charged at."""
         return self._coefficient_bytes
+
+    @property
+    def segment(self):
+        """The shared-memory segment this store was decomposed into, or
+        ``None`` for a private store.  A process-sharded index builds its
+        store in one (:func:`repro.cluster.shm.decompose_shared`), and every
+        process pool attaches that segment instead of copying the fragments."""
+        return self._segment
 
     # -- fragment access ------------------------------------------------------
 
@@ -564,20 +642,30 @@ class DecomposedStore:
 _DECOMPOSE_BLOCK_ROWS = 1024
 
 
-def _decompose(matrix: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """The ``(dimensionality, cardinality)`` fragment array of ``matrix``.
+def _decompose(matrix: np.ndarray, fragments: np.ndarray) -> None:
+    """Write the fragments of ``matrix`` into ``fragments[:, :cardinality]``.
 
-    Row ``d`` is the contiguous fragment of dimension ``d`` in ``dtype`` (the
-    assignment casts exactly like ``astype``).  Turning the matrix in row
-    blocks reads and writes every cache line once; one strided column copy
-    per dimension re-reads the whole matrix ``dimensionality / 8`` times.
+    Row ``d`` of ``fragments`` receives the contiguous fragment of dimension
+    ``d`` in its dtype (the assignment casts exactly like ``astype``).
+    Turning the matrix in row blocks reads and writes every cache line once;
+    one strided column copy per dimension re-reads the whole matrix
+    ``dimensionality / 8`` times.
     """
-    cardinality, dimensionality = matrix.shape
-    fragments = np.empty((dimensionality, cardinality), dtype=dtype)
+    cardinality = matrix.shape[0]
     for start in range(0, cardinality, _DECOMPOSE_BLOCK_ROWS):
         stop = min(start + _DECOMPOSE_BLOCK_ROWS, cardinality)
         fragments[:, start:stop] = matrix[start:stop].T
-    return fragments
+
+
+def vector_matrix(vectors: np.ndarray) -> np.ndarray:
+    """``vectors`` as the float64 ``|X| x N`` matrix a store ingests, or a
+    :class:`~repro.errors.StorageError` if it is not a non-empty 2-D one."""
+    matrix = np.asarray(vectors, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise StorageError(f"expected a 2-D vector matrix, got shape {matrix.shape}")
+    if matrix.shape[0] == 0 or matrix.shape[1] == 0:
+        raise StorageError("the collection must contain at least one vector and one dimension")
+    return matrix
 
 
 def _is_mapped(array: np.ndarray) -> bool:

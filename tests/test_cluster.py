@@ -13,6 +13,8 @@ wrong one — and the pool respawns a replacement).
 
 from __future__ import annotations
 
+import errno
+import gc
 import glob
 import os
 import signal
@@ -35,11 +37,13 @@ from repro.cluster import (
     attach_store,
 )
 from repro.cluster.executor import ProcessShardExecutor
+from repro.cluster.shm import decompose_shared, publish
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
 from repro.core.parallel import ShardedBondSearcher
 from repro.engine.cost import CostAccount
 from repro.errors import (
+    FaultInjectionError,
     QueryError,
     StorageError,
     TransientBackendError,
@@ -187,6 +191,93 @@ class TestSharedStoreSegment:
         # The rejected constructor released its reference; ours remains.
         assert segment.references == 1
         segment.release()
+        assert not leaked_segments()
+
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EIO], ids=["ENOSPC", "EIO"])
+    def test_segment_reservation_failure_leaves_no_segment(
+        self, collection, monkeypatch, code
+    ):
+        # A sparse segment past a full /dev/shm would SIGBUS on the first
+        # write; reserving its blocks turns that into an error up front.
+        def full(fd, offset, length):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "posix_fallocate", full)
+        store = DecomposedStore(collection)
+        expected = StorageError if code == errno.ENOSPC else OSError
+        with pytest.raises(expected) as caught:
+            SharedStoreSegment(store)
+        if code == errno.ENOSPC:
+            assert "/dev/shm" in str(caught.value)
+        with pytest.raises(expected):
+            decompose_shared(collection)
+        assert not leaked_segments()
+
+    def test_decomposed_into_a_segment_is_bitwise_the_private_store(self, collection):
+        for spec in ("float64", "float32", "float16"):
+            private = DecomposedStore(collection, format=spec)
+            shared = decompose_shared(collection, format=spec)
+            try:
+                memory = np.frombuffer(shared.segment._buffer, dtype=np.uint8)
+                for dim in range(private.dimensionality):
+                    assert shared._tails[dim].tobytes() == private._tails[dim].tobytes()
+                    assert np.shares_memory(shared._tails[dim], memory)
+                assert shared._row_sums.tail.tobytes() == private._row_sums.tail.tobytes()
+                assert np.shares_memory(shared._flat[0], memory)
+                oids = np.array([7, 3, 250, 3])
+                assert (
+                    shared.gather_block([5, 0, 2], oids).tobytes()
+                    == private.gather_block([5, 0, 2], oids).tobytes()
+                )
+                attached = attach_store(shared.segment.spec)
+                try:
+                    for dim in range(private.dimensionality):
+                        assert (
+                            attached.decomposed._tails[dim].tobytes()
+                            == private._tails[dim].tobytes()
+                        )
+                finally:
+                    attached.close()
+            finally:
+                shared.segment.release()
+        with pytest.raises(StorageError):
+            decompose_shared(collection, format="float64/mmap")
+        assert not leaked_segments()
+
+    def test_release_never_waits_on_a_held_view(self, collection):
+        store = decompose_shared(collection)
+        column = store.fragment_tail(4)
+        name = store.segment.name
+        store.segment.release()
+        assert not os.path.exists(f"/dev/shm/{name}")
+        del store
+        assert column.tobytes() == np.ascontiguousarray(collection[:, 4]).tobytes()
+
+    def test_publish_attaches_a_carried_segment_and_copies_otherwise(self, collection):
+        shared = decompose_shared(collection)
+        private = DecomposedStore(collection)
+        try:
+            assert publish(shared) is shared.segment
+            assert shared.segment.references == 2
+            shared.segment.release()
+            codes = publish(shared, compressed=CompressedStore(shared, bits=8))
+            assert codes.spec.segment == shared.segment.name
+            assert codes.spec.code_segment == codes.name != shared.segment.name
+            assert codes.spec.columns == shared.segment.spec.columns
+            # The code segment holds the carried one until it goes itself.
+            assert shared.segment.references == 2
+            codes.release()
+            assert shared.segment.references == 1
+            copy = publish(private)
+            assert copy.spec.segment == copy.name
+            copy.release()
+        finally:
+            shared.segment.release()
+        # A released carried segment is not attached again: the store is
+        # published like any other.
+        again = publish(shared)
+        assert again is not shared.segment
+        again.release()
         assert not leaked_segments()
 
 
@@ -394,6 +485,125 @@ class TestIndexProcessExecutor:
         # The facade reuses the engine's check (and its message).
         with pytest.raises(QueryError, match="executor must be one of"):
             Index.build(collection, shards=2, shard_executor="carrier-pigeon")
+
+
+class TestOneCopy:
+    """A process-sharded index keeps one copy of its fragments: its store is
+    decomposed straight into one segment, which every process pool of the
+    epoch attaches whatever its metric; compressed engines add a segment of
+    their code columns alone."""
+
+    QUERIES = (("histogram", HistogramIntersection()), ("euclidean", SquaredEuclidean()))
+
+    def answers_match_oracle(self, index, vectors, row):
+        for name, metric in self.QUERIES:
+            expected = SeedBondSearcher(vectors, metric).search(vectors[row], 7)
+            got = index.answer(Query(vectors[row], k=7, metric=name, backend="sharded_bond"))
+            assert results_identical(got, expected), name
+
+    def test_every_engine_attaches_the_store_segment(self, collection):
+        reference = Index.build(collection)
+        index = Index.build(collection, shards=3, shard_executor="process")
+        try:
+            store = index.decomposed
+            segment = store.segment
+            memory = np.frombuffer(segment._buffer, dtype=np.uint8)
+            assert all(np.shares_memory(tail, memory) for tail in store._tails)
+            assert np.shares_memory(store._row_sums.tail, memory)
+            self.answers_match_oracle(index, collection, 12)
+            compressed = Query(collection[12], k=7, mode="compressed")
+            assert results_identical(
+                index.answer(Query(collection[12], k=7, mode="compressed", backend="sharded_bond")),
+                reference.answer(compressed),
+            )
+            pools = [engine._executor for engine in index._epoch.searchers.values()]
+            assert len(pools) == 3
+            assert sorted(pool._segment.spec.segment for pool in pools) == [segment.name] * 3
+            names = {os.path.basename(path) for path in leaked_segments()}
+            code_segments = names - {segment.name}
+            assert segment.name in names and len(code_segments) == 1
+            # The exact engines hold the store segment itself; the compressed
+            # one holds its code segment, which holds the store segment.
+            assert segment.references == 4
+        finally:
+            index.close()
+            reference.close()
+        assert not leaked_segments()
+        assert segment.references == 0
+        assert index._epoch.decomposed is None
+        # A closed index answers again over a fresh segment.
+        try:
+            self.answers_match_oracle(index, collection, 30)
+            assert index.decomposed.segment is not segment
+        finally:
+            index.close()
+        assert not leaked_segments()
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"shards": 1, "shard_executor": "process"},
+            {"shards": 2, "shard_executor": "thread"},
+            {"shards": 2, "shard_executor": "process", "format": "float64/mmap"},
+        ],
+    )
+    def test_other_indexes_keep_a_private_store(self, collection, options):
+        with Index.build(collection, **options) as index:
+            assert index.decomposed.segment is None
+            index.answer(Query(collection[3], k=5, backend="sharded_bond"))
+        assert not leaked_segments()
+
+    def test_opened_index_publishes_by_copy(self, collection, tmp_path):
+        with Index.build(collection, shards=2, shard_executor="process") as built:
+            built.save(tmp_path / "store")
+        with Index.open(tmp_path / "store") as reopened:
+            assert reopened.decomposed.segment is None
+            self.answers_match_oracle(reopened, collection, 5)
+            assert len(leaked_segments()) == 2  # one copy per metric's engine
+        assert not leaked_segments()
+
+    def test_reorganize_keeps_the_old_segment_for_a_pinned_reader(self, collection):
+        index = Index.build(collection, shards=2, shard_executor="process")
+        fresh = np.round(collection[:4] * 0.5 + 0.05, 2)
+        fresh /= fresh.sum(axis=1, keepdims=True)
+        merged = np.concatenate([collection, fresh])
+        try:
+            with index.pin():
+                self.answers_match_oracle(index, collection, 8)
+                old = index.decomposed.segment
+                index.insert(fresh)
+                assert index.reorganize() == 1
+                # The pinned reader still reads the old generation, over the
+                # old segment, which the swap did not release.
+                assert os.path.exists(f"/dev/shm/{old.name}")
+                self.answers_match_oracle(index, collection, 8)
+            gc.collect()
+            assert old.references == 0
+            assert not leaked_segments()
+            self.answers_match_oracle(index, merged, 8)
+            assert index.decomposed.segment is not old
+            assert len(leaked_segments()) == 1
+        finally:
+            index.close()
+        assert not leaked_segments()
+
+    def test_failed_reorganize_commit_releases_the_new_segment(
+        self, collection, tmp_path
+    ):
+        index = Index.build(collection, shards=2, shard_executor="process")
+        try:
+            index.save(tmp_path / "store")
+            index.insert(np.round(collection[:2] * 0.9, 2))
+            plan = FaultPlan(seed=7).arm("manifest.commit", error=FaultInjectionError, times=1)
+            with plan:
+                with pytest.raises(FaultInjectionError):
+                    index.reorganize()
+            assert index.generation == 0
+            assert len(leaked_segments()) == 1
+            assert index.reorganize() == 1
+        finally:
+            index.close()
+        assert not leaked_segments()
 
 
 def _alive(pid: int) -> bool:
