@@ -33,7 +33,7 @@ from repro.api import (
     Searcher,
 )
 from repro.approx import ApproxConfig
-from repro.baselines import RTreeIndex, SimilarityNetwork, VAFile
+from repro.baselines import RTreeIndex, VAFile
 from repro.bounds import (
     EqBound,
     EvBound,
@@ -55,7 +55,6 @@ from repro.core import (
     IncreasingQueryOrdering,
     MassAwareSchedule,
     MultiFeatureBondSearcher,
-    PartialAbandonScan,
     RandomOrdering,
     SearchResult,
     SequentialScan,
@@ -182,7 +181,6 @@ __all__ = [
     "MassAwareSchedule",
     "MultiFeatureBondSearcher",
     "OverlapAdmission",
-    "PartialAbandonScan",
     "PartialState",
     "Plan",
     "PlanError",
@@ -210,7 +208,6 @@ __all__ = [
     "ServingConfig",
     "ServingError",
     "ServingStats",
-    "SimilarityNetwork",
     "SquaredEuclidean",
     "StorageError",
     "StreamMergingSearcher",

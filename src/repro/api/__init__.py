@@ -25,9 +25,7 @@ from repro.api.backends import (
     BondBackend,
     BUILTIN_BACKENDS,
     CompressedBondBackend,
-    HNSWBackend,
     IVFBackend,
-    PartialAbandonBackend,
     RTreeBackend,
     SequentialScanBackend,
     VAFileBackend,
@@ -54,13 +52,11 @@ __all__ = [
     "CompressedBondBackend",
     "CostEstimate",
     "DEFAULT_REGISTRY",
-    "HNSWBackend",
     "IVFBackend",
     "Index",
     "METRIC_ALIASES",
     "Plan",
     "PlanCandidate",
-    "PartialAbandonBackend",
     "QUERY_MODES",
     "Query",
     "QueryPlanner",

@@ -8,18 +8,16 @@ registry name      underlying searcher                             modes
 bond               :class:`repro.core.bond.BondSearcher`           exact
 sharded_bond       :class:`repro.core.parallel.ShardedBondSearcher`  exact+compressed
 sequential_scan    :class:`repro.core.sequential.SequentialScan`   exact
-partial_abandon    :class:`repro.core.sequential.PartialAbandonScan`  exact
 rtree              :class:`repro.baselines.rtree.RTreeIndex`       exact
 compressed_bond    :class:`repro.core.compressed.CompressedBondSearcher`  compressed
 vafile             :class:`repro.baselines.vafile.VAFile`          compressed
 ivf                :class:`repro.approx.ivf.IVFSearcher`           approx
-hnsw               :class:`repro.approx.hnsw.HNSWSearcher`         approx
 =================  ==============================================  =========
 
 (every exact backend additionally serves ``approx``, where the planner is
 free to pick the globally cheapest estimate — an exact answer is simply
-recall 1.0.  The converse never holds: ``ivf`` and ``hnsw`` declare
-``exact=False`` and are only ever eligible for ``mode="approx"``.)
+recall 1.0.  The converse never holds: ``ivf`` declares ``exact=False`` and
+is only ever eligible for ``mode="approx"``.)
 
 A backend contributes three things: a :class:`~repro.api.capabilities.Capabilities`
 declaration, a ``create()`` hook building the underlying searcher from an
@@ -45,7 +43,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.api.capabilities import Capabilities, CostEstimate, register_backend
-from repro.approx.hnsw import HNSWSearcher, effective_ef_search
 from repro.approx.ivf import IVFSearcher, effective_nprobe
 from repro.baselines.rtree import RTreeIndex
 from repro.baselines.vafile import VAFile
@@ -53,7 +50,7 @@ from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
 from repro.core.parallel import ShardedBondSearcher
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
-from repro.core.sequential import PartialAbandonScan, SequentialScan
+from repro.core.sequential import SequentialScan
 from repro.engine.cost import COMPRESSED_BYTES, DOUBLE_BYTES, OID_BYTES
 from repro.metrics.base import Metric
 from repro.reliability.faults import fault_point
@@ -271,42 +268,6 @@ class SequentialScanBackend(Backend):
 
     def create(self, index: "Index", metric: Metric) -> SequentialScan:
         return SequentialScan(index.row_store, metric=metric)
-
-
-class PartialAbandonBackend(Backend):
-    """The footnote-6 scan variant that abandons hopeless vectors early."""
-
-    capabilities = Capabilities(
-        backend="partial_abandon",
-        description="row scan with per-vector early abandonment (footnote 6)",
-        metrics=frozenset({"histogram_intersection", "squared_euclidean"}),
-        modes=frozenset({"exact", "approx"}),
-        weighted=False,
-        subspace=False,
-        batched=False,
-        compressed=False,
-        exact=True,
-    )
-    engine = "scan+abandon"
-
-    def estimate(self, index: "Index", query: "Query", metric: Metric) -> CostEstimate:
-        n, d = index.cardinality, index.dimensionality
-        reads = _batch_read_factor(query.batch_size, shared=False)
-        # Reads whole rows regardless of abandonment; the extra threshold
-        # comparisons make it slower than the plain scan on average, which is
-        # exactly the paper's observation.
-        return CostEstimate(
-            bytes_read=float(n * d * index.format.coefficient_bytes * reads),
-            arithmetic_ops=1.1 * n * d * query.batch_size,
-            detail="row order cannot see promising dimensions first" + _format_note(index),
-        )
-
-    def create(self, index: "Index", metric: Metric) -> PartialAbandonScan:
-        return PartialAbandonScan(index.row_store, metric=metric)
-
-    def score_rows(self, index, query, metric, columns):
-        """The scan's own blocked sums (:meth:`PartialAbandonScan.score_rows`)."""
-        return index.searcher_for(self, query, metric).score_rows(query.query_matrix, columns)
 
 
 class RTreeBackend(Backend):
@@ -606,77 +567,6 @@ class IVFBackend(Backend):
         )
 
 
-class HNSWBackend(Backend):
-    """Hierarchical navigable small-world graph with an ``ef_search`` beam.
-
-    Greedy descent through the upper layers, then a beam of width
-    ``ef_search`` on layer 0; wider beams evaluate more distances and reach
-    higher recall.  ``exact=False``: only the exhaustive fallback
-    (``ef_search >= cardinality``) is flagged exact.
-    """
-
-    capabilities = Capabilities(
-        backend="hnsw",
-        description="navigable small-world graph, ef_search-wide beam on layer 0",
-        metrics=frozenset({"squared_euclidean"}),
-        modes=frozenset({"approx"}),
-        weighted=False,
-        subspace=False,
-        batched=True,
-        compressed=False,
-        exact=False,
-    )
-    engine = "graph-beam"
-
-    def estimate(self, index: "Index", query: "Query", metric: Metric) -> CostEstimate:
-        n, d = index.cardinality, index.dimensionality
-        config = index.approx_config
-        params = query.approx_params
-        ef = effective_ef_search(
-            params.ef_search if params is not None else None,
-            params.target_recall if params is not None else None,
-            k=query.k,
-            cardinality=n,
-            default=config.default_ef_search,
-        )
-        if ef >= n:
-            # Exhaustive fallback: one full scan per query.
-            return CostEstimate(
-                bytes_read=float(n * d * DOUBLE_BYTES * query.batch_size),
-                arithmetic_ops=2.0 * n * d * query.batch_size,
-                detail=f"ef_search={ef} >= {n} rows: exhaustive fallback",
-            )
-        # Beam search evaluates ~ef_search * log2(N) candidates per query,
-        # each a random row access of d doubles.
-        evaluations = ef * max(1.0, np.log2(max(n, 2.0)))
-        return CostEstimate(
-            bytes_read=evaluations * d * DOUBLE_BYTES * query.batch_size,
-            arithmetic_ops=2.0 * evaluations * d * query.batch_size,
-            detail=f"~{evaluations:.0f} distance evaluations at ef_search={ef}",
-        )
-
-    def create(self, index: "Index", metric: Metric) -> HNSWSearcher:
-        return HNSWSearcher(
-            index.hnsw_graph,
-            index.vectors,
-            metric=metric,
-            cost=index.cost,
-            default_ef_search=index.approx_config.default_ef_search,
-        )
-
-    def _search(self, searcher, query: "Query", k: int, **options):
-        """Search with the query's ``approx_params`` knobs threaded through."""
-        params = query.approx_params
-        return super()._search(
-            searcher,
-            query,
-            k,
-            ef_search=params.ef_search if params is not None else None,
-            target_recall=params.target_recall if params is not None else None,
-            **options,
-        )
-
-
 #: The built-in backends, in planner tie-break order (the paper's preferred
 #: methods first).
 BUILTIN_BACKENDS = tuple(
@@ -687,9 +577,7 @@ BUILTIN_BACKENDS = tuple(
         ShardedBondBackend(),
         SequentialScanBackend(),
         VAFileBackend(),
-        PartialAbandonBackend(),
         RTreeBackend(),
         IVFBackend(),
-        HNSWBackend(),
     )
 )

@@ -62,14 +62,7 @@ import numpy as np
 from repro.api.capabilities import BackendRegistry
 from repro.api.planner import Plan, QueryPlanner
 from repro.api.query import Query
-from repro.approx import (
-    ApproxConfig,
-    ClusterPlan,
-    HNSWGraph,
-    IVFPartitions,
-    build_cluster_plan,
-    build_hnsw_graph,
-)
+from repro.approx import ApproxConfig, ClusterPlan, IVFPartitions, build_cluster_plan
 from repro.cluster.shm import decompose_shared
 from repro.core.parallel import check_shard_options
 from repro.core.result import BatchSearchResult, SearchResult
@@ -160,10 +153,9 @@ class Index:
         and restored by :meth:`open`.
     approx:
         The :class:`~repro.approx.ApproxConfig` (or a mapping of its fields)
-        of the approximate tier: IVF cluster count and k-means budget, HNSW
-        degree and construction beam, the shared seed, and the default query
-        knobs.  The structures themselves build lazily on first
-        ``mode="approx"`` use; built structures are persisted by
+        of the approximate tier: IVF cluster count, k-means budget and seed,
+        and the default probe count.  The structure itself builds lazily on
+        first ``mode="approx"`` use; once built it is persisted by
         :meth:`save` (manifest v4+ sidecar arrays) and reopened lazily by
         :meth:`open`.
     """
@@ -366,6 +358,8 @@ class Index:
         """
         manifest = load_manifest(path)
         saved = dict(manifest.get("index", {}))
+        if "approx" in saved:
+            saved["approx"] = ApproxConfig.from_manifest(saved["approx"])
         saved["name"] = str(manifest.get("name", pathlib.Path(path).name))
         saved.update(opts)
         cost = saved.pop("cost", None)
@@ -378,9 +372,11 @@ class Index:
             # override recomputes a fresh balanced plan instead).
             index._epoch.shard_plan = ShardPlan.from_manifest(manifest["sharding"])
         if "approx" in manifest:
-            # Persisted approximate structures load lazily, like the
-            # fragment stores: nothing is read until the first approx query
-            # (or explicit cluster_plan / hnsw_graph access) needs them.
+            # The persisted cluster plan loads lazily, like the fragment
+            # stores: nothing is read until the first approx query (or an
+            # explicit cluster_plan access) needs it.  Only its "ivf" record
+            # is ever read, so an older manifest's "hnsw" section is left out
+            # of the next commit, which then sweeps its sidecar files.
             index._epoch.approx_records = dict(manifest["approx"])
             index._epoch.approx_dir = pathlib.Path(path)
         index._recover(pathlib.Path(path), manifest)
@@ -415,9 +411,9 @@ class Index:
         The manifest records the build options under ``"index"`` (including
         the approximate-tier config) and the shard layout under
         ``"sharding"``, so :meth:`open` restores both the shard count and
-        the exact row boundaries.  Approximate structures that exist — built
+        the exact row boundaries.  An IVF cluster plan that exists — built
         in this process, or carried over from the manifest this index was
-        opened from — are persisted as sidecar arrays with the same
+        opened from — is persisted as sidecar arrays with the same
         integrity records as the fragments; an index that never touched the
         approximate tier writes no sidecars and its manifest carries no
         ``approx`` section.
@@ -497,42 +493,28 @@ class Index:
         self._wal = WriteAheadLog(home / WAL_NAME, token=token, next_lsn=1)
 
     def _approx_save_payload(self, generation: int = 0) -> tuple[dict, dict]:
-        """Manifest section + sidecar payloads of the existing approx structures.
+        """Manifest section + sidecar payloads of the IVF cluster plan.
 
-        "Existing" means built in memory or recorded in the manifest this
-        index was opened from (the latter are loaded here so a round trip
-        preserves them); structures that were never needed are not built
-        just to be saved.
+        Empty unless the plan exists: built in memory or recorded in the
+        manifest this index was opened from (loaded here so a round trip
+        preserves it); a plan that was never needed is not built just to be
+        saved.
         """
         epoch = self._current_epoch()
-        section: dict = {}
-        files: dict = {}
-        records = epoch.approx_records or {}
-        if epoch.cluster_plan is not None or "ivf" in records:
-            plan = self.cluster_plan
-            arrays, payload = approx_sidecar_records(
-                plan.to_arrays(), structure="ivf", generation=generation
-            )
-            section["ivf"] = {
+        if epoch.cluster_plan is None and "ivf" not in (epoch.approx_records or {}):
+            return {}, {}
+        plan = self.cluster_plan
+        arrays, files = approx_sidecar_records(
+            plan.to_arrays(), structure="ivf", generation=generation
+        )
+        section = {
+            "ivf": {
                 "seed": plan.seed,
                 "iterations": plan.iterations,
                 "n_clusters": plan.n_clusters,
                 "arrays": arrays,
             }
-            files.update(payload)
-        if epoch.hnsw_graph is not None or "hnsw" in records:
-            graph = self.hnsw_graph
-            arrays, payload = approx_sidecar_records(
-                graph.to_arrays(), structure="hnsw", generation=generation
-            )
-            section["hnsw"] = {
-                "m": graph.m,
-                "ef_construction": graph.ef_construction,
-                "seed": graph.seed,
-                "entry_point": graph.entry_point,
-                "arrays": arrays,
-            }
-            files.update(payload)
+        }
         return section, files
 
     # -- shape / shared state -----------------------------------------------------
@@ -879,35 +861,6 @@ class Index:
                 self.decomposed, self.cluster_plan, cost=self._cost, name=self._name
             )
         return epoch.ivf_partitions
-
-    @property
-    def hnsw_graph(self) -> HNSWGraph:
-        """The HNSW graph: persisted arrays if present, else a seeded build."""
-        epoch = self._current_epoch()
-        if epoch.hnsw_graph is None:
-            record = (epoch.approx_records or {}).get("hnsw")
-            if record is not None:
-                assert epoch.approx_dir is not None
-                arrays = {
-                    name: load_approx_array(epoch.approx_dir, array_record)
-                    for name, array_record in record["arrays"].items()
-                }
-                epoch.hnsw_graph = HNSWGraph.from_arrays(
-                    arrays,
-                    m=record["m"],
-                    ef_construction=record["ef_construction"],
-                    seed=record["seed"],
-                    entry_point=record["entry_point"],
-                )
-            else:
-                config = self._approx_config
-                epoch.hnsw_graph = build_hnsw_graph(
-                    self.vectors,
-                    m=config.m,
-                    ef_construction=config.ef_construction,
-                    seed=config.seed,
-                )
-        return epoch.hnsw_graph
 
     @property
     def planner(self) -> QueryPlanner:

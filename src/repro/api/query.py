@@ -33,7 +33,7 @@ from repro.metrics.weighted import WeightedSquaredEuclidean
 #:   survivors on the exact vectors (still an exact answer — the interval
 #:   bounds make false dismissals impossible);
 #: * ``"approx"``     — exactness not required: the approximate tier
-#:   (:mod:`repro.approx` — clustered IVF pruning and the HNSW graph) becomes
+#:   (:mod:`repro.approx` — clustered IVF pruning) becomes
 #:   eligible next to every exact backend, and the planner picks the cheapest
 #:   estimate.  :attr:`Query.approx_params` carries the recall/speed knobs.
 QUERY_MODES = ("exact", "compressed", "approx")
@@ -45,8 +45,8 @@ class ApproxParams:
 
     All fields are optional: an unset knob falls back to the index's
     :class:`repro.approx.ApproxConfig` default.  Exact backends ignore the
-    whole object (their answers are exact regardless); the approximate
-    backends honour whichever knob addresses them.
+    whole object (their answers are exact regardless); the ``ivf`` backend
+    honours it.
 
     Attributes
     ----------
@@ -54,32 +54,24 @@ class ApproxParams:
         How many nearest partitions the ``ivf`` backend scans (clamped to the
         cluster count; ``nprobe >= n_clusters`` degenerates to an exact
         exhaustive answer).
-    ef_search:
-        Beam width of the ``hnsw`` backend's layer-0 search (clamped below by
-        ``k``; ``ef_search >= cardinality`` degenerates to an exact scored
-        scan).
     target_recall:
-        Declarative alternative to the physical knobs: a recall@k floor in
-        ``(0, 1]`` that each approximate backend maps to a conservative knob
-        setting (``1.0`` forces the exhaustive, exact-equivalent
-        configuration).  An explicit physical knob takes precedence for the
-        backend it addresses.
+        Declarative alternative to ``nprobe``: a recall@k floor in ``(0, 1]``
+        that the ``ivf`` backend maps to a conservative probe count (``1.0``
+        forces the exhaustive, exact-equivalent configuration).  An explicit
+        ``nprobe`` takes precedence.
     """
 
     nprobe: int | None = None
-    ef_search: int | None = None
     target_recall: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("nprobe", "ef_search"):
-            value = getattr(self, name)
-            if value is None:
-                continue
+        if self.nprobe is not None:
+            value = self.nprobe
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise QueryError(f"approx_params.{name} must be an integer, got {value!r}")
+                raise QueryError(f"approx_params.nprobe must be an integer, got {value!r}")
             if value < 1:
-                raise QueryError(f"approx_params.{name} must be at least 1, got {value}")
-            object.__setattr__(self, name, int(value))
+                raise QueryError(f"approx_params.nprobe must be at least 1, got {value}")
+            object.__setattr__(self, "nprobe", int(value))
         if self.target_recall is not None:
             recall = float(self.target_recall)
             if not np.isfinite(recall) or not (0.0 < recall <= 1.0):

@@ -1,17 +1,16 @@
 """Build-time configuration of the approximate tier.
 
-One frozen :class:`ApproxConfig` describes everything the two approximate
-backends need to *build* their structures — the IVF cluster count, the
-k-means iteration budget, the HNSW graph degree and construction beam, and
-the single seed both draw from.  The config round-trips through the
-persisted manifest, so an index reopened from disk plans and answers with
-exactly the knobs it was built with.
+One frozen :class:`ApproxConfig` describes everything the IVF backend needs
+to *build* its structure — the cluster count, the k-means iteration budget
+and the seed — plus its default probe count.  The config round-trips through
+the persisted manifest, so an index reopened from disk plans and answers
+with exactly the knobs it was built with.
 
 The determinism contract of :mod:`repro.approx` starts here: the same config
-over the same collection produces bitwise-identical structures on every run
-(k-means uses a seeded generator with a fixed iteration count; the HNSW
-level draws are keyed per OID off the same seed), which is what makes the
-byte-identical-manifest property in ``tests/test_approx.py`` possible.
+over the same collection produces a bitwise-identical structure on every run
+(k-means uses a seeded generator with a fixed iteration count), which is
+what makes the byte-identical-manifest property in ``tests/test_approx.py``
+possible.
 """
 
 from __future__ import annotations
@@ -21,8 +20,12 @@ from dataclasses import dataclass, fields
 
 from repro.errors import QueryError
 
-#: Default seed of both approximate structures; persisted in the manifest.
+#: Default seed of the k-means initialisation; persisted in the manifest.
 DEFAULT_APPROX_SEED = 7
+
+#: Keys older manifests record for the retired HNSW graph (degree bound,
+#: construction beam, default search beam); ignored on open.
+LEGACY_MANIFEST_KEYS = frozenset({"m", "ef_construction", "default_ef_search"})
 
 
 @dataclass(frozen=True)
@@ -40,40 +43,24 @@ class ApproxConfig:
         Fixed Lloyd iteration count (no convergence test — a data-dependent
         stopping rule would make the structure depend on floating-point
         noise instead of only on seed + knobs).
-    m:
-        HNSW degree bound: each node keeps at most ``m`` neighbours per
-        upper layer and ``2 * m`` on layer 0.
-    ef_construction:
-        Beam width of the HNSW insertion searches.
     seed:
-        Seed of the k-means initialisation and the per-OID HNSW level draws.
+        Seed of the k-means initialisation.
     default_nprobe:
         Partitions the IVF backend scans when the query sets no knob.
-    default_ef_search:
-        Layer-0 beam width of the HNSW backend when the query sets no knob.
     """
 
     n_clusters: int | None = None
     kmeans_iterations: int = 10
-    m: int = 8
-    ef_construction: int = 48
     seed: int = DEFAULT_APPROX_SEED
     default_nprobe: int = 4
-    default_ef_search: int = 32
 
     def __post_init__(self) -> None:
         if self.n_clusters is not None and self.n_clusters < 1:
             raise QueryError(f"n_clusters must be at least 1, got {self.n_clusters}")
         if self.kmeans_iterations < 1:
             raise QueryError(f"kmeans_iterations must be at least 1, got {self.kmeans_iterations}")
-        if self.m < 2:
-            raise QueryError(f"m must be at least 2, got {self.m}")
-        if self.ef_construction < 1:
-            raise QueryError(f"ef_construction must be at least 1, got {self.ef_construction}")
         if self.default_nprobe < 1:
             raise QueryError(f"default_nprobe must be at least 1, got {self.default_nprobe}")
-        if self.default_ef_search < 1:
-            raise QueryError(f"default_ef_search must be at least 1, got {self.default_ef_search}")
 
     @classmethod
     def coerce(cls, value: "ApproxConfig | dict | None") -> "ApproxConfig":
@@ -104,5 +91,12 @@ class ApproxConfig:
 
     @classmethod
     def from_manifest(cls, record: dict) -> "ApproxConfig":
-        """Rebuild the config from its manifest record."""
-        return cls.coerce(dict(record))
+        """Rebuild the config from its manifest record.
+
+        Manifests written while the tier also held an HNSW graph record its
+        build knobs too; those keys are dropped here (and only here — a
+        caller passing them is still rejected by :meth:`coerce`).
+        """
+        return cls.coerce(
+            {key: value for key, value in record.items() if key not in LEGACY_MANIFEST_KEYS}
+        )

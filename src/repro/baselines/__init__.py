@@ -6,15 +6,10 @@
   Table 4 compare BOND-on-approximations against it);
 * :class:`~repro.baselines.rtree.RTreeIndex` — a bulk-loaded R-tree with
   best-first k-NN search, the representative space-partitioning method whose
-  breakdown with growing dimensionality motivates the paper (Section 2);
-* :class:`~repro.baselines.simnet.SimilarityNetwork` — the precomputed k-NN
-  graph ("similarity network") straw-man of Section 2, usable only for
-  queries that are members of the indexed collection and only up to the
-  precomputed neighbourhood size.
+  breakdown with growing dimensionality motivates the paper (Section 2).
 """
 
 from repro.baselines.vafile import VAFile
 from repro.baselines.rtree import RTreeIndex
-from repro.baselines.simnet import SimilarityNetwork
 
-__all__ = ["RTreeIndex", "SimilarityNetwork", "VAFile"]
+__all__ = ["RTreeIndex", "VAFile"]

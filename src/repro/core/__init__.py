@@ -4,7 +4,7 @@
   over a vertically decomposed store, with pluggable metric, pruning bound,
   dimension ordering and pruning schedule;
 * :class:`~repro.core.sequential.SequentialScan` — Algorithm 1, the SSH / SSE
-  baselines (plus the footnote-6 partial-abandon variant);
+  baselines;
 * :mod:`~repro.core.ordering` — dimension-ordering strategies (Section 5.1);
 * :mod:`~repro.core.planner` — pruning-period schedules (Section 5.2);
 * :mod:`~repro.core.compressed` — BOND over 8-bit approximated fragments with
@@ -41,7 +41,7 @@ from repro.core.planner import (
     recommend_period,
 )
 from repro.core.bond import BondSearcher
-from repro.core.sequential import PartialAbandonScan, SequentialScan
+from repro.core.sequential import SequentialScan
 from repro.core.compressed import CompressedBondSearcher
 from repro.core.parallel import ShardedBondSearcher
 from repro.core.weighted import weighted_search
@@ -67,7 +67,6 @@ __all__ = [
     "IncreasingQueryOrdering",
     "MultiFeatureBondSearcher",
     "OriginalOrdering",
-    "PartialAbandonScan",
     "PruningSchedule",
     "RandomOrdering",
     "SearchResult",

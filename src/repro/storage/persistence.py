@@ -21,8 +21,9 @@ CRC-32 + ``fold64`` integrity records; version 3 added the fragment-format
 record (coefficient dtype x residency, plus a per-file ``fragments`` map);
 version 4 added the optional ``approx`` manifest section pointing at the
 approximate tier's sidecar arrays (``approx_*.apx``: IVF centroids /
-permutation / offsets and HNSW levels / adjacency), each carrying the same
-CRC-32 + ``fold64`` records as the fragments.  Version 5 made saves
+permutation / offsets, and then also the levels / adjacency of an HNSW graph
+since retired, whose records an index now ignores on open), each carrying
+the same CRC-32 + ``fold64`` records as the fragments.  Version 5 made saves
 **crash-atomic** and added the ``mutability`` section (store generation +
 WAL watermark, see below).  v1-v4 manifests still load — they carry no
 approximate structures / updates — and a float64 generation-0 store saved
@@ -92,7 +93,8 @@ from repro.storage.formats import FragmentFormat
 #: Version tag written into every manifest; bump on layout changes.
 #: Version 2 added per-fragment content checksums; version 3 added the
 #: fragment-format record (dtype x residency); version 4 added the optional
-#: ``approx`` section (IVF cluster plan + HNSW graph sidecar arrays);
+#: ``approx`` section (sidecar arrays of the IVF cluster plan and of the
+#: since-retired HNSW graph);
 #: version 5 added atomic manifest commits, store generations and the
 #: ``mutability`` section (generation + WAL watermark).
 LAYOUT_VERSION = 5
@@ -666,10 +668,9 @@ def persisted_size_bytes(directory: str | pathlib.Path) -> int:
 
 # -- approximate-tier sidecar arrays (layout version 4) -----------------------
 #
-# The IVF cluster plan and the HNSW graph persist as flat little-endian
-# arrays next to the fragment files, one ``approx_<structure>_<name>.apx``
-# file each (the distinct extension keeps ``persisted_size_bytes`` a pure
-# fragment measure).  The manifest's ``approx`` section records dtype, shape
+# The IVF cluster plan persists as flat little-endian arrays next to the
+# fragment files, one ``approx_<structure>_<name>.apx`` file each (the
+# distinct extension keeps ``persisted_size_bytes`` a pure fragment measure).  The manifest's ``approx`` section records dtype, shape
 # and the same CRC-32 + fold64 integrity pair as the fragments; loads always
 # verify the fold64 digest — the arrays are small, so the check is free
 # relative to the read.

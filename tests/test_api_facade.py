@@ -13,7 +13,7 @@ from repro.baselines.vafile import VAFile
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
 from repro.core.result import PruningTrace
-from repro.core.sequential import PartialAbandonScan, SequentialScan
+from repro.core.sequential import SequentialScan
 from repro.core.subspace import subspace_search
 from repro.core.weighted import make_weighted_searcher, weighted_search
 from repro.errors import QueryError
@@ -78,12 +78,6 @@ class TestExactEquivalence:
         facade = corel_index.answer(Query(queries, k=7, backend="sequential_scan"))
         direct = SequentialScan(RowStore(corel_histograms)).search_batch(queries, 7)
         assert batches_identical(facade, direct)
-
-    def test_partial_abandon_pinned(self, corel_index, corel_histograms):
-        query = corel_histograms[2]
-        facade = corel_index.answer(Query(query, k=5, backend="partial_abandon"))
-        direct = PartialAbandonScan(RowStore(corel_histograms)).search(query, 5)
-        assert results_identical(facade, direct)
 
     def test_rtree_pinned(self, clustered_index, clustered_vectors):
         query = clustered_vectors[9]
@@ -185,7 +179,6 @@ class TestFacadeSurface:
         for name, metric_alias, mode in [
             ("bond", "histogram", "exact"),
             ("sequential_scan", "histogram", "exact"),
-            ("partial_abandon", "histogram", "exact"),
             ("rtree", "euclidean", "exact"),
             ("compressed_bond", "histogram", "compressed"),
             ("vafile", "histogram", "compressed"),
@@ -221,18 +214,6 @@ class TestFacadeSurface:
         result = vafile.search(corel_histograms[0], 5, trace=trace)
         assert result.candidate_trace is trace
         assert trace.candidates_remaining[0] == corel_histograms.shape[0]
-
-        abandon = PartialAbandonScan(RowStore(corel_histograms))
-        trace = PruningTrace()
-        result = abandon.search(corel_histograms[0], 5, trace=trace)
-        assert result.candidate_trace is trace
-
-    def test_partial_abandon_batch_matches_single(self, corel_histograms):
-        scan = PartialAbandonScan(RowStore(corel_histograms))
-        queries = corel_histograms[:3]
-        batch = scan.search_batch(queries, 5)
-        singles = [scan.search(query, 5) for query in queries]
-        assert batches_identical(batch, singles)
 
     def test_rtree_batch_matches_single(self, clustered_vectors):
         tree = RTreeIndex(clustered_vectors[:400])

@@ -11,6 +11,7 @@ from repro.api import (
     BackendRegistry,
     Capabilities,
     CostEstimate,
+    DEFAULT_REGISTRY,
     Index,
     Query,
 )
@@ -95,8 +96,8 @@ class TestBuiltinPlanning:
             Query(small_vectors[0], k=5, weights=np.ones(small_vectors.shape[1]))
         )
         rejections = {c.backend: c.rejection for c in plan.candidates if not c.eligible}
-        assert "partial_abandon" in rejections
-        assert "weighted" in rejections["partial_abandon"]
+        assert "rtree" in rejections
+        assert "weighted" in rejections["rtree"]
         assert plan.backend_name == "bond"
 
     def test_dimensionality_mismatch(self, small_vectors):
@@ -114,10 +115,23 @@ class TestBuiltinPlanning:
         with pytest.raises(PlanError):
             index.plan(Query(small_vectors[0], k=5, metric="histogram", backend="rtree"))
 
-    def test_unknown_pinned_backend_fails(self, small_vectors):
+    # hnsw and partial_abandon were registered once and are retired.
+    @pytest.mark.parametrize("name", ["quantum", "hnsw", "partial_abandon"])
+    def test_unknown_pinned_backend_fails(self, small_vectors, name):
         index = Index.build(small_vectors)
-        with pytest.raises(PlanError):
-            index.plan(Query(small_vectors[0], k=5, backend="quantum"))
+        with pytest.raises(PlanError, match="query pins unknown backend"):
+            index.plan(Query(small_vectors[0], k=5, backend=name))
+
+    def test_registry_holds_the_builtin_backends_in_tie_break_order(self):
+        assert DEFAULT_REGISTRY.names() == [
+            "bond",
+            "compressed_bond",
+            "sharded_bond",
+            "sequential_scan",
+            "vafile",
+            "rtree",
+            "ivf",
+        ]
 
     def test_explain_reports_choice_and_estimate(self, small_vectors):
         index = Index.build(small_vectors)

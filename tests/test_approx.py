@@ -1,19 +1,18 @@
-"""The approximate tier: IVF clustered pruning + HNSW graph search.
+"""The approximate tier: IVF clustered pruning.
 
 Pins the contracts ``docs/API.md`` documents for ``mode="approx"``:
 
 * **determinism** — same build seed + knobs means bitwise-identical
-  structures (k-means plan, HNSW adjacency, manifests, sidecars) and
-  answers;
-* **exhaustive equivalence** — ``ivf`` with ``nprobe >= n_clusters`` and
-  ``hnsw`` with ``ef_search >= cardinality`` return the exact tier's top-k
-  OID for OID (ties included: duplicated rows resolve by ascending OID,
-  exactly like the exact engines);
-* **planner eligibility** — approx backends only ever serve
-  ``mode="approx"``; the failover chain substitutes exact backends only;
-* **persistence** — manifest v4 round-trips both structures through
-  checksummed sidecars, v3 manifests still open (structures rebuilt
-  lazily from the vectors);
+  structures (k-means plan, manifests, sidecars) and answers;
+* **exhaustive equivalence** — ``ivf`` with ``nprobe >= n_clusters``
+  returns the exact tier's top-k OID for OID (ties included: duplicated
+  rows resolve by ascending OID, exactly like the exact engines);
+* **planner eligibility** — ``ivf`` only ever serves ``mode="approx"``;
+  the failover chain substitutes exact backends only;
+* **persistence** — manifest v4 round-trips the cluster plan through
+  checksummed sidecars, v3 manifests still open (plan rebuilt lazily from
+  the vectors), and manifests that still carry the retired HNSW graph's
+  knobs and sidecars open and answer as before;
 * **honesty** — approximate answers carry ``exact=False`` unless the
   parameters made them provably exhaustive, and cost charging scales with
   the probed volume.
@@ -31,14 +30,7 @@ from hypothesis import strategies as st
 
 from repro.api import Index, Query
 from repro.api.query import ApproxParams
-from repro.approx import (
-    ApproxConfig,
-    build_cluster_plan,
-    build_hnsw_graph,
-    effective_ef_search,
-    effective_nprobe,
-    node_level,
-)
+from repro.approx import ApproxConfig, build_cluster_plan, effective_nprobe
 from repro.datasets.clustered import (
     ClusteredConfig,
     make_clustered,
@@ -47,7 +39,11 @@ from repro.datasets.clustered import (
 from repro.errors import CorruptFragmentError, PlanError, QueryError
 from repro.metrics.euclidean import SquaredEuclidean
 from repro.serving import SearchService
-from repro.storage.persistence import MANIFEST_NAME
+from repro.storage.persistence import (
+    MANIFEST_NAME,
+    approx_sidecar_records,
+    write_approx_sidecars,
+)
 from repro.workload.ground_truth import exact_top_k
 
 
@@ -76,9 +72,12 @@ def small_matrices(draw, max_rows: int = 120, max_dims: int = 12):
 
 
 class TestApproxParams:
-    def test_unknown_keys_rejected_at_the_boundary(self):
-        with pytest.raises(QueryError, match="unknown approx_params key"):
-            ApproxParams.coerce({"nprobe": 2, "beam_width": 7})
+    @pytest.mark.parametrize("params", [{"nprobe": 2, "beam_width": 7}, {"ef_search": 16}])
+    def test_unknown_keys_rejected_at_the_boundary(self, params):
+        with pytest.raises(
+            QueryError, match=r"unknown approx_params key.*known: \['nprobe', 'target_recall'\]"
+        ):
+            ApproxParams.coerce(params)
 
     def test_params_require_approx_mode(self):
         vector = np.zeros(4)
@@ -93,7 +92,6 @@ class TestApproxParams:
             {"nprobe": 0},
             {"nprobe": -1},
             {"nprobe": True},
-            {"ef_search": 0},
             {"target_recall": 0.0},
             {"target_recall": 1.5},
             {"target_recall": float("nan")},
@@ -122,16 +120,22 @@ class TestApproxParams:
                 metric="euclidean",
                 mode="approx",
                 backend="bond",
-                approx_params={"nprobe": 1, "ef_search": 1},
+                approx_params={"nprobe": 1, "target_recall": 0.5},
             )
         )
         assert results_identical(plain, routed)
 
 
 class TestApproxConfig:
-    def test_unknown_keys_rejected(self):
+    # The last three are the retired HNSW graph's knobs.
+    @pytest.mark.parametrize(
+        "record", [{"n_custers": 4}, {"m": 8}, {"ef_construction": 48}, {"default_ef_search": 32}]
+    )
+    def test_unknown_keys_rejected(self, record):
         with pytest.raises(QueryError, match="unknown approx"):
-            ApproxConfig.coerce({"n_custers": 4})
+            ApproxConfig.coerce(record)
+        with pytest.raises(TypeError):
+            ApproxConfig(**record)
 
     def test_resolve_n_clusters_defaults_to_sqrt(self):
         config = ApproxConfig()
@@ -141,16 +145,16 @@ class TestApproxConfig:
         assert ApproxConfig(n_clusters=64).resolve_n_clusters(10) == 10  # clamped
 
     def test_manifest_round_trip(self):
-        config = ApproxConfig(n_clusters=32, m=12, ef_construction=64, seed=99)
+        config = ApproxConfig(n_clusters=32, kmeans_iterations=12, seed=99, default_nprobe=6)
         assert ApproxConfig.from_manifest(config.to_manifest()) == config
+        # Older manifests also record the retired HNSW knobs: dropped on read.
+        legacy = {**config.to_manifest(), "m": 8, "ef_construction": 48, "default_ef_search": 32}
+        assert ApproxConfig.from_manifest(legacy) == config
 
     def test_knob_resolution_helpers(self):
         assert effective_nprobe(None, None, n_clusters=16, default=4) == 4
         assert effective_nprobe(100, None, n_clusters=16, default=4) == 16  # clamped
         assert effective_nprobe(None, 1.0, n_clusters=16, default=4) == 16
-        assert effective_ef_search(None, None, k=10, cardinality=1000, default=32) == 32
-        assert effective_ef_search(None, 1.0, k=10, cardinality=1000, default=32) == 1000
-        assert effective_ef_search(4, None, k=10, cardinality=1000, default=32) >= 10
 
 
 # -- build determinism ------------------------------------------------------------
@@ -171,24 +175,6 @@ class TestBuildDeterminism:
         for cluster in range(first.n_clusters):
             members = first.members(cluster)
             assert np.array_equal(members, np.sort(members))
-
-    @given(matrix=small_matrices(max_rows=60), seed=st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=10, deadline=None)
-    def test_hnsw_graph_is_bitwise_deterministic(self, matrix, seed):
-        first = build_hnsw_graph(matrix, m=4, ef_construction=12, seed=seed)
-        second = build_hnsw_graph(matrix, m=4, ef_construction=12, seed=seed)
-        a, b = first.to_arrays(), second.to_arrays()
-        assert first.entry_point == second.entry_point
-        assert sorted(a) == sorted(b)
-        for name in a:
-            assert np.array_equal(a[name], b[name]), name
-
-    def test_level_draws_are_seed_and_oid_local(self):
-        levels = [node_level(7, oid, 8) for oid in range(200)]
-        assert levels == [node_level(7, oid, 8) for oid in range(200)]
-        assert min(levels) == 0
-        assert any(level > 0 for level in levels)
-        assert levels != [node_level(8, oid, 8) for oid in range(200)]
 
 
 # -- exhaustive-parameter equivalence to the exact tier ---------------------------
@@ -217,28 +203,6 @@ class TestExhaustiveEquivalence:
         assert np.array_equal(result.oids, reference.oids)
         np.testing.assert_allclose(result.scores, reference.scores, atol=1e-9, rtol=0.0)
 
-    @given(matrix=small_matrices(max_rows=80))
-    @settings(max_examples=10, deadline=None)
-    def test_hnsw_exhaustive_ef_equals_exact(self, matrix):
-        index = Index.build(matrix, approx={"n_clusters": 2})
-        metric = SquaredEuclidean()
-        k = min(5, matrix.shape[0])
-        query = matrix[0]
-        reference = exact_top_k(matrix, query, k, metric)
-        result = index.answer(
-            Query(
-                query,
-                k=k,
-                metric="euclidean",
-                mode="approx",
-                backend="hnsw",
-                approx_params={"ef_search": matrix.shape[0]},
-            )
-        )
-        assert result.exact
-        assert np.array_equal(result.oids, reference.oids)
-        np.testing.assert_allclose(result.scores, reference.scores, atol=1e-9, rtol=0.0)
-
     def test_batched_exhaustive_equals_exact_batch(self, uniform_vectors):
         index = Index.build(uniform_vectors, approx={"n_clusters": 10})
         queries = uniform_vectors[:8]
@@ -254,26 +218,9 @@ class TestExhaustiveEquivalence:
                 approx_params={"nprobe": 10},
             )
         )
-        hnsw = index.answer(
-            Query(
-                queries,
-                k=6,
-                metric="euclidean",
-                mode="approx",
-                backend="hnsw",
-                batch=True,
-                approx_params={"ef_search": uniform_vectors.shape[0]},
-            )
-        )
         for a, b in zip(ivf.results, exact.results):
             # IVF runs the same fused kernels per partition: bitwise identical
             assert results_identical(a, b)
-        for a, b in zip(hnsw.results, exact.results):
-            # HNSW's exhaustive fallback scores in one vectorised pass, so
-            # the summation order differs from BOND's fused accumulation:
-            # the contract is OID identity with scores within 1e-9
-            assert np.array_equal(a.oids, b.oids)
-            np.testing.assert_allclose(a.scores, b.scores, atol=1e-9, rtol=0.0)
 
 
 # -- recall on clustered data -----------------------------------------------------
@@ -309,12 +256,6 @@ class TestRecall:
         )
         assert recall >= 0.9
 
-    def test_hnsw_recall_floor_on_clustered_data(self, clustered_index, clustered_vectors):
-        recall = self._recall(
-            clustered_index, clustered_vectors, backend="hnsw", params={"ef_search": 64}
-        )
-        assert recall >= 0.9
-
     def test_recall_is_monotone_in_nprobe_on_average(self, clustered_index, clustered_vectors):
         narrow = self._recall(
             clustered_index, clustered_vectors, backend="ivf", params={"nprobe": 1}
@@ -347,32 +288,32 @@ class TestPlannerIntegration:
     def test_approx_backends_never_serve_exact_mode(self, index, uniform_vectors):
         plan = index.plan(Query(uniform_vectors[0], k=3, metric="euclidean"))
         for candidate in plan.candidates:
-            if candidate.backend in ("ivf", "hnsw"):
+            if candidate.backend == "ivf":
                 assert not candidate.eligible
                 assert "approx" in candidate.rejection
         with pytest.raises(PlanError):
             index.answer(Query(uniform_vectors[0], k=3, metric="euclidean", backend="ivf"))
         with pytest.raises(PlanError):
             index.answer(
-                Query(uniform_vectors[0], k=3, metric="euclidean", mode="compressed", backend="hnsw")
+                Query(uniform_vectors[0], k=3, metric="euclidean", mode="compressed", backend="ivf")
             )
 
     def test_approx_mode_considers_approx_backends(self, index, uniform_vectors):
         plan = index.plan(Query(uniform_vectors[0], k=3, metric="euclidean", mode="approx"))
         eligible = {c.backend for c in plan.candidates if c.eligible}
-        assert {"ivf", "hnsw"} <= eligible
+        assert "ivf" in eligible
 
     def test_failover_chain_substitutes_exact_backends_only(self, index, uniform_vectors):
         plan = index.plan(Query(uniform_vectors[0], k=3, metric="euclidean", mode="approx"))
         chain = plan.failover_chain()
         # whatever was chosen, every *substitute* must be exact
         for name in chain[1:]:
-            assert name not in ("ivf", "hnsw")
+            assert name != "ivf"
 
     def test_approx_backends_reject_foreign_metrics(self, index, corel_histograms):
         plan = index.plan(Query(np.zeros(index.dimensionality), k=3, metric="histogram", mode="approx"))
         for candidate in plan.candidates:
-            if candidate.backend in ("ivf", "hnsw"):
+            if candidate.backend == "ivf":
                 assert not candidate.eligible
 
     def test_estimates_scale_with_nprobe(self, index, uniform_vectors):
@@ -398,8 +339,7 @@ class TestPlannerIntegration:
 class TestPersistence:
     def _build(self, vectors):
         index = Index.build(vectors, approx={"n_clusters": 6}, name="approx-persist")
-        index.cluster_plan  # force both structures so save persists them
-        index.hnsw_graph
+        index.cluster_plan  # force the plan so save persists it
         return index
 
     def test_manifest_v4_build_is_byte_deterministic(self, uniform_vectors, tmp_path):
@@ -408,7 +348,7 @@ class TestPersistence:
         self._build(uniform_vectors).save(second)
         assert (first / MANIFEST_NAME).read_bytes() == (second / MANIFEST_NAME).read_bytes()
         sidecars = sorted(path.name for path in first.glob("*.apx"))
-        assert sidecars  # both structures persisted
+        assert sidecars  # the cluster plan persisted
         for name in sidecars:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
@@ -418,16 +358,15 @@ class TestPersistence:
         built = self._build(uniform_vectors)
         built.save(tmp_path / "a")
         reopened = Index.open(tmp_path / "a")
-        for backend, params in [("ivf", {"nprobe": 2}), ("hnsw", {"ef_search": 16})]:
-            query = Query(
-                uniform_vectors[3],
-                k=5,
-                metric="euclidean",
-                mode="approx",
-                backend=backend,
-                approx_params=params,
-            )
-            assert results_identical(built.answer(query), reopened.answer(query))
+        query = Query(
+            uniform_vectors[3],
+            k=5,
+            metric="euclidean",
+            mode="approx",
+            backend="ivf",
+            approx_params={"nprobe": 2},
+        )
+        assert results_identical(built.answer(query), reopened.answer(query))
         reopened.save(tmp_path / "b")
         assert (tmp_path / "a" / MANIFEST_NAME).read_bytes() == (
             tmp_path / "b" / MANIFEST_NAME
@@ -456,6 +395,62 @@ class TestPersistence:
         )
         reference = exact_top_k(uniform_vectors, uniform_vectors[3], 5, SquaredEuclidean())
         assert np.array_equal(result.oids, reference.oids)
+
+    def test_manifests_with_the_retired_hnsw_graph_still_open(self, uniform_vectors, tmp_path):
+        built = self._build(uniform_vectors)
+        legacy = tmp_path / "legacy"
+        built.save(legacy)
+        # Edit the manifest to the shape older builds wrote: HNSW knobs in
+        # the approx config and an "hnsw" section with its own sidecars.
+        manifest_path = legacy / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["index"]["approx"].update(m=8, ef_construction=48, default_ef_search=32)
+        arrays, files = approx_sidecar_records(
+            {
+                "levels": np.zeros(uniform_vectors.shape[0], dtype=np.int8),
+                "neighbors": np.arange(16, dtype=np.int32),
+            },
+            structure="hnsw",
+        )
+        write_approx_sidecars(legacy, files)
+        manifest["approx"]["hnsw"] = {
+            "m": 8,
+            "ef_construction": 48,
+            "seed": 7,
+            "entry_point": 0,
+            "arrays": arrays,
+        }
+        manifest_path.write_text(json.dumps(manifest))
+
+        with pytest.raises(QueryError, match="unknown approx"):
+            Index.open(legacy, approx={"m": 8})  # only the manifest's copy is forgiven
+        reopened = Index.open(legacy)
+        for query in (
+            Query(uniform_vectors[3], k=5, metric="euclidean"),
+            Query(
+                uniform_vectors[3],
+                k=5,
+                metric="euclidean",
+                mode="approx",
+                backend="ivf",
+                approx_params={"nprobe": 2},
+            ),
+        ):
+            assert results_identical(built.answer(query), reopened.answer(query))
+        # A save drops the section and its knobs ...
+        reopened.save(tmp_path / "resaved")
+        resaved = json.loads((tmp_path / "resaved" / MANIFEST_NAME).read_text())
+        assert set(resaved["approx"]) == {"ivf"}
+        assert resaved["index"]["approx"] == ApproxConfig(n_clusters=6).to_manifest()
+        assert not list((tmp_path / "resaved").glob("approx_hnsw_*"))
+        reopened.close()
+        # ... and a reorganisation in place sweeps its sidecar files.
+        reopened = Index.open(legacy)
+        reopened.insert(uniform_vectors[:1])
+        reopened.reorganize()
+        assert not list(legacy.glob("approx_hnsw_*"))
+        reopened.close()
+        built.close()
 
     def test_corrupt_sidecar_is_detected(self, uniform_vectors, tmp_path):
         self._build(uniform_vectors).save(tmp_path)
@@ -567,22 +562,3 @@ class TestCostHonesty:
             return result.cost.bytes_read
 
         assert 0 < charged_bytes(1) < charged_bytes(40)
-
-    def test_wider_beams_charge_more(self, clustered_vectors):
-        index = Index.build(clustered_vectors, approx={"n_clusters": 8})
-
-        def charged_bytes(ef):
-            result = index.answer(
-                Query(
-                    clustered_vectors[0],
-                    k=5,
-                    metric="euclidean",
-                    mode="approx",
-                    backend="hnsw",
-                    approx_params={"ef_search": ef},
-                )
-            )
-            assert result.cost is not None
-            return result.cost.bytes_read
-
-        assert 0 < charged_bytes(8) <= charged_bytes(128)

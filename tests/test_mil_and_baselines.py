@@ -1,4 +1,4 @@
-"""Tests for the MIL execution path and the R-tree / similarity-network baselines."""
+"""Tests for the MIL execution path and the R-tree baseline."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.rtree import RTreeIndex
-from repro.baselines.simnet import SimilarityNetwork
 from repro.core.mil import bond_mil_search
 from repro.errors import QueryError
 from repro.metrics.euclidean import SquaredEuclidean
@@ -93,31 +92,3 @@ class TestRTree:
         index = RTreeIndex(data)
         result = index.search(data[0], 5)
         assert result.cost.bytes_read > 0
-
-
-class TestSimilarityNetwork:
-    def test_neighbours_match_brute_force(self, corel_histograms):
-        subset = corel_histograms[:150]
-        network = SimilarityNetwork(subset, neighbours=5)
-        oids, scores = network.neighbours_of(3)
-        reference = exact_top_k(subset, subset[3], 6, HistogramIntersection())
-        # Reference includes the object itself at rank 0; the network skips it.
-        assert set(oids) == set(reference.oids[1:6])
-        assert np.all(np.diff(scores) <= 1e-12)
-
-    def test_k_larger_than_neighbourhood_rejected(self, corel_histograms):
-        network = SimilarityNetwork(corel_histograms[:60], neighbours=3)
-        with pytest.raises(QueryError):
-            network.neighbours_of(0, 10)
-
-    def test_only_indexed_objects_supported(self, corel_histograms):
-        network = SimilarityNetwork(corel_histograms[:60], neighbours=3)
-        with pytest.raises(QueryError):
-            network.neighbours_of(100)
-        assert not network.supports_query_vector()
-
-    def test_invalid_construction(self):
-        with pytest.raises(QueryError):
-            SimilarityNetwork(np.zeros((0, 3)))
-        with pytest.raises(QueryError):
-            SimilarityNetwork(np.zeros((3, 3)), neighbours=0)

@@ -126,7 +126,6 @@ OVERLAY_BACKENDS = {
         {"metric": "euclidean", "mode": "compressed", "backend": "sharded_bond"},
     ),
     "sequential_scan": ({}, {"metric": "histogram", "backend": "sequential_scan"}),
-    "partial_abandon": ({}, {"metric": "histogram", "backend": "partial_abandon"}),
     "rtree": ({}, {"metric": "euclidean", "backend": "rtree"}),
     "vafile": ({}, {"metric": "histogram", "mode": "compressed", "backend": "vafile"}),
 }
@@ -191,7 +190,6 @@ ROW_SCORERS = [
         ("bond", "exact"),
         ("sharded_bond", "exact"),
         ("sequential_scan", "exact"),
-        ("partial_abandon", "exact"),
         ("rtree", "exact"),
         ("compressed_bond", "compressed"),
         ("sharded_bond", "compressed"),

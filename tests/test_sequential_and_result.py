@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.result import PruningTrace, SearchResult
-from repro.core.sequential import PartialAbandonScan, SequentialScan
+from repro.core.sequential import SequentialScan
 from repro.errors import QueryError
 from repro.metrics.euclidean import SquaredEuclidean
 from repro.metrics.histogram import HistogramIntersection
@@ -47,29 +47,6 @@ class TestSequentialScan:
     def test_query_dimensionality_checked(self, corel_rowstore):
         with pytest.raises(QueryError):
             SequentialScan(corel_rowstore).search(np.array([1.0]), 1)
-
-
-class TestPartialAbandonScan:
-    def test_matches_brute_force_histogram(self, corel_rowstore, corel_histograms):
-        scan = PartialAbandonScan(corel_rowstore, metric=HistogramIntersection(), check_period=8)
-        result = scan.search(corel_histograms[6], 10)
-        reference = exact_top_k(corel_histograms, corel_histograms[6], 10, HistogramIntersection())
-        assert result_scores_match(result, reference)
-
-    def test_matches_brute_force_euclidean(self, clustered_rowstore, clustered_vectors):
-        scan = PartialAbandonScan(clustered_rowstore, metric=SquaredEuclidean(), check_period=8)
-        result = scan.search(clustered_vectors[6], 10)
-        reference = exact_top_k(clustered_vectors, clustered_vectors[6], 10, SquaredEuclidean())
-        assert result_scores_match(result, reference)
-
-    def test_touches_fewer_values_than_full_scan(self, corel_rowstore, corel_histograms):
-        scan = PartialAbandonScan(corel_rowstore, metric=HistogramIntersection(), check_period=8)
-        result = scan.search(corel_histograms[6], 10)
-        assert result.cost.tuples_scanned < corel_histograms.size
-
-    def test_invalid_check_period(self, corel_rowstore):
-        with pytest.raises(QueryError):
-            PartialAbandonScan(corel_rowstore, check_period=0)
 
 
 class TestPruningTrace:

@@ -101,7 +101,6 @@ class TestServedIdentity:
             ("compressed_bond", "compressed"),
             ("sequential_scan", "exact"),
             ("vafile", "compressed"),
-            ("partial_abandon", "exact"),
             (None, "exact"),
             (None, "compressed"),
             (None, "approx"),
