@@ -195,7 +195,7 @@ class Backend(abc.ABC):
         backend's searches score the rows inside one (the live tail overlay
         rests on this).  Nothing is charged.  Default: the metric's score of
         row-major rows, as the refine steps, the scan and the R-tree compute
-        it (an exact tail for the approximate backends)."""
+        it."""
         rows = np.ascontiguousarray(columns.T)
         return np.stack([metric.score(rows, vector) for vector in query.query_matrix])
 
@@ -553,6 +553,10 @@ class IVFBackend(Backend):
             metric=metric,
             default_nprobe=index.approx_config.default_nprobe,
         )
+
+    def score_rows(self, index, query, metric, columns):
+        """The partitions' own kernel fold (:meth:`IVFSearcher.score_rows`)."""
+        return index.searcher_for(self, query, metric).score_rows(query.query_matrix, columns)
 
     def _search(self, searcher, query: "Query", k: int, **options):
         """Search with the query's ``approx_params`` knobs threaded through."""

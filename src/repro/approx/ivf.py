@@ -143,6 +143,14 @@ class IVFSearcher:
             self._searchers[cluster] = searcher
         return searcher
 
+    def score_rows(self, queries: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """The ``(n_queries, n_rows)`` scores of rows held outside the
+        partitions, given as ``(dimensions, n_rows)`` float64 columns.  Every
+        partition searcher folds a row in the same query-only dimension order
+        (:meth:`BondSearcher.score_rows`), so any one of them scores it bitwise
+        as a probe of the partition holding it would.  Nothing is charged."""
+        return self._partition_searcher(0).score_rows(queries, columns)
+
     def _resolve_nprobe(self, nprobe: int | None, target_recall: float | None) -> int:
         return effective_nprobe(
             nprobe,

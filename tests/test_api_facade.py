@@ -182,6 +182,7 @@ class TestFacadeSurface:
             ("rtree", "euclidean", "exact"),
             ("compressed_bond", "histogram", "compressed"),
             ("vafile", "histogram", "compressed"),
+            ("ivf", "euclidean", "approx"),
         ]:
             query = Query(corel_histograms[0], k=3, metric=metric_alias, mode=mode, backend=name)
             plan = corel_index.plan(query)

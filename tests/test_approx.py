@@ -203,6 +203,72 @@ class TestExhaustiveEquivalence:
         assert np.array_equal(result.oids, reference.oids)
         np.testing.assert_allclose(result.scores, reference.scores, atol=1e-9, rtol=0.0)
 
+    @given(matrix=small_matrices(), nprobe=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=15, deadline=None)
+    def test_ivf_answers_exactly_over_the_probed_partitions(self, matrix, nprobe):
+        index = Index.build(matrix, approx={"n_clusters": min(6, matrix.shape[0])})
+        query = matrix[0]
+        plan = index.cluster_plan
+        rows = np.sort(
+            np.concatenate([plan.members(int(c)) for c in plan.probe_order(query)[:nprobe]])
+        )
+        k = min(5, matrix.shape[0])
+        reference = exact_top_k(matrix[rows], query, min(k, len(rows)), SquaredEuclidean())
+        result = index.answer(
+            Query(
+                query,
+                k=k,
+                metric="euclidean",
+                mode="approx",
+                backend="ivf",
+                approx_params={"nprobe": nprobe},
+            )
+        )
+        assert np.array_equal(result.oids, rows[reference.oids])
+        np.testing.assert_allclose(result.scores, reference.scores, atol=1e-9, rtol=0.0)
+
+    @pytest.mark.parametrize("fragment_format", ["float64", "float32", "float16", "float32/mmap"])
+    def test_exhaustive_ivf_equals_bond_on_every_fragment_format(
+        self, uniform_vectors, fragment_format
+    ):
+        # The partitions are remapped from the quantised fragments, so the
+        # narrow dtypes and memory-mapped residency survive into every probe.
+        with Index.build(
+            uniform_vectors, format=fragment_format, approx={"n_clusters": 5}
+        ) as index:
+            queries = uniform_vectors[:4]
+            exact = index.answer(Query(queries, k=6, metric="euclidean", batch=True))
+            ivf = index.answer(
+                Query(
+                    queries,
+                    k=6,
+                    metric="euclidean",
+                    mode="approx",
+                    backend="ivf",
+                    batch=True,
+                    approx_params={"target_recall": 1.0},
+                )
+            )
+            for a, b in zip(ivf.results, exact.results):
+                assert results_identical(a, b)
+
+    @pytest.mark.parametrize("nprobe", [1, 3])
+    def test_batch_matches_single_at_partial_probes(self, uniform_vectors, nprobe):
+        # A batch groups its queries by probed partition; each query still
+        # gets bitwise what it gets alone.
+        index = Index.build(uniform_vectors, approx={"n_clusters": 8})
+        queries = uniform_vectors[10:16]
+        options = dict(
+            k=5,
+            metric="euclidean",
+            mode="approx",
+            backend="ivf",
+            approx_params={"nprobe": nprobe},
+        )
+        batch = index.answer(Query(queries, batch=True, **options))
+        for vector, result in zip(queries, batch.results):
+            assert results_identical(result, index.answer(Query(vector, **options)))
+
     def test_batched_exhaustive_equals_exact_batch(self, uniform_vectors):
         index = Index.build(uniform_vectors, approx={"n_clusters": 10})
         queries = uniform_vectors[:8]
@@ -562,3 +628,27 @@ class TestCostHonesty:
             return result.cost.bytes_read
 
         assert 0 < charged_bytes(1) < charged_bytes(40)
+
+    def test_only_probing_every_partition_is_flagged_exact(self, uniform_vectors):
+        index = Index.build(uniform_vectors, approx={"n_clusters": 8})
+
+        def flags(vectors, params):
+            answer = index.answer(
+                Query(
+                    vectors,
+                    k=5,
+                    metric="euclidean",
+                    mode="approx",
+                    backend="ivf",
+                    batch=vectors.ndim == 2,
+                    approx_params=params,
+                )
+            )
+            results = answer.results if vectors.ndim == 2 else [answer]
+            return {result.exact for result in results}
+
+        for vectors in (uniform_vectors[0], uniform_vectors[:4]):
+            assert flags(vectors, {"nprobe": 1}) == {False}
+            assert flags(vectors, {"nprobe": 7}) == {False}
+            assert flags(vectors, {"nprobe": 8}) == {True}
+            assert flags(vectors, {"target_recall": 1.0}) == {True}

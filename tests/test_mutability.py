@@ -128,6 +128,16 @@ OVERLAY_BACKENDS = {
     "sequential_scan": ({}, {"metric": "histogram", "backend": "sequential_scan"}),
     "rtree": ({}, {"metric": "euclidean", "backend": "rtree"}),
     "vafile": ({}, {"metric": "histogram", "mode": "compressed", "backend": "vafile"}),
+    # Probing every partition: the approximate tier's exhaustive setting.
+    "ivf": (
+        {"approx": {"n_clusters": 4}},
+        {
+            "metric": "euclidean",
+            "mode": "approx",
+            "backend": "ivf",
+            "approx_params": {"target_recall": 1.0},
+        },
+    ),
 }
 
 OVERLAY_SCENARIOS = ("basic", "tie", "k_ge_live", "shard_wiped", "base_wiped", "one_dimension")
@@ -194,9 +204,10 @@ ROW_SCORERS = [
         ("compressed_bond", "compressed"),
         ("sharded_bond", "compressed"),
         ("vafile", "compressed"),
+        ("ivf", "approx"),
     )
     for metric in ("histogram", "euclidean")
-    if not (backend == "rtree" and metric == "histogram")
+    if not (backend in ("rtree", "ivf") and metric == "histogram")
 ]
 
 
@@ -422,7 +433,14 @@ class TestLiveUpdates:
         columns = np.ascontiguousarray(quantised.widen(quantised.quantise(rows)).T)
         with Index.build(rows, format=fragment_format, shards=2) as index:
             query = Query(
-                hist(rng, 3), k=len(rows), metric=metric, mode=mode, backend=backend, batch=True
+                hist(rng, 3),
+                k=len(rows),
+                metric=metric,
+                mode=mode,
+                backend=backend,
+                batch=True,
+                # ivf probes every partition, so it ranks every row too
+                approx_params={"target_recall": 1.0} if mode == "approx" else None,
             )
             plan = index.plan(query)
             scores = plan.backend.score_rows(index, query, plan.metric, columns)

@@ -122,6 +122,20 @@ class TestServedIdentity:
             clustered_index, clustered_vectors[:8], k=5, metric="euclidean", backend=backend
         )
 
+    @pytest.mark.parametrize(
+        "approx_params", [{"nprobe": 1}, {"target_recall": 1.0}], ids=["nprobe1", "exhaustive"]
+    )
+    def test_ivf_backend(self, clustered_index, clustered_vectors, approx_params):
+        self.assert_served_identical(
+            clustered_index,
+            clustered_vectors[:8],
+            k=5,
+            metric="euclidean",
+            mode="approx",
+            backend="ivf",
+            approx_params=approx_params,
+        )
+
     @pytest.mark.parametrize("mode", ["exact", "compressed"])
     def test_sharded_backend(self, sharded_index, corel_histograms, mode):
         self.assert_served_identical(
