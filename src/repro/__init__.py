@@ -59,8 +59,6 @@ from repro.core import (
     SearchResult,
     SequentialScan,
     StreamMergingSearcher,
-    subspace_search,
-    weighted_search,
 )
 from repro.datasets import (
     ClusteredCollection,
@@ -211,10 +209,8 @@ __all__ = [
     "SquaredEuclidean",
     "StorageError",
     "StreamMergingSearcher",
-    "subspace_search",
     "TransientBackendError",
     "VAFile",
-    "weighted_search",
     "WeightedAverageAggregate",
     "WeightedEuclideanBound",
     "WeightedSquaredEuclidean",

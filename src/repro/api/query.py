@@ -193,7 +193,7 @@ class Query:
         the backend must still be capable of the query or planning fails.
     normalize_weights:
         Rescale ``weights`` to sum to the dimensionality (the Definition 3
-        convention, matching :func:`repro.core.weighted.weighted_search`).
+        convention of :class:`~repro.metrics.weighted.WeightedSquaredEuclidean`).
     """
 
     vectors: np.ndarray
@@ -305,7 +305,7 @@ class Query:
         """Whether the declared base metric composes with weights/subspace.
 
         Weights and subspace resolve to the weighted squared Euclidean metric
-        (the Definition 3 convention of ``weighted_search``), so the metric
+        (the Definition 3 convention), so the metric
         field must be unset or name the Euclidean family — an explicitly
         requested histogram metric is rejected rather than silently replaced
         by a distance with opposite score semantics.  Metric *instances* must
@@ -321,10 +321,10 @@ class Query:
         """Materialise the metric instance this query describes.
 
         Weighted and subspace queries resolve to the weighted squared
-        Euclidean metric exactly the way
-        :func:`repro.core.weighted.weighted_search` and
-        :func:`repro.core.subspace.subspace_search` build it, so facade
-        answers stay bitwise identical to the direct helpers.
+        Euclidean metric: ``WeightedSquaredEuclidean(weights,
+        normalize_to_dimensionality=normalize_weights)`` or
+        ``WeightedSquaredEuclidean.for_subspace``, so facade answers are
+        bitwise a ``BondSearcher`` over that metric.
         """
         if self.weights is not None:
             return WeightedSquaredEuclidean(

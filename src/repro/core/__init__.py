@@ -9,14 +9,17 @@
 * :mod:`~repro.core.planner` — pruning-period schedules (Section 5.2);
 * :mod:`~repro.core.compressed` — BOND over 8-bit approximated fragments with
   exact refinement (Section 7.4);
-* :mod:`~repro.core.weighted` / :mod:`~repro.core.subspace` — weighted and
-  subspace k-NN (Section 8.1, Appendix A);
+* weighted and subspace k-NN (Section 8.1, Appendix A) are BOND with a
+  :class:`~repro.metrics.weighted.WeightedSquaredEuclidean` metric, whose
+  bound :func:`~repro.core.bond.default_bound_for` picks (through the facade:
+  ``Query(weights=...)`` / ``Query(subspace=...)``);
 * :mod:`~repro.core.multifeature` — synchronized multi-feature search and the
   stream-merging baseline it is compared against (Section 8.2);
 * :mod:`~repro.core.mil` — BOND expressed as the Section 6.1 MIL program over
   the engine algebra, for demonstrating the relational implementation;
-* :mod:`~repro.core.batch` — the one round driver behind every fused
-  ``search`` / ``search_batch`` (a single query is a batch of one);
+* :mod:`~repro.core.batch` — the one round driver behind every
+  ``search`` / ``search_batch`` of both searchers (a single query is a batch
+  of one);
 * :mod:`~repro.core.parallel` — sharded execution
   (:class:`~repro.core.parallel.ShardedBondSearcher`, exact or compressed by
   the store it is given): each shard's own searcher, in this process or in
@@ -44,8 +47,6 @@ from repro.core.bond import BondSearcher
 from repro.core.sequential import SequentialScan
 from repro.core.compressed import CompressedBondSearcher
 from repro.core.parallel import ShardedBondSearcher
-from repro.core.weighted import weighted_search
-from repro.core.subspace import subspace_search
 from repro.core.multifeature import (
     FeatureComponent,
     MultiFeatureBondSearcher,
@@ -73,7 +74,5 @@ __all__ = [
     "SequentialScan",
     "ShardedBondSearcher",
     "StreamMergingSearcher",
-    "subspace_search",
     "recommend_period",
-    "weighted_search",
 ]

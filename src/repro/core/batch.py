@@ -1,7 +1,8 @@
-"""The BOND round driver: one loop for every fused search, single or batched.
+"""The BOND round driver: one loop for every search, single or batched.
 
 Algorithm 2 is one loop — scan a block of fragments, bound, prune, repeat —
-and :func:`drive` is its only implementation.  It advances a list of *runs*
+and :func:`drive` is its only implementation: both searchers, exact and
+compressed, have this one engine.  It advances a list of *runs*
 (the in-flight state of one query each) in lockstep rounds against the small
 protocol the two searchers implement:
 

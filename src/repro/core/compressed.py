@@ -15,22 +15,18 @@ their exact scores; its cost is proportional to the number of candidates the
 filter left over, which is what Table 4 reports ("filter step" versus
 "refinement step").
 
-Execution engines
------------------
-Like :class:`~repro.core.bond.BondSearcher`, the compressed searcher offers
-two engines with bit-for-bit identical results:
-
-* ``"fused"`` (default) processes one pruning period at a time: the period's
-  m code columns arrive in a single :meth:`~repro.storage.compressed.CompressedStore.code_columns`
-  call and one interval kernel from :mod:`repro.kernels.interval` builds the
-  period's per-code contribution tables and folds every column in by lookup;
-* ``"loop"`` is the seed per-dimension path, kept as the reference
-  implementation and benchmark baseline.
-
-Both fused entry points run through the one round driver of
-:mod:`repro.core.batch`: :meth:`CompressedBondSearcher.search` drives a single
-run, :meth:`CompressedBondSearcher.search_batch` a whole batch of them,
-sharing each compressed fragment read across every live query.
+Execution
+---------
+One pruning period at a time: the period's m code columns arrive in a single
+:meth:`~repro.storage.compressed.CompressedStore.code_columns` call and one
+interval kernel from :mod:`repro.kernels.interval` builds the period's
+per-code contribution tables and folds every column in by lookup — the same
+(lower, upper) floats as folding one dequantised column at a time, the
+per-dimension reference kept with the tests (``tests/oracle.py``).
+:meth:`CompressedBondSearcher.search` drives a single run through the one
+round driver of :mod:`repro.core.batch`,
+:meth:`CompressedBondSearcher.search_batch` a whole batch of them, sharing
+each compressed fragment read across every live query.
 
 Pruning schedule
 ----------------
@@ -72,6 +68,7 @@ import time
 import numpy as np
 
 from repro.core.batch import CompressedQueryRun, drive
+from repro.core.candidates import SWITCH_SELECTIVITY
 from repro.core.ordering import DecreasingQueryOrdering, DimensionOrdering
 from repro.core.planner import HandOffSchedule, PruningSchedule
 from repro.core.result import BatchSearchResult, PruningTrace, SearchResult
@@ -79,7 +76,7 @@ from repro.errors import QueryError
 from repro.kernels.interval import (
     IntervalBlockKernel,
     IntervalWorkspace,
-    contribution_interval,
+    contribution_interval,  # noqa: F401  (re-exported for importers of this module)
     interval_kernel_for,
     provably_zero_dimensions,
 )
@@ -107,10 +104,6 @@ class CompressedBondSearcher:
         one block of 4 over the survivors, then straight to the refinement
         (see the module docstring).  Answers are identical under every
         schedule; the survivor count handed to the refinement differs.
-    engine:
-        ``"fused"`` (default) runs the interval block kernels; ``"loop"`` runs
-        the original per-dimension reference path.  Both return bitwise
-        identical results at identical accounted cost.
 
     Notes
     -----
@@ -127,15 +120,11 @@ class CompressedBondSearcher:
         metric: Metric | None = None,
         ordering: DimensionOrdering | None = None,
         schedule: PruningSchedule | None = None,
-        engine: str = "fused",
     ) -> None:
-        if engine not in ("fused", "loop"):
-            raise QueryError("engine must be 'fused' or 'loop'")
         self._store = store
         self._metric = metric if metric is not None else HistogramIntersection()
         self._ordering = ordering if ordering is not None else DecreasingQueryOrdering()
         self._schedule = schedule if schedule is not None else HandOffSchedule()
-        self._engine = engine
         self._interval_kernel = interval_kernel_for(self._metric)
         self._workspace = IntervalWorkspace()
         # Scratch reused by every run, allocated on first use: the full-height
@@ -144,9 +133,9 @@ class CompressedBondSearcher:
         self._accumulator: np.ndarray | None = None
         self._bounds = np.empty(0, dtype=np.float64)
         self._keep = np.empty(0, dtype=bool)
-        # Once the candidate set has shrunk below this fraction the filter
+        # Once the candidate set has shrunk to this many rows the filter
         # fetches only the candidates' codes instead of whole fragments.
-        self._positional_threshold = 0.05 * self._store.cardinality
+        self._positional_threshold = SWITCH_SELECTIVITY * self._store.cardinality
 
     @property
     def store(self) -> CompressedStore:
@@ -159,11 +148,6 @@ class CompressedBondSearcher:
         return self._metric
 
     @property
-    def engine(self) -> str:
-        """The execution engine in use (``"fused"`` or ``"loop"``)."""
-        return self._engine
-
-    @property
     def interval_kernel(self) -> IntervalBlockKernel:
         """The fused interval kernel matching the metric."""
         return self._interval_kernel
@@ -174,8 +158,6 @@ class CompressedBondSearcher:
         run = self._plan(query, k, trace)
         cost = self._store.cost
         checkpoint = cost.checkpoint()
-        if self._engine == "loop":
-            self._run_loop(run)  # leaves the run finished: the driver only completes it
         drive(self, [run])
         result = run.result
         result.cost = cost.since(checkpoint)
@@ -188,10 +170,7 @@ class CompressedBondSearcher:
         Every query runs the exact single-query filter — its own dimension
         order, pruning schedule, candidate list and interval scores — so each
         returned :class:`~repro.core.result.SearchResult` is bitwise identical
-        to what :meth:`search` would return for that query.  Batch rounds
-        always execute through the fused interval kernels regardless of the
-        ``engine`` setting (the per-dimension loop exists as a single-query
-        reference; its batched timing would not describe any real engine).  Per execution
+        to what :meth:`search` would return for that query.  Per execution
         round, the union of all full-scanning queries' next fragment blocks is
         read (and charged) once for the whole batch; queries that have shrunk
         below the positional threshold fetch only their own candidates' codes
@@ -245,7 +224,7 @@ class CompressedBondSearcher:
 
         # Query-side early-out: dimensions whose interval contribution is
         # provably zero for every candidate add 0.0 to both accumulators, so
-        # the engines skip their fetch and math entirely (results unchanged).
+        # the filter skips their fetch and math entirely (results unchanged).
         zero_mask = provably_zero_dimensions(
             self._metric,
             self._store.minimums,
@@ -331,11 +310,10 @@ class CompressedBondSearcher:
         """Fold one pruning period into a run's interval scores with one
         kernel call.
 
-        Processes the same dimensions and accumulates the same (lower, upper)
-        contributions in the same left-to-right order as the per-dimension
-        reference loop, so results and accounted cost are bitwise identical —
-        each period just costs one storage call and one kernel call instead
-        of m Python-level round trips.  ``charge_storage`` is True for a
+        Accumulates the (lower, upper) contributions of the block's columns
+        left to right, the floats of folding one dequantised column at a
+        time, at one storage call and one kernel call per period.
+        ``charge_storage`` is True for a
         positional run, which pays for its own candidates' codes; the driver
         charges the round's shared read for the others.
         """
@@ -408,45 +386,6 @@ class CompressedBondSearcher:
         exact.cost.charge_arithmetic(vectors.size * self._metric.arithmetic_ops_per_value())
         best = self._metric.best_first(scores)[: run.k]
         return oids[best], scores[best]
-
-    # -- the reference engine ------------------------------------------------------
-
-    def _run_loop(self, run: CompressedQueryRun) -> None:
-        """The seed per-dimension reference engine."""
-        cost = self._store.cost
-        total_dimensions = int(run.order.shape[0])
-        while (
-            run.processed < total_dimensions
-            and run.alive > run.k
-            and run.next_attempt > run.processed
-        ):
-            dimension = int(run.order[run.processed])
-            if run.zero_dimensions is not None and run.zero_dimensions[dimension]:
-                # Query-side early-out: the contribution is provably 0.0 for
-                # every candidate — consume the dimension without touching it
-                # (same skip, same accounting as the fused engine).
-                run.processed += 1
-                if run.processed >= run.next_attempt or run.processed == total_dimensions:
-                    self._checkpoint(run)
-                continue
-            if self._is_positional(run):
-                value_lower, value_upper = self._store.bounded_fragment_for(dimension, run.oids)
-            else:
-                value_lower, value_upper = self._store.bounded_fragment(dimension)
-                if run.oids is not None:
-                    value_lower, value_upper = value_lower[run.oids], value_upper[run.oids]
-                run.full_scan_dimensions += 1
-            contribution_lower, contribution_upper = contribution_interval(
-                self._metric, value_lower, value_upper, run.query[dimension], dimension=dimension
-            )
-            cost.charge_arithmetic(2 * run.alive * self._metric.arithmetic_ops_per_value())
-            scores = self._scores(run)
-            scores.real += contribution_lower
-            scores.imag += contribution_upper
-            run.processed += 1
-
-            if run.processed >= run.next_attempt or run.processed == total_dimensions:
-                self._checkpoint(run)
 
     # -- internals --------------------------------------------------------------
 

@@ -27,14 +27,8 @@ def run(
     k: int = 10,
     period: int = 8,
     bits: int = 8,
-    engine: str = "fused",
 ) -> ExperimentReport:
-    """Regenerate the Figure 9 comparison of exact vs compressed pruning.
-
-    ``engine`` selects the compressed searcher's execution engine; the fused
-    interval kernels and the per-dimension reference loop produce bitwise
-    identical pruning curves, so the figure is engine-independent.
-    """
+    """Regenerate the Figure 9 comparison of exact vs compressed pruning."""
     scale = resolve_scale(scale)
     _, store, _, workload = corel_setup(scale)
     compressed = CompressedStore(store, bits=bits)
@@ -43,7 +37,7 @@ def run(
 
     exact_searcher = BondSearcher(store, metric=metric, bound=HqBound(), schedule=schedule)
     approx_searcher = CompressedBondSearcher(
-        compressed, metric=metric, schedule=FixedPeriodSchedule(period), engine=engine
+        compressed, metric=metric, schedule=FixedPeriodSchedule(period)
     )
 
     collectors = {
@@ -70,8 +64,7 @@ def run(
         "paper: pruning on compressed fragments follows a similar trend to the exact fragments"
     )
     report.add_note(
-        f"scale={scale.name}, |X|={store.cardinality}, k={k}, m={period}, bits={bits}, "
-        f"engine={engine}"
+        f"scale={scale.name}, |X|={store.cardinality}, k={k}, m={period}, bits={bits}"
     )
     return report
 

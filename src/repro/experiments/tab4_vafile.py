@@ -27,7 +27,6 @@ def run(
     *,
     k: int = 10,
     bits: int = 8,
-    engine: str = "fused",
 ) -> ExperimentReport:
     """Regenerate Table 4 (filter/refine comparison against the VA-file)."""
     scale = resolve_scale(scale)
@@ -36,9 +35,7 @@ def run(
     compressed = CompressedStore(store, bits=bits)
 
     # The paper's m = 8: the work ratio counts the filter's pruning rounds.
-    bond = CompressedBondSearcher(
-        compressed, metric=metric, schedule=FixedPeriodSchedule(8), engine=engine
-    )
+    bond = CompressedBondSearcher(compressed, metric=metric, schedule=FixedPeriodSchedule(8))
     vafile = VAFile(compressed, metric=metric)
     scan = SequentialScan(row_store, metric=metric)
 
@@ -63,12 +60,7 @@ def run(
 
     # The batched filter shares the single approximation pass across the
     # whole workload; per-query wall clock is the batch time divided evenly.
-    # Batch rounds always run the fused interval kernels, so the row is
-    # timed on an explicitly fused searcher no matter what ``engine`` says.
-    batched_bond = CompressedBondSearcher(
-        compressed, metric=metric, schedule=FixedPeriodSchedule(8), engine="fused"
-    )
-    batch = batched_bond.search_batch(list(workload), k)
+    batch = bond.search_batch(list(workload), k)
     batch_seconds = [batch.elapsed_seconds / max(len(batch), 1)] * max(len(batch), 1)
     timings["BOND-Hq (8-bit, batched)"] = batch_seconds
 
@@ -91,7 +83,7 @@ def run(
         f"{sum(vafile_survivors) / max(len(vafile_survivors), 1):.1f}"
     )
     report.add_note(
-        f"scale={scale.name}, |X|={store.cardinality}, k={k}, bits={bits}, engine={engine}"
+        f"scale={scale.name}, |X|={store.cardinality}, k={k}, bits={bits}"
     )
     return report
 

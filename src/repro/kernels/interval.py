@@ -26,7 +26,8 @@ that the reference per-dimension sequence
     score_upper += up
 
 would accumulate — same operations, same operand order — so fused filter runs
-are bit-for-bit identical to the seed loop.  A table entry is that sequence
+are bit-for-bit identical to that sequence (kept as the test-side reference
+``PerDimensionCompressedSearcher`` in ``tests/oracle.py``).  A table entry is that sequence
 applied to the code itself (every operation is elementwise, so evaluating it
 on the code grid and looking the result up is bitwise the same as evaluating
 it on the stored codes), and complex addition adds the real and imaginary

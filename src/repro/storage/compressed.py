@@ -90,18 +90,6 @@ class CompressedFragment:
         half = self.cell_width / 2.0
         return approx - half, approx + half
 
-    def value_bounds_at(self, oids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) bounds restricted to ``oids``, doing only O(|oids|) work.
-
-        Slices the code array *before* dequantising; because every involved
-        operation is elementwise, the result is bitwise identical to slicing
-        :meth:`value_bounds` — without reconstructing the whole fragment.
-        """
-        codes = self.codes[oids]
-        approx = self.minimum + codes.astype(np.float64) * self.cell_width
-        half = self.cell_width / 2.0
-        return approx - half, approx + half
-
     def storage_bytes(self) -> int:
         """Bytes of the code array plus the two range doubles."""
         return len(self) * self.codes.itemsize + 2 * DOUBLE_BYTES
@@ -330,26 +318,6 @@ class CompressedStore:
     def bounded_fragment(self, dimension: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-vector (lower, upper) bounds of one dimension's true values."""
         return self.fragment(dimension).value_bounds()
-
-    def bounded_fragment_for(
-        self, dimension: int, oids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds of one dimension restricted to the given candidate OIDs.
-
-        Charges only the candidates' codes (positional fetches into the
-        compressed fragment), which is the access pattern of BOND once the
-        candidate set has shrunk — and the reason BOND-on-approximations beats
-        a full VA-file scan (Table 4).  The codes are sliced *before*
-        dequantisation, so the work done matches the charged cost: O(|oids|),
-        not a full-fragment reconstruction.
-        """
-        if dimension < 0 or dimension >= self.dimensionality:
-            raise StorageError(
-                f"dimension {dimension} outside dimensionality {self.dimensionality}"
-            )
-        oids = np.asarray(oids, dtype=np.int64)
-        self._cost.charge_random_access(len(oids), COMPRESSED_BYTES)
-        return self._fragments[dimension].value_bounds_at(oids)
 
     def code_columns(
         self, dimensions: np.ndarray | Sequence[int], *, charge: bool = True

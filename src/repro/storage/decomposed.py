@@ -405,7 +405,7 @@ class DecomposedStore:
         """The raw (possibly narrow / memory-mapped) tail of one fragment.
 
         Uncharged zero-copy access for consumers that do their own cost
-        accounting (persistence, the candidate set's positional reads).
+        accounting (persistence, the IVF partition build).
         """
         self._check_dimension(dimension)
         return self._tails[dimension]

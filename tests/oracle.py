@@ -1,4 +1,5 @@
-"""The differential oracle for exact BOND: the seed's search path, frozen.
+"""The differential oracles: the seed's exact search, frozen, and the
+per-dimension references the fused engines are checked against.
 
 This module vendors the search loop exactly as it existed at the seed commit,
 *before* the fused block-scan kernels, the contiguous fragment layout, the
@@ -16,6 +17,14 @@ adaptive schedule and the allocation-free pruning landed:
 ``tests/test_oracle.py`` requires every live exact path to return this
 searcher's top-k bitwise.  Do not optimise or "fix" this file — it is the
 reference, not the product.
+
+Below it sit the column-at-a-time pieces of Section 6.1 that the product
+folds a whole pruning period at a time: one candidate column and its fold
+(:func:`column_values`, :func:`accumulate`), one compressed fragment's
+value bounds (:func:`value_bounds_at`, :func:`bounded_fragment_for`), and
+the two searchers built from them, :class:`PerDimensionBondSearcher` and
+:class:`PerDimensionCompressedSearcher` — whose answers, traces and
+``cost.as_dict()`` the fused searchers must equal bitwise.
 """
 
 from __future__ import annotations
@@ -23,13 +32,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bounds.base import PartialState, PruningBound
-from repro.core.bond import default_bound_for
+from repro.core.batch import CompressedQueryRun, QueryRun
+from repro.core.bond import BondSearcher, default_bound_for
+from repro.core.candidates import CandidateMode, CandidateSet
+from repro.core.compressed import CompressedBondSearcher
 from repro.core.ordering import DecreasingQueryOrdering
 from repro.core.result import SearchResult
+from repro.engine.cost import COMPRESSED_BYTES
 from repro.errors import QueryError
+from repro.kernels.interval import contribution_interval
 from repro.metrics.base import Metric, MetricKind
 from repro.metrics.histogram import HistogramIntersection
 from repro.metrics.weighted import WeightedSquaredEuclidean
+from repro.storage.compressed import CompressedStore
+from repro.storage.decomposed import DecomposedStore
 
 
 class SeedBondSearcher:
@@ -169,3 +185,128 @@ class SeedBondSearcher:
             np.arange(dimensionality, dtype=np.int64), order, assume_unique=True
         )
         return np.concatenate([order, missing])
+
+
+# -- the per-dimension references ---------------------------------------------
+
+
+def column_values(
+    store: DecomposedStore, candidates: CandidateSet, dimension: int, *, charge: bool = True
+) -> np.ndarray:
+    """The candidates' float64 values of one dimension, charging the right cost.
+
+    Through a bitmap the whole fragment is read sequentially; once positional
+    only the candidates' values are fetched, charged as a sequential scan of
+    the materialised (restricted) fragment.  One column of
+    :meth:`CandidateSet.block_values`, at one m-th of its accounted cost
+    (nothing with ``charge=False``).
+    """
+    if candidates.mode is CandidateMode.BITMAP:
+        fragment = store.fragment(dimension, charge=charge)
+        return np.asarray(fragment.tail[candidates.oids], dtype=np.float64)
+    if charge:
+        store.cost.charge_scan(len(candidates), store.coefficient_bytes)
+    return np.asarray(store.fragment_tail(dimension)[candidates.oids], dtype=np.float64)
+
+
+def accumulate(candidates: CandidateSet, contributions: np.ndarray, column: np.ndarray) -> None:
+    """Fold one dimension's contributions and values into the candidates'
+    state (in place, through the live views)."""
+    scores = candidates.partial_scores
+    scores += contributions
+    if candidates.partial_value_sums is not None:
+        partial_sums = candidates.partial_value_sums
+        partial_sums += column
+    if candidates.remaining_value_sums is not None:
+        remaining_sums = candidates.remaining_value_sums
+        remaining_sums -= column
+
+
+class PerDimensionBondSearcher(BondSearcher):
+    """The exact searcher folding one fragment column at a time.
+
+    Only the scan differs from the product: each dimension of a block is
+    fetched with :func:`column_values`, turned into contributions by the
+    metric and folded in by :func:`accumulate`, left to right.  Planning, the
+    checkpoints (with the product's bounds), the round driver and the
+    completion are the product's own, so answers, traces and
+    ``cost.as_dict()`` must match it bitwise — including where
+    :class:`SeedBondSearcher`'s bounds are off by an ulp (the weighted bound
+    with one dimension left, see ``test_weighted_bound_ulp_regression``).
+    """
+
+    def _scan_block(
+        self, run: QueryRun, block_dimensions: np.ndarray, *, charge_storage: bool
+    ) -> None:
+        candidates = run.candidates
+        for dimension in block_dimensions.tolist():
+            # A positional run pays for its own values; the driver charged the
+            # round's shared full-height read otherwise.
+            column = column_values(self.store, candidates, dimension, charge=charge_storage)
+            contributions = self.metric.contributions(
+                column, run.query[dimension], dimension=dimension
+            )
+            self.store.cost.charge_arithmetic(len(column) * self.metric.arithmetic_ops_per_value())
+            accumulate(candidates, contributions, column)
+
+
+def value_bounds_at(
+    store: CompressedStore, dimension: int, oids: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds of one dimension's true values at ``oids`` (all
+    rows for ``None``), uncharged: the codes are sliced before they are
+    dequantised, and every step is elementwise, so this is bitwise
+    ``store.bounded_fragment(dimension)`` sliced at ``oids``."""
+    codes = store.code_columns([dimension], charge=False)[0]
+    if oids is not None:
+        codes = codes[oids]
+    width = store.cell_widths[dimension]
+    approx = store.minimums[dimension] + codes.astype(np.float64) * width
+    half = width / 2.0
+    return approx - half, approx + half
+
+
+def bounded_fragment_for(
+    store: CompressedStore, dimension: int, oids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value bounds of one dimension at the candidates' OIDs, charged as one
+    positional code fetch per candidate."""
+    oids = np.asarray(oids, dtype=np.int64)
+    store.cost.charge_random_access(len(oids), COMPRESSED_BYTES)
+    return value_bounds_at(store, dimension, oids)
+
+
+class PerDimensionCompressedSearcher(CompressedBondSearcher):
+    """The compressed filter folding one dequantised column at a time.
+
+    Only the scan differs from the product: each dimension of a block is
+    dequantised into (lower, upper) value bounds, turned into a contribution
+    interval by :func:`~repro.kernels.interval.contribution_interval` and
+    added to the run's interval scores, left to right.  Planning, the
+    checkpoints, the round driver and the refinement are the product's own,
+    so answers, traces and ``cost.as_dict()`` must match it bitwise.
+    """
+
+    def _scan_block(
+        self,
+        run: CompressedQueryRun,
+        block_dimensions: np.ndarray,
+        *,
+        charge_storage: bool,
+    ) -> None:
+        store = self.store
+        scores = self._scores(run)
+        active = self._active_block(run, block_dimensions)
+        for dimension in active.tolist():
+            if charge_storage:
+                # A positional run pays for its candidates' codes; the driver
+                # charged the round's shared full-height read otherwise.
+                value_lower, value_upper = bounded_fragment_for(store, dimension, run.oids)
+            else:
+                value_lower, value_upper = value_bounds_at(store, dimension, run.oids)
+            contribution_lower, contribution_upper = contribution_interval(
+                self.metric, value_lower, value_upper, run.query[dimension], dimension=dimension
+            )
+            store.cost.charge_arithmetic(2 * run.alive * self.metric.arithmetic_ops_per_value())
+            scores.real += contribution_lower
+            scores.imag += contribution_upper

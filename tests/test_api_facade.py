@@ -14,11 +14,10 @@ from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
 from repro.core.result import PruningTrace
 from repro.core.sequential import SequentialScan
-from repro.core.subspace import subspace_search
-from repro.core.weighted import make_weighted_searcher, weighted_search
 from repro.errors import QueryError
 from repro.metrics.euclidean import SquaredEuclidean
 from repro.metrics.histogram import HistogramIntersection
+from repro.metrics.weighted import WeightedSquaredEuclidean
 from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.rowstore import RowStore
@@ -125,12 +124,17 @@ class TestCompressedEquivalence:
 
 
 class TestWeightedSubspaceEquivalence:
-    def test_weighted_matches_helper(self, clustered_index, clustered_vectors):
+    @staticmethod
+    def direct(vectors, metric) -> BondSearcher:
+        return BondSearcher(DecomposedStore(vectors), metric=metric)
+
+    def test_weighted_matches_the_direct_searcher(self, clustered_index, clustered_vectors):
         rng = np.random.default_rng(5)
         weights = rng.random(clustered_vectors.shape[1]) + 0.1
         query = clustered_vectors[21]
         facade = clustered_index.answer(Query(query, k=10, metric="euclidean", weights=weights))
-        direct = weighted_search(DecomposedStore(clustered_vectors), query, weights, 10)
+        metric = WeightedSquaredEuclidean(weights, normalize_to_dimensionality=True)
+        direct = self.direct(clustered_vectors, metric).search(query, 10)
         assert results_identical(facade, direct)
 
     def test_weighted_unnormalized(self, clustered_index, clustered_vectors):
@@ -139,9 +143,8 @@ class TestWeightedSubspaceEquivalence:
         facade = clustered_index.answer(
             Query(query, k=5, weights=weights, normalize_weights=False)
         )
-        direct = weighted_search(
-            DecomposedStore(clustered_vectors), query, weights, 5, normalize_weights=False
-        )
+        metric = WeightedSquaredEuclidean(weights, normalize_to_dimensionality=False)
+        direct = self.direct(clustered_vectors, metric).search(query, 5)
         assert results_identical(facade, direct)
 
     def test_weighted_batched(self, clustered_index, clustered_vectors):
@@ -149,16 +152,18 @@ class TestWeightedSubspaceEquivalence:
         weights = rng.random(clustered_vectors.shape[1]) + 0.05
         queries = clustered_vectors[:4]
         facade = clustered_index.answer(Query(queries, k=6, weights=weights))
-        direct = make_weighted_searcher(
-            DecomposedStore(clustered_vectors), weights
-        ).search_batch(queries, 6)
+        metric = WeightedSquaredEuclidean(weights, normalize_to_dimensionality=True)
+        direct = self.direct(clustered_vectors, metric).search_batch(queries, 6)
         assert batches_identical(facade, direct)
 
-    def test_subspace_matches_helper(self, clustered_index, clustered_vectors):
+    def test_subspace_matches_the_direct_searcher(self, clustered_index, clustered_vectors):
         dimensions = [1, 4, 7, 20]
         query = clustered_vectors[30]
         facade = clustered_index.answer(Query(query, k=10, subspace=dimensions))
-        direct = subspace_search(DecomposedStore(clustered_vectors), query, dimensions, 10)
+        metric = WeightedSquaredEuclidean.for_subspace(
+            clustered_vectors.shape[1], np.asarray(dimensions)
+        )
+        direct = self.direct(clustered_vectors, metric).search(query, 10)
         assert results_identical(facade, direct)
 
     def test_weighted_scan_pinned(self, clustered_index, clustered_vectors):

@@ -1,27 +1,37 @@
 """Exact-equivalence tests for the fused engine and the batched query APIs.
 
-The contract of this PR's performance work: the fused block-scan engine and
-``search_batch`` may change *how* storage is touched, but every returned
-(OIDs, scores) pair must be **bitwise identical** to the seed per-dimension
-path (``engine="loop"``) — for all three metrics and both candidate
-representations.  ``np.array_equal`` (not ``allclose``) everywhere.
+``search`` and ``search_batch`` may change *how* storage is touched, but
+every returned (OIDs, scores) pair must be **bitwise identical** to the
+column-at-a-time references of ``tests/oracle.py`` — the frozen seed search
+and ``PerDimensionBondSearcher`` — for all three metrics and any pruning
+period.  ``np.array_equal`` (not ``allclose``) everywhere.  What the fused
+engine is charged equals the per-dimension reference's counters, pinned to
+literals recorded from the per-dimension engine it replaced
+(``test_charges_the_recorded_costs``).
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import PerDimensionBondSearcher, SeedBondSearcher
 
 from repro.core.bond import BondSearcher
-from repro.core.planner import FixedPeriodSchedule, GeometricSchedule
+from repro.core.candidates import CandidateSet
+from repro.core.compressed import CompressedBondSearcher
+from repro.core.planner import FixedPeriodSchedule, GeometricSchedule, MassAwareSchedule
 from repro.core.result import BatchSearchResult
 from repro.core.sequential import SequentialScan
+from repro.engine.cost import CostAccount
 from repro.errors import QueryError
 from repro.metrics.euclidean import SquaredEuclidean
 from repro.metrics.histogram import HistogramIntersection
 from repro.metrics.weighted import WeightedSquaredEuclidean
+from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.rowstore import RowStore
 
@@ -59,44 +69,44 @@ def _assert_identical(result, reference):
     k=st.integers(1, 12),
     period=st.integers(1, 10),
 )
+# Weighted, one dimension left at the last prune: the seed search's weighted
+# bound inverts by an ulp there and prunes the answer; the product does not.
+@example(rows=90, columns=6, seed=0, k=1, period=1)
 @pytest.mark.parametrize("metric_name", ["histogram", "euclidean", "weighted"])
-@pytest.mark.parametrize("candidate_mode", ["auto", "bitmap", "positional"])
-def test_fused_and_batched_match_loop_exactly(
-    metric_name, candidate_mode, rows, columns, seed, k, period
+def test_search_and_batch_match_the_per_dimension_reference(
+    metric_name, rows, columns, seed, k, period
 ):
     data, rng = _collection(rows, columns, seed, normalized=metric_name == "histogram")
     metric, _ = _metric_for(metric_name, columns, rng)
     queries = data[rng.choice(rows, size=4, replace=False)]
-    store = DecomposedStore(data)
-    schedule = FixedPeriodSchedule(period)
-    loop = BondSearcher(
-        store, metric=metric, schedule=schedule, candidate_mode=candidate_mode, engine="loop"
-    )
-    fused = BondSearcher(
-        store, metric=metric, schedule=schedule, candidate_mode=candidate_mode, engine="fused"
+    searcher, reference = (
+        searcher_class(DecomposedStore(data), metric=metric, schedule=FixedPeriodSchedule(period))
+        for searcher_class in (BondSearcher, PerDimensionBondSearcher)
     )
 
-    references = [loop.search(query, k) for query in queries]
-    for query, reference in zip(queries, references):
-        _assert_identical(fused.search(query, k), reference)
-    batch = fused.search_batch(queries, k)
+    references = [reference.search(query, k) for query in queries]
+    for query, wanted in zip(queries, references):
+        result = searcher.search(query, k)
+        _assert_identical(result, wanted)
+        assert result.cost.as_dict() == wanted.cost.as_dict()
+        assert result.candidate_trace == wanted.candidate_trace
+    batch = searcher.search_batch(queries, k)
     assert isinstance(batch, BatchSearchResult)
     assert len(batch) == len(queries)
-    for result, reference in zip(batch, references):
-        _assert_identical(result, reference)
+    for result, wanted in zip(batch, references):
+        _assert_identical(result, wanted)
 
 
 @settings(max_examples=10, deadline=None)
 @given(rows=st.integers(40, 140), columns=st.integers(6, 20), seed=st.integers(0, 10_000))
-def test_batch_matches_loop_with_adaptive_schedule(rows, columns, seed):
+def test_batch_matches_the_seed_with_adaptive_schedule(rows, columns, seed):
     """Per-query schedule state must not leak between batched queries."""
     data, rng = _collection(rows, columns, seed, normalized=True)
     queries = data[rng.choice(rows, size=5, replace=False)]
-    store = DecomposedStore(data)
-    loop = BondSearcher(store, schedule=GeometricSchedule(2), engine="loop")
-    fused = BondSearcher(store, schedule=GeometricSchedule(2), engine="fused")
-    references = [loop.search(query, 5) for query in queries]
-    for result, reference in zip(fused.search_batch(queries, 5), references):
+    searcher = BondSearcher(DecomposedStore(data), schedule=GeometricSchedule(2))
+    oracle = SeedBondSearcher(data)
+    references = [oracle.search(query, 5) for query in queries]
+    for result, reference in zip(searcher.search_batch(queries, 5), references):
         _assert_identical(result, reference)
 
 
@@ -135,13 +145,13 @@ def test_batch_shares_fragment_reads():
     queries = data[:6]
 
     single_store = DecomposedStore(data)
-    singles = BondSearcher(single_store, engine="fused")
+    singles = BondSearcher(single_store)
     for query in queries:
         singles.search(query, 5)
     single_bytes = single_store.cost.account.bytes_read
 
     batch_store = DecomposedStore(data)
-    batched = BondSearcher(batch_store, engine="fused")
+    batched = BondSearcher(batch_store)
     batch = batched.search_batch(queries, 5)
     assert batch.cost.bytes_read < single_bytes
 
@@ -156,37 +166,74 @@ def test_batch_shares_fragment_reads():
     assert scan_batch.cost.bytes_read * 5 < scan_single_bytes
 
 
-def test_loop_and_fused_charge_identical_costs():
-    """Fusion changes how work is issued, not how much is accounted."""
-    data, rng = _collection(300, 20, 3, normalized=True)
-    queries = data[:4]
-    loop_store = DecomposedStore(data)
-    fused_store = DecomposedStore(data)
-    loop = BondSearcher(loop_store, engine="loop")
-    fused = BondSearcher(fused_store, engine="fused")
-    for query in queries:
-        loop_result = loop.search(query, 5)
-        fused_result = fused.search(query, 5)
-        assert loop_result.cost.as_dict() == fused_result.cost.as_dict()
+#: ``cost.as_dict()`` of one single-query search, in ``CostAccount.WIRE_FIELDS``
+#: order, its pruning trace and its full-height dimensions — recorded from
+#: the per-dimension engine (whose counters the fused engine matched) on the
+#: shared ``corel_histograms`` / ``clustered_vectors`` fixtures, k = 10.  A change to any of them is a change to the
+#: accounting, to be made on purpose.
+RECORDED_EXACT_COSTS = {
+    ("Hq", "mass", 3): ((129344, 16168, 20640, 1522, 1532, 136, 37), [0, 5, 13, 21, 37], [1200, 282, 26, 14, 10], 13),
+    ("Hq", "mass", 777): ((119152, 14894, 14792, 1332, 1342, 142, 36), [0, 4, 12, 20, 36], [1200, 99, 22, 11, 10], 12),
+    ("Hq", "m8", 3): ((84256, 10532, 23522, 1289, 1299, 220, 32), [0, 8, 16, 24, 32], [1200, 60, 18, 11, 10], 8),
+    ("Hq", "m8", 777): ((81624, 10203, 22836, 1242, 1252, 267, 24), [0, 8, 16, 24], [1200, 27, 15, 10], 8),
+    ("euclidean", "mass", 3): ((156456, 19557, 63388, 2438, 2448, 21, 32), [0, 8, 16, 24, 32], [1200, 1196, 21, 21, 10], 16),
+    ("euclidean", "mass", 777): ((157576, 19697, 63908, 2458, 2468, 33, 32), [0, 8, 16, 24, 32], [1200, 1200, 33, 25, 10], 16),
+    ("euclidean", "m8", 3): ((156456, 19557, 63388, 2438, 2448, 21, 32), [0, 8, 16, 24, 32], [1200, 1196, 21, 21, 10], 16),
+    ("euclidean", "m8", 777): ((157576, 19697, 63908, 2458, 2468, 33, 32), [0, 8, 16, 24, 32], [1200, 1200, 33, 25, 10], 16),
+    ("weighted", "mass", 3): ((155112, 19389, 82314, 2421, 2431, 21, 24), [0, 8, 16, 24], [1200, 1200, 21, 10], 16),
+    ("weighted", "mass", 777): ((155400, 19425, 82450, 2425, 2435, 25, 24), [0, 8, 16, 24], [1200, 1200, 25, 10], 16),
+    ("weighted", "m8", 3): ((155112, 19389, 82314, 2421, 2431, 21, 24), [0, 8, 16, 24], [1200, 1200, 21, 10], 16),
+    ("weighted", "m8", 777): ((155400, 19425, 82450, 2425, 2435, 25, 24), [0, 8, 16, 24], [1200, 1200, 25, 10], 16),
+}
+
+
+def assert_recorded(result, recorded) -> None:
+    """One search's counters, trace and full-height count equal a record."""
+    cost, dimensions, remaining, full_scan = recorded
+    assert result.cost.as_dict() == dict(zip(CostAccount.WIRE_FIELDS, cost))
+    assert result.candidate_trace.dimensions_processed == dimensions
+    assert result.candidate_trace.candidates_remaining == remaining
+    assert result.dimensions_processed == dimensions[-1]
+    assert result.full_scan_dimensions == full_scan
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_EXACT_COSTS), ids=lambda case: "-".join(map(str, case)))
+def test_charges_the_recorded_costs(case, corel_histograms, clustered_vectors):
+    """Fusion changes how work is issued, not how much is accounted: HI on
+    the histogram fixture; squared Euclidean and a skewed weighted metric
+    (a quarter of the weights zero) on the clustered one."""
+    metric_name, schedule_name, row = case
+    if metric_name == "Hq":
+        data, metric = corel_histograms, HistogramIntersection()
+    elif metric_name == "euclidean":
+        data, metric = clustered_vectors, SquaredEuclidean()
+    else:
+        weights = np.random.default_rng(5).uniform(0.0, 1.0, 32) ** 4 * 8.0
+        weights[::4] = 0.0
+        data, metric = clustered_vectors, WeightedSquaredEuclidean(weights)
+    for searcher_class in (BondSearcher, PerDimensionBondSearcher):
+        schedule = MassAwareSchedule() if schedule_name == "mass" else FixedPeriodSchedule(8)
+        searcher = searcher_class(DecomposedStore(data), metric=metric, schedule=schedule)
+        assert_recorded(searcher.search(data[row], 10), RECORDED_EXACT_COSTS[case])
 
 
 def test_batch_with_deleted_vectors():
     data, rng = _collection(120, 10, 9, normalized=True)
-    store = DecomposedStore(data)
     deleted = np.array([0, 5, 17])
-    searcher = BondSearcher(store, engine="fused")
-    loop = BondSearcher(store, engine="loop")
+    kept = np.setdiff1d(np.arange(120), deleted)
+    searcher = BondSearcher(DecomposedStore(data))
+    oracle = SeedBondSearcher(data[kept])
     queries = data[[2, 30]]
-    references = [loop.search(query, 4, exclude=deleted) for query in queries]
-    for result, reference in zip(searcher.search_batch(queries, 4, exclude=deleted), references):
-        _assert_identical(result, reference)
+    for query, result in zip(queries, searcher.search_batch(queries, 4, exclude=deleted)):
+        reference = oracle.search(query, 4)
+        assert np.array_equal(result.oids, kept[reference.oids])
+        assert np.array_equal(result.scores, reference.scores)
         assert not set(result.oids) & {0, 5, 17}
 
 
 @pytest.mark.parametrize("k", [4, 110, 500])
-@pytest.mark.parametrize("engine", ["fused", "loop"])
 @pytest.mark.parametrize("metric_name", ["histogram", "euclidean"])
-def test_exclude_matches_a_search_over_the_compacted_rows(metric_name, engine, k):
+def test_exclude_matches_a_search_over_the_compacted_rows(metric_name, k):
     """``exclude=`` answers like a search over the rows left, even when
     excluded rows would set the pruning threshold or tie a live one at the
     k-th place.  ``k = 110`` lies between the live and the stored row
@@ -221,7 +268,7 @@ def test_exclude_matches_a_search_over_the_compacted_rows(metric_name, engine, k
     kept = np.setdiff1d(np.arange(120), exclude)
     assert kept.shape[0] < 110 < store.cardinality
     reference = BondSearcher(DecomposedStore(data[kept]), metric=metric)
-    searcher = BondSearcher(store, metric=metric, engine=engine)
+    searcher = BondSearcher(store, metric=metric)
 
     expected = [reference.search(query, k) for query in queries]
     singles = [searcher.search(query, k, exclude=exclude) for query in queries]
@@ -233,10 +280,30 @@ def test_exclude_matches_a_search_over_the_compacted_rows(metric_name, engine, k
     assert survivor in singles[0].oids.tolist()
 
 
-def test_engine_argument_validated():
+def test_construction_surface_is_pinned():
+    """One engine per searcher and one candidate-set policy: a new option
+    must change this test on purpose."""
+
+    def keywords(callable_) -> set[str]:
+        return {
+            name
+            for name, parameter in inspect.signature(callable_).parameters.items()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        }
+
+    assert keywords(BondSearcher) == {"metric", "bound", "ordering", "schedule"}
+    assert keywords(CompressedBondSearcher) == {"metric", "ordering", "schedule"}
+    assert keywords(CandidateSet) == {"track_partial_sums", "track_remaining_sums"}
     data, _ = _collection(20, 5, 0, normalized=True)
-    with pytest.raises(QueryError):
-        BondSearcher(DecomposedStore(data), engine="turbo")
+    store = DecomposedStore(data)
+    for retired in ({"engine": "loop"}, {"candidate_mode": "bitmap"}, {"switch_selectivity": 0.5}):
+        with pytest.raises(TypeError):
+            BondSearcher(store, **retired)
+    with pytest.raises(TypeError):
+        CompressedBondSearcher(CompressedStore(store), engine="loop")
+    for retired in ({"mode": "positional"}, {"switch_selectivity": 0.5}):
+        with pytest.raises(TypeError):
+            CandidateSet(store, **retired)
 
 
 def test_batch_rejects_bad_shapes():

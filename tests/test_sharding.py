@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import PerDimensionCompressedSearcher
 
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
@@ -523,8 +524,8 @@ class TestQuerySideEarlyOut:
         data = zeroed_collection
         metric = HistogramIntersection()
         store = CompressedStore(DecomposedStore(data))
-        loop = CompressedBondSearcher(store, metric=metric, engine="loop")
-        fused = CompressedBondSearcher(store, metric=metric, engine="fused")
+        loop = PerDimensionCompressedSearcher(store, metric=metric)
+        fused = CompressedBondSearcher(store, metric=metric)
         for query_index in (0, 17, 59):
             query = data[query_index]
             expected = exact_top_k(data, query, 8, metric)
