@@ -67,12 +67,19 @@ from repro.cluster.shm import decompose_shared
 from repro.core.parallel import check_shard_options
 from repro.core.result import BatchSearchResult, SearchResult
 from repro.engine.cost import CostModel
-from repro.errors import BackendError, FailoverExhausted, QueryError, StorageError
+from repro.errors import (
+    BackendError,
+    FailoverExhausted,
+    QueryError,
+    StorageError,
+    TransientBackendError,
+)
 from repro.metrics.base import Metric
 from repro.mutability.epoch import Epoch
 from repro.mutability.overlay import overlay_answer
 from repro.mutability.tail import TailState
 from repro.mutability.wal import OP_INSERT, WriteAheadLog, read_wal, wal_token
+from repro.reliability.retry import BreakerState, CircuitBreaker
 from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.formats import FragmentFormat
@@ -112,6 +119,15 @@ def _require_finite(rows: np.ndarray) -> None:
         block = rows[start : start + _FINITE_CHECK_ROWS]
         if not (np.isfinite(block.min()) and np.isfinite(block.max())):
             raise QueryError("vector coefficients must be finite (found NaN or inf)")
+
+
+def _attributed(result, backend: str, *, failed_over: bool):
+    """Stamp which backend produced ``result`` (and each query of a batch)."""
+    parts = result.results if isinstance(result, BatchSearchResult) else ()
+    for each in (result, *parts):
+        each.backend = backend
+        each.failed_over = failed_over
+    return result
 
 
 class Index:
@@ -230,6 +246,9 @@ class Index:
         self._planner = QueryPlanner(self, registry=registry)
         # Metric instances are stateless, so the cache survives epoch swaps.
         self._metrics: dict[tuple, Metric] = {}
+        # One circuit breaker per backend, shared by every answer.
+        self._breakers: dict[str, CircuitBreaker] = {}
+        self._breaker_lock = threading.Lock()
         # -- mutability state ------------------------------------------------
         # All reads go through the current epoch (atomically swapped);
         # mutations serialise on the mutation lock; queries never take it.
@@ -955,12 +974,18 @@ class Index:
     ) -> SearchResult | BatchSearchResult:
         """Execute ``query`` on one backend, with the live-update overlay.
 
-        The building block under :meth:`answer` that external executors
-        (the serving layer's retry/failover loop) call directly: ``plan``
-        reuses an existing planning decision, ``backend`` overrides which
-        backend runs (a failover substitute).  Like :meth:`answer`, the
-        whole execution is pinned to one epoch and the delta tail is
-        overlaid exactly on the base answer.
+        One attempt of :meth:`answer`'s failover chain: ``plan`` reuses a
+        planning decision, ``backend`` overrides which backend runs.  The
+        execution is pinned to one epoch (the caller's, when it holds a pin).
+
+        The update-free path hands the query straight to the backend.  With
+        live updates, the backend answers over the base snapshot at the
+        caller's ``k``, its search excluding the deleted base rows, and
+        scores the live tail rows with its own row scorer — bitwise what it
+        scores them once reorganised into the base (per-row scores do not
+        depend on the rest of the collection) — and the overlay merges the
+        two.  Approximate backends score the tail exactly, so a fresh insert
+        is never hidden by a stale structure.
         """
         with self.pin() as epoch:
             if plan is None:
@@ -968,37 +993,21 @@ class Index:
             chosen = (
                 plan.backend if backend is None else self._planner.registry.get(backend)
             )
-            return self._execute_on(chosen, query, plan.metric, epoch)
-
-    def _execute_on(
-        self, backend, query: Query, metric: Metric, epoch: Epoch
-    ) -> SearchResult | BatchSearchResult:
-        """Run one backend and overlay the epoch's tail on its answer.
-
-        The update-free path is untouched (and bitwise identical to the
-        pre-mutability facade): an empty tail hands the query straight to
-        the backend.  With live updates, the backend answers over the base
-        snapshot at the caller's ``k``, its search excluding the deleted
-        base rows, and scores the live tail rows with its own row scorer —
-        bitwise what it scores them once reorganised into the base (per-row
-        scores do not depend on the rest of the collection) — and the
-        overlay merges the two.  Approximate backends score the tail
-        exactly, so a fresh insert is never hidden by a stale structure.
-        """
-        tail = epoch.tail
-        if tail.is_empty:
-            return backend.answer(self, query, metric)
-        base = backend.answer(self, query, metric, exclude=tail.deleted_base)
-        if not tail.live_tail_count:
-            return base
-        oids, columns = tail.live_rows()
-        # One read of the tail per answer; its arithmetic per query.
-        self._cost.charge_scan(columns.size, self._format.coefficient_bytes)
-        self._cost.charge_arithmetic(
-            columns.size * metric.arithmetic_ops_per_value() * query.batch_size
-        )
-        scores = backend.score_rows(self, query, metric, columns)
-        return overlay_answer(base, query.k, metric, oids, scores, self._cost)
+            metric = plan.metric
+            tail = epoch.tail
+            if tail.is_empty:
+                return chosen.answer(self, query, metric)
+            base = chosen.answer(self, query, metric, exclude=tail.deleted_base)
+            if not tail.live_tail_count:
+                return base
+            oids, columns = tail.live_rows()
+            # One read of the tail per answer; its arithmetic per query.
+            self._cost.charge_scan(columns.size, self._format.coefficient_bytes)
+            self._cost.charge_arithmetic(
+                columns.size * metric.arithmetic_ops_per_value() * query.batch_size
+            )
+            scores = chosen.score_rows(self, query, metric, columns)
+            return overlay_answer(base, query.k, metric, oids, scores, self._cost)
 
     def answer(
         self, query: Query, *, failover: bool = False
@@ -1007,39 +1016,78 @@ class Index:
 
         Returns a :class:`~repro.core.result.SearchResult` for single-vector
         queries and a :class:`~repro.core.result.BatchSearchResult` for
-        batches, exactly as the underlying searcher would.  Under live
-        updates (see :meth:`insert` / :meth:`delete`) the answer is the
-        overlay-corrected top-k: bitwise identical to an index rebuilt from
-        scratch at the same logical state.
+        batches, exactly as the underlying searcher would, with ``backend``
+        naming the backend that answered and ``failed_over`` whether it was
+        a substitute.  Under live updates (see :meth:`insert` /
+        :meth:`delete`) the answer is the overlay-corrected top-k: bitwise
+        identical to an index rebuilt from scratch at the same logical state.
 
-        With ``failover=True``, an execution-time
-        :class:`~repro.errors.BackendError` from the planned backend is not
-        final: the planner's :meth:`~repro.api.planner.Plan.failover_chain`
-        is walked (next-cheapest eligible *exact* backend first) until one
-        answers.  Exact substitutes return answers bitwise identical to the
-        planned exact backend — and when an approximate backend fails over,
-        the substitute is exact too (recall 1.0 satisfies any approx
-        request; the chain never swaps one approximation for another).
-        When the whole chain fails the per-backend errors
-        are collected into :class:`~repro.errors.FailoverExhausted`; a
-        single-entry chain re-raises the original error unchanged.
+        Without ``failover`` the planned backend alone runs.  With
+        ``failover=True`` an execution-time
+        :class:`~repro.errors.BackendError` is not final: the plan's
+        :meth:`~repro.api.planner.Plan.failover_chain` is walked (the
+        next-cheapest eligible *exact* backend first) until one answers.  A
+        substitute agrees with the planned backend on OIDs and on scores to
+        1e-9, not bitwise (engines sum partial scores in different orders);
+        an approximate backend is only ever substituted by an exact one.
+
+        Every attempt reports to its backend's circuit breaker (one per
+        backend, shared by every caller of this index, the serving layer
+        included); a backend whose breaker is open is skipped, and when every
+        breaker of the chain is open the planned backend is probed anyway.
+        The plan and every attempt run on one pinned epoch.  When no attempt
+        answers, the first transient error is re-raised (a retry may
+        succeed); otherwise a single attempt re-raises its error unchanged
+        and several raise :class:`~repro.errors.FailoverExhausted`.
         """
-        with self.pin() as epoch:
+        with self.pin():
             plan = self._planner.plan(query)
-            if not failover:
-                return self._execute_on(plan.backend, query, plan.metric, epoch)
+            chain = plan.failover_chain() if failover else (plan.backend_name,)
             attempts: list[tuple[str, BackendError]] = []
-            chain = plan.failover_chain()
-            for backend_name in chain:
-                backend = self._planner.registry.get(backend_name)
+            for name, breaker in self._admitted(chain):
                 try:
-                    return self._execute_on(backend, query, plan.metric, epoch)
+                    result = self.execute(query, backend=name, plan=plan)
                 except BackendError as exc:
-                    attempts.append((backend_name, exc))
-            if len(chain) == 1:
-                raise attempts[0][1]
-            summary = "; ".join(f"{name}: {error}" for name, error in attempts)
-            raise FailoverExhausted(
-                f"all {len(attempts)} capable backends failed ({summary})",
-                attempts=attempts,
-            )
+                    breaker.record_failure()
+                    attempts.append((name, exc))
+                    continue
+                breaker.record_success()
+                return _attributed(result, name, failed_over=name != plan.backend_name)
+        for _, error in attempts:
+            if isinstance(error, TransientBackendError):
+                raise error
+        if len(attempts) == 1:
+            raise attempts[0][1]
+        summary = "; ".join(f"{name}: {error}" for name, error in attempts)
+        raise FailoverExhausted(
+            f"all {len(attempts)} backends of the failover chain failed ({summary})",
+            attempts=attempts,
+        )
+
+    def _admitted(self, chain: tuple[str, ...]):
+        """``(name, breaker)`` of each backend of ``chain`` whose breaker
+        admits a call, asked one at a time (an admitted half-open breaker
+        holds its single probe); the planned ``chain[0]`` when none does, so
+        a recovered backend is rediscovered instead of failing fast forever."""
+        admitted = False
+        for name in chain:
+            breaker = self._breaker(name)
+            if breaker.allow():
+                admitted = True
+                yield name, breaker
+        if not admitted:
+            yield chain[0], self._breaker(chain[0])
+
+    def _breaker(self, backend: str) -> CircuitBreaker:
+        """The circuit breaker of one backend, created on first use."""
+        breaker = self._breakers.get(backend)
+        if breaker is None:
+            with self._breaker_lock:
+                breaker = self._breakers.setdefault(backend, CircuitBreaker(backend))
+        return breaker
+
+    def breaker_states(self) -> tuple[BreakerState, ...]:
+        """A snapshot of every backend circuit breaker, sorted by name."""
+        with self._breaker_lock:
+            breakers = sorted(self._breakers.items())
+        return tuple(breaker.snapshot() for _, breaker in breakers)

@@ -82,6 +82,10 @@ class SearchResult:
         rows — never silently passed off as the global top-k.
     failed_shards:
         Shard indices that failed when :attr:`degraded` is set.
+    backend / failed_over:
+        Set by ``Index.answer``: the registry name of the backend that
+        answered, and whether it substituted for the planned one after a
+        failure (``None`` / ``False`` for a direct searcher call).
     """
 
     oids: np.ndarray
@@ -94,6 +98,8 @@ class SearchResult:
     exact: bool = True
     degraded: bool = False
     failed_shards: tuple[int, ...] = ()
+    backend: str | None = None
+    failed_over: bool = False
 
     def __post_init__(self) -> None:
         self.oids = np.asarray(self.oids, dtype=np.int64)
@@ -137,11 +143,15 @@ class BatchSearchResult:
         Work charged to the cost model while answering the whole batch.
     elapsed_seconds:
         Wall-clock time of the batch call.
+    backend / failed_over:
+        As on :class:`SearchResult`, for the whole batch.
     """
 
     results: list[SearchResult]
     cost: CostAccount = field(default_factory=CostAccount)
     elapsed_seconds: float = 0.0
+    backend: str | None = None
+    failed_over: bool = False
 
     def __len__(self) -> int:
         return len(self.results)

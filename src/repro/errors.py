@@ -70,9 +70,9 @@ class BackendError(ReproError):
     This is the execution-time counterpart of :class:`PlanError`: planning
     succeeded, but the chosen physical backend could not produce an answer
     (a shard worker died, a store read failed, an injected fault fired).
-    ``Index.answer`` reacts by failing over to the next capable backend; the
-    serving layer additionally feeds these into its per-backend circuit
-    breakers.
+    ``Index.answer`` counts it against the backend's circuit breaker and,
+    with ``failover=True`` (as the serving layer calls it), moves on to the
+    next capable backend.
     """
 
 
@@ -89,8 +89,8 @@ class FailoverExhausted(BackendError):
     """Raised when every capable backend in the failover chain failed.
 
     Carries the per-backend causes in :attr:`attempts` (a tuple of
-    ``(backend_name, repr(error))`` pairs) so operators see the whole chain,
-    not just the last failure.
+    ``(backend_name, error)`` pairs, the exception itself) so operators see
+    the whole chain, not just the last failure.
     """
 
     def __init__(self, message: str, attempts: tuple = ()) -> None:

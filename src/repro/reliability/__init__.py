@@ -8,13 +8,14 @@ Two halves:
   ``executor.dispatch``) with replayable error / delay / hang schedules;
 * :mod:`repro.reliability.retry` — :class:`RetryPolicy`,
   :class:`RetryBudget` and per-backend :class:`CircuitBreaker` primitives
-  the serving layer composes around execution.
+  the index and the serving layer compose around execution.
 
 The contract the whole layer upholds (pinned by
 ``tests/test_reliability.py::TestChaosProperty``): under any seeded fault
-schedule, every query resolves to either a **bitwise-identical** answer
-(transient faults absorbed by retry / failover) or a **typed**
-:class:`~repro.errors.ReproError` — never a silently wrong answer.
+schedule, every query resolves to either the right answer — bitwise after a
+retry, OIDs equal and scores within 1e-9 after a failover to another
+backend — or a **typed** :class:`~repro.errors.ReproError`, never a silently
+wrong answer.
 """
 
 from repro.reliability.faults import (

@@ -1,8 +1,9 @@
 """Retry budgets, bounded exponential backoff, and per-backend circuit
 breakers.
 
-These are the fault-*handling* primitives the serving layer composes around
-query execution:
+These are the fault-*handling* primitives composed around query execution —
+``Index.answer`` keeps one breaker per backend, the serving layer retries
+with the policy under the budget:
 
 * :class:`RetryPolicy` — how long to back off before retry ``n``;
 * :class:`RetryBudget` — a thread-safe per-service cap on total retries, so
@@ -12,8 +13,8 @@ query execution:
   closed / open / half-open protocol, so a consistently failing backend is
   skipped by the failover chain until a cooldown probe succeeds.
 
-Everything is synchronous and lock-guarded: the serving layer calls these
-from both the event loop and its worker threads.
+Everything is synchronous and lock-guarded: these are called from both the
+event loop and the serving layer's worker threads.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class CircuitBreaker:
             self._probe_inflight = False
 
     def snapshot(self) -> BreakerState:
-        """An immutable view for :meth:`SearchService.health`."""
+        """An immutable view for :meth:`Index.breaker_states`."""
         with self._lock:
             state = self._observe_cooldown()
             until_probe = 0.0

@@ -4,8 +4,9 @@ Turns a stream of independently arriving single queries into the micro-batches
 the batch engines are fast at — work-conserving, with the latency budget as a
 ceiling on the wait — with bounded
 admission control, per-batch cost attribution, and explicit failure handling
-(per-request deadlines, transient-error retry under a budget, backend
-failover behind circuit breakers — see :mod:`repro.reliability`).  See
+(per-request deadlines, transient-error retry under a budget, and the
+index's own failover chain behind its circuit breakers — see
+:mod:`repro.reliability`).  See
 :mod:`repro.serving.service` for the front end,
 :mod:`repro.serving.admission` for the fifo/overlap batch-formation policies
 and :mod:`repro.serving.stats` for the statistics surface; the serving and

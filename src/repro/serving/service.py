@@ -8,11 +8,11 @@ service.submit(vector, k=...)`` and get their own
 arrives while a batch runs — compatible requests (same ``k``, metric, mode,
 backend pin, approx knobs) leave together as soon as a worker frees up; the
 **latency budget** caps the wait, a full batch flushes immediately.
-Execution happens through the :mod:`repro.api` platform —
-``Index.answer(Query(..., batch=True))`` on a worker executor, so the event
-loop never blocks and the planner keeps choosing the backend (including the
-sharded engine) exactly as it would for a direct call.  Served answers
-are therefore **bitwise identical** to direct ``Index.answer`` calls.
+Execution is one ``Index.answer(Query(..., batch=True), failover=True)``
+per attempt on a worker executor, so the event loop never blocks and the
+planner, the failover chain and the per-backend circuit breakers are the
+index's own — a served answer is the one a direct ``answer(...,
+failover=True)`` call gives, bitwise.
 
 Admission control is explicit: the waiting queue is bounded and overflow
 raises :class:`~repro.errors.QueueFull` at the submitter, the standard
@@ -25,17 +25,17 @@ own deadline (``submit(..., timeout=...)`` →
 :class:`~repro.errors.DeadlineExceeded`, and expired requests are evicted
 *before* they ride a batch); a batch whose execution raises a
 :class:`~repro.errors.TransientBackendError` is retried with bounded
-exponential backoff under a per-service retry budget; execution itself walks
-the plan's failover chain, skipping backends whose circuit breaker is open.
-Because every backend is exact, a retried or failed-over answer is bitwise
-identical to the first-try answer — the only caller-visible outcomes are the
-right answer or a typed error.
+exponential backoff under a per-service retry budget.  A retried answer is
+bitwise identical to the first-try one; a failed-over answer agrees with the
+planned backend's on OIDs and on scores to 1e-9 — the only caller-visible
+outcomes are the right answer or a typed error.
 
-The service keeps answering while the index mutates: execution goes through
-``Index.execute``, which pins one epoch per batch and overlays the live
-delta tail on whichever backend answers — so a batch that runs concurrently
-with ``insert``/``delete``/``reorganize()`` sees one consistent snapshot and
-returns exactly what ``Index.answer`` would have at that instant.
+The service keeps answering while the index mutates: each ``Index.answer``
+plans and runs every attempt of its failover chain on one pinned epoch, with
+the live delta tail overlaid on whichever backend answers, so a batch that
+runs concurrently with ``insert``/``delete``/``reorganize()`` sees one
+consistent snapshot.  A retry after backoff is a new answer and may see a
+newer epoch.
 
 Typical usage::
 
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -64,9 +63,7 @@ import numpy as np
 from repro.api.query import Query
 from repro.core.result import BatchSearchResult, SearchResult
 from repro.errors import (
-    BackendError,
     DeadlineExceeded,
-    FailoverExhausted,
     QueueFull,
     ServiceClosed,
     ServingError,
@@ -74,7 +71,7 @@ from repro.errors import (
 )
 from repro.metrics.base import Metric
 from repro.reliability.faults import fault_point
-from repro.reliability.retry import CircuitBreaker, RetryBudget, RetryPolicy
+from repro.reliability.retry import RetryBudget, RetryPolicy
 from repro.serving.admission import AdmissionPolicy, resolve_admission
 from repro.serving.stats import BatchStats, ServiceHealth, ServingStats, StatsCollector
 
@@ -129,14 +126,6 @@ class ServingConfig:
         Cap on total retries over the service's life (``None``: unlimited);
         once drained, transient errors fail fast (see
         :class:`~repro.reliability.RetryBudget`).
-    failover:
-        Walk the plan's failover chain on execution-time
-        :class:`~repro.errors.BackendError` (next-cheapest capable backend
-        first).  ``False`` pins every batch to its planned backend.
-    breaker_threshold / breaker_cooldown:
-        Per-backend circuit breaker: consecutive failures before the breaker
-        opens, and seconds before it admits a half-open probe (see
-        :class:`~repro.reliability.CircuitBreaker`).
     """
 
     latency_budget: float = 0.002
@@ -149,9 +138,6 @@ class ServingConfig:
     retry_base_delay: float = 0.01
     retry_max_delay: float = 0.25
     retry_budget: int | None = 256
-    failover: bool = True
-    breaker_threshold: int = 5
-    breaker_cooldown: float = 30.0
 
     def __post_init__(self) -> None:
         if self.latency_budget < 0:
@@ -166,9 +152,9 @@ class ServingConfig:
             raise ServingError("drain_timeout must be positive (or None for unbounded)")
         if self.max_retries < 0:
             raise ServingError("max_retries must be non-negative")
-        # The delay and breaker knobs are validated by the primitives built
-        # from them (RetryPolicy / RetryBudget / CircuitBreaker), constructed
-        # eagerly in SearchService.__init__ so a bad config fails there.
+        # The delay knobs are validated by the primitives built from them
+        # (RetryPolicy / RetryBudget), constructed eagerly in
+        # SearchService.__init__ so a bad config fails there.
 
 
 @dataclass(eq=False)
@@ -221,8 +207,6 @@ class SearchService:
             max_delay=self._config.retry_max_delay,
         )
         self._retry_budget = RetryBudget(self._config.retry_budget)
-        self._breakers: dict[str, CircuitBreaker] = {}
-        self._breaker_lock = threading.Lock()
         self._stats = StatsCollector()
         self._sequence = itertools.count()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -660,13 +644,7 @@ class SearchService:
                 return
             batch_query = self._coalesce([request.query for request in requests])
             try:
-                (
-                    batch_result,
-                    cost_delta,
-                    batch_seconds,
-                    backend,
-                    failed_over,
-                ) = await self._loop.run_in_executor(
+                batch_result, cost_delta, batch_seconds = await self._loop.run_in_executor(
                     self._executor, self._answer_batch, batch_query
                 )
                 break
@@ -681,7 +659,7 @@ class SearchService:
             except Exception as exc:  # propagate to every rider of the batch
                 self._fail_riders(requests, exc)
                 return
-        if failed_over:
+        if batch_result.failed_over:
             self._stats.record_failover()
         done = self._loop.time()
         delivered = 0
@@ -701,108 +679,26 @@ class SearchService:
                 queue_waits=tuple(admitted - request.arrival for request in requests),
                 batch_seconds=batch_seconds,
                 cost=cost_delta,
-                backend=backend,
+                backend=batch_result.backend,
             ),
             [done - request.arrival for request in requests],
             delivered=delivered,
         )
 
-    def _breaker(self, backend: str) -> CircuitBreaker:
-        """The circuit breaker of one backend, created on first use."""
-        with self._breaker_lock:
-            breaker = self._breakers.get(backend)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    backend,
-                    threshold=self._config.breaker_threshold,
-                    cooldown=self._config.breaker_cooldown,
-                )
-                self._breakers[backend] = breaker
-            return breaker
-
-    def _answer_batch(
-        self, batch_query: Query
-    ) -> tuple[BatchSearchResult, object, float, str, bool]:
-        """Worker-thread body: plan, execute with failover, attribute cost.
+    def _answer_batch(self, batch_query: Query) -> tuple[BatchSearchResult, object, float]:
+        """Worker-thread body: one ``Index.answer`` with failover, its cost
+        and its wall-clock seconds.
 
         The snapshot/delta pair brackets exactly this batch — with the
         default single-worker executor batches serialise, so the delta is
         the batch's own charge and the live account is never mutated for
         bookkeeping (see :meth:`repro.engine.cost.CostModel.delta_since`).
-
-        Execution walks the plan's failover chain (planned backend first,
-        when ``config.failover`` is on), skipping backends whose circuit
-        breaker is open; each backend's outcome feeds its breaker.  If the
-        whole chain fails and any failure was transient, the *transient*
-        error is raised so the async retry layer re-runs the chain after
-        backoff; a purely persistent exhaustion raises
-        :class:`~repro.errors.FailoverExhausted` (single-entry chains
-        re-raise the original error unchanged).  The last element of the
-        returned tuple flags whether a non-planned backend answered.
         """
         fault_point("executor.dispatch")
         before = self._index.cost.snapshot()
-        plan = self._index.plan(batch_query)
-        chain = plan.failover_chain() if self._config.failover else (plan.backend_name,)
         started = time.perf_counter()
-        attempts: list[tuple[str, BackendError]] = []
-        transient: TransientBackendError | None = None
-
-        def try_backend(name: str) -> BatchSearchResult | None:
-            # Executing through the index (not the raw backend) keeps the
-            # live-update overlay in the path: a failover substitute answers
-            # over the same pinned epoch + delta tail the planned backend
-            # would have, so served answers stay bitwise identical to
-            # Index.answer even while updates stream in.
-            nonlocal transient
-            breaker = self._breaker(name)
-            try:
-                result = self._index.execute(batch_query, backend=name, plan=plan)
-            except BackendError as exc:
-                breaker.record_failure()
-                attempts.append((name, exc))
-                if transient is None and isinstance(exc, TransientBackendError):
-                    transient = exc
-                return None
-            breaker.record_success()
-            return result
-
-        tried = 0
-        for name in chain:
-            if not self._breaker(name).allow():
-                continue
-            tried += 1
-            result = try_backend(name)
-            if result is not None:
-                return (
-                    result,
-                    self._index.cost.delta_since(before),
-                    time.perf_counter() - started,
-                    name,
-                    name != plan.backend_name,
-                )
-        if tried == 0:
-            # Every breaker in the chain is open: failing fast forever would
-            # never rediscover a recovered backend, so force one probe
-            # through the planned backend.
-            result = try_backend(plan.backend_name)
-            if result is not None:
-                return (
-                    result,
-                    self._index.cost.delta_since(before),
-                    time.perf_counter() - started,
-                    plan.backend_name,
-                    False,
-                )
-        if transient is not None:
-            raise transient
-        if len(attempts) == 1:
-            raise attempts[0][1]
-        summary = "; ".join(f"{name}: {error}" for name, error in attempts)
-        raise FailoverExhausted(
-            f"all {len(attempts)} backends of the failover chain failed ({summary})",
-            attempts=attempts,
-        )
+        result = self._index.answer(batch_query, failover=True)
+        return result, self._index.cost.delta_since(before), time.perf_counter() - started
 
     @staticmethod
     def _coalesce(queries: list[Query]) -> Query:
@@ -855,7 +751,7 @@ class SearchService:
     def stats(self) -> ServingStats:
         """An immutable snapshot of the serving statistics so far."""
         return self._stats.snapshot(
-            pending=len(self._pending), breakers=self._breaker_snapshots()
+            pending=len(self._pending), breakers=self._index.breaker_states()
         )
 
     def health(self) -> ServiceHealth:
@@ -863,20 +759,15 @@ class SearchService:
 
         Complements :meth:`stats`: where the stats aggregate the service's
         whole life, the health snapshot is what an operator acts on *now* —
-        acceptance state, queue depth, remaining retry budget, and every
-        backend circuit breaker's state.
+        acceptance state, queue depth, remaining retry budget, and the
+        index's circuit breakers.
         """
         return ServiceHealth(
             running=self.is_running,
             pending=len(self._pending),
             retry_budget_remaining=self._retry_budget.remaining,
-            breakers=self._breaker_snapshots(),
+            breakers=self._index.breaker_states(),
         )
-
-    def _breaker_snapshots(self):
-        with self._breaker_lock:
-            names = sorted(self._breakers)
-            return tuple(self._breakers[name].snapshot() for name in names)
 
 
 async def replay_open_loop(

@@ -49,9 +49,8 @@ class BatchStats:
     cost:
         The cost-model delta this batch charged to the index.
     backend:
-        Name of the backend the planner executed the batch on (``None`` when
-        the query left the choice to the planner and the plan was not
-        recorded).
+        Name of the backend that answered the batch (the answer's
+        ``backend``: a failover substitute when one answered).
     """
 
     batch_size: int
@@ -77,7 +76,8 @@ class ServingStats:
     ``expired`` counts requests failed with
     :class:`~repro.errors.DeadlineExceeded` before execution; ``retries``
     counts batch re-executions after a transient backend error; ``failovers``
-    counts executions that succeeded on a backend other than the planned one.
+    counts batches whose answer came from a failover substitute (the
+    answer's ``failed_over``).
     """
 
     submitted: int
@@ -100,7 +100,7 @@ class ServingStats:
     request_seconds_p99: float
     cost: CostAccount
     recent_batches: tuple[BatchStats, ...] = field(repr=False, default=())
-    #: Per-backend circuit-breaker snapshots at stats() time (sorted by name).
+    #: The index's circuit-breaker snapshots at stats() time (sorted by name).
     breakers: tuple[BreakerState, ...] = ()
 
     def as_dict(self) -> dict:

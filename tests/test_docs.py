@@ -1,19 +1,25 @@
 """docs/API.md stays in step with the code it describes.
 
 The ``explain()`` transcript is the first section ``python -m repro.experiments
---explain`` prints, and the backend table names exactly the registered
-backends.
+--explain`` prints, the backend table names exactly the registered backends,
+and every ``ServingConfig(...)`` in a Python example (here and in the README)
+sets only fields the class has.
 """
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import pathlib
 import re
 
 from repro.api import DEFAULT_REGISTRY
 from repro.experiments.__main__ import explain_plans
+from repro.serving import ServingConfig
 
-API_DOC = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+API_DOC = ROOT / "docs" / "API.md"
+README = ROOT / "README.md"
 
 
 def test_explain_transcript_matches_the_generator():
@@ -31,3 +37,18 @@ def test_backend_table_names_the_registered_backends():
     table = doc.split("## Capabilities and the registry", 1)[1].split("\n\n")[2]
     rows = re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
     assert rows == DEFAULT_REGISTRY.names()
+
+
+def test_serving_config_examples_use_existing_fields():
+    fields = {field.name for field in dataclasses.fields(ServingConfig)}
+    used = []
+    for doc in (API_DOC, README):
+        for block in re.findall(r"^```python\n(.*?)^```", doc.read_text(), re.M | re.S):
+            if "ServingConfig(" not in block:
+                continue
+            calls = [node for node in ast.walk(ast.parse(block)) if isinstance(node, ast.Call)]
+            for call in calls:
+                if getattr(call.func, "id", None) == "ServingConfig":
+                    used += [(doc.name, keyword.arg) for keyword in call.keywords]
+    assert used, "no ServingConfig(...) example found"
+    assert [entry for entry in used if entry[1] not in fields] == []

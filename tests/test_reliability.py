@@ -1,8 +1,8 @@
 """The reliability layer: deterministic faults, deadlines, failover, checksums.
 
 The contract pinned here is the one :mod:`repro.reliability` states: under
-any seeded fault schedule, every query resolves to either a
-**bitwise-identical** answer (transient faults absorbed by retry / failover)
+any seeded fault schedule, every query resolves to either the right answer
+(bitwise after a retry, OIDs equal and scores within 1e-9 after a failover)
 or a **typed** :class:`~repro.errors.ReproError` — never a silently wrong
 answer.
 """
@@ -10,7 +10,9 @@ answer.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import pathlib
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -369,6 +371,33 @@ class TestIndexFailover:
         chain = index.plan(query).failover_chain()
         assert [name for name, _ in info.value.attempts] == list(chain)
 
+    def test_breakers_are_created_once_under_contention(self, vectors):
+        """Direct and served threads share the index's breakers: racing
+        first uses of a backend's breaker must not lose its counts."""
+        index = Index.build(vectors)
+        names = [f"backend{i}" for i in range(500)]
+        start = threading.Barrier(8, timeout=30)
+
+        def report():
+            start.wait()
+            for name in names:
+                index._breaker(name).record_success()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=report) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        states = index.breaker_states()
+        assert [state.backend for state in states] == sorted(names)
+        assert all(state.total_successes == len(threads) for state in states)
+
 
 # ---------------------------------------------------------------------------
 # Retry primitives
@@ -440,9 +469,7 @@ class TestServingReliability:
         index = Index.build(vectors)
 
         async def main():
-            config = ServingConfig(
-                latency_budget=0.0, max_retries=3, retry_budget=0, failover=False
-            )
+            config = ServingConfig(latency_budget=0.0, max_retries=3, retry_budget=0)
             async with SearchService(index, config=config) as service:
                 with pytest.raises(TransientBackendError):
                     await service.submit(vectors[0], k=5, metric="histogram")
@@ -456,9 +483,7 @@ class TestServingReliability:
         index = Index.build(vectors)
 
         async def main():
-            config = ServingConfig(
-                latency_budget=0.0, max_retries=2, retry_base_delay=0.001, failover=False
-            )
+            config = ServingConfig(latency_budget=0.0, max_retries=2, retry_base_delay=0.001)
             async with SearchService(index, config=config) as service:
                 with pytest.raises(TransientBackendError):
                     await service.submit(vectors[0], k=5, metric="histogram")
@@ -486,9 +511,59 @@ class TestServingReliability:
             "backend.answer", where={"backend": planned}, error=BackendError
         ):
             result, stats = run(main())
+            direct = index.answer(query, failover=True)
         assert results_equivalent(result, reference)
         assert stats.failovers == 1 and stats.retries == 0
         assert stats.recent_batches[-1].backend != planned
+        # Served and direct walk one chain: the same substitute, bitwise.
+        assert results_identical(result, direct)
+        assert result.backend == direct.backend == stats.recent_batches[-1].backend
+        assert result.failed_over and direct.failed_over
+
+    def test_failover_answers_on_the_planned_epoch(self, vectors, monkeypatch):
+        """The plan and every attempt of one answer share one pinned epoch,
+        direct or served: a substitute answers in the coordinates the
+        planned backend failed in, even if a reorganisation renumbered the
+        OIDs in between; the next answer sees the new epoch."""
+
+        def live_index():
+            index = Index.build(vectors)
+            index.insert(vectors[[7]])
+            index.delete([2])
+            return index
+
+        query = Query(vectors[0], k=5, metric="histogram")
+        direct_index, served_index = live_index(), live_index()
+        plan = direct_index.plan(query)
+        substitute = plan.failover_chain()[1]
+        pinned = Query(vectors[0], k=5, metric="histogram", backend=substitute)
+        before = direct_index.answer(pinned)
+
+        def reorganize_then_fail(index, query, metric, **options):
+            index.reorganize()
+            raise BackendError("the planned backend failed after a reorganisation")
+
+        monkeypatch.setattr(plan.backend, "answer", reorganize_then_fail)
+        direct = direct_index.answer(query, failover=True)
+
+        async def main():
+            config = ServingConfig(latency_budget=0.0)
+            async with SearchService(served_index, config=config) as service:
+                return await service.submit(vectors[0], k=5, metric="histogram")
+
+        served = run(main())
+        monkeypatch.undo()
+        assert results_identical(direct, before)
+        assert results_identical(served, before)
+        for index, result in ((direct_index, direct), (served_index, served)):
+            assert index.generation == 1
+            assert result.backend == substitute and result.failed_over
+            after = index.answer(query)
+            rebuilt = Index.build(index.vectors)
+            assert results_identical(after, rebuilt.answer(query))
+            assert not np.array_equal(after.oids, before.oids)
+            rebuilt.close()
+            index.close()
 
     def test_breaker_opens_and_health_reports_it(self, vectors):
         index = Index.build(vectors)
@@ -496,23 +571,33 @@ class TestServingReliability:
         planned = index.plan(query).backend_name
 
         async def main():
-            config = ServingConfig(
-                latency_budget=0.0, breaker_threshold=2, breaker_cooldown=60.0
-            )
+            config = ServingConfig(latency_budget=0.0)
             async with SearchService(index, config=config) as service:
-                for _ in range(3):
+                # The index's breaker opens after 5 consecutive failures.
+                for _ in range(6):
                     await service.submit(vectors[0], k=5, metric="histogram")
-                return service.health(), service.stats()
+                return service, service.stats()
 
         with FaultPlan(seed=1).arm(
             "backend.answer", where={"backend": planned}, error=BackendError
-        ):
-            health, stats = run(main())
+        ) as plan:
+            service, stats = run(main())
+            hits = len(plan.events)
+            # Direct calls share the served breakers: the open one is skipped.
+            direct = index.answer(query, failover=True)
+            assert len(plan.events) == hits
+        assert direct.failed_over and direct.backend != planned
+        health = service.health()
         assert planned in health.open_breakers
         states = {b.backend: b for b in health.breakers}
         assert states[planned].state == "open"
-        assert stats.completed == 3  # every request still answered via failover
+        assert stats.completed == 6  # every request still answered via failover
         assert health.as_dict()["breakers"][planned]["state"] == "open"
+
+        def counters(breakers):
+            return [dataclasses.replace(b, seconds_until_probe=0.0) for b in breakers]
+
+        assert counters(index.breaker_states()) == counters(health.breakers)
 
     def test_deadline_expires_in_queue(self, vectors):
         """A request queued behind a busy worker expires without running."""
@@ -581,7 +666,7 @@ class TestServingReliability:
         index = Index.build(vectors)
 
         async def main():
-            config = ServingConfig(latency_budget=0.0, max_retries=0, failover=False)
+            config = ServingConfig(latency_budget=0.0, max_retries=0)
             service = await SearchService(index, config=config).start()
             submission = asyncio.ensure_future(
                 service.submit(vectors[0], k=5, metric="histogram")
@@ -603,6 +688,10 @@ class TestServingReliability:
             ServingConfig(max_retries=-1)
         with pytest.raises(ServingError):
             SearchService(object(), config=ServingConfig(retry_base_delay=-1.0))
+        # Failover and the breakers belong to the index, not the service.
+        for removed in ("failover", "breaker_threshold", "breaker_cooldown"):
+            with pytest.raises(TypeError):
+                ServingConfig(**{removed: 1})
 
 
 # ---------------------------------------------------------------------------
