@@ -3,11 +3,14 @@
 Demonstrates ``repro.cluster`` and the contract it holds — answers bitwise
 identical to the single-process engines, or a typed error:
 
-1. ``Index.build(..., shard_executor="process")``: the per-shard fused
-   engines run in worker processes that attach zero-copy to one
-   shared-memory publication of the fragments, per-shard cost deltas travel
-   back as explicit wire tuples, and the deterministic top-k merge makes the
-   answer bit for bit the unsharded one (exact *and* compressed mode).
+1. ``Index.build(..., shard_executor="process")``: a batch of at least
+   ``POOL_MIN_BATCH`` queries runs its per-shard fused engines in worker
+   processes that attach zero-copy to one shared-memory publication of the
+   fragments, per-shard cost deltas travel back as explicit wire tuples,
+   and the deterministic top-k merge makes the answer bit for bit the
+   unsharded one (exact *and* compressed mode).  A single query does not
+   repay the pipe round trip: its shards run inline on the calling thread,
+   and the worker pool starts only when the first large batch arrives.
 2. One ``SearchService`` over that process-sharded index: the index
    scatters each micro-batch to its shards and merges; the service adds
    batching, retries and failover.  With ``on_shard_failure="partial"`` a
@@ -24,9 +27,11 @@ Run with::
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
 
 from repro import FaultPlan, Index, Query, SearchService, make_corel_like
+from repro.core.parallel import POOL_MIN_BATCH
 
 
 def identical(a, b) -> bool:
@@ -40,20 +45,24 @@ async def main() -> None:
     cores = os.cpu_count() or 1
     print(f"visible cores: {cores} (speedups need >1; identity never does)")
 
-    # 1. One collection, one query, single-process reference answers for the
-    #    exact scan and the compressed filter-and-refine mode.
+    # 1. One collection, one query and one batch large enough for the worker
+    #    pool, with single-process reference answers for the exact scan and
+    #    the compressed filter-and-refine mode.
     histograms = make_corel_like(cardinality=12_000, dimensionality=64, seed=11)
     query = Query(histograms[42], k=10, metric="histogram")
-    compressed_query = Query(
-        histograms[42], k=10, metric="histogram", mode="compressed"
+    batch = Query(histograms[42 : 42 + POOL_MIN_BATCH], k=10, metric="histogram")
+    compressed_batch = Query(
+        histograms[42 : 42 + POOL_MIN_BATCH], k=10, metric="histogram", mode="compressed"
     )
     single = Index.build(histograms, name="corel-ref")
     reference = single.answer(query)
-    compressed_reference = single.answer(compressed_query)
+    batch_reference = single.answer(batch)
+    compressed_reference = single.answer(compressed_batch)
 
-    # 2. The same index sharded 4 ways, engines in worker processes.
-    #    Index.close() (or the context manager) shuts the pool down and
-    #    unlinks the shared-memory segment; nothing survives in /dev/shm.
+    # 2. The same index sharded 4 ways.  The single query runs its shards
+    #    inline; the batches go to worker processes, started on that first
+    #    need.  Index.close() (or the context manager) shuts the pools down
+    #    and unlinks the shared-memory segment; nothing survives in /dev/shm.
     with Index.build(
         histograms,
         name="corel-mp",
@@ -61,10 +70,17 @@ async def main() -> None:
         shard_executor="process",
         on_shard_failure="partial",
     ) as index:
-        exact = index.answer(query)
-        compressed = index.answer(compressed_query)
-        print(f"process pool, exact     : bitwise == reference: {identical(exact, reference)}")
-        print(f"process pool, compressed: bitwise == reference: {identical(compressed, compressed_reference)}")
+        inline = index.answer(query)
+        workers = len(multiprocessing.active_children())
+        print(f"single query, inline    : bitwise == reference: {identical(inline, reference)}"
+              f" (worker processes: {workers})")
+        exact = index.answer(batch)
+        workers = len(multiprocessing.active_children())
+        print(f"batch of {POOL_MIN_BATCH}, process pool: bitwise == reference: "
+              f"{all(map(identical, exact, batch_reference))} (worker processes: {workers})")
+        compressed = index.answer(compressed_batch)
+        print(f"batch of {POOL_MIN_BATCH}, compressed  : bitwise == reference: "
+              f"{all(map(identical, compressed, compressed_reference))}")
         pinned = Query(histograms[42], k=10, metric="histogram", backend="sharded_bond")
         print(f"planner detail          : {index.plan(pinned).estimate.detail}")
 

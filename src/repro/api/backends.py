@@ -392,11 +392,15 @@ class ShardedBondBackend(Backend):
     def estimate(self, index: "Index", query: "Query", metric: Metric) -> CostEstimate:
         """Critical-path estimate: one shard's scan volume plus the merge.
 
-        The shards run concurrently, so the latency-relevant read volume is
-        the per-shard share of the unsharded engine's traffic (the paper's
-        pruning behaviour is row-local and survives sharding).  On top sit
-        the top-k merge (``shards * k`` candidates per query re-ranked in the
-        parent) and a fixed per-shard coordination charge.
+        The estimate prices the shards as if they ran concurrently: its read
+        volume is the per-shard share of the unsharded engine's traffic (the
+        paper's pruning behaviour is row-local and survives sharding).  Only
+        a batch a process index scatters to its worker pool runs that way; a
+        thread index's shards, and a process index's batches below
+        :data:`~repro.core.parallel.POOL_MIN_BATCH`, run one after another on
+        the calling thread, so for them the estimate is optimistic.  On top
+        sit the top-k merge (``shards * k`` candidates per query re-ranked in
+        the parent) and a fixed per-shard coordination charge.
         """
         n = index.cardinality
         d = index.dimensionality

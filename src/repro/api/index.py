@@ -1035,6 +1035,9 @@ class Index:
         backend, shared by every caller of this index, the serving layer
         included); a backend whose breaker is open is skipped, and when every
         breaker of the chain is open the planned backend is probed anyway.
+        An attempt that raises anything but a ``BackendError`` (a storage or
+        query error, say) ends the answer with that error and counts neither
+        way on its breaker, which stays free to admit the next probe.
         The plan and every attempt run on one pinned epoch.  When no attempt
         answers, the first transient error is re-raised (a retry may
         succeed); otherwise a single attempt re-raises its error unchanged
@@ -1051,6 +1054,9 @@ class Index:
                     breaker.record_failure()
                     attempts.append((name, exc))
                     continue
+                except BaseException:
+                    breaker.release()
+                    raise
                 breaker.record_success()
                 return _attributed(result, name, failed_over=name != plan.backend_name)
         for _, error in attempts:

@@ -20,13 +20,18 @@ from it and answer the same protocol —
 * ``close()``;
 
 — so the sharded engine of :mod:`repro.core.parallel` applies its failure
-policy and merges without knowing which one it holds:
+policy and merges without knowing which one served a call:
 
 * :class:`InProcessShardExecutor` runs the shard searchers inline on the
-  calling thread, in shard order, against the parent's own arrays;
+  calling thread, in shard order, against the parent's own arrays.  Every
+  engine has one: a thread engine runs every call on it, a process engine
+  every batch below :data:`~repro.core.parallel.POOL_MIN_BATCH` queries
+  that finds it free;
 * :class:`ProcessShardExecutor` moves each shard's whole search into a
   **worker process** running the identical searcher over the identical
-  bytes: workers attach the store's shared-memory segment zero-copy
+  bytes.  A process engine starts one on the first call that needs it (a
+  batch at or above the cut-off, or a caller that finds the inline path
+  busy): workers attach the store's shared-memory segment zero-copy
   (:mod:`repro.cluster.shm`) and build their shards from the pickled spec —
   an index's process-sharded store was decomposed straight into that
   segment, so every pool of the index attaches the same one, while a store
@@ -237,6 +242,10 @@ class _Worker:
 
 class ProcessShardExecutor:
     """A pool of shard-worker processes over one published store.
+
+    A process-sharded engine starts one on the first batch it sends to
+    workers; smaller batches run inline (see
+    :data:`~repro.core.parallel.POOL_MIN_BATCH`).
 
     Parameters
     ----------

@@ -11,12 +11,16 @@ compressed fragments follows from the store it is given, and what a shard of
 either kind *is* lives in :class:`repro.cluster.executor.EngineSpec` alone.
 
 The shards run on one of two executors behind one protocol
-(:mod:`repro.cluster.executor`): inline on the calling thread, or, with
-``executor="process"``, in worker processes over shared-memory fragments
-(:mod:`repro.cluster`), which takes the Python-level scan loop off the GIL.
-The workers attach the segment the store was decomposed into when it has
-one (a process-sharded :class:`~repro.api.index.Index`'s store does), and a
-copy of the store's fragments otherwise.
+(:mod:`repro.cluster.executor`): inline on the calling thread, or in worker
+processes over shared-memory fragments (:mod:`repro.cluster`), which takes
+the Python-level scan loop off the GIL.  Only an ``executor="process"``
+engine ever uses the workers, and only for a batch of at least
+:data:`POOL_MIN_BATCH` queries or while another call runs inline on it:
+below that a pipe round trip costs more than the second core returns, so
+the engine runs the batch inline.  Its pool starts on the first batch that
+needs it.  The workers attach the segment the store was decomposed into
+when it has one (a process-sharded :class:`~repro.api.index.Index`'s store
+does), and a copy of the store's fragments otherwise.
 Answers and cost accounts are bitwise identical across both (the same
 searchers run over the same bytes and the parent applies the same merge).
 
@@ -40,6 +44,7 @@ and beat it there too.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Sequence
 
@@ -59,9 +64,20 @@ from repro.storage.sharding import ShardPlan
 
 #: Recognised shard-executor kinds: ``"thread"`` searches the shards inline
 #: on the calling thread (the name predates the removal of its thread pool;
-#: manifests persist it); ``"process"`` runs each shard's search in a worker
-#: process over shared-memory fragments (see :mod:`repro.cluster`).
+#: manifests persist it); ``"process"`` may also run them in worker processes
+#: over shared-memory fragments (see :mod:`repro.cluster` and
+#: :data:`POOL_MIN_BATCH`).
 SHARD_EXECUTORS = ("thread", "process")
+
+#: The smallest batch a process engine scatters to its worker pool.  A
+#: smaller one runs its shards inline on the calling thread, unless another
+#: call already runs inline on the engine.  Fitted from a census of the two
+#: on 2 shards of 59,619 x 166, 2 vCPUs, nine runs (CHANGES.md): in the
+#: median run the exact pool took 1.24x the inline time for 1 query, 1.11x
+#: for 2, 1.00x for 4 and 0.87x for 8; compressed shards were slower on the
+#: pool at every size up to 32.  Batches at or above it run as they always
+#: did.
+POOL_MIN_BATCH = 8
 
 #: Recognised shard-failure policies (see ``on_shard_failure``).
 SHARD_FAILURE_MODES = ("fail", "partial")
@@ -184,10 +200,14 @@ class ShardedBondSearcher:
         merged and flagged (``result.degraded`` / ``result.failed_shards``).
     executor:
         ``"thread"`` (default) searches the shards in this process;
-        ``"process"`` runs each shard's search in a worker process over the
-        store's shared-memory segment — the one it carries, else a copy
-        made when the pool starts (bitwise-identical answers and cost
-        accounts).  Process mode needs picklable metric /
+        ``"process"`` runs each shard's search of a batch of at least
+        :data:`POOL_MIN_BATCH` queries in a worker process over the store's
+        shared-memory segment — the one it carries, else a copy made when
+        the pool starts (bitwise-identical answers and cost accounts).  A
+        smaller batch runs inline, as in ``"thread"`` mode, unless another
+        call already does: then it goes to the pool, so concurrent callers
+        never share the in-process shard searchers.  The pool starts on the
+        first batch that goes to it.  Process mode needs picklable metric /
         bound / ordering / schedule objects.
     process_context:
         Multiprocessing start method of process mode (``"fork"`` /
@@ -216,7 +236,7 @@ class ShardedBondSearcher:
         # executors belong beside this module, but bench/layers.py and
         # bench/tracing.py import them (and this module) by their present
         # paths, so the move waits for a change that may also update bench/.
-        from repro.cluster.executor import EngineSpec, check_workers
+        from repro.cluster.executor import EngineSpec, InProcessShardExecutor, check_workers
 
         check_shard_options(executor, on_shard_failure)
         self._store = store
@@ -242,7 +262,12 @@ class ShardedBondSearcher:
             self._spec.shard_searcher(exact, compressed, self._plan, shard)
             for shard in range(self._plan.num_shards)
         ]
-        self._executor = None  # the shard executor, opened on first use
+        self._inline = InProcessShardExecutor(self._searchers)
+        # Held by the one call running inline on a process engine.
+        self._inline_lock = threading.Lock()
+        # Serialises starting and stopping the pool.
+        self._pool_lock = threading.Lock()
+        self._executor = None  # the process pool, started on first need
 
     @property
     def store(self) -> DecomposedStore | CompressedStore:
@@ -256,8 +281,8 @@ class ShardedBondSearcher:
 
     @property
     def shard_searchers(self) -> list:
-        """The in-process per-shard searchers (introspection / tests); in
-        process mode the workers run their own identical copies."""
+        """The in-process per-shard searchers (introspection / tests); the
+        pool's workers run their own identical copies."""
         return self._searchers
 
     @property
@@ -266,15 +291,17 @@ class ShardedBondSearcher:
         return self._plan
 
     def close(self) -> None:
-        """Shut the executor down (idempotent; a later search re-opens it).
+        """Shut the worker pool down, if one started (idempotent; a later
+        batch that needs the pool starts it again).
 
-        In process mode this stops the worker processes and releases the
-        engine's reference on the shared-memory segment — the last holder
-        unlinks it, so a closed engine over a copy leaves nothing behind in
-        ``/dev/shm`` (a carried segment goes with its owner's reference)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        This stops the worker processes and releases the engine's reference
+        on the shared-memory segment — the last holder unlinks it, so a
+        closed engine over a copy leaves nothing behind in ``/dev/shm`` (a
+        carried segment goes with its owner's reference)."""
+        with self._pool_lock:
+            if self._executor is not None:
+                self._executor.close()
+                self._executor = None
 
     def __enter__(self) -> "ShardedBondSearcher":
         return self
@@ -283,13 +310,12 @@ class ShardedBondSearcher:
         self.close()
 
     def _open_executor(self):
-        """The shard executor, built (or rebuilt, after close) on first use.
-        No executor starts a thread: in-process shards run inline and
-        process shards are scattered from the calling thread."""
-        if self._executor is None:
-            from repro.cluster.executor import InProcessShardExecutor, ProcessShardExecutor
+        """The worker pool, started (or restarted, after close) on first
+        need.  It starts no thread: the calling thread scatters the shards."""
+        with self._pool_lock:
+            if self._executor is None:
+                from repro.cluster.executor import ProcessShardExecutor
 
-            if self._executor_kind == "process":
                 self._executor = ProcessShardExecutor.over(
                     self._store,
                     self._spec,
@@ -297,9 +323,21 @@ class ShardedBondSearcher:
                     self._workers,
                     context=self._process_context,
                 )
-            else:
-                self._executor = InProcessShardExecutor(self._searchers)
-        return self._executor
+            return self._executor
+
+    def _run_shards(self, queries: np.ndarray, k: int, before) -> list:
+        """Every shard's outcome for ``queries``, from the executor that
+        serves this call: inline on the calling thread, or — for a process
+        engine's batch of :data:`POOL_MIN_BATCH` queries or more, or while
+        another call holds the inline searchers — the worker pool."""
+        if self._executor_kind == "thread":
+            return self._inline.search_shards(queries, k, before)
+        if queries.shape[0] < POOL_MIN_BATCH and self._inline_lock.acquire(blocking=False):
+            try:
+                return self._inline.search_shards(queries, k, before)
+            finally:
+                self._inline_lock.release()
+        return self._open_executor().search_shards(queries, k, before)
 
     def _search_shards(
         self, queries: np.ndarray, k: int
@@ -316,7 +354,7 @@ class ShardedBondSearcher:
         original exception is re-raised, preserving its type for the retry /
         failover layers above.
         """
-        outcomes = self._open_executor().search_shards(
+        outcomes = self._run_shards(
             queries, k, lambda shard: fault_point("shard.map", shard=shard)
         )
         failed = tuple(

@@ -181,6 +181,13 @@ class CircuitBreaker:
                 self._opened_at = self._clock()
             self._probe_inflight = False
 
+    def release(self) -> None:
+        """An admitted call raised something that is no verdict on the
+        backend (not a :class:`~repro.errors.BackendError`): the counts stay
+        and a half-open breaker admits its next probe."""
+        with self._lock:
+            self._probe_inflight = False
+
     def snapshot(self) -> BreakerState:
         """An immutable view for :meth:`Index.breaker_states`."""
         with self._lock:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import errno
 import gc
 import glob
+import multiprocessing
 import os
 import signal
 import sys
@@ -36,11 +37,12 @@ from repro.cluster import (
     SharedStoreSegment,
     attach_store,
 )
-from repro.cluster.executor import ProcessShardExecutor
+from repro.cluster.executor import InProcessShardExecutor, ProcessShardExecutor
 from repro.cluster.shm import decompose_shared, publish
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
-from repro.core.parallel import ShardedBondSearcher
+from repro.core.parallel import POOL_MIN_BATCH, ShardedBondSearcher
+from repro.core.result import BatchSearchResult
 from repro.engine.cost import CostAccount
 from repro.errors import (
     FaultInjectionError,
@@ -65,6 +67,18 @@ def results_identical(left, right) -> bool:
         left.oids.tobytes() == right.oids.tobytes()
         and left.scores.tobytes() == right.scores.tobytes()
     )
+
+
+def as_list(answer) -> list:
+    """A single answer or a batch's answers, as a list."""
+    return list(answer) if isinstance(answer, BatchSearchResult) else [answer]
+
+
+def pool_batch(vectors: np.ndarray, first: int) -> np.ndarray:
+    """The smallest batch a process engine scatters to its worker pool (a
+    smaller one runs its shards inline): ``POOL_MIN_BATCH`` rows of
+    ``vectors``, every 37th from ``first`` on, wrapping."""
+    return vectors[(first + 37 * np.arange(POOL_MIN_BATCH)) % vectors.shape[0]]
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +310,7 @@ class TestProcessPoolIdentity:
         self, collection, shards, workers, compressed, euclidean
     ):
         metric = SquaredEuclidean() if euclidean else HistogramIntersection()
-        queries = collection[[7, 42, 193]]
+        queries = pool_batch(collection, 7)
         if compressed:
             make_store = lambda: CompressedStore(DecomposedStore(collection), bits=8)
             single = CompressedBondSearcher(make_store(), metric=metric)
@@ -351,9 +365,10 @@ class TestProcessPoolIdentity:
             executor="process",
             process_context="spawn",
         ) as spawned:
-            left = forked.search(collection[9], 10)
-            right = spawned.search(collection[9], 10)
-        assert results_identical(left, right)
+            left = forked.search_batch(pool_batch(collection, 9), 10)
+            right = spawned.search_batch(pool_batch(collection, 9), 10)
+            assert forked._executor is not None and spawned._executor is not None
+        assert all(map(results_identical, left, right))
         assert left.cost.as_dict() == right.cost.as_dict()
         assert not leaked_segments()
 
@@ -379,7 +394,7 @@ class TestProcessPoolIdentity:
         with ShardedBondSearcher(
             DecomposedStore(collection), shards=2, workers=np.int64(5), executor="process"
         ) as engine:
-            engine.search(collection[3], 5)
+            engine.search_batch(pool_batch(collection, 3), 5)
             assert len(engine._executor.worker_pids()) == 2
 
 
@@ -388,21 +403,22 @@ class TestProcessPoolIdentity:
 
 class TestIndexProcessExecutor:
     def test_facade_answers_identical_across_executors(self, collection):
-        query_vector = collection[11]
         reference = Index.build(collection, shards=1)
         threaded = Index.build(collection, shards=3, shard_executor="thread")
         processed = Index.build(collection, shards=3, shard_executor="process")
         try:
-            for mode in ("exact", "compressed"):
-                base = reference.answer(Query(query_vector, k=9, mode=mode))
-                left = threaded.answer(
-                    Query(query_vector, k=9, mode=mode, backend="sharded_bond")
-                )
-                right = processed.answer(
-                    Query(query_vector, k=9, mode=mode, backend="sharded_bond")
-                )
-                assert results_identical(base, left)
-                assert results_identical(left, right)
+            # A single query runs its shards inline; the batch goes to the pool.
+            for query_vector in (collection[11], pool_batch(collection, 11)):
+                for mode in ("exact", "compressed"):
+                    base = reference.answer(Query(query_vector, k=9, mode=mode))
+                    left = threaded.answer(
+                        Query(query_vector, k=9, mode=mode, backend="sharded_bond")
+                    )
+                    right = processed.answer(
+                        Query(query_vector, k=9, mode=mode, backend="sharded_bond")
+                    )
+                    assert all(map(results_identical, as_list(base), as_list(left)))
+                    assert all(map(results_identical, as_list(left), as_list(right)))
         finally:
             reference.close()
             threaded.close()
@@ -410,7 +426,7 @@ class TestIndexProcessExecutor:
         assert not leaked_segments()
 
     def test_live_tail_overlay_identical_across_executors(self, collection):
-        query_vector = collection[40]
+        query_vector = pool_batch(collection, 40)
         threaded = Index.build(collection, shards=3, shard_executor="thread")
         processed = Index.build(collection, shards=3, shard_executor="process")
         try:
@@ -420,7 +436,7 @@ class TestIndexProcessExecutor:
                 index.delete([2, 17, 33])
             left = threaded.answer(Query(query_vector, k=9, backend="sharded_bond"))
             right = processed.answer(Query(query_vector, k=9, backend="sharded_bond"))
-            assert results_identical(left, right)
+            assert all(map(results_identical, left, right))
         finally:
             threaded.close()
             processed.close()
@@ -454,7 +470,7 @@ class TestIndexProcessExecutor:
 
     def test_close_shuts_worker_pools_and_context_manager_closes(self, collection):
         with Index.build(collection, shards=2, shard_executor="process") as index:
-            index.answer(Query(collection[3], k=5, backend="sharded_bond"))
+            index.answer(Query(pool_batch(collection, 3), k=5, backend="sharded_bond"))
             searcher = next(iter(index._epoch.searchers.values()))
             pool = searcher._executor
             assert pool is not None and pool.worker_pids()
@@ -467,7 +483,7 @@ class TestIndexProcessExecutor:
     def test_reorganize_retires_the_old_epoch_resources(self, collection):
         index = Index.build(collection, shards=2, shard_executor="process")
         try:
-            index.answer(Query(collection[3], k=5, backend="sharded_bond"))
+            index.answer(Query(pool_batch(collection, 3), k=5, backend="sharded_bond"))
             old_epoch = index._epoch
             assert old_epoch.searchers
             index.insert(np.round(collection[:2] * 0.9, 2))
@@ -476,7 +492,7 @@ class TestIndexProcessExecutor:
             assert not old_epoch.searchers
             assert not leaked_segments()
             # The new epoch answers normally (fresh pool on demand).
-            index.answer(Query(collection[3], k=5, backend="sharded_bond"))
+            index.answer(Query(pool_batch(collection, 3), k=5, backend="sharded_bond"))
         finally:
             index.close()
         assert not leaked_segments()
@@ -485,6 +501,141 @@ class TestIndexProcessExecutor:
         # The facade reuses the engine's check (and its message).
         with pytest.raises(QueryError, match="executor must be one of"):
             Index.build(collection, shards=2, shard_executor="carrier-pigeon")
+
+
+class TestPoolOnNeed:
+    """A process-sharded index runs a batch below ``POOL_MIN_BATCH`` inline
+    on the calling thread and scatters larger batches, or a call that finds
+    another running inline, to its worker pool, which starts on that first
+    need.  Either way the answer and cost account are the thread index's."""
+
+    def test_small_batches_start_no_worker_pool(self, collection):
+        children = set(multiprocessing.active_children())
+        with Index.build(collection, shards=2, shard_executor="process") as index:
+            for mode in ("exact", "compressed"):
+                for vectors in (collection[5], collection[: POOL_MIN_BATCH - 1]):
+                    index.answer(Query(vectors, k=5, mode=mode, backend="sharded_bond"))
+            engines = list(index._epoch.searchers.values())
+            assert len(engines) == 2
+            assert all(engine._executor is None for engine in engines)
+            assert set(multiprocessing.active_children()) == children
+        assert not leaked_segments()
+
+    @pytest.mark.parametrize("mode", ["exact", "compressed"])
+    def test_answers_and_costs_match_the_thread_index_across_the_cut_off(
+        self, collection, mode
+    ):
+        threaded = Index.build(collection, shards=3, shard_executor="thread")
+        processed = Index.build(collection, shards=3, shard_executor="process")
+        try:
+            for size in (1, POOL_MIN_BATCH - 1, POOL_MIN_BATCH, 2 * POOL_MIN_BATCH):
+                query = Query(
+                    collection[20 : 20 + size], k=8, mode=mode, backend="sharded_bond", batch=True
+                )
+                left, right = threaded.answer(query), processed.answer(query)
+                assert len(right) == size
+                assert all(map(results_identical, left, right))
+                assert left.cost.as_dict() == right.cost.as_dict()
+                (engine,) = processed._epoch.searchers.values()
+                assert (engine._executor is not None) == (size >= POOL_MIN_BATCH)
+        finally:
+            threaded.close()
+            processed.close()
+        assert not leaked_segments()
+
+    def test_a_caller_that_finds_the_inline_path_busy_goes_to_the_pool(
+        self, collection, monkeypatch
+    ):
+        """Two threads behind a barrier answer single queries on one index.
+        Whichever reaches the inline shards first holds them until the other
+        has answered, which it can only do through the pool: the two never
+        share the in-process shard searchers."""
+        rows = [5, 60]
+        oracle = SeedBondSearcher(collection)
+        index = Index.build(collection, shards=2, shard_executor="process")
+        guard, holder = threading.Lock(), []
+        answered = threading.Event()
+        inline = InProcessShardExecutor.search_shards
+
+        def hold_the_first_inline_call(self, queries, k, before):
+            with guard:
+                first = not holder
+                holder.append(threading.current_thread())
+            if first:
+                assert answered.wait(timeout=30), "the other caller never answered"
+            return inline(self, queries, k, before)
+
+        start = threading.Barrier(2, timeout=30)
+        answers: dict = {}
+        failures: list = []
+
+        def ask(row: int) -> None:
+            try:
+                start.wait()
+                answers[row] = index.answer(Query(collection[row], k=6, backend="sharded_bond"))
+                answered.set()
+            except Exception as exc:  # reported below, on the test thread
+                failures.append(exc)
+
+        try:
+            # The engine exists before the race, as under steady traffic.
+            index.answer(Query(collection[0], k=6, backend="sharded_bond"))
+            (engine,) = index._epoch.searchers.values()
+            assert engine._executor is None
+            monkeypatch.setattr(InProcessShardExecutor, "search_shards", hold_the_first_inline_call)
+            threads = [threading.Thread(target=ask, args=(row,)) for row in rows]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures
+            assert len(holder) == 1  # one caller ran inline
+            assert engine._executor is not None  # the other went to the pool
+            for row in rows:
+                assert results_identical(answers[row], oracle.search(collection[row], 6))
+        finally:
+            index.close()
+        assert not leaked_segments()
+
+    def test_callers_outnumbering_the_cores_never_share_inline_shards(self, collection):
+        """Three threads (more than this box's cores) fire single queries at
+        one process engine with a short switch interval: every answer must
+        be bitwise the sequential one, whichever executor served it."""
+        rows = list(range(0, 300, 10))
+        reference = ShardedBondSearcher(DecomposedStore(collection), shards=2)
+        expected = {row: reference.search(collection[row], 6) for row in rows}
+        failures: list = []
+        finished: list = []
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardedBondSearcher(
+                DecomposedStore(collection), shards=2, executor="process"
+            ) as engine:
+
+                def drive(offset: int) -> None:
+                    try:
+                        for row in rows[offset:] + rows[:offset]:
+                            got = engine.search(collection[row], 6)
+                            assert results_identical(got, expected[row]), row
+                        finished.append(True)
+                    except Exception as exc:  # reported below, on the test thread
+                        failures.append(exc)
+
+                threads = [
+                    threading.Thread(target=drive, args=(offset,), daemon=True)
+                    for offset in (0, 10, 20)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not failures and len(finished) == 3
+        assert not leaked_segments()
 
 
 class TestOneCopy:
@@ -496,10 +647,14 @@ class TestOneCopy:
     QUERIES = (("histogram", HistogramIntersection()), ("euclidean", SquaredEuclidean()))
 
     def answers_match_oracle(self, index, vectors, row):
+        # The row repeated to the size of batch that goes to the worker pool,
+        # so every engine starts one.
+        batch = np.repeat(vectors[row][None], POOL_MIN_BATCH, axis=0)
         for name, metric in self.QUERIES:
-            expected = SeedBondSearcher(vectors, metric).search(vectors[row], 7)
-            got = index.answer(Query(vectors[row], k=7, metric=name, backend="sharded_bond"))
-            assert results_identical(got, expected), name
+            oracle = SeedBondSearcher(vectors, metric)
+            got = index.answer(Query(batch, k=7, metric=name, backend="sharded_bond"))
+            for vector, result in zip(batch, got):
+                assert results_identical(result, oracle.search(vector, 7)), name
 
     def test_every_engine_attaches_the_store_segment(self, collection):
         reference = Index.build(collection)
@@ -511,10 +666,14 @@ class TestOneCopy:
             assert all(np.shares_memory(tail, memory) for tail in store._tails)
             assert np.shares_memory(store._row_sums.tail, memory)
             self.answers_match_oracle(index, collection, 12)
-            compressed = Query(collection[12], k=7, mode="compressed")
-            assert results_identical(
-                index.answer(Query(collection[12], k=7, mode="compressed", backend="sharded_bond")),
-                reference.answer(compressed),
+            batch = pool_batch(collection, 12)
+            compressed = Query(batch, k=7, mode="compressed")
+            assert all(
+                map(
+                    results_identical,
+                    index.answer(Query(batch, k=7, mode="compressed", backend="sharded_bond")),
+                    reference.answer(compressed),
+                )
             )
             pools = [engine._executor for engine in index._epoch.searchers.values()]
             assert len(pools) == 3
@@ -621,19 +780,20 @@ def _alive(pid: int) -> bool:
 
 class TestWorkerDeath:
     def test_fail_mode_raises_typed_error_then_recovers(self, collection):
+        queries = pool_batch(collection, 8)
         with ShardedBondSearcher(
             DecomposedStore(collection), shards=2, workers=2, executor="process"
         ) as engine:
-            before = engine.search(collection[8], 6)
+            before = engine.search_batch(queries, 6)
             pool = engine._executor
             for pid in pool.worker_pids():
                 os.kill(pid, signal.SIGKILL)
             with pytest.raises(TransientBackendError, match="died mid-task"):
-                engine.search(collection[8], 6)
+                engine.search_batch(queries, 6)
             # Replacements were spawned; the same engine answers again,
             # bitwise as before.
-            after = engine.search(collection[8], 6)
-            assert results_identical(before, after)
+            after = engine.search_batch(queries, 6)
+            assert all(map(results_identical, before, after))
         assert not leaked_segments()
 
     def test_partial_mode_degrades_never_lies(self, collection):
@@ -644,26 +804,27 @@ class TestWorkerDeath:
             executor="process",
             on_shard_failure="partial",
         ) as engine:
-            complete = engine.search(collection[8], 6)
+            queries = pool_batch(collection, 8)
+            complete = engine.search_batch(queries, 6)
             pool = engine._executor
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
-            degraded = engine.search(collection[8], 6)
-            assert degraded.degraded
-            assert len(degraded.failed_shards) >= 1
-            surviving = [
-                shard
-                for shard in range(2)
-                if shard not in degraded.failed_shards
-            ]
-            # Every returned OID really belongs to a surviving shard: the
-            # degraded answer is partial, not fabricated.
             plan = engine.shard_plan
-            for oid in degraded.oids:
-                assert plan.shard_of(int(oid)) in surviving
-            # And a later query (on respawned workers) is complete again.
-            recovered = engine.search(collection[8], 6)
-            assert results_identical(complete, recovered)
-            assert not recovered.degraded
+            for degraded in engine.search_batch(queries, 6):
+                assert degraded.degraded
+                assert len(degraded.failed_shards) >= 1
+                surviving = [
+                    shard
+                    for shard in range(2)
+                    if shard not in degraded.failed_shards
+                ]
+                # Every returned OID really belongs to a surviving shard: the
+                # degraded answer is partial, not fabricated.
+                for oid in degraded.oids:
+                    assert plan.shard_of(int(oid)) in surviving
+            # And a later batch (on respawned workers) is complete again.
+            recovered = engine.search_batch(queries, 6)
+            assert all(map(results_identical, complete, recovered))
+            assert not any(result.degraded for result in recovered)
         assert not leaked_segments()
 
 
@@ -681,12 +842,14 @@ def assert_seed_answers(collection, queries, k, results) -> None:
 class TestScatterGather:
     @pytest.mark.parametrize("shards", [2, 3])
     def test_one_worker_over_many_shards_is_the_oracle(self, collection, shards):
-        queries = collection[[7, 42, 193]]
+        queries = pool_batch(collection, 7)
         with ShardedBondSearcher(
             DecomposedStore(collection), shards=shards, workers=1, executor="process"
         ) as engine:
             batch = engine.search_batch(queries, 9)
-            singles = [engine.search(query, 9) for query in queries]
+            # As if another call held the inline searchers: singles go to the pool.
+            with engine._inline_lock:
+                singles = [engine.search(query, 9) for query in queries]
             assert len(engine._executor.worker_pids()) == 1
         assert_seed_answers(collection, queries, 9, batch)
         assert_seed_answers(collection, queries, 9, singles)
@@ -730,7 +893,7 @@ class TestScatterGather:
             executor.close()
 
     def test_worker_killed_mid_scatter_degrades_then_recovers(self, collection, monkeypatch):
-        query = collection[8]
+        queries = pool_batch(collection, 8)
         with ShardedBondSearcher(
             DecomposedStore(collection),
             shards=2,
@@ -738,7 +901,7 @@ class TestScatterGather:
             executor="process",
             on_shard_failure="partial",
         ) as engine:
-            engine.search(query, 6)
+            engine.search_batch(queries, 6)
             pool = engine._executor
             killed = []
 
@@ -750,36 +913,38 @@ class TestScatterGather:
                     os.kill(killed[0], signal.SIGKILL)
 
             monkeypatch.setattr(parallel_module, "fault_point", kill_the_next_worker)
-            degraded = engine.search(query, 6)
+            batch = engine.search_batch(queries, 6)
             assert killed
-            assert degraded.degraded and degraded.failed_shards == (1,)
-            assert all(engine.shard_plan.shard_of(int(oid)) == 0 for oid in degraded.oids)
+            for degraded in batch:
+                assert degraded.degraded and degraded.failed_shards == (1,)
+                assert all(engine.shard_plan.shard_of(int(oid)) == 0 for oid in degraded.oids)
             pids = pool.worker_pids()
             assert len(pids) == 2 and killed[0] not in pids
-            recovered = engine.search(query, 6)
-            assert not recovered.degraded
-        assert_seed_answers(collection, [query], 6, [recovered])
+            recovered = engine.search_batch(queries, 6)
+            assert not any(result.degraded for result in recovered)
+        assert_seed_answers(collection, queries, 6, recovered)
 
     def test_armed_shard_map_fault_fails_only_that_shard(self, collection):
-        query = collection[8]
+        queries = pool_batch(collection, 8)
         with ShardedBondSearcher(
             DecomposedStore(collection),
             shards=2,
             executor="process",
             on_shard_failure="partial",
         ) as engine:
-            engine.search(query, 6)
+            engine.search_batch(queries, 6)
             pids = engine._executor.worker_pids()
             with FaultPlan(seed=1).arm("shard.map", where={"shard": 1}):
-                degraded = engine.search(query, 6)
+                batch = engine.search_batch(queries, 6)
                 outcomes = engine._executor.search_shards(
-                    query[None], 6, lambda shard: fault_point("shard.map", shard=shard)
+                    queries, 6, lambda shard: fault_point("shard.map", shard=shard)
                 )
-            assert degraded.degraded and degraded.failed_shards == (1,)
-            assert all(engine.shard_plan.shard_of(int(oid)) == 0 for oid in degraded.oids)
+            for degraded in batch:
+                assert degraded.degraded and degraded.failed_shards == (1,)
+                assert all(engine.shard_plan.shard_of(int(oid)) == 0 for oid in degraded.oids)
             assert isinstance(outcomes[0], tuple)
             assert isinstance(outcomes[1], TransientBackendError)
             assert engine._executor.worker_pids() == pids  # no worker was lost
-            complete = engine.search(query, 6)
-        assert not complete.degraded
-        assert_seed_answers(collection, [query], 6, [complete])
+            complete = engine.search_batch(queries, 6)
+        assert not any(result.degraded for result in complete)
+        assert_seed_answers(collection, queries, 6, complete)

@@ -371,6 +371,33 @@ class TestIndexFailover:
         chain = index.plan(query).failover_chain()
         assert [name for name, _ in info.value.attempts] == list(chain)
 
+    def test_probe_raising_a_non_backend_error_frees_the_breaker(self, vectors):
+        """A half-open probe that raises a StorageError must not leave the
+        probe held: the next failover answer probes the backend again."""
+        index = Index.build(vectors)
+        query = Query(vectors[0], k=5, metric="histogram")
+        planned = index.plan(query).backend_name
+        assert len(index.plan(query).failover_chain()) > 1
+        clock = [0.0]
+        breaker = CircuitBreaker(planned, clock=lambda: clock[0])
+        index._breakers[planned] = breaker
+        with FaultPlan(seed=1).arm(
+            "backend.answer", where={"backend": planned}, error=BackendError
+        ):
+            for _ in range(5):
+                with pytest.raises(BackendError):
+                    index.answer(query)
+        assert breaker.state == "open"
+        clock[0] = 31.0  # past the default cooldown: one half-open probe
+        with FaultPlan(seed=1).arm(
+            "backend.answer", where={"backend": planned}, error=StorageError, times=1
+        ):
+            with pytest.raises(StorageError):
+                index.answer(query, failover=True)
+        answer = index.answer(query, failover=True)
+        assert answer.backend == planned and not answer.failed_over
+        assert breaker.state == "closed"
+
     def test_breakers_are_created_once_under_contention(self, vectors):
         """Direct and served threads share the index's breakers: racing
         first uses of a backend's breaker must not lose its counts."""
