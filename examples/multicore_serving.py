@@ -8,9 +8,11 @@ identical to the single-process engines, or a typed error:
    processes that attach zero-copy to one shared-memory publication of the
    fragments, per-shard cost deltas travel back as explicit wire tuples,
    and the deterministic top-k merge makes the answer bit for bit the
-   unsharded one (exact *and* compressed mode).  A single query does not
-   repay the pipe round trip: its shards run inline on the calling thread,
-   and the worker pool starts only when the first large batch arrives.
+   unsharded one.  A single query does not repay the pipe round trip: its
+   shards run inline on the calling thread, and the worker pool starts only
+   when the first large batch arrives.  Compressed queries are never split:
+   the planner answers them unsharded with ``compressed_bond``, in this
+   process, so they start no worker and are never degraded.
 2. One ``SearchService`` over that process-sharded index: the index
    scatters each micro-batch to its shards and merges; the service adds
    batching, retries and failover.  With ``on_shard_failure="partial"`` a
@@ -79,8 +81,11 @@ async def main() -> None:
         print(f"batch of {POOL_MIN_BATCH}, process pool: bitwise == reference: "
               f"{all(map(identical, exact, batch_reference))} (worker processes: {workers})")
         compressed = index.answer(compressed_batch)
+        workers = len(multiprocessing.active_children())
         print(f"batch of {POOL_MIN_BATCH}, compressed  : bitwise == reference: "
-              f"{all(map(identical, compressed, compressed_reference))}")
+              f"{all(map(identical, compressed, compressed_reference))} "
+              f"(backend: {index.plan(compressed_batch).backend_name}, "
+              f"worker processes: {workers})")
         pinned = Query(histograms[42], k=10, metric="histogram", backend="sharded_bond")
         print(f"planner detail          : {index.plan(pinned).estimate.detail}")
 

@@ -6,7 +6,7 @@ Each backend adapts one existing searcher to the uniform facade surface:
 registry name      underlying searcher                             modes
 =================  ==============================================  =========
 bond               :class:`repro.core.bond.BondSearcher`           exact
-sharded_bond       :class:`repro.core.parallel.ShardedBondSearcher`  exact+compressed
+sharded_bond       :class:`repro.core.parallel.ShardedBondSearcher`  exact
 sequential_scan    :class:`repro.core.sequential.SequentialScan`   exact
 rtree              :class:`repro.baselines.rtree.RTreeIndex`       exact
 compressed_bond    :class:`repro.core.compressed.CompressedBondSearcher`  compressed
@@ -136,16 +136,9 @@ class Backend(abc.ABC):
     def estimate(self, index: "Index", query: "Query", metric: Metric) -> CostEstimate:
         """Cost-model hook: pre-execution estimate for the whole query."""
 
-    def variant(self, query: "Query") -> tuple:
-        """Extra ``create()`` arguments ``query`` selects — for a backend
-        that keeps more than one searcher per metric; each distinct value is
-        built and cached separately.  Default: none."""
-        return ()
-
     @abc.abstractmethod
     def create(self, index: "Index", metric: Metric):
-        """Build the underlying searcher on the index's stores (called with
-        :meth:`variant`'s values appended)."""
+        """Build the underlying searcher on the index's stores."""
 
     def answer(
         self, index: "Index", query: "Query", metric: Metric, *, exclude=None
@@ -350,14 +343,14 @@ class CompressedBondBackend(Backend):
 class ShardedBondBackend(Backend):
     """Row-sharded parallel BOND: the fused batch engine per shard, merged.
 
-    Serves both the exact and the compressed mode through one registration
-    and one engine: :class:`~repro.core.parallel.ShardedBondSearcher` over
-    the index's decomposed store for ``exact`` / ``approx`` queries, over its
-    compressed store for ``compressed`` ones — each built on first use and
-    cached per kind, so an index that only ever answers exact queries never
-    quantises its fragments.  Results are bitwise identical to the unsharded
-    engines (deterministic top-k merge), so the planner may substitute this
-    backend freely whenever its estimate wins.
+    :class:`~repro.core.parallel.ShardedBondSearcher` over the index's
+    decomposed store, for ``exact`` / ``approx`` queries.  It does not serve
+    ``compressed``: the 8-bit filter does so little work per row that a
+    split only adds each shard's fixed cost and the merge, so a compressed
+    query on a sharded index is answered unsharded by ``compressed_bond``.
+    Results are bitwise identical to the unsharded engine (deterministic
+    top-k merge), so the planner may substitute this backend freely
+    whenever its estimate wins.
     """
 
     capabilities = Capabilities(
@@ -366,11 +359,11 @@ class ShardedBondBackend(Backend):
         metrics=frozenset(
             {"histogram_intersection", "squared_euclidean", "weighted_squared_euclidean"}
         ),
-        modes=frozenset({"exact", "compressed", "approx"}),
+        modes=frozenset({"exact", "approx"}),
         weighted=True,
         subspace=True,
         batched=True,
-        compressed=True,
+        compressed=False,
         exact=True,
     )
     engine = "sharded"
@@ -378,8 +371,8 @@ class ShardedBondBackend(Backend):
     #: Per-shard, per-query coordination charge (round dispatch, pool
     #: hand-off) in arithmetic-op equivalents.  Keeps a one-shard plan from
     #: ever undercutting the unsharded engines: with nothing to parallelise,
-    #: the sharded backend estimates strictly worse than ``bond`` /
-    #: ``compressed_bond``, which is exactly when it should lose.
+    #: the sharded backend estimates strictly worse than ``bond``, which is
+    #: exactly when it should lose.
     COORDINATION_OPS = 2_000.0
 
     #: Extra per-shard, per-query charge of the process executor: pickling
@@ -403,22 +396,13 @@ class ShardedBondBackend(Backend):
         the parent) and a fixed per-shard coordination charge.
         """
         n = index.cardinality
-        d = index.dimensionality
-        effective = _effective_dimensions(query, d)
+        effective = _effective_dimensions(query, index.dimensionality)
         shards = index.shard_plan.num_shards
         reads = _batch_read_factor(query.batch_size, shared=True)
-        if query.mode == "compressed":
-            survivors = max(8 * query.k, int(0.005 * n))
-            scan_bytes = (
-                BOND_PRUNE_FRACTION * n * effective * COMPRESSED_BYTES * reads
-                + survivors * d * index.format.coefficient_bytes * query.batch_size
-            ) / shards
-            scan_ops = 2.0 * BOND_PRUNE_FRACTION * n * effective * query.batch_size / shards
-        else:
-            scan_bytes = (
-                BOND_PRUNE_FRACTION * n * effective * index.format.coefficient_bytes * reads / shards
-            )
-            scan_ops = BOND_PRUNE_FRACTION * n * effective * query.batch_size / shards
+        scan_bytes = (
+            BOND_PRUNE_FRACTION * n * effective * index.format.coefficient_bytes * reads / shards
+        )
+        scan_ops = BOND_PRUNE_FRACTION * n * effective * query.batch_size / shards
         merge_candidates = float(query.batch_size * shards * query.k)
         merge_bytes = merge_candidates * (DOUBLE_BYTES + OID_BYTES)
         coordination = self.COORDINATION_OPS * shards * query.batch_size
@@ -432,12 +416,9 @@ class ShardedBondBackend(Backend):
             detail=detail,
         )
 
-    def variant(self, query: "Query") -> tuple[str]:
-        return ("compressed" if query.mode == "compressed" else "exact",)
-
-    def create(self, index: "Index", metric: Metric, kind: str) -> ShardedBondSearcher:
+    def create(self, index: "Index", metric: Metric) -> ShardedBondSearcher:
         return ShardedBondSearcher(
-            index.compressed if kind == "compressed" else index.decomposed,
+            index.decomposed,
             metric=metric,
             shards=index.shard_plan,
             on_shard_failure=index.on_shard_failure,
@@ -445,10 +426,7 @@ class ShardedBondBackend(Backend):
         )
 
     def score_rows(self, index, query, metric, columns):
-        """Exact shards score like ``bond`` (their shard searchers' kernel
-        fold); compressed shards refine like ``compressed_bond``."""
-        if self.variant(query) != ("exact",):
-            return super().score_rows(index, query, metric, columns)
+        """The shard searchers' kernel fold, as ``bond`` scores rows."""
         searcher = index.searcher_for(self, query, metric)
         return searcher.shard_searchers[0].score_rows(query.query_matrix, columns)
 

@@ -150,7 +150,8 @@ class Index:
         Backend registry to plan against (defaults to the built-ins).
     shards:
         Row-shard count of the parallel ``sharded_bond`` backend (default 1:
-        unsharded, so the single-store engines keep winning the plan).  The
+        unsharded, so the single-store engines keep winning the plan); it
+        shards exact queries only, compressed ones run unsharded.  The
         resulting balanced :class:`~repro.storage.sharding.ShardPlan` is
         persisted in the manifest by :meth:`save` and restored by
         :meth:`open`.
@@ -953,12 +954,12 @@ class Index:
         with the rest of the old generation.
         """
         epoch = self._current_epoch()
-        variant = backend.variant(query)
-        key = (backend.name, query.metric_spec_key(), *variant)
+        key = (backend.name, query.metric_spec_key())
         searcher = epoch.searchers.get(key)
         if searcher is None:
-            searcher = backend.create(self, metric, *variant)
-            epoch.searchers[key] = searcher
+            # Two racing first callers both build one; both use the one
+            # stored first (the other holds no pool or segment yet).
+            searcher = epoch.searchers.setdefault(key, backend.create(self, metric))
         return searcher
 
     def plan(self, query: Query) -> Plan:

@@ -1,12 +1,12 @@
 """Shard executors: what one shard is, and where its searches run.
 
-:class:`EngineSpec` is the **single recipe** for "one shard of engine kind
-X": from ``(kind, metric, bound, ordering, schedule)`` it cuts a shard's
-store views out of the parent's (a zero-copy row slice of the exact store
-with a private :class:`~repro.engine.cost.CostModel` and, for
-``kind="compressed"``, the matching code-column slice under the parent's
-quantisation grid) and builds that shard's searcher.  Both executors build
-from it and answer the same protocol —
+:class:`EngineSpec` is the **single recipe** for "one shard": from
+``(metric, bound, ordering, schedule)`` it cuts a shard's store view out of
+the parent's (a zero-copy row slice of the exact store with a private
+:class:`~repro.engine.cost.CostModel`) and builds that shard's
+:class:`~repro.core.bond.BondSearcher`.  The sharded engine is exact-only;
+compressed queries are answered unsharded.  Both executors build from it
+and answer the same protocol —
 
 * ``search_shards(queries, k, before) -> list[(results, CostAccount) |
   Exception]``: every shard's top-k lists for a query matrix plus the cost
@@ -72,10 +72,8 @@ import numpy as np
 
 from repro.cluster.shm import SharedStoreSegment, StoreSpec, attach_store, publish
 from repro.core.bond import BondSearcher
-from repro.core.compressed import CompressedBondSearcher
 from repro.engine.cost import CostAccount
 from repro.errors import BackendError, QueryError, TransientBackendError
-from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.sharding import ShardPlan, shard_view
 
@@ -92,68 +90,34 @@ def check_workers(workers) -> int:
 
 
 class EngineSpec:
-    """The picklable recipe for one shard's store views and searcher.
-
-    ``kind`` is ``"exact"`` (:class:`~repro.core.bond.BondSearcher` over a
-    decomposed shard) or ``"compressed"``
-    (:class:`~repro.core.compressed.CompressedBondSearcher` over a compressed
-    shard view); this class is the only place that branches on it.  ``bound``
-    and ``schedule`` are copied per shard, so no two shards share mutable
-    scratch.
+    """The picklable recipe for one shard's store view and searcher: a
+    :class:`~repro.core.bond.BondSearcher` over a decomposed shard.
+    ``bound`` and ``schedule`` are copied per shard, so no two shards share
+    mutable scratch.
     """
 
-    def __init__(self, *, kind: str, metric, bound=None, ordering=None, schedule=None) -> None:
-        if kind not in ("exact", "compressed"):
-            raise QueryError(f"engine kind must be 'exact' or 'compressed', got {kind!r}")
-        if kind == "compressed" and bound is not None:
-            raise QueryError("the compressed filter derives its own bounds; bound= is exact-only")
-        self.kind = kind
+    def __init__(
+        self, *, kind: str = "exact", metric, bound=None, ordering=None, schedule=None
+    ) -> None:
+        # kind= stays only because bench/layers.py passes it (ROADMAP item 1(c)).
+        if kind != "exact":
+            raise QueryError(
+                "the sharded engine is exact-only; compressed queries are answered "
+                f"unsharded by compressed_bond, got kind {kind!r}"
+            )
         self.metric = metric
         self.bound = bound
         self.ordering = ordering
         self.schedule = schedule
 
-    @classmethod
-    def for_store(cls, store: DecomposedStore | CompressedStore, **components) -> "EngineSpec":
-        """The spec whose kind matches ``store`` (the kind follows the store)."""
-        kind = "compressed" if isinstance(store, CompressedStore) else "exact"
-        return cls(kind=kind, **components)
-
-    def split(
-        self, store: DecomposedStore | CompressedStore
-    ) -> tuple[DecomposedStore, CompressedStore | None]:
-        """``store`` as the ``(exact, compressed)`` pair a publication or an
-        attachment carries (``compressed`` is ``None`` for the exact kind)."""
-        return (store.exact, store) if self.kind == "compressed" else (store, None)
-
-    def shard_searcher(
-        self,
-        exact: DecomposedStore,
-        compressed: CompressedStore | None,
-        plan: ShardPlan,
-        shard: int,
-    ) -> BondSearcher | CompressedBondSearcher:
-        """Shard ``shard``'s searcher over its views of the parent store(s).
-
-        The compressed view shares the exact view's private cost model, so
-        one account covers a shard's filter *and* refinement work.
-        """
-        view = shard_view(exact, plan, shard)
-        schedule = copy.copy(self.schedule)
-        if self.kind == "compressed":
-            start, stop = plan.ranges[shard]
-            return CompressedBondSearcher(
-                CompressedStore.row_slice(compressed, start, stop, exact=view),
-                metric=self.metric,
-                ordering=self.ordering,
-                schedule=schedule,
-            )
+    def shard_searcher(self, store: DecomposedStore, plan: ShardPlan, shard: int) -> BondSearcher:
+        """Shard ``shard``'s searcher over its view of the parent store."""
         return BondSearcher(
-            view,
+            shard_view(store, plan, shard),
             metric=self.metric,
             bound=copy.copy(self.bound),
             ordering=self.ordering,
-            schedule=schedule,
+            schedule=copy.copy(self.schedule),
         )
 
 
@@ -193,7 +157,7 @@ def _shard_worker_main(conn, store_spec: StoreSpec, engine_spec: EngineSpec, pla
     or a closed pipe.
     """
     attached = attach_store(store_spec)
-    searchers: dict[int, BondSearcher | CompressedBondSearcher] = {}
+    searchers: dict[int, BondSearcher] = {}
     try:
         while True:
             try:
@@ -206,7 +170,7 @@ def _shard_worker_main(conn, store_spec: StoreSpec, engine_spec: EngineSpec, pla
             try:
                 if shard not in searchers:
                     searchers[shard] = engine_spec.shard_searcher(
-                        attached.decomposed, attached.compressed, plan, shard
+                        attached.decomposed, plan, shard
                     )
                 batch = searchers[shard].search_batch(queries, k)
                 reply = ("ok", (batch.results, batch.cost.to_wire()))
@@ -268,6 +232,7 @@ class ProcessShardExecutor:
         is the platform's (``fork`` on Linux).
     """
 
+    # Built directly, not only by over(): bench/layers.py does (ROADMAP item 1(c)).
     def __init__(
         self,
         segment: SharedStoreSegment,
@@ -300,7 +265,7 @@ class ProcessShardExecutor:
     @classmethod
     def over(
         cls,
-        store: DecomposedStore | CompressedStore,
+        store: DecomposedStore,
         engine_spec: EngineSpec,
         plan: ShardPlan,
         workers: int,
@@ -310,8 +275,7 @@ class ProcessShardExecutor:
         """Start a pool over ``store``'s segment (:func:`~repro.cluster.shm.publish`:
         the one its store carries, else a copy); :meth:`close` drops the
         pool's reference, which unlinks a copy."""
-        exact, compressed = engine_spec.split(store)
-        segment = publish(exact, compressed=compressed)
+        segment = publish(store)
         try:
             return cls(segment, engine_spec, plan, workers, context=context)
         finally:

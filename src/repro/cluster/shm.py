@@ -14,12 +14,12 @@ decomposes its collection **straight into a segment**
 (:func:`decompose_shared`): the parent's store is a set of views into it, the
 store carries the segment (:attr:`DecomposedStore.segment
 <repro.storage.decomposed.DecomposedStore.segment>`), and every process pool
-of the index's epoch — whatever its metric or kind — attaches that one
-segment.  :func:`publish` is the one decision point: a store that carries a
-live segment is attached as it is, any other store (a directly constructed
+of the index's epoch — whatever its metric — attaches that one segment.
+:func:`publish` is the one decision point: a store that carries a live
+segment is attached as it is, any other store (a directly constructed
 engine's, a memory-mapped or an opened one) is published **by copy** through
-``SharedStoreSegment(store)``.  The compressed kind adds only its code
-columns, in a second segment that holds a reference to the first.
+``SharedStoreSegment(store)``.  The sharded engine is exact-only, so a
+segment never holds quantisation codes.
 
 Layout
 ------
@@ -28,18 +28,12 @@ A segment holds back to back (each array 64-byte aligned):
 * the exact fragments as one ``(dimensionality, stride)`` region in the
   store's native dtype, one contiguous fragment per row (``stride`` rounds
   the cardinality up so every fragment starts on a cache line);
-* the row-sum column (float64) when the store has one;
-* for compressed publication, the parent's quantisation-code columns
-  (uint8/uint16) — the per-dimension min/max grids are a few doubles and
-  travel inside the picklable :class:`StoreSpec` instead.
+* the row-sum column (float64) when the store has one.
 
-A code-only segment holds just the third part; its spec names the carried
-segment for the first two.  Workers rebuild the exact store with
-:meth:`~repro.storage.decomposed.DecomposedStore.from_fragments` and the
-compressed store with
-:meth:`~repro.storage.compressed.CompressedStore.from_arrays`, so the
-attached stores carry bitwise the parent's coefficients, codes and grids —
-the foundation of the process pool's identity contract.  Attached stores are
+Workers rebuild the store with
+:meth:`~repro.storage.decomposed.DecomposedStore.from_fragments`, so the
+attached store carries bitwise the parent's coefficients — the foundation
+of the process pool's identity contract.  Attached stores are
 always RAM-resident views (a ``mmap`` parent is materialised into the
 segment at publication; the dtype — and therefore every answer and every
 charged byte — is unchanged).
@@ -67,7 +61,6 @@ exit-time cleanup would unlink the parent's live segment and warn), so
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import mmap
 import os
@@ -80,7 +73,6 @@ import numpy as np
 
 from repro.engine.cost import CostModel
 from repro.errors import StorageError
-from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore, vector_matrix
 from repro.storage.formats import FragmentFormat
 
@@ -119,13 +111,10 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class StoreSpec:
-    """Everything a worker needs to rebuild the published store(s).
+    """Everything a worker needs to rebuild the published store.
 
-    Picklable and small: array payloads stay in the segment(s), only names,
-    offsets, dtypes and the per-dimension quantisation grids travel here.
-    ``columns`` and ``row_sums`` live in ``segment``; ``code_columns`` in
-    ``code_segment``, which is ``segment`` itself unless the codes were
-    published beside a carried store's segment.
+    Picklable and small: array payloads stay in the segment, only names,
+    offsets and dtypes travel here.
     """
 
     segment: str
@@ -135,12 +124,8 @@ class StoreSpec:
     dimensionality: int
     columns: tuple[ArraySpec, ...]
     row_sums: ArraySpec | None
-    #: Compressed publication (None / empty when exact-only).
-    bits: int | None
-    code_columns: tuple[ArraySpec, ...]
-    minimums: tuple[float, ...]
-    maximums: tuple[float, ...]
-    code_segment: str | None = None
+    #: Always empty (no segment holds codes); bench/layers.py reads it (ROADMAP item 1(c)).
+    code_columns: tuple[ArraySpec, ...] = ()
 
 
 def _fragment_layout(
@@ -161,16 +146,6 @@ def _fragment_layout(
     return stride, columns, row_sum_spec
 
 
-def _code_layout(columns: list[np.ndarray], start: int) -> tuple[ArraySpec, ...]:
-    specs: list[ArraySpec] = []
-    offset = start
-    for column in columns:
-        offset = _aligned(offset)
-        specs.append(ArraySpec(offset=offset, dtype=str(column.dtype), length=int(column.shape[0])))
-        offset += column.nbytes
-    return tuple(specs)
-
-
 def _end(*groups) -> int:
     return max((spec.end for group in groups for spec in group if spec is not None), default=0)
 
@@ -178,39 +153,31 @@ def _end(*groups) -> int:
 class SharedStoreSegment:
     """Owner-side handle of one segment (creating process only).
 
-    ``SharedStoreSegment(store)`` publishes ``store`` **by copy** (with
-    ``compressed=``, its code columns too) into a fresh segment; the carried
-    segments of :func:`decompose_shared` and the code-only segments of
-    :func:`publish` are built by the same machinery.  A segment is created
-    with one reference; every additional holder calls :meth:`acquire` and
-    every holder — the creator included — calls :meth:`release` (alias
-    :meth:`close`) exactly once.  The segment is **unlinked** when the count
-    reaches zero.
+    ``SharedStoreSegment(store)`` publishes ``store`` **by copy** into a
+    fresh segment; the carried segments of :func:`decompose_shared` are
+    built by the same machinery.  A segment is created with one reference;
+    every additional holder calls :meth:`acquire` and every holder — the
+    creator included — calls :meth:`release` (alias :meth:`close`) exactly
+    once.  The segment is **unlinked** when the count reaches zero.
     """
 
-    def __init__(
-        self,
-        store: DecomposedStore,
-        *,
-        compressed: CompressedStore | None = None,
-    ) -> None:
-        if compressed is not None and compressed.exact is not store:
-            raise StorageError(
-                "the compressed store must be built over the published exact store"
-            )
+    def __init__(self, store: DecomposedStore) -> None:
         _, columns, row_sums = _fragment_layout(
             store.cardinality,
             store.dimensionality,
             store.format.np_dtype,
             row_sums=store.has_row_sums,
         )
-        codes = [] if compressed is None else list(compressed._code_tails)
-        code_columns = _code_layout(codes, _end(columns, (row_sums,)))
-        self._open(_end(columns, (row_sums,), code_columns))
-        arrays = [*zip(columns, store._tails), *zip(code_columns, codes)]
+        self._open(_end(columns, (row_sums,)))
+        arrays = list(zip(columns, store._tails))
         if row_sums is not None:
             arrays.append((row_sums, store._row_sums.tail))
-        self._write(arrays)
+        try:
+            for spec, array in arrays:
+                spec.view(self._buffer)[:] = array
+        except BaseException:
+            self.release()  # a half-written segment goes
+            raise
         self._spec = StoreSpec(
             segment=self.name,
             name=store.name,
@@ -219,7 +186,6 @@ class SharedStoreSegment:
             dimensionality=store.dimensionality,
             columns=columns,
             row_sums=row_sums,
-            **_code_fields(compressed, code_columns, self.name),
         )
 
     def _open(self, size: int) -> None:
@@ -246,37 +212,9 @@ class SharedStoreSegment:
             raise
         shm.close()
         self._shm = shm
-        self._carried: SharedStoreSegment | None = None
         # Pools of one epoch start and stop on whichever thread serves.
         self._lock = threading.Lock()
         self._refs = 1
-
-    def _write(self, arrays) -> None:
-        """Copy each ``(spec, array)`` pair in; on failure the segment goes."""
-        try:
-            for spec, array in arrays:
-                spec.view(self._buffer)[:] = array
-        except BaseException:
-            self.release()
-            raise
-
-    @classmethod
-    def _codes_beside(
-        cls, carried: "SharedStoreSegment", compressed: CompressedStore
-    ) -> "SharedStoreSegment":
-        """A segment of ``compressed``'s code columns alone, attached next to
-        the ``carried`` segment its exact store lives in (one reference on
-        ``carried`` is held until this segment is unlinked)."""
-        codes = list(compressed._code_tails)
-        code_columns = _code_layout(codes, 0)
-        segment = object.__new__(cls)
-        segment._open(_end(code_columns))
-        segment._write(zip(code_columns, codes))
-        segment._carried = carried.acquire()
-        segment._spec = dataclasses.replace(
-            carried.spec, **_code_fields(compressed, code_columns, segment.name)
-        )
-        return segment
 
     @property
     def spec(self) -> StoreSpec:
@@ -316,9 +254,6 @@ class SharedStoreSegment:
                 return
         self._shm.unlink()
         self._buffer = None
-        if self._carried is not None:
-            self._carried.release()
-            self._carried = None
 
     # The creator's reference reads naturally as close().
     close = release
@@ -328,23 +263,6 @@ class SharedStoreSegment:
 
     def __exit__(self, *exc_info) -> None:
         self.release()
-
-
-def _code_fields(
-    compressed: CompressedStore | None,
-    code_columns: tuple[ArraySpec, ...] = (),
-    segment: str | None = None,
-) -> dict:
-    """The :class:`StoreSpec` fields of a compressed publication."""
-    if compressed is None:
-        return {"bits": None, "code_columns": (), "minimums": (), "maximums": ()}
-    return {
-        "bits": compressed.bits,
-        "code_columns": code_columns,
-        "minimums": tuple(float(v) for v in compressed.minimums),
-        "maximums": tuple(float(v) for v in compressed.maximums),
-        "code_segment": segment,
-    }
 
 
 def decompose_shared(
@@ -394,48 +312,35 @@ def decompose_shared(
         dimensionality=dimensionality,
         columns=columns,
         row_sums=row_sums,
-        **_code_fields(None),
     )
     return store
 
 
-def publish(
-    store: DecomposedStore, *, compressed: CompressedStore | None = None
-) -> SharedStoreSegment:
+def publish(store: DecomposedStore) -> SharedStoreSegment:
     """The segment a process pool over ``store`` attaches, with one reference
-    for the caller.
-
-    A store that carries a live segment is attached as it is (plus, for the
-    compressed kind, a segment of the code columns alone); any other store
-    is published by copy.
-    """
+    for the caller: the live segment the store carries, else a copy."""
     carried = store.segment
     if carried is None or carried.references == 0:
-        return SharedStoreSegment(store, compressed=compressed)
-    if compressed is None:
-        return carried.acquire()
-    return SharedStoreSegment._codes_beside(carried, compressed)
+        return SharedStoreSegment(store)
+    return carried.acquire()
 
 
 class AttachedStore:
     """Worker-side view of a published store: attach, rebuild, close.
 
-    ``decomposed`` (and ``compressed``, when the spec carries codes) are
-    zero-copy numpy views into the shared segment(s); :meth:`close` drops the
-    mappings (never a segment — that is the owner's unlink).
+    ``decomposed`` is a zero-copy numpy view into the shared segment;
+    :meth:`close` drops the mapping (never the segment — that is the owner's
+    unlink).
     """
 
     def __init__(self, spec: StoreSpec, *, cost: CostModel | None = None) -> None:
-        names = [spec.segment]
-        if spec.code_segment not in (None, spec.segment):
-            names.append(spec.code_segment)
-        self._shms = [_attach(name) for name in names]
+        self._shm = _attach(spec.segment)
         fmt = FragmentFormat.parse(spec.format_spec)
         if fmt.is_mapped:
             # The bytes already live in the (RAM-backed) segment; a mapped
             # residency would only make from_fragments spill copies to disk.
             fmt = FragmentFormat(dtype=fmt.dtype, residency="ram")
-        buffer = self._shms[0].buf
+        buffer = self._shm.buf
         tails = [column.view(buffer) for column in spec.columns]
         row_sum_tail = spec.row_sums.view(buffer) if spec.row_sums is not None else None
         self.decomposed = DecomposedStore.from_fragments(
@@ -445,23 +350,11 @@ class AttachedStore:
             name=spec.name,
             row_sum_tail=row_sum_tail,
         )
-        self.compressed: CompressedStore | None = None
-        if spec.bits is not None:
-            code_buffer = self._shms[-1].buf
-            self.compressed = CompressedStore.from_arrays(
-                self.decomposed,
-                codes=[column.view(code_buffer) for column in spec.code_columns],
-                minimums=np.asarray(spec.minimums, dtype=np.float64),
-                maximums=np.asarray(spec.maximums, dtype=np.float64),
-                bits=spec.bits,
-            )
 
     def close(self) -> None:
-        """Drop this process's mappings of the segments (views die with them)."""
+        """Drop this process's mapping of the segment (views die with it)."""
         self.decomposed = None
-        self.compressed = None
-        for shm in self._shms:
-            shm.close()
+        self._shm.close()
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:

@@ -53,6 +53,7 @@ fragment read across every live query.
 from __future__ import annotations
 
 import copy
+import threading
 import time
 
 import numpy as np
@@ -126,9 +127,10 @@ class BondSearcher:
     :class:`repro.api.Searcher` construction surface).
 
     A searcher owns reusable scratch (kernel workspace, pruning bounds, the
-    candidate set of each call's first query), so one instance must not run concurrent
-    searches from multiple threads; create one searcher per thread (they can
-    share the store).
+    candidate set of each call's first query), so it serialises its own
+    ``search`` / ``search_batch`` calls with a lock: threads sharing one
+    instance take turns.  For parallel searches create one searcher per
+    thread (they can share the store).
     """
 
     def __init__(
@@ -156,6 +158,8 @@ class BondSearcher:
         self._prune_lower = np.empty(0, dtype=np.float64)
         self._prune_upper = np.empty(0, dtype=np.float64)
         self._prune_keep = np.empty(0, dtype=bool)
+        # Serialises search / search_batch: the scratch above is per instance.
+        self._lock = threading.Lock()
         if self._bound.needs_remaining_value_sums:
             store.materialize_row_sums()
 
@@ -200,14 +204,16 @@ class BondSearcher:
             take the worst bound at the first prune and leave with it.
         """
         started = time.perf_counter()
-        run = self._plan(query, k, trace, exclude=exclude)
-        # The account opens after planning: initialising the candidate state
-        # (an Ev-style bound starts from the T(x) column) is set-up, not scan.
-        cost = self._store.cost
-        checkpoint = cost.checkpoint()
-        drive(self, [run])
-        result = run.result
-        result.cost = cost.since(checkpoint)
+        with self._lock:
+            run = self._plan(query, k, trace, exclude=exclude)
+            # The account opens after planning: initialising the candidate
+            # state (an Ev-style bound starts from the T(x) column) is
+            # set-up, not scan.
+            cost = self._store.cost
+            checkpoint = cost.checkpoint()
+            drive(self, [run])
+            result = run.result
+            result.cost = cost.since(checkpoint)
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -243,16 +249,18 @@ class BondSearcher:
         query_matrix = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if query_matrix.ndim != 2:
             raise QueryError(f"queries must form a 2-D matrix, got shape {query_matrix.shape}")
-        runs = [
-            self._plan(query, k, reuse_scratch=index == 0, exclude=exclude)
-            for index, query in enumerate(query_matrix)
-        ]
-        cost = self._store.cost
-        checkpoint = cost.checkpoint()
-        drive(self, runs)
+        with self._lock:
+            runs = [
+                self._plan(query, k, reuse_scratch=index == 0, exclude=exclude)
+                for index, query in enumerate(query_matrix)
+            ]
+            cost = self._store.cost
+            checkpoint = cost.checkpoint()
+            drive(self, runs)
+            account = cost.since(checkpoint)
         return BatchSearchResult(
             results=[run.result for run in runs],
-            cost=cost.since(checkpoint),
+            cost=account,
             elapsed_seconds=time.perf_counter() - started,
         )
 

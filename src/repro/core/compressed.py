@@ -63,6 +63,7 @@ refinement's own) and ranks them with ``best_first``.
 from __future__ import annotations
 
 import copy
+import threading
 import time
 
 import numpy as np
@@ -108,8 +109,9 @@ class CompressedBondSearcher:
     Notes
     -----
     A searcher owns a reusable kernel workspace and one full-height
-    accumulator, so one instance must not run concurrent searches from
-    multiple threads; create one searcher per thread (they can share the
+    accumulator, so it serialises its own ``search`` / ``search_batch``
+    calls with a lock: threads sharing one instance take turns.  For
+    parallel searches create one searcher per thread (they can share the
     store).
     """
 
@@ -133,6 +135,8 @@ class CompressedBondSearcher:
         self._accumulator: np.ndarray | None = None
         self._bounds = np.empty(0, dtype=np.float64)
         self._keep = np.empty(0, dtype=bool)
+        # Serialises search / search_batch: the scratch above is per instance.
+        self._lock = threading.Lock()
         # Once the candidate set has shrunk to this many rows the filter
         # fetches only the candidates' codes instead of whole fragments.
         self._positional_threshold = SWITCH_SELECTIVITY * self._store.cardinality
@@ -155,12 +159,13 @@ class CompressedBondSearcher:
     def search(self, query: np.ndarray, k: int, *, trace: PruningTrace | None = None) -> SearchResult:
         """Return the exact k nearest neighbours via filter-and-refine."""
         started = time.perf_counter()
-        run = self._plan(query, k, trace)
-        cost = self._store.cost
-        checkpoint = cost.checkpoint()
-        drive(self, [run])
-        result = run.result
-        result.cost = cost.since(checkpoint)
+        with self._lock:
+            run = self._plan(query, k, trace)
+            cost = self._store.cost
+            checkpoint = cost.checkpoint()
+            drive(self, [run])
+            result = run.result
+            result.cost = cost.since(checkpoint)
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -194,13 +199,15 @@ class CompressedBondSearcher:
         query_matrix = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if query_matrix.ndim != 2:
             raise QueryError(f"queries must form a 2-D matrix, got shape {query_matrix.shape}")
-        runs = [self._plan(query, k) for query in query_matrix]
-        cost = self._store.cost
-        checkpoint = cost.checkpoint()
-        drive(self, runs)
+        with self._lock:
+            runs = [self._plan(query, k) for query in query_matrix]
+            cost = self._store.cost
+            checkpoint = cost.checkpoint()
+            drive(self, runs)
+            account = cost.since(checkpoint)
         return BatchSearchResult(
             results=[run.result for run in runs],
-            cost=cost.since(checkpoint),
+            cost=account,
             elapsed_seconds=time.perf_counter() - started,
         )
 

@@ -1,14 +1,17 @@
-"""Sharded execution over contiguous row shards.
+"""Sharded execution of the exact engine over contiguous row shards.
 
-This is the scaling layer over the searchers of :mod:`repro.core.bond` and
-:mod:`repro.core.compressed`: the collection is cut into contiguous row
-shards (:mod:`repro.storage.sharding`), every shard's own searcher answers
-``search_batch`` against its **private** store views and cost model, and the
-per-shard top-k lists are merged with a deterministic tie-break — so the
-merged answers are bitwise identical to the unsharded searchers.  There is
-one engine, :class:`ShardedBondSearcher`; whether it scans exact or
-compressed fragments follows from the store it is given, and what a shard of
-either kind *is* lives in :class:`repro.cluster.executor.EngineSpec` alone.
+This is the scaling layer over :class:`~repro.core.bond.BondSearcher`: the
+collection is cut into contiguous row shards (:mod:`repro.storage.sharding`),
+every shard's own searcher answers ``search_batch`` against its **private**
+store view and cost model, and the per-shard top-k lists are merged with a
+deterministic tie-break — so the merged answers are bitwise identical to the
+unsharded searcher.  There is one engine, :class:`ShardedBondSearcher`, and
+it is exact-only: the compressed filter does so little work per row that a
+split only adds each shard's fixed cost and the merge (it lost to the
+unsharded :class:`~repro.core.compressed.CompressedBondSearcher` at every
+batch size measured, CHANGES.md), so a compressed query on a sharded index
+is answered unsharded by ``compressed_bond``.  What a shard *is* lives in
+:class:`repro.cluster.executor.EngineSpec` alone.
 
 The shards run on one of two executors behind one protocol
 (:mod:`repro.cluster.executor`): inline on the calling thread, or in worker
@@ -58,7 +61,6 @@ from repro.errors import QueryError
 from repro.metrics.base import Metric
 from repro.metrics.histogram import HistogramIntersection
 from repro.reliability.faults import fault_point
-from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.sharding import ShardPlan
 
@@ -73,9 +75,8 @@ SHARD_EXECUTORS = ("thread", "process")
 #: smaller one runs its shards inline on the calling thread, unless another
 #: call already runs inline on the engine.  Fitted from a census of the two
 #: on 2 shards of 59,619 x 166, 2 vCPUs, nine runs (CHANGES.md): in the
-#: median run the exact pool took 1.24x the inline time for 1 query, 1.11x
-#: for 2, 1.00x for 4 and 0.87x for 8; compressed shards were slower on the
-#: pool at every size up to 32.  Batches at or above it run as they always
+#: median run the pool took 1.24x the inline time for 1 query, 1.11x for 2,
+#: 1.00x for 4 and 0.87x for 8.  Batches at or above it run as they always
 #: did.
 POOL_MIN_BATCH = 8
 
@@ -162,20 +163,20 @@ def check_shard_options(executor: str, on_shard_failure: str) -> None:
 
 
 class ShardedBondSearcher:
-    """BOND over contiguous row shards, merged to the global top-k.
+    """Exact BOND over contiguous row shards, merged to the global top-k.
 
-    One engine for both resolutions of the scan: given a
-    :class:`~repro.storage.decomposed.DecomposedStore` every shard runs a
-    :class:`~repro.core.bond.BondSearcher` over a zero-copy row slice; given a
-    :class:`~repro.storage.compressed.CompressedStore` every shard runs a
-    :class:`~repro.core.compressed.CompressedBondSearcher` over a view keeping
-    the parent's global quantisation grid.  What a shard's stores and
-    searcher are is :class:`~repro.cluster.executor.EngineSpec`'s business;
-    this class hands each query matrix to an executor's ``search_shards``
-    (see :mod:`repro.cluster.executor` for the protocol), applies the
-    shard-failure policy and merges with the deterministic tie-break of
-    :func:`merge_shard_results`, so answers are bitwise identical to the
-    unsharded searcher.  A single query is a batch of one.
+    Every shard runs a :class:`~repro.core.bond.BondSearcher` over a
+    zero-copy row slice of the parent
+    :class:`~repro.storage.decomposed.DecomposedStore` (what a shard's store
+    and searcher are is :class:`~repro.cluster.executor.EngineSpec`'s
+    business); this class hands each query matrix to an executor's
+    ``search_shards`` (see :mod:`repro.cluster.executor` for the protocol),
+    applies the shard-failure policy and merges with the deterministic
+    tie-break of :func:`merge_shard_results`, so answers are bitwise
+    identical to the unsharded searcher.  A single query is a batch of one.
+    A :class:`~repro.storage.compressed.CompressedStore` raises
+    :class:`~repro.errors.QueryError`: the compressed filter is answered
+    unsharded (``compressed_bond``).
 
     Parameters
     ----------
@@ -213,14 +214,13 @@ class ShardedBondSearcher:
         Multiprocessing start method of process mode (``"fork"`` /
         ``"spawn"`` / ``"forkserver"``; default: the platform's).
     metric / bound / ordering / schedule:
-        Forwarded to every shard's searcher (``bound`` is exact-only; bounds
-        and schedules are copied per shard so concurrent shards never share
-        mutable scratch).
+        Forwarded to every shard's searcher (bounds and schedules are copied
+        per shard so concurrent shards never share mutable scratch).
     """
 
     def __init__(
         self,
-        store: DecomposedStore | CompressedStore,
+        store: DecomposedStore,
         *,
         metric: Metric | None = None,
         bound=None,
@@ -238,6 +238,12 @@ class ShardedBondSearcher:
         # paths, so the move waits for a change that may also update bench/.
         from repro.cluster.executor import EngineSpec, InProcessShardExecutor, check_workers
 
+        if not isinstance(store, DecomposedStore):
+            raise QueryError(
+                "the sharded engine is exact-only and scans a DecomposedStore; "
+                "compressed queries are answered unsharded by compressed_bond "
+                f"(CompressedBondSearcher), got {type(store).__name__}"
+            )
         check_shard_options(executor, on_shard_failure)
         self._store = store
         self._metric = metric if metric is not None else HistogramIntersection()
@@ -254,12 +260,11 @@ class ShardedBondSearcher:
         self._on_shard_failure = on_shard_failure
         self._executor_kind = executor
         self._process_context = process_context
-        self._spec = EngineSpec.for_store(
-            store, metric=self._metric, bound=bound, ordering=ordering, schedule=schedule
+        self._spec = EngineSpec(
+            metric=self._metric, bound=bound, ordering=ordering, schedule=schedule
         )
-        exact, compressed = self._spec.split(store)
         self._searchers = [
-            self._spec.shard_searcher(exact, compressed, self._plan, shard)
+            self._spec.shard_searcher(store, self._plan, shard)
             for shard in range(self._plan.num_shards)
         ]
         self._inline = InProcessShardExecutor(self._searchers)
@@ -270,7 +275,7 @@ class ShardedBondSearcher:
         self._executor = None  # the process pool, started on first need
 
     @property
-    def store(self) -> DecomposedStore | CompressedStore:
+    def store(self) -> DecomposedStore:
         """The parent store (cost-account owner)."""
         return self._store
 

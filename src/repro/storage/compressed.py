@@ -142,124 +142,6 @@ class CompressedStore:
             [fragment.cell_width for fragment in self._fragments], dtype=np.float64
         )
 
-    @classmethod
-    def from_arrays(
-        cls,
-        exact: DecomposedStore,
-        *,
-        codes: Sequence[np.ndarray],
-        minimums: np.ndarray,
-        maximums: np.ndarray,
-        bits: int = 8,
-        cost: CostModel | None = None,
-    ) -> "CompressedStore":
-        """Assemble a store from already-quantised code columns and their grid.
-
-        The attach path of :mod:`repro.cluster.shm`: a worker process that
-        mapped the parent's code columns out of shared memory rebuilds the
-        store around them instead of re-quantising — the codes *and* the
-        per-dimension grid are the parent's own arrays, so every interval
-        bound the filter computes is bitwise the parent's.  ``codes`` must
-        hold one 1-D column per dimension of ``exact``, all of equal length.
-        """
-        if bits < 1 or bits > 16:
-            raise StorageError("compressed fragments support 1..16 bits per value")
-        codes = [np.asarray(column) for column in codes]
-        if len(codes) != exact.dimensionality:
-            raise StorageError(
-                f"{len(codes)} code columns do not cover dimensionality "
-                f"{exact.dimensionality}"
-            )
-        for column in codes:
-            if column.ndim != 1 or column.shape[0] != exact.cardinality:
-                raise StorageError("code columns must be 1-D and match the exact cardinality")
-        minimums = np.asarray(minimums, dtype=np.float64)
-        maximums = np.asarray(maximums, dtype=np.float64)
-        if minimums.shape != (exact.dimensionality,) or maximums.shape != (exact.dimensionality,):
-            raise StorageError("quantisation grids must hold one value per dimension")
-        store = object.__new__(cls)
-        store._exact = exact
-        store._bits = bits
-        store._cost = cost if cost is not None else exact.cost
-        store._fragments = [
-            CompressedFragment(
-                codes=column,
-                minimum=float(minimums[dim]),
-                maximum=float(maximums[dim]),
-                bits=bits,
-            )
-            for dim, column in enumerate(codes)
-        ]
-        store._code_tails = [fragment.codes for fragment in store._fragments]
-        store._minimums = minimums
-        store._maximums = maximums
-        store._cell_widths = np.array(
-            [fragment.cell_width for fragment in store._fragments], dtype=np.float64
-        )
-        return store
-
-    @classmethod
-    def row_slice(
-        cls,
-        parent: "CompressedStore",
-        start: int,
-        stop: int,
-        *,
-        exact: DecomposedStore,
-        cost: CostModel | None = None,
-    ) -> "CompressedStore":
-        """A shard view over rows ``[start, stop)`` of ``parent``.
-
-        The slice keeps the **parent's quantisation grid**: its code columns
-        are zero-copy slices of the parent's code arrays and its per-dimension
-        minimums / maximums / cell widths are the parent's (global) ones.
-        Re-quantising the shard rows independently would move every cell
-        boundary, so a sharded filter would accumulate different interval
-        scores than the unsharded one — sharing the grid is what keeps
-        sharded filter-and-refine results bitwise identical to the
-        single-store engine.
-
-        Parameters
-        ----------
-        parent:
-            The store being sharded.
-        start / stop:
-            The shard's contiguous row range.
-        exact:
-            The shard's exact store (same rows) used for refinement; shard
-            OIDs are local to this range.
-        cost:
-            Cost model for the shard's approximate reads; defaults to the
-            exact shard's model so filter and refinement accumulate together.
-        """
-        if not (0 <= start < stop <= parent.cardinality):
-            raise StorageError(
-                f"row slice [{start}, {stop}) outside collection of size {parent.cardinality}"
-            )
-        if exact.cardinality != stop - start or exact.dimensionality != parent.dimensionality:
-            raise StorageError(
-                "the exact shard's shape does not match the requested row slice"
-            )
-        shard = object.__new__(cls)
-        shard._exact = exact
-        shard._bits = parent._bits
-        shard._cost = cost if cost is not None else exact.cost
-        shard._fragments = [
-            CompressedFragment(
-                codes=fragment.codes[start:stop],
-                minimum=fragment.minimum,
-                maximum=fragment.maximum,
-                bits=fragment.bits,
-            )
-            for fragment in parent._fragments
-        ]
-        shard._code_tails = [fragment.codes for fragment in shard._fragments]
-        # Global grids, shared with the parent (read-only by contract).
-        shard._minimums = parent._minimums
-        shard._maximums = parent._maximums
-        shard._cell_widths = parent._cell_widths
-        return shard
-
     @property
     def exact(self) -> DecomposedStore:
         """The exact store used for refinement."""

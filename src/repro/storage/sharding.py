@@ -7,24 +7,18 @@ independent engine.  A :class:`ShardPlan` fixes the cut points and
 :func:`shard_view` cuts one shard's exact store, whose OIDs are local to the
 shard (global OID = local OID + shard start) and which charges a **private**
 :class:`~repro.engine.cost.CostModel` so concurrent workers never race on the
-lock-free charging hot path.  What else a shard of a given engine kind needs
-(its compressed view, its searcher) is
-:class:`repro.cluster.executor.EngineSpec`'s to say; the engine in
+lock-free charging hot path.  A shard's searcher is
+:class:`repro.cluster.executor.EngineSpec`'s to build; the engine in
 :mod:`repro.core.parallel` merges the per-shard accounts into the parent model
-after the shards finish.
+after the shards finish.  Only the exact engine is sharded: a compressed
+query on a sharded index runs unsharded.
 
-Two properties keep sharded results bitwise identical to the single-store
-engines:
-
-* shards are **contiguous** row ranges in collection order, so per-shard
-  candidate lists stay ascending in global OID order and the deterministic
-  merge tie-break (ascending OID among equal scores, in the direction
-  :meth:`~repro.metrics.base.Metric.best_first` defines) reproduces the
-  unsharded ranking exactly;
-* compressed shards keep the parent's **global quantisation grid**
-  (:meth:`~repro.storage.compressed.CompressedStore.row_slice`) instead of
-  re-quantising their rows, so the interval filter accumulates the same
-  bounds as the unsharded filter.
+Shards are **contiguous** row ranges in collection order, so per-shard
+candidate lists stay ascending in global OID order and the deterministic
+merge tie-break (ascending OID among equal scores, in the direction
+:meth:`~repro.metrics.base.Metric.best_first` defines) reproduces the
+unsharded ranking exactly: sharded results are bitwise identical to the
+single-store engine.
 
 The plan serialises into the persistence manifest
 (:meth:`ShardPlan.to_manifest`), so ``Index.open`` restores the exact layout

@@ -4,6 +4,9 @@ mode, plus Query validation and the keyword-only construction surface."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -176,6 +179,51 @@ class TestWeightedSubspaceEquivalence:
         metric = clustered_index.resolved_metric(Query(query, k=5, weights=weights))
         direct = SequentialScan(RowStore(clustered_vectors), metric=metric).search(query, 5)
         assert results_identical(facade, direct)
+
+
+class TestConcurrentAnswers:
+    """Threads sharing one index share its cached searchers; each searcher
+    serialises its own calls, so concurrent answers are the sequential ones."""
+
+    ROWS = list(range(0, 1200, 20))
+
+    @pytest.mark.parametrize(
+        "index_options,query_options",
+        [
+            ({}, {}),
+            ({}, {"mode": "compressed"}),
+            ({"shards": 2}, {"backend": "sharded_bond"}),
+        ],
+        ids=["bond", "compressed_bond", "sharded_bond"],
+    )
+    def test_threads_get_the_sequential_answers(
+        self, corel_histograms, index_options, query_options
+    ):
+        with Index.build(corel_histograms, **index_options) as index:
+            queries = {row: Query(corel_histograms[row], k=6, **query_options) for row in self.ROWS}
+            expected = {row: index.answer(query) for row, query in queries.items()}
+            wrong, failures = [], []
+
+            def drive(offset: int) -> None:
+                try:
+                    for row in self.ROWS[offset:] + self.ROWS[:offset]:
+                        if not results_identical(index.answer(queries[row]), expected[row]):
+                            wrong.append(row)
+                except Exception as exc:  # reported below, on the test thread
+                    failures.append(exc)
+
+            switch_interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=drive, args=(offset,)) for offset in (0, 20, 40)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(switch_interval)
+            assert not any(thread.is_alive() for thread in threads)
+        assert not failures and not wrong
 
 
 class TestFacadeSurface:

@@ -152,26 +152,26 @@ class TestShardedPlanning:
 
     def test_unsharded_index_never_plans_sharded(self, small_vectors):
         index = Index.build(small_vectors)  # shards=1
-        for mode in ("exact", "compressed"):
-            plan = index.plan(Query(small_vectors[0], k=5, mode=mode))
-            assert plan.backend_name != "sharded_bond"
-            sharded = next(c for c in plan.candidates if c.backend == "sharded_bond")
-            # eligible but strictly pricier: one shard parallelises nothing,
-            # the merge and coordination overhead remain.
-            assert sharded.eligible
-            assert sharded.estimate.score > plan.estimate.score
+        plan = index.plan(Query(small_vectors[0], k=5))
+        assert plan.backend_name != "sharded_bond"
+        sharded = next(c for c in plan.candidates if c.backend == "sharded_bond")
+        # eligible but strictly pricier: one shard parallelises nothing,
+        # the merge and coordination overhead remain.
+        assert sharded.eligible
+        assert sharded.estimate.score > plan.estimate.score
 
-    def test_sharded_index_plans_sharded_in_both_modes(self):
+    def test_sharded_index_plans_sharded_exact_and_unsharded_compressed(self):
         # Paper-scale shape (plans never materialise stores, so zeros do):
         # at 59619 x 166 the per-shard scan dwarfs merge + coordination.
         vectors = np.zeros((59_619, 166))
         index = Index.build(vectors, shards=4)
         query = np.zeros((8, 166))
         assert index.plan(Query(query, k=10)).backend_name == "sharded_bond"
-        assert (
-            index.plan(Query(query, k=10, mode="compressed")).backend_name
-            == "sharded_bond"
-        )
+        # The compressed filter is never split.
+        plan = index.plan(Query(query, k=10, mode="compressed"))
+        assert plan.backend_name == "compressed_bond"
+        sharded = next(c for c in plan.candidates if c.backend == "sharded_bond")
+        assert not sharded.eligible
 
     def test_sharding_a_tiny_collection_still_loses(self, small_vectors):
         # 200 rows split four ways: coordination overhead exceeds the scan
@@ -212,8 +212,9 @@ class TestShardedPlanning:
         plan = index.plan(
             Query(small_vectors[0], k=5, metric="euclidean_similarity", mode="compressed")
         )
-        # euclidean_similarity has no exact-mode BOND bound, so the sharded
-        # backend does not declare it; the unsharded compressed engine serves.
+        # The sharded backend serves no compressed query (nor, lacking an
+        # exact-mode BOND bound, euclidean_similarity); the unsharded
+        # compressed engine serves.
         assert plan.backend_name == "compressed_bond"
         sharded = next(c for c in plan.candidates if c.backend == "sharded_bond")
         assert not sharded.eligible

@@ -2,9 +2,11 @@
 workers.
 
 The load-bearing contract is **bitwise identity**: for any shard count,
-worker count, backend and mode — exact, compressed, and the live-tail
-overlay — the process-pool answer (OIDs, scores, cost account) must equal
-the inline answer must equal the unsharded answer, bit for bit.  On
+worker count and metric — and under the live-tail overlay — the
+process-pool answer (OIDs, scores, cost account) must equal the inline
+answer must equal the unsharded answer, bit for bit.  Compressed queries
+are never split: a process-sharded index answers them unsharded, without a
+worker pool or a segment of its own.  On
 top sit the lifecycle guarantees (reference-counted segments, nothing left
 in ``/dev/shm`` after ``close()``) and the failure matrix (a killed worker
 surfaces as a typed transient error or a degraded partial answer — never a
@@ -53,7 +55,6 @@ from repro.errors import (
 from repro.metrics.euclidean import SquaredEuclidean
 from repro.metrics.histogram import HistogramIntersection
 from repro.reliability import FaultPlan, fault_point
-from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
 from repro.storage.sharding import ShardPlan
 
@@ -147,33 +148,6 @@ class TestSharedStoreSegment:
             attached.close()
             segment.release()
         assert not leaked_segments()
-
-    def test_compressed_attachment_shares_grid_and_codes(self, collection):
-        exact = DecomposedStore(collection)
-        compressed = CompressedStore(exact, bits=8)
-        segment = SharedStoreSegment(exact, compressed=compressed)
-        attached = attach_store(segment.spec)
-        try:
-            assert attached.compressed is not None
-            assert attached.compressed.bits == 8
-            np.testing.assert_array_equal(
-                attached.compressed.minimums, compressed.minimums
-            )
-            for dim in range(exact.dimensionality):
-                assert (
-                    attached.compressed._code_tails[dim].tobytes()
-                    == compressed._code_tails[dim].tobytes()
-                )
-        finally:
-            attached.close()
-            segment.release()
-        assert not leaked_segments()
-
-    def test_mismatched_compressed_store_rejected(self, collection):
-        exact = DecomposedStore(collection)
-        other = CompressedStore(DecomposedStore(collection), bits=8)
-        with pytest.raises(StorageError):
-            SharedStoreSegment(exact, compressed=other)
 
     def test_refcounting_unlinks_on_last_release_only(self, collection):
         segment = SharedStoreSegment(DecomposedStore(collection))
@@ -274,14 +248,6 @@ class TestSharedStoreSegment:
             assert publish(shared) is shared.segment
             assert shared.segment.references == 2
             shared.segment.release()
-            codes = publish(shared, compressed=CompressedStore(shared, bits=8))
-            assert codes.spec.segment == shared.segment.name
-            assert codes.spec.code_segment == codes.name != shared.segment.name
-            assert codes.spec.columns == shared.segment.spec.columns
-            # The code segment holds the carried one until it goes itself.
-            assert shared.segment.references == 2
-            codes.release()
-            assert shared.segment.references == 1
             copy = publish(private)
             assert copy.spec.segment == copy.name
             copy.release()
@@ -303,24 +269,18 @@ class TestProcessPoolIdentity:
     @given(
         shards=st.integers(min_value=1, max_value=4),
         workers=st.integers(min_value=1, max_value=3),
-        compressed=st.booleans(),
         euclidean=st.booleans(),
     )
     def test_any_shard_and_worker_count_matches_thread_and_unsharded(
-        self, collection, shards, workers, compressed, euclidean
+        self, collection, shards, workers, euclidean
     ):
         metric = SquaredEuclidean() if euclidean else HistogramIntersection()
         queries = pool_batch(collection, 7)
-        if compressed:
-            make_store = lambda: CompressedStore(DecomposedStore(collection), bits=8)
-            single = CompressedBondSearcher(make_store(), metric=metric)
-        else:
-            make_store = lambda: DecomposedStore(collection)
-            single = BondSearcher(make_store(), metric=metric)
+        single = BondSearcher(DecomposedStore(collection), metric=metric)
         with ShardedBondSearcher(
-            make_store(), metric=metric, shards=shards, executor="thread"
+            DecomposedStore(collection), metric=metric, shards=shards, executor="thread"
         ) as threaded, ShardedBondSearcher(
-            make_store(), metric=metric, shards=shards, workers=workers,
+            DecomposedStore(collection), metric=metric, shards=shards, workers=workers,
             executor="process",
         ) as processed:
             for vector in queries:
@@ -383,7 +343,7 @@ class TestProcessPoolIdentity:
         store = DecomposedStore(collection)
         with pytest.raises(QueryError, match="workers must be an integer >= 1"):
             ShardedBondSearcher(store, shards=2, workers=workers, executor="process")
-        spec = EngineSpec.for_store(store, metric=HistogramIntersection())
+        spec = EngineSpec(metric=HistogramIntersection())
         with pytest.raises(QueryError, match="workers must be an integer >= 1"):
             ProcessShardExecutor.over(
                 store, spec, ShardPlan.balanced(store.cardinality, 2), workers
@@ -407,15 +367,17 @@ class TestIndexProcessExecutor:
         threaded = Index.build(collection, shards=3, shard_executor="thread")
         processed = Index.build(collection, shards=3, shard_executor="process")
         try:
-            # A single query runs its shards inline; the batch goes to the pool.
+            # A single query runs its shards inline; the batch goes to the
+            # pool.  A compressed query is not split: the planner answers it
+            # unsharded on every index.
             for query_vector in (collection[11], pool_batch(collection, 11)):
-                for mode in ("exact", "compressed"):
+                for mode, backend in (("exact", "sharded_bond"), ("compressed", None)):
                     base = reference.answer(Query(query_vector, k=9, mode=mode))
                     left = threaded.answer(
-                        Query(query_vector, k=9, mode=mode, backend="sharded_bond")
+                        Query(query_vector, k=9, mode=mode, backend=backend)
                     )
                     right = processed.answer(
-                        Query(query_vector, k=9, mode=mode, backend="sharded_bond")
+                        Query(query_vector, k=9, mode=mode, backend=backend)
                     )
                     assert all(map(results_identical, as_list(base), as_list(left)))
                     assert all(map(results_identical, as_list(left), as_list(right)))
@@ -512,12 +474,10 @@ class TestPoolOnNeed:
     def test_small_batches_start_no_worker_pool(self, collection):
         children = set(multiprocessing.active_children())
         with Index.build(collection, shards=2, shard_executor="process") as index:
-            for mode in ("exact", "compressed"):
-                for vectors in (collection[5], collection[: POOL_MIN_BATCH - 1]):
-                    index.answer(Query(vectors, k=5, mode=mode, backend="sharded_bond"))
-            engines = list(index._epoch.searchers.values())
-            assert len(engines) == 2
-            assert all(engine._executor is None for engine in engines)
+            for vectors in (collection[5], collection[: POOL_MIN_BATCH - 1]):
+                index.answer(Query(vectors, k=5, backend="sharded_bond"))
+            (engine,) = index._epoch.searchers.values()
+            assert engine._executor is None
             assert set(multiprocessing.active_children()) == children
         assert not leaked_segments()
 
@@ -525,19 +485,27 @@ class TestPoolOnNeed:
     def test_answers_and_costs_match_the_thread_index_across_the_cut_off(
         self, collection, mode
     ):
+        # Exact queries are pinned to the sharded engine; compressed ones go
+        # to the planner, which never splits them, so no pool ever starts.
+        backend = "sharded_bond" if mode == "exact" else None
+        children = set(multiprocessing.active_children())
         threaded = Index.build(collection, shards=3, shard_executor="thread")
         processed = Index.build(collection, shards=3, shard_executor="process")
         try:
             for size in (1, POOL_MIN_BATCH - 1, POOL_MIN_BATCH, 2 * POOL_MIN_BATCH):
                 query = Query(
-                    collection[20 : 20 + size], k=8, mode=mode, backend="sharded_bond", batch=True
+                    collection[20 : 20 + size], k=8, mode=mode, backend=backend, batch=True
                 )
                 left, right = threaded.answer(query), processed.answer(query)
                 assert len(right) == size
                 assert all(map(results_identical, left, right))
                 assert left.cost.as_dict() == right.cost.as_dict()
                 (engine,) = processed._epoch.searchers.values()
-                assert (engine._executor is not None) == (size >= POOL_MIN_BATCH)
+                if mode == "exact":
+                    assert (engine._executor is not None) == (size >= POOL_MIN_BATCH)
+                else:
+                    assert isinstance(engine, CompressedBondSearcher)
+                    assert set(multiprocessing.active_children()) == children
         finally:
             threaded.close()
             processed.close()
@@ -641,8 +609,8 @@ class TestPoolOnNeed:
 class TestOneCopy:
     """A process-sharded index keeps one copy of its fragments: its store is
     decomposed straight into one segment, which every process pool of the
-    epoch attaches whatever its metric; compressed engines add a segment of
-    their code columns alone."""
+    epoch attaches whatever its metric.  A compressed query is answered
+    unsharded: it starts no pool and adds no segment."""
 
     QUERIES = (("histogram", HistogramIntersection()), ("euclidean", SquaredEuclidean()))
 
@@ -666,24 +634,20 @@ class TestOneCopy:
             assert all(np.shares_memory(tail, memory) for tail in store._tails)
             assert np.shares_memory(store._row_sums.tail, memory)
             self.answers_match_oracle(index, collection, 12)
+            pools = [engine._executor for engine in index._epoch.searchers.values()]
+            assert len(pools) == 2
+            assert sorted(pool._segment.spec.segment for pool in pools) == [segment.name] * 2
+            workers = set(multiprocessing.active_children())
+            # One worker per shard in each metric's pool.
+            assert sum(worker.name == "repro-shard-worker" for worker in workers) == 6
             batch = pool_batch(collection, 12)
             compressed = Query(batch, k=7, mode="compressed")
-            assert all(
-                map(
-                    results_identical,
-                    index.answer(Query(batch, k=7, mode="compressed", backend="sharded_bond")),
-                    reference.answer(compressed),
-                )
-            )
-            pools = [engine._executor for engine in index._epoch.searchers.values()]
-            assert len(pools) == 3
-            assert sorted(pool._segment.spec.segment for pool in pools) == [segment.name] * 3
-            names = {os.path.basename(path) for path in leaked_segments()}
-            code_segments = names - {segment.name}
-            assert segment.name in names and len(code_segments) == 1
-            # The exact engines hold the store segment itself; the compressed
-            # one holds its code segment, which holds the store segment.
-            assert segment.references == 4
+            answers = zip(index.answer(compressed), reference.answer(compressed))
+            assert all(results_identical(got, want) for got, want in answers)
+            assert set(multiprocessing.active_children()) == workers
+            assert {os.path.basename(path) for path in leaked_segments()} == {segment.name}
+            # The epoch and the two exact pools hold the store segment.
+            assert segment.references == 3
         finally:
             index.close()
             reference.close()

@@ -25,9 +25,9 @@ from oracle import (
     value_bounds_at,
 )
 
+from repro.api import Index, Query
 from repro.baselines.vafile import VAFile
 from repro.core.batch import drive
-from repro.cluster.executor import EngineSpec
 from repro.core.compressed import (
     SAMPLE_STRIDE,
     CompressedBondSearcher,
@@ -35,7 +35,6 @@ from repro.core.compressed import (
     kth_largest,
     kth_smallest,
 )
-from repro.core.parallel import ShardedBondSearcher
 from repro.core.planner import (
     FixedPeriodSchedule,
     GeometricSchedule,
@@ -61,7 +60,6 @@ from repro.metrics.histogram import HistogramIntersection
 from repro.metrics.weighted import WeightedSquaredEuclidean
 from repro.storage.compressed import CompressedStore
 from repro.storage.decomposed import DecomposedStore
-from repro.storage.sharding import ShardPlan
 from repro.workload.ground_truth import exact_top_k
 
 
@@ -354,15 +352,12 @@ class TestHandOff:
     def test_is_the_default_of_every_compressed_path(self, corel_histograms):
         store = make_store(corel_histograms)
         assert isinstance(CompressedBondSearcher(store)._schedule, HandOffSchedule)
-        with ShardedBondSearcher(store, shards=2) as sharded:
-            for searcher in sharded.shard_searchers:
-                assert isinstance(searcher._schedule, HandOffSchedule)
-        # A process shard builds its searcher from the same spec.
-        spec = EngineSpec.for_store(store, metric=HistogramIntersection())
-        worker = spec.shard_searcher(
-            store.exact, store, ShardPlan.balanced(store.cardinality, 2), 1
-        )
-        assert isinstance(worker._schedule, HandOffSchedule)
+        # A sharded index answers compressed queries with the same searcher.
+        with Index.build(corel_histograms, shards=2) as index:
+            index.answer(Query(corel_histograms[0], k=5, mode="compressed"))
+            (searcher,) = index._epoch.searchers.values()
+        assert isinstance(searcher, CompressedBondSearcher)
+        assert isinstance(searcher._schedule, HandOffSchedule)
 
     def test_trace_ends_one_round_after_the_first_positional_prune(self, corel_histograms):
         store = make_store(corel_histograms)

@@ -110,9 +110,10 @@ class Shadow:
 
 
 #: The backend lattice of the overlay-equals-rebuild test:
-#: ``name -> (Index options, Query options)``.  ``exact`` and ``compressed``
-#: leave the backend to the planner (``bond`` / ``compressed_bond``); the
-#: metrics alternate so both pruning directions are covered.
+#: ``name -> (Index options, Query options)``.  ``exact``, ``compressed`` and
+#: ``sharded-compressed`` leave the backend to the planner (``bond`` /
+#: ``compressed_bond``, which also answers compressed queries on a sharded
+#: index); the metrics alternate so both pruning directions are covered.
 OVERLAY_BACKENDS = {
     "exact": ({}, {"metric": "histogram"}),
     "compressed": ({}, {"metric": "histogram", "mode": "compressed"}),
@@ -121,10 +122,7 @@ OVERLAY_BACKENDS = {
         {"shards": 3, "shard_executor": "process"},
         {"metric": "histogram", "backend": "sharded_bond"},
     ),
-    "sharded_bond-compressed": (
-        {"shards": 3},
-        {"metric": "euclidean", "mode": "compressed", "backend": "sharded_bond"},
-    ),
+    "sharded-compressed": ({"shards": 3}, {"metric": "euclidean", "mode": "compressed"}),
     "sequential_scan": ({}, {"metric": "histogram", "backend": "sequential_scan"}),
     "rtree": ({}, {"metric": "euclidean", "backend": "rtree"}),
     "vafile": ({}, {"metric": "histogram", "mode": "compressed", "backend": "vafile"}),
@@ -192,8 +190,8 @@ def results_of(answer) -> list:
     return answer.results if isinstance(answer, BatchSearchResult) else [answer]
 
 
-#: ``(backend, mode, metric)`` of every exact backend row scorer (both
-#: engine kinds of ``sharded_bond``), over each metric it serves.
+#: ``(backend, mode, metric)`` of every exact backend row scorer, over each
+#: metric it serves.
 ROW_SCORERS = [
     (backend, mode, metric)
     for backend, mode in (
@@ -202,7 +200,6 @@ ROW_SCORERS = [
         ("sequential_scan", "exact"),
         ("rtree", "exact"),
         ("compressed_bond", "compressed"),
-        ("sharded_bond", "compressed"),
         ("vafile", "compressed"),
         ("ivf", "approx"),
     )

@@ -138,13 +138,15 @@ class TestServedIdentity:
 
     @pytest.mark.parametrize("mode", ["exact", "compressed"])
     def test_sharded_backend(self, sharded_index, corel_histograms, mode):
+        # A sharded index splits exact queries only; the planner answers a
+        # compressed one unsharded.
         self.assert_served_identical(
             sharded_index,
             corel_histograms[:8],
             k=5,
             metric="histogram",
             mode=mode,
-            backend="sharded_bond",
+            backend="sharded_bond" if mode == "exact" else None,
         )
 
     def test_weighted_and_subspace(self, clustered_index, clustered_vectors):

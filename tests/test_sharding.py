@@ -1,8 +1,8 @@
 """Sharded engine suite: plan/slicing invariants, bitwise identity of
-sharded results against the unsharded fused engines (the one lattice over
-engine kind x executor x shard count x call shape x schedule, plus metrics
-and forced ties), cost aggregation, and the query-side early-out of the
-compressed filter."""
+sharded results against the unsharded fused engine (the one lattice over
+kind x executor x shard count x call shape x schedule, plus metrics and forced
+ties), compressed queries on a sharded index (answered unsharded), cost
+aggregation, and the query-side early-out of the compressed filter."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import PerDimensionCompressedSearcher
 
+from repro.api import Index, Query
 from repro.core.bond import BondSearcher
 from repro.core.compressed import CompressedBondSearcher
 from repro.core.parallel import ShardedBondSearcher, merge_traces
@@ -123,27 +124,6 @@ class TestShardStores:
         with pytest.raises(StorageError):
             shard_views(store, ShardPlan.balanced(store.cardinality - 1, 2))
 
-    def test_compressed_shards_share_the_global_grid(self, corel_histograms):
-        store = CompressedStore(DecomposedStore(corel_histograms))
-        plan = ShardPlan.balanced(store.cardinality, 3)
-        shards = [s.store for s in ShardedBondSearcher(store, shards=plan).shard_searchers]
-        for shard, (start, stop) in zip(shards, plan.ranges):
-            assert shard.minimums is store.minimums
-            assert shard.cell_widths is store.cell_widths
-            # code columns are zero-copy row slices of the parent's
-            parent_codes = store.code_columns([0], charge=False)[0]
-            shard_codes = shard.code_columns([0], charge=False)[0]
-            assert np.shares_memory(shard_codes, parent_codes)
-            assert np.array_equal(shard_codes, parent_codes[start:stop])
-
-    def test_row_slice_validates_ranges(self, corel_histograms):
-        store = CompressedStore(DecomposedStore(corel_histograms))
-        exact = DecomposedStore(corel_histograms[:10])
-        with pytest.raises(StorageError):
-            CompressedStore.row_slice(store, 5, 5, exact=exact)
-        with pytest.raises(StorageError):
-            CompressedStore.row_slice(store, 0, 20, exact=exact)  # shape mismatch
-
 
 # -- bitwise identity of the sharded engines ---------------------------------
 
@@ -195,6 +175,9 @@ class TestShardedExactIdentity:
 
 
 class TestShardedCompressedIdentity:
+    """Compressed queries on a sharded index are answered unsharded by
+    ``compressed_bond`` and stay bitwise the unsharded fused engine's."""
+
     @pytest.mark.parametrize("metric_index", [0, 1, 2])
     @pytest.mark.parametrize("shards", [1, 3])
     def test_batch_identical_to_unsharded_fused(
@@ -204,27 +187,90 @@ class TestShardedCompressedIdentity:
         reference = CompressedBondSearcher(
             CompressedStore(DecomposedStore(corel_histograms)), metric=metric
         )
-        sharded = ShardedBondSearcher(
-            CompressedStore(DecomposedStore(corel_histograms)),
-            metric=metric,
-            shards=shards,
-        )
         queries = corel_histograms[[8, 450, 1001]]
-        assert batches_identical(
-            reference.search_batch(queries, 10), sharded.search_batch(queries, 10)
-        )
+        query = Query(queries, k=10, metric=metric, mode="compressed", batch=True)
+        with Index.build(corel_histograms, shards=shards) as index:
+            assert index.plan(query).backend_name == "compressed_bond"
+            assert batches_identical(
+                reference.search_batch(queries, 10), index.answer(query)
+            )
 
     def test_results_are_exact_top_k(self, clustered_vectors):
-        # Off-unit-box Euclidean data: the corner-bound path plus sharding.
+        # Off-unit-box Euclidean data: the corner-bound path on a sharded index.
         data = clustered_vectors * 3.0 - 1.0
         metric = SquaredEuclidean(require_unit_box=False)
-        sharded = ShardedBondSearcher(
-            CompressedStore(DecomposedStore(data)), metric=metric, shards=3
-        )
-        for query_index in (1, 64, 1000):
-            expected = exact_top_k(data, data[query_index], 10, metric)
-            assert results_identical(expected, sharded.search(data[query_index], 10))
-        sharded.close()
+        with Index.build(data, shards=3) as index:
+            for query_index in (1, 64, 1000):
+                query = Query(data[query_index], k=10, metric=metric, mode="compressed")
+                assert index.plan(query).backend_name == "compressed_bond"
+                expected = exact_top_k(data, data[query_index], 10, metric)
+                assert results_identical(expected, index.answer(query))
+
+
+class TestCompressedOnShardedIndex:
+    """The sharded engine is exact-only: a compressed query on a sharded
+    index plans the unsharded ``compressed_bond`` and answers bitwise (cost
+    account included) as an unsharded index does."""
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_plans_compressed_bond_and_answers_as_unsharded(self, corel_histograms, executor):
+        with Index.build(corel_histograms) as reference, Index.build(
+            corel_histograms, shards=2, shard_executor=executor
+        ) as index:
+            for metric in ("histogram", "euclidean"):
+                queries = [Query(corel_histograms[7], k=10, metric=metric, mode="compressed")]
+                queries += [
+                    Query(
+                        corel_histograms[size : 2 * size],
+                        k=10,
+                        metric=metric,
+                        mode="compressed",
+                        batch=True,
+                    )
+                    for size in (1, 8, 32)
+                ]
+                for query in queries:
+                    assert index.plan(query).backend_name == "compressed_bond"
+                    expected, got = reference.answer(query), index.answer(query)
+                    assert batches_identical(
+                        getattr(expected, "results", [expected]), getattr(got, "results", [got])
+                    )
+                    assert got.cost.as_dict() == expected.cost.as_dict()
+            assert all(key[0] != "sharded_bond" for key in index._epoch.searchers)
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_live_tail_answers_as_unsharded(self, corel_histograms, executor):
+        fresh = np.round(corel_histograms[:4] * 0.5 + 0.05, 3)
+        fresh /= fresh.sum(axis=1, keepdims=True)
+        with Index.build(corel_histograms) as reference, Index.build(
+            corel_histograms, shards=2, shard_executor=executor
+        ) as index:
+            for live in (reference, index):
+                live.insert(fresh)
+                live.delete([2, 17, 700])
+            for size in (1, 8, 32):
+                query = Query(
+                    corel_histograms[40 : 40 + size],
+                    k=10,
+                    metric="euclidean",
+                    mode="compressed",
+                    batch=True,
+                )
+                assert batches_identical(reference.answer(query), index.answer(query))
+
+    def test_explain_names_the_sharded_rejection(self, corel_histograms):
+        with Index.build(corel_histograms, shards=2) as index:
+            transcript = index.explain(Query(corel_histograms[3], k=10, mode="compressed"))
+        assert (
+            "sharded_bond     rejected: does not serve mode 'compressed' "
+            "(serves ['approx', 'exact'])"
+        ) in transcript
+        assert "chosen: compressed_bond" in transcript
+
+    def test_sharded_engine_rejects_a_compressed_store(self, corel_histograms):
+        store = CompressedStore(DecomposedStore(corel_histograms))
+        with pytest.raises(QueryError, match="compressed_bond"):
+            ShardedBondSearcher(store, shards=2)
 
 
 @settings(max_examples=12, deadline=None)
@@ -236,9 +282,8 @@ class TestShardedCompressedIdentity:
 def test_sharded_identity_property(shards, k, data_seed):
     """Any shard count / k / data: sharded == unsharded, bit for bit.
 
-    Runs both the exact and the compressed engine over a random histogram-like
-    collection (with duplicated rows, so score ties actually occur and the
-    merge tie-break is exercised).
+    Runs over a random histogram-like collection with duplicated rows, so
+    score ties actually occur and the merge tie-break is exercised.
     """
     rng = np.random.default_rng(data_seed)
     data = rng.random((180, 12))
@@ -246,20 +291,10 @@ def test_sharded_identity_property(shards, k, data_seed):
     data /= data.sum(axis=1, keepdims=True)
     queries = data[rng.choice(180, 3, replace=False)]
 
-    exact_reference = BondSearcher(DecomposedStore(data))
-    exact_sharded = ShardedBondSearcher(DecomposedStore(data), shards=shards)
+    reference = BondSearcher(DecomposedStore(data))
+    sharded = ShardedBondSearcher(DecomposedStore(data), shards=shards)
     assert batches_identical(
-        exact_reference.search_batch(queries, k), exact_sharded.search_batch(queries, k)
-    )
-
-    compressed_reference = CompressedBondSearcher(CompressedStore(DecomposedStore(data)))
-    compressed_sharded = ShardedBondSearcher(
-        CompressedStore(DecomposedStore(data)),
-        shards=shards,
-    )
-    assert batches_identical(
-        compressed_reference.search_batch(queries, k),
-        compressed_sharded.search_batch(queries, k),
+        reference.search_batch(queries, k), sharded.search_batch(queries, k)
     )
 
 
@@ -282,6 +317,52 @@ def answer_record(results, cost):
     )
 
 
+class CompressedOnIndex:
+    """A sharded index seen through the searcher calls the lattice makes.
+
+    Each call is a ``mode="compressed"`` query, which the index answers
+    unsharded with ``compressed_bond`` whatever its executor.
+    """
+
+    def __init__(self, data, shards, executor):
+        self.index = Index.build(data, shards=shards, shard_executor=executor)
+
+    def answer(self, query):
+        assert self.index.plan(query).backend_name == "compressed_bond"
+        return self.index.answer(query)
+
+    def search(self, query, k):
+        return self.answer(Query(query, k=k, mode="compressed"))
+
+    def search_batch(self, queries, k):
+        return self.answer(Query(queries, k=k, mode="compressed", batch=True))
+
+    def close(self):
+        self.index.close()
+
+
+def lattice_engines(kind, data, shards, schedule):
+    """The unsharded reference and the engine per executor for one cell."""
+    if kind == "compressed":
+        # The index runs the default schedule; OIDs and scores are
+        # schedule-independent, so each schedule's reference still holds.
+        reference = CompressedBondSearcher(
+            CompressedStore(DecomposedStore(data)), schedule=schedule
+        )
+        executors = {"inline": "thread", "process": "process"}
+        return reference, {
+            name: CompressedOnIndex(data, shards, executor)
+            for name, executor in executors.items()
+        }
+    reference = BondSearcher(DecomposedStore(data), schedule=schedule)
+    return reference, {
+        name: ShardedBondSearcher(
+            DecomposedStore(data), schedule=schedule, shards=shards, **options
+        )
+        for name, options in EXECUTORS.items()
+    }
+
+
 @pytest.mark.parametrize(
     "schedule", [MassAwareSchedule(), FixedPeriodSchedule(8)], ids=["mass", "m8"]
 )
@@ -292,21 +373,13 @@ def test_identity_lattice(corel_histograms, kind, shards, schedule):
 
     OIDs, scores, trace and cost account are equal across the two
     executors, ``search(q)`` equals ``search_batch(q[None])`` on each of them,
-    and (OIDs, scores) are bitwise the unsharded searcher's.
+    and (OIDs, scores) are bitwise the unsharded searcher's.  The
+    ``compressed`` kind runs compressed queries on a sharded index, which
+    are answered unsharded by ``compressed_bond``.
     """
     data = corel_histograms[:400]
     queries = data[[3, 42, 110, 250, 399]]
-    unsharded = CompressedBondSearcher if kind == "compressed" else BondSearcher
-
-    def make_store():
-        exact = DecomposedStore(data)
-        return CompressedStore(exact) if kind == "compressed" else exact
-
-    reference = unsharded(make_store(), schedule=schedule)
-    engines = {
-        name: ShardedBondSearcher(make_store(), schedule=schedule, shards=shards, **options)
-        for name, options in EXECUTORS.items()
-    }
+    reference, engines = lattice_engines(kind, data, shards, schedule)
     try:
         calls = {
             "search": lambda s: [s.search(queries[0], 7)],
@@ -544,8 +617,11 @@ class TestQuerySideEarlyOut:
         queries = data[:5]
         reference = CompressedBondSearcher(CompressedStore(DecomposedStore(data)))
         batch = reference.search_batch(queries, 6)
-        sharded = ShardedBondSearcher(CompressedStore(DecomposedStore(data)), shards=3)
-        assert batches_identical(batch, sharded.search_batch(queries, 6))
+        assert batches_identical(batch, [reference.search(query, 6) for query in queries])
+        # A sharded index answers the compressed batch unsharded.
+        with Index.build(data, shards=3) as index:
+            answer = index.answer(Query(queries, k=6, mode="compressed", batch=True))
+        assert batches_identical(batch, answer)
 
 
 # -- facade integration ------------------------------------------------------
